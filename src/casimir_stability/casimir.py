@@ -34,7 +34,7 @@ from .errors import (
 )
 from .materials import Medium
 from .scattering import SphereObject, mie_tmatrix, fresnel_reflection
-from .translation import translation_matrix, sector_size
+from .translation import reverse_translation, sector_size, translation_matrix
 
 __all__ = [
     "Configuration",
@@ -113,41 +113,54 @@ class EnergyResult:
     kappa_floor_used: bool = False
 
 
+def _balanced(t_row, t_col, x):
+    """s_row |F_row|^(1/2) X |F_col|^(1/2) from raw (sign, log) T-matrix pairs.
+
+    Entries whose row or column amplitude is exactly zero (sign 0, log -inf)
+    are set to zero, which is the limit of the 0 * inf their logs would
+    otherwise form; a NaN from any other source is kept so that the
+    determinant guard sees it.
+    """
+    s_i, g_i = t_row
+    s_j, g_j = t_col
+    sx, gx = x.signed_log()
+    with np.errstate(invalid="ignore"):
+        block = s_i[:, None] * sx * np.exp(0.5 * g_i[:, None] + gx + 0.5 * g_j[None, :])
+    live = (s_i != 0.0)[:, None] & (s_j != 0.0)[None, :]
+    return np.where(live, block, 0.0)
+
+
+def _positive_logdet(m, what="matrix"):
+    """ln det m, raising when the determinant is not positive and finite."""
+    sign, logdet = np.linalg.slogdet(m)
+    if sign <= 0.0 or not math.isfinite(logdet):
+        raise UnphysicalTruncationError(
+            f"{what} determinant lost positivity or is not finite; increase l_max"
+        )
+    return float(logdet)
+
+
 def assemble_block_matrix(config, kappa, l_max):
     """Balanced block matrix whose log-determinant is the integrand.
 
     Identity diagonal blocks; off-diagonal block (I, J) represents
     -F_I X_IJ after the determinant-preserving balancing described in the
     module docstring.  For two objects its determinant equals
-    det(I - F_A X_AB F_B X_BA).
+    det(I - F_A X_AB F_B X_BA).  Each pair is translated once; X_JI is its
+    reciprocal image.
     """
     objs = config.objects
     nb = 2 * sector_size(l_max)
     n = len(objs)
-    sl = []
-    for o in objs:
-        t = mie_tmatrix(o, config.medium, kappa, l_max)
-        sl.append(t.raw_signed_log())
+    sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
     m = np.eye(n * nb)
     for i in range(n):
-        si, gi = sl[i]
-        for j in range(n):
-            if i == j:
-                continue
+        for j in range(i + 1, n):
             d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
             x = translation_matrix(config.medium, kappa, d, l_max)
-            sx, gx = x.signed_log()
-            # similarity-balanced image of -F_I X_IJ with D = diag(|F|^(-1/2)):
-            # -s_a |F_a|^(1/2) X_ab |F_b|^(1/2); only the row sign enters
-            with np.errstate(invalid="ignore"):
-                block = (
-                    si[:, None]
-                    * sx
-                    * np.abs(sl[j][0][None, :])
-                    * np.exp(0.5 * gi[:, None] + gx + 0.5 * sl[j][1][None, :])
-                )
-            block = np.nan_to_num(block, nan=0.0)
-            m[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = -block
+            rows, cols = slice(i * nb, (i + 1) * nb), slice(j * nb, (j + 1) * nb)
+            m[rows, cols] = -_balanced(sl[i], sl[j], x)
+            m[cols, rows] = -_balanced(sl[j], sl[i], reverse_translation(x))
     return m
 
 
@@ -157,17 +170,13 @@ def log_det_integrand(config, kappa, l_max, method="det"):
     ``method`` "det" uses a sign-tracked LU determinant; "tracelog" takes
     the trace of the dense matrix logarithm (cross-check implementation).
     The truncated matrix must stay positive definite in the determinant
-    sense; a non-positive determinant signals an unphysical truncation.
+    sense; a non-positive or non-finite determinant signals an unphysical
+    truncation.
     """
     m = assemble_block_matrix(config, kappa, l_max)
     if method == "tracelog":
         return float(np.trace(scipy.linalg.logm(m)).real)
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0.0:
-        raise UnphysicalTruncationError(
-            "matrix determinant lost positivity; increase l_max"
-        )
-    return float(logdet)
+    return _positive_logdet(m)
 
 
 def _quad_nodes(n_nodes, scale):
@@ -245,9 +254,11 @@ def _needs_floor(config):
 def free_energy_T(config, tol=1e-6, l_max=None, max_terms=100000):
     """Finite-temperature free energy: (tau/2pi) * primed Matsubara sum.
 
-    The n = 0 term is halved and evaluated at the analytic kappa -> 0 limit
-    of the integrand; when a dispersion model diverges there the limit is
-    approximated at KAPPA_FLOOR and the result is flagged.  As with
+    The n = 0 term is halved and, for every material, evaluated at
+    kappa = KAPPA_FLOOR in place of the kappa -> 0 limit; no analytic limit
+    is taken.  ``kappa_floor_used`` is set only when a plasma or Drude model
+    enters, since those diverge at kappa = 0; for other materials the floor
+    value stands in for the limit without a flag.  As with
     :func:`energy_T0`, an explicit ``l_max`` fixes the multipole order while
     ``l_max=None`` doubles it until the sum is order-converged.
     """

@@ -56,23 +56,24 @@ class SphereObject:
             raise GeometryError("sphere radius must be positive")
 
 
-def _riccati(kind, l, x):
-    """(mantissa of [x f_l(x)]', mantissa of f_l(x), common log exponent).
+def _riccati(kind, l_max, x):
+    """(mantissa of [x f_l(x)]', common log exponent) for l = 1..l_max.
 
-    Mantissas are scaled by exp(-log f_l(x)) so they stay O(l + x) for any
-    argument; products of mantissas from different functions then never
-    overflow.
+    Mantissas are scaled by exp(-log f_l(x)), so the mantissa of f_l itself
+    is 1 and the derivative's stays O(l + x) for any argument; products of
+    mantissas from different functions then never overflow.
     """
     if kind == "i":
-        logs = log_bessel_i_array(l + 1, x)
+        logs = log_bessel_i_array(l_max + 1, x)
         drv_sign = 1.0
     else:
-        logs = log_bessel_k_array(l + 1, x)
+        logs = log_bessel_k_array(l_max + 1, x)
         drv_sign = -1.0
-    e = logs[l]
+    ell = np.arange(1, l_max + 1)
+    e = logs[1:-1]
     # f' = drv_sign * f_{l+1} + (l/x) f_l, all divided by f_l
-    fp = drv_sign * math.exp(logs[l + 1] - e) + l / x
-    return 1.0 + x * fp, 1.0, e
+    fp = drv_sign * np.exp(logs[2:] - e) + ell / x
+    return 1.0 + x * fp, e
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,10 @@ class TMatrix:
         The raw magnetic amplitude is minus the stored entry; the energy
         assembly must use raw signs so that no adjustable constant enters.
         """
-        signs = []
-        logs = []
-        for pol, flip in (("E", 1.0), ("M", -1.0)):
-            s = self.sign_e if pol == "E" else self.sign_m
-            g = self.log_e if pol == "E" else self.log_m
-            for l in range(1, self.l_max + 1):
-                signs.extend([flip * s[l - 1]] * (2 * l + 1))
-                logs.extend([g[l - 1]] * (2 * l + 1))
-        return np.asarray(signs), np.asarray(logs)
+        reps = 2 * np.arange(1, self.l_max + 1) + 1
+        signs = np.concatenate([np.repeat(self.sign_e, reps), np.repeat(-self.sign_m, reps)])
+        logs = np.concatenate([np.repeat(self.log_e, reps), np.repeat(self.log_m, reps)])
+        return signs, logs
 
 
 def mie_tmatrix(sphere, medium, kappa, l_max):
@@ -152,42 +148,31 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
     mu_m = medium.mu(kappa)
     pec = sphere.eps.is_pec
 
-    sign_e = np.zeros(l_max)
-    log_e = np.full(l_max, -math.inf)
-    sign_m = np.zeros(l_max)
-    log_m = np.full(l_max, -math.inf)
-
-    if not pec:
+    dix, ex = _riccati("i", l_max, x)
+    dkx, fx = _riccati("k", l_max, x)
+    shift = ex - fx
+    if pec:
+        raw_tm = -dix / dkx
+        raw_te = np.full(l_max, -1.0)  # -i_l/k_l, both mantissas being 1
+    else:
         eps_j = eval_epsilon(sphere.eps, kappa)
         mu_j = eval_mu(sphere.mu, kappa)
         y = math.sqrt(eps_j * mu_j) * kappa * sphere.radius
+        diy, _ = _riccati("i", l_max, y)
 
-    for l in range(1, l_max + 1):
-        dix, ix, ex = _riccati("i", l, x)
-        dkx, kx, fx = _riccati("k", l, x)
-        if pec:
-            raw_tm = -dix / dkx
-            raw_te = -ix / kx
-            shift = ex - fx
-        else:
-            diy, iy, ey = _riccati("i", l, y)
+        def amp(a_j, a_m):
+            num = a_j * dix - a_m * diy
+            den = a_j * dkx - a_m * diy
+            return -num / den
 
-            def amp(a_j, a_m):
-                num = a_j * dix * iy - a_m * diy * ix
-                den = a_j * dkx * iy - a_m * diy * kx
-                return -num / den
-
-            raw_te = amp(mu_j, mu_m)
-            raw_tm = amp(eps_j, eps_m)
-            shift = ex - fx
-        for raw, sgn_arr, log_arr, flip in (
-            (raw_tm, sign_e, log_e, 1.0),
-            (raw_te, sign_m, log_m, -1.0),
-        ):
-            if raw == 0.0:
-                continue
-            sgn_arr[l - 1] = flip * math.copysign(1.0, raw)
-            log_arr[l - 1] = math.log(abs(raw)) + shift
+        raw_te = amp(mu_j, mu_m)
+        raw_tm = amp(eps_j, eps_m)
+    live_e, live_m = raw_tm != 0.0, raw_te != 0.0
+    with np.errstate(divide="ignore"):
+        sign_e = np.where(live_e, np.copysign(1.0, raw_tm), 0.0)
+        log_e = np.where(live_e, np.log(np.abs(raw_tm)) + shift, -math.inf)
+        sign_m = np.where(live_m, -np.copysign(1.0, raw_te), 0.0)
+        log_m = np.where(live_m, np.log(np.abs(raw_te)) + shift, -math.inf)
     return TMatrix(
         kappa=float(kappa),
         l_max=l_max,

@@ -29,18 +29,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .casimir import Configuration, _quad_nodes, default_l_max
-from .errors import ToleranceError, UnphysicalTruncationError, ValidationError
+from .casimir import (
+    KAPPA_FLOOR,
+    Configuration,
+    _balanced,
+    _positive_logdet,
+    _quad_nodes,
+    default_l_max,
+)
+from .errors import (
+    ConvergenceBudgetError,
+    GeometryError,
+    ToleranceError,
+    ValidationError,
+)
 from .materials import classify
 from .scattering import mie_tmatrix
 from .translation import (
-    TranslationMatrix,
+    reverse_translation,
     sector_size,
     translation_gradient,
     translation_matrix,
 )
 
 __all__ = [
+    "MAX_MATSUBARA_TERMS",
     "StabilityReport",
     "EquilibriumResult",
     "force",
@@ -49,6 +62,10 @@ __all__ = [
     "find_axial_equilibrium",
     "stability_report",
 ]
+
+# Matsubara terms the frozen finite-temperature grid may hold before its
+# truncation test gives up
+MAX_MATSUBARA_TERMS = 20000
 
 
 @dataclass
@@ -73,34 +90,6 @@ class EquilibriumResult:
     found: bool
     position: float | None = None
     report: StabilityReport | None = None
-
-
-def _reverse(x):
-    """Translation matrix for -d from the one for +d (exact reciprocity).
-
-    X(-d) = D X(d)^T D with D = +1 on the electric sector and -1 on the
-    magnetic sector.
-    """
-    nb = sector_size(x.l_max)
-    d_sign = np.ones(2 * nb)
-    d_sign[nb:] = -1.0
-    scaled = d_sign[:, None] * x.scaled.T * d_sign[None, :]
-    return TranslationMatrix(
-        kappa=x.kappa,
-        displacement=-x.displacement,
-        l_max=x.l_max,
-        scaled=scaled,
-        exponent=x.exponent.T.copy(),
-        spin=x.spin,
-    )
-
-
-def _balanced(s_i, g_i, g_j, x):
-    """s_row |F_row|^(1/2) X |F_col|^(1/2), all in scaled/log form."""
-    sx, gx = x.signed_log()
-    with np.errstate(invalid="ignore"):
-        block = s_i[:, None] * sx * np.exp(0.5 * g_i[:, None] + gx + 0.5 * g_j[None, :])
-    return np.nan_to_num(block, nan=0.0)
 
 
 class _CommonGridEngine:
@@ -128,7 +117,7 @@ class _CommonGridEngine:
         self._prepare()
 
     def _matsubara_grid(self, config, n_nodes):
-        from .casimir import KAPPA_FLOOR, log_det_integrand
+        from .casimir import log_det_integrand
 
         tau = config.tau
         kappas = [KAPPA_FLOOR]
@@ -141,8 +130,13 @@ class _CommonGridEngine:
             kappas.append(n * tau)
             weights.append(tau / (2.0 * math.pi))
             ref = abs(val) if ref is None else max(ref, abs(val))
-            if (abs(val) < 1e-12 * max(ref, 1e-300) and n > 4) or n > 20000:
+            if abs(val) < 1e-12 * max(ref, 1e-300) and n > 4:
                 return kappas, weights
+            if n >= MAX_MATSUBARA_TERMS:
+                raise ConvergenceBudgetError(
+                    f"Matsubara grid not truncated within {MAX_MATSUBARA_TERMS} terms",
+                    partial=(kappas, weights),
+                )
 
     def _prepare(self):
         cfg = self.config
@@ -161,8 +155,8 @@ class _CommonGridEngine:
                         continue
                     d = np.asarray(objs[j].center) - np.asarray(objs[i].center)
                     x = translation_matrix(cfg.medium, kappa, d, self.l_max)
-                    blocks[(i, j)] = _balanced(sl[i][0], sl[i][1], sl[j][1], x)
-                    blocks[(j, i)] = _balanced(sl[j][0], sl[j][1], sl[i][1], _reverse(x))
+                    blocks[(i, j)] = _balanced(sl[i], sl[j], x)
+                    blocks[(j, i)] = _balanced(sl[j], sl[i], reverse_translation(x))
             self.t_logs.append(sl)
             self.static.append(blocks)
 
@@ -178,8 +172,6 @@ class _CommonGridEngine:
                 continue
             gap = np.linalg.norm(moved - np.asarray(o.center)) - a.radius - o.radius
             if gap <= 0.0:
-                from .errors import GeometryError
-
                 raise GeometryError("displacement makes objects overlap")
 
     def energy(self, u):
@@ -202,19 +194,14 @@ class _CommonGridEngine:
                         x = translation_matrix(
                             cfg.medium, kappa, cj - ci, self.l_max
                         )
-                        bij = _balanced(sl[i][0], sl[i][1], sl[j][1], x)
-                        bji = _balanced(sl[j][0], sl[j][1], sl[i][1], _reverse(x))
+                        bij = _balanced(sl[i], sl[j], x)
+                        bji = _balanced(sl[j], sl[i], reverse_translation(x))
                     else:
                         bij = blocks[(i, j)]
                         bji = blocks[(j, i)]
                     m[i * self.nb : (i + 1) * self.nb, j * self.nb : (j + 1) * self.nb] = -bij
                     m[j * self.nb : (j + 1) * self.nb, i * self.nb : (i + 1) * self.nb] = -bji
-            sign, logdet = np.linalg.slogdet(m)
-            if sign <= 0.0:
-                raise UnphysicalTruncationError(
-                    "matrix determinant lost positivity; increase l_max"
-                )
-            total += weight * logdet
+            total += weight * _positive_logdet(m)
         return total
 
 
@@ -331,18 +318,16 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     for kappa, weight in zip(kappas, weights):
         n_m = medium.refractive_index(kappa)
         sl = [mie_tmatrix(o, medium, kappa, l_max).raw_signed_log() for o in objs]
-        s_a, g_a = sl[a_idx]
         # remainder-block matrix (balanced) and its inverse action
         m_rr = np.eye(len(rest) * nb)
         for bi, i in enumerate(rest):
-            for bj, j in enumerate(rest):
-                if i == j:
-                    continue
+            for bj in range(bi + 1, len(rest)):
+                j = rest[bj]
                 d = np.asarray(objs[j].center) - np.asarray(objs[i].center)
                 x = translation_matrix(medium, kappa, d, l_max)
-                m_rr[bi * nb : (bi + 1) * nb, bj * nb : (bj + 1) * nb] = -_balanced(
-                    sl[i][0], sl[i][1], sl[j][1], x
-                )
+                rows, cols = slice(bi * nb, (bi + 1) * nb), slice(bj * nb, (bj + 1) * nb)
+                m_rr[rows, cols] = -_balanced(sl[i], sl[j], x)
+                m_rr[cols, rows] = -_balanced(sl[j], sl[i], reverse_translation(x))
         # U row (A -> J blocks), V column (J -> A blocks) and their gradients
         u_row = np.zeros((nb, len(rest) * nb))
         v_col = np.zeros((len(rest) * nb, nb))
@@ -352,8 +337,8 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
             d = np.asarray(objs[j].center) - np.asarray(objs[a_idx].center)
             x = translation_matrix(medium, kappa, d, l_max)
             cols = slice(bj * nb, (bj + 1) * nb)
-            u_row[:, cols] = _balanced(s_a, g_a, sl[j][1], x)
-            v_col[cols, :] = _balanced(sl[j][0], sl[j][1], g_a, _reverse(x))
+            u_row[:, cols] = _balanced(sl[a_idx], sl[j], x)
+            v_col[cols, :] = _balanced(sl[j], sl[a_idx], reverse_translation(x))
             grads = translation_gradient(
                 medium, kappa, d, l_max, h, richardson=True
             )
@@ -362,15 +347,12 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
                 # moving A by +u shifts d by -u, so d/d(a_i) X_AJ = -dX/dd_i;
                 # for the reversed block, X'(-d) = -D X'(d)^T D, so
                 # d/d(a_i) X_JA = +dX/dd_i at -d = -D g^T D
-                du[axis][:, cols] = -_balanced(s_a, g_a, sl[j][1], g)
-                dv[axis][cols, :] = -_balanced(sl[j][0], sl[j][1], g_a, _reverse(g))
+                du[axis][:, cols] = -_balanced(sl[a_idx], sl[j], g)
+                dv[axis][cols, :] = -_balanced(sl[j], sl[a_idx], reverse_translation(g))
         m_inv_v = np.linalg.solve(m_rr, v_col)
         n_eff = u_row @ m_inv_v
         resolvent = np.linalg.inv(np.eye(nb) - n_eff)
-        if np.linalg.slogdet(np.eye(nb) - n_eff)[0] <= 0.0:
-            raise UnphysicalTruncationError(
-                "merged-remainder matrix lost positivity; increase l_max"
-            )
+        _positive_logdet(np.eye(nb) - n_eff, "merged-remainder matrix")
         b1 = 2.0 * (n_m * kappa) ** 2 * np.trace(resolvent @ n_eff)
         b2 = 0.0
         b3 = 0.0

@@ -25,7 +25,26 @@ argument and would overflow float64 well inside the physically relevant
 range, so a :class:`TranslationMatrix` stores ``scaled`` values together
 with a per-entry natural-log ``exponent``; the true entry is
 ``scaled * exp(exponent)``.  :meth:`TranslationMatrix.dense` materializes
-plain floats when they are representable.
+plain floats when they are representable.  All entries of one (l, l') block
+share the exponent log k_lmax, lmax being the largest lambda in that block.
+
+Construction
+------------
+Everything that depends on neither kappa nor the direction of ``d`` is
+computed once per (l_max, spin) into one flat table: for every term of every
+entry, the entry it adds to, its (block, lambda) scale slot, its (lambda, mu)
+harmonic slot and its coefficient, together with the real-basis change and
+the index permutations of the electric/magnetic sector layout.  A build is
+then whole-array work: one ``sph_harm_y`` call over all (lambda, mu), the
+block exponents as one gather, one real weighted bincount over the terms,
+U A U^dagger with U block-diagonal over the whole sector, and one gather
+into the sector layout.
+
+Reciprocity
+-----------
+X(-d) = D X(d)^T D (D = +1 on the electric and -1 on the magnetic sector),
+so a pair of objects needs only one build per wavenumber;
+:func:`reverse_translation` is the one implementation of that image.
 """
 
 import math
@@ -42,6 +61,7 @@ __all__ = [
     "TranslationMatrix",
     "translation_matrix",
     "translation_gradient",
+    "reverse_translation",
     "scalar_translation_matrix",
     "momentum_space_G",
     "real_sph_harm",
@@ -160,42 +180,123 @@ def _lambda_terms(l, lp, m, mp, kind):
     return out
 
 
+@dataclass(frozen=True)
+class _Table:
+    """Flat, kappa- and direction-independent build recipe for one (l_max, spin).
+
+    Every matrix entry (in the complex basis) is a sum of terms
+    coeff * exp(log k_lam - s_block) * Y_{lam, mu}; the term arrays hold, per
+    term, the entry it adds to, its (block, lambda) scale slot, its harmonic
+    slot and its coefficient; the terms of one entry are contiguous, in
+    ascending lambda.
+    """
+
+    n_kinds: int
+    nb: int
+    l_offsets: np.ndarray  # first sector row of each l (reduceat segments)
+    top_lam: np.ndarray  # largest lambda of each (l, l') block
+    slot_block: np.ndarray  # (block, lambda) slot -> block
+    slot_lam: np.ndarray  # (block, lambda) slot -> lambda
+    y_lam: np.ndarray  # every (lambda, mu) with lambda <= l_top
+    y_mu: np.ndarray
+    term_re_im: np.ndarray  # 2 * entry + (0, 1): bincount bins of a term
+    term_slot: np.ndarray
+    term_y: np.ndarray
+    term_coeff: np.ndarray
+    # real-basis change U over the sector: U[r, r] = u_diag[r] and
+    # U[r, flip[r]] = u_flip[r], where flip maps m to -m within each l
+    u_diag: np.ndarray
+    u_flip: np.ndarray
+    flip: np.ndarray
+    layout: np.ndarray  # final entry -> index into [Re A, Im B, -Im B]
+    entry_block: np.ndarray  # final entry -> (l, l') block index
+
+
 @lru_cache(maxsize=8)
 def _coeff_tables(l_max, spin):
-    """Per-(l, l') arrays: lambda indices, mu indices and stacked coefficients.
+    """The flat build recipe (:class:`_Table`) for one (l_max, spin).
 
-    Returns dict[(l, lp)] -> (lams, mus, C) with C of shape
-    (n_kinds, (2l+1)(2lp+1), n_lams); kinds are (same,) for scalar and
-    (same, cross) for vector.
+    Kinds are (same,) for scalar and (same, cross) for vector waves.
     """
     l_min = 0 if spin == "scalar" else 1
     kinds = ("scalar",) if spin == "scalar" else ("same", "cross")
-    tables = {}
-    for l in range(l_min, l_max + 1):
-        for lp in range(l_min, l_max + 1):
-            lams = sorted(
-                {
-                    lam
-                    for kind in kinds
-                    for m in range(-l, l + 1)
-                    for mp in range(-lp, lp + 1)
-                    for lam, _ in _lambda_terms(l, lp, m, mp, kind)
-                }
-            )
-            pos = {lam: j for j, lam in enumerate(lams)}
-            n_pairs = (2 * l + 1) * (2 * lp + 1)
-            c = np.zeros((len(kinds), n_pairs, len(lams)))
-            mus = np.zeros(n_pairs, int)
-            p = 0
-            for m in range(-l, l + 1):
-                for mp in range(-lp, lp + 1):
-                    mus[p] = m - mp
-                    for ik, kind in enumerate(kinds):
-                        for lam, coeff in _lambda_terms(l, lp, m, mp, kind):
-                            c[ik, p, pos[lam]] = coeff
-                    p += 1
-            tables[(l, lp)] = (np.asarray(lams, int), mus, c)
-    return tables
+    l_top = 2 * l_max + (1 if spin == "vector" else 0)
+    ls = range(l_min, l_max + 1)
+    n_l = len(ls)
+    nb = sector_size(l_max, l_min)
+    l_offsets = np.array([l * l - l_min * l_min for l in ls])
+    top_lam = np.zeros(n_l * n_l, int)
+    slot_block, slot_lam = [], []
+    entry, slot, ylm, coeff = [], [], [], []
+    for l in ls:
+        for lp in ls:
+            block = (l - l_min) * n_l + (lp - l_min)
+            r0, c0 = l * l - l_min * l_min + l, lp * lp - l_min * l_min + lp
+            terms = [
+                ((ik * nb + r0 + m) * nb + c0 + mp, lam, lam * lam + lam + m - mp, c)
+                for m in range(-l, l + 1)
+                for mp in range(-lp, lp + 1)
+                for ik, kind in enumerate(kinds)
+                for lam, c in _lambda_terms(l, lp, m, mp, kind)
+            ]
+            lams = sorted({lam for _, lam, _, _ in terms})
+            pos = {lam: len(slot_lam) + j for j, lam in enumerate(lams)}
+            slot_block.extend([block] * len(lams))
+            slot_lam.extend(lams)
+            top_lam[block] = lams[-1]
+            for e, lam, y, c in terms:
+                entry.append(e)
+                slot.append(pos[lam])
+                ylm.append(y)
+                coeff.append(c)
+    y_lam = np.repeat(np.arange(l_top + 1), 2 * np.arange(l_top + 1) + 1)
+    y_mu = np.arange(y_lam.size) - y_lam * y_lam - y_lam
+
+    u = np.zeros((nb, nb), complex)
+    flip = np.zeros(nb, int)
+    for l, off in zip(ls, l_offsets):
+        n = 2 * l + 1
+        u[off : off + n, off : off + n] = _real_basis(l)
+        flip[off : off + n] = off + np.arange(n)[::-1]
+    u_diag = np.diagonal(u).copy()
+    u_flip = np.where(flip != np.arange(nb), u[np.arange(nb), flip], 0.0)
+    blocks = np.repeat(np.arange(n_l), 2 * np.arange(l_min, l_max + 1) + 1)
+    entry_block = blocks[:, None] * n_l + blocks[None, :]
+    rows = np.arange(nb)[:, None] * nb
+    cols = np.arange(nb)[None, :]
+    if spin == "scalar":
+        layout = rows + cols
+    else:
+        # electric sector first; magnetic labels refer to R_{l,-m} and carry
+        # the relative factor i, which makes all four sector blocks real:
+        # EE = Re A, EM = Re(-i B flip_cols) = Im B flip_cols,
+        # ME = Re(i flip_rows B) = -Im flip_rows B, MM = Re A flipped both ways
+        frows = flip[:, None] * nb
+        fcols = flip[None, :]
+        layout = np.block(
+            [[rows + cols, nb * nb + rows + fcols], [2 * nb * nb + frows + cols, frows + fcols]]
+        )
+        entry_block = np.tile(entry_block, (2, 2))
+    entry = np.asarray(entry)
+    return _Table(
+        n_kinds=len(kinds),
+        nb=nb,
+        l_offsets=l_offsets,
+        top_lam=top_lam,
+        slot_block=np.asarray(slot_block),
+        slot_lam=np.asarray(slot_lam),
+        y_lam=y_lam,
+        y_mu=y_mu,
+        term_re_im=(2 * entry[:, None] + np.arange(2)).ravel(),
+        term_slot=np.asarray(slot),
+        term_y=np.asarray(ylm),
+        term_coeff=np.asarray(coeff),
+        u_diag=u_diag,
+        u_flip=u_flip,
+        flip=flip,
+        layout=layout,
+        entry_block=entry_block,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +344,16 @@ def _direction(d):
     return d, c, theta, phi
 
 
-def _harmonic_table(l_top, theta, phi):
-    """Yc[lam, l_top + mu] = Y_{lam, mu}(theta, phi), zero outside |mu|<=lam."""
-    yc = np.zeros((l_top + 1, 2 * l_top + 1), complex)
-    for lam in range(l_top + 1):
-        mus = np.arange(-lam, lam + 1)
-        yc[lam, l_top + mus] = sph_harm_y(lam, mus, theta, phi)
-    return yc
+def _block_max(a, offsets):
+    """Maximum of each (l, l') block of the trailing two axes."""
+    return np.maximum.reduceat(np.maximum.reduceat(a, offsets, axis=-2), offsets, axis=-1)
+
+
+def _to_real_basis(tab, a):
+    """U a U^dagger over the trailing two axes, using that U has at most two
+    nonzero entries per row."""
+    b = tab.u_diag[:, None] * a + tab.u_flip[:, None] * a[..., tab.flip, :]
+    return b * tab.u_diag.conj() + b[..., tab.flip] * tab.u_flip.conj()
 
 
 def _build(medium, kappa, d, l_max, spin):
@@ -259,70 +363,60 @@ def _build(medium, kappa, d, l_max, spin):
     x = medium.refractive_index(kappa) * kappa * c
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
     logk = log_bessel_k_array(l_top, x)
-    yc = _harmonic_table(l_top, theta, phi)
-    tables = _coeff_tables(l_max, spin)
+    tab = _coeff_tables(l_max, spin)
 
-    l_min = 0 if spin == "scalar" else 1
-    nb = sector_size(l_max, l_min)
-    dim = nb if spin == "scalar" else 2 * nb
-    scaled = np.zeros((dim, dim))
-    exponent = np.zeros((dim, dim))
+    # k_lam grows with lam, so the largest lambda of a block sets its scale
+    s = logk[tab.top_lam]
+    kv = np.exp(logk[tab.slot_lam] - s[tab.slot_block])
+    y = sph_harm_y(tab.y_lam, tab.y_mu, theta, phi)
+    terms = (tab.term_coeff * kv[tab.term_slot]) * y[tab.term_y]
+    nb = tab.nb
+    a = np.bincount(
+        tab.term_re_im, weights=terms.view(float), minlength=2 * tab.n_kinds * nb * nb
+    ).view(complex)
+    r = _to_real_basis(tab, a.reshape(tab.n_kinds, nb, nb))
 
-    def offset(l):
-        return l * l - l_min * l_min
-
-    for (l, lp), (lams, mus, c_tab) in tables.items():
-        if lams.size == 0:
-            continue
-        s = float(logk[lams].max())
-        kv = np.exp(logk[lams] - s)
-        ysel = yc[lams[None, :], l_top + mus[:, None]]
-        blocks = np.einsum("kpj,j,pj->kp", c_tab, kv, ysel).reshape(
-            c_tab.shape[0], 2 * l + 1, 2 * lp + 1
-        )
-        u_l = _real_basis(l)
-        u_lp = _real_basis(lp)
-        a_r = u_l @ blocks[0] @ u_lp.conj().T
-        r0, c0 = offset(l), offset(lp)
-        rows = slice(r0, r0 + 2 * l + 1)
-        cols = slice(c0, c0 + 2 * lp + 1)
-        tol = 1e-10 * max(1.0, np.abs(a_r).max())
-        if spin == "scalar":
-            if np.abs(a_r.imag).max() > tol:
-                raise RuntimeError("real-basis entries acquired imaginary parts")
-            scaled[rows, cols] = a_r.real
-            exponent[rows, cols] = s
-            continue
-        b_r = u_l @ blocks[1] @ u_lp.conj().T
-        # electric sector first; magnetic labels refer to R_{l,-m} and carry
-        # the relative factor i, which makes the four blocks below real
-        ee = a_r
-        mm = a_r[::-1, ::-1]
-        me = 1j * b_r[::-1, :]
-        em = -1j * b_r[:, ::-1]
-        scale = max(np.abs(a_r).max(), np.abs(b_r).max(), 1e-300)
-        if max(np.abs(a_r.imag).max(), np.abs(b_r.real).max()) > 1e-9 * scale:
-            raise RuntimeError("real-basis entries acquired imaginary parts")
-        rows_m = slice(nb + r0, nb + r0 + 2 * l + 1)
-        cols_m = slice(nb + c0, nb + c0 + 2 * lp + 1)
-        scaled[rows, cols] = ee.real
-        scaled[rows_m, cols_m] = mm.real
-        scaled[rows_m, cols] = me.real
-        scaled[rows, cols_m] = em.real
-        for blk in (
-            (rows, cols),
-            (rows_m, cols_m),
-            (rows_m, cols),
-            (rows, cols_m),
-        ):
-            exponent[blk] = s
+    offsets = tab.l_offsets
+    if spin == "scalar":
+        size = _block_max(np.abs(r[0]), offsets)
+        bad = _block_max(np.abs(r[0].imag), offsets) > 1e-10 * np.maximum(1.0, size)
+        src = r[0].real
+    else:
+        a_r, b_r = r
+        scale = np.maximum(_block_max(np.abs(r), offsets).max(axis=0), 1e-300)
+        leak = _block_max(np.stack([np.abs(a_r.imag), np.abs(b_r.real)]), offsets)
+        bad = leak.max(axis=0) > 1e-9 * scale
+        src = np.concatenate([a_r.real.ravel(), b_r.imag.ravel(), -b_r.imag.ravel()])
+    if bad.any():
+        raise RuntimeError("real-basis entries acquired imaginary parts")
     return TranslationMatrix(
         kappa=float(kappa),
         displacement=d,
         l_max=l_max,
-        scaled=scaled,
-        exponent=exponent,
+        scaled=src.ravel()[tab.layout],
+        exponent=s[tab.entry_block],
         spin=spin,
+    )
+
+
+def reverse_translation(x):
+    """Translation matrix for -d from the one for +d (exact reciprocity).
+
+    X(-d) = D X(d)^T D, with D = +1 on the electric sector and -1 on the
+    magnetic sector for vector waves, and D = 1 for scalar waves.  Applied
+    to a displacement gradient dX/dd_i at d it gives minus that gradient
+    at -d.
+    """
+    d_sign = np.ones(x.dim)
+    if x.spin == "vector":
+        d_sign[x.dim // 2 :] = -1.0
+    return TranslationMatrix(
+        kappa=x.kappa,
+        displacement=-x.displacement,
+        l_max=x.l_max,
+        scaled=d_sign[:, None] * x.scaled.T * d_sign[None, :],
+        exponent=x.exponent.T.copy(),
+        spin=x.spin,
     )
 
 

@@ -1,5 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# tests that start a subprocess import the package from this checkout too,
+# also under a bare ``pytest`` that only puts src/ on its own sys.path
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 from casimir_stability import Configuration, DispersionModel, Medium, SphereObject
 

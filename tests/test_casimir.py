@@ -171,3 +171,35 @@ def test_plates_dense_medium_scaling():
     medium = Medium(eps_model=DispersionModel.constant(4.0))
     v = lifshitz_plates(PEC_PAIR, PEC_PAIR, medium, 1.0)
     assert v == pytest.approx(-math.pi**2 / 720.0 / 2.0, rel=1e-6)
+
+
+def _nan_translation(monkeypatch, module):
+    """Make every translation built in ``module`` carry one NaN entry."""
+    original = module.translation_matrix
+
+    def poisoned(*args, **kwargs):
+        x = original(*args, **kwargs)
+        x.scaled[0, 0] = np.nan
+        return x
+
+    monkeypatch.setattr(module, "translation_matrix", poisoned)
+
+
+def test_nan_translation_entry_raises(monkeypatch):
+    from casimir_stability import UnphysicalTruncationError, casimir
+
+    _nan_translation(monkeypatch, casimir)
+    with pytest.raises(UnphysicalTruncationError):
+        log_det_integrand(pec_pair(3.0), 0.7, 3)
+
+
+def test_transparent_sphere_gives_finite_integrand():
+    # eps = eps_medium: every amplitude is exactly zero, so the balanced
+    # blocks of that sphere vanish instead of forming 0 * inf
+    cfg = Configuration(
+        (pec_sphere((0, 0, 0), 1.0, "a"), dielectric_sphere((0, 0, 3.0), 1.0, 1.0, "b")),
+        Medium(),
+        0.0,
+    )
+    for kappa in (1e-6, 0.7, 20.0):
+        assert log_det_integrand(cfg, kappa, 4) == 0.0

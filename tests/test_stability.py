@@ -140,3 +140,28 @@ def test_no_equilibrium_reported_for_plain_pair():
     assert not res.found
     assert res.position is None
     assert res.report is None
+
+
+def test_nan_translation_entry_raises_in_engine_and_decomposition(monkeypatch):
+    from casimir_stability import UnphysicalTruncationError, stability
+    from casimir_stability.stability import _CommonGridEngine
+    from test_casimir import _nan_translation
+
+    cfg = pec_pair(4.0)
+    _nan_translation(monkeypatch, stability)
+    with pytest.raises(UnphysicalTruncationError):
+        _CommonGridEngine(cfg, "a", l_max=3, n_nodes=4).energy(np.zeros(3))
+    with pytest.raises(UnphysicalTruncationError):
+        laplacian_decomposition(cfg, "a", l_max=3, n_nodes=4)
+
+
+def test_matsubara_grid_cap_raises_with_partial_grid(monkeypatch):
+    from casimir_stability import ConvergenceBudgetError, stability
+    from casimir_stability.stability import _CommonGridEngine
+
+    monkeypatch.setattr(stability, "MAX_MATSUBARA_TERMS", 3)
+    with pytest.raises(ConvergenceBudgetError) as info:
+        _CommonGridEngine(pec_pair(4.0, tau=0.5), "a", l_max=2, n_nodes=4)
+    kappas, weights = info.value.partial
+    assert kappas == pytest.approx([stability.KAPPA_FLOOR, 0.5, 1.0, 1.5])
+    assert len(weights) == 4
