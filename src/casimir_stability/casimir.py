@@ -19,21 +19,20 @@ sign * exp(log|F_a|/2 + log|X_ab| + log|F_b|/2), which leaves the
 determinant unchanged and every entry representable.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceBudgetError,
     GeometryError,
     UnphysicalTruncationError,
     ValidationError,
-    ZeroFrequencyError,
 )
 from .materials import Medium
-from .scattering import SphereObject, mie_tmatrix, fresnel_reflection
+from .scattering import mie_tmatrix, fresnel_reflection
 from .translation import reverse_translation, sector_size, translation_matrix
 
 __all__ = [
@@ -51,6 +50,12 @@ __all__ = [
 # stand-in wavenumber for the zero-frequency Matsubara term when a
 # dispersion model diverges there
 KAPPA_FLOOR = 1e-6
+
+# Matsubara terms a streaming sum (free_energy_T, lifshitz_plates) may take
+MAX_SUM_TERMS = 100000
+
+# doublings of l_max energy_T0 may make before it gives up
+MAX_ORDER_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -113,25 +118,45 @@ class EnergyResult:
     kappa_floor_used: bool = False
 
 
-def _balanced(t_row, t_col, x):
-    """s_row |F_row|^(1/2) X |F_col|^(1/2) from raw (sign, log) T-matrix pairs.
+def _pair_blocks(x, t_i, t_j):
+    """Balanced blocks (I, J) and (J, I) of one pair from X_IJ alone.
 
-    Entries whose row or column amplitude is exactly zero (sign 0, log -inf)
-    are set to zero, which is the limit of the 0 * inf their logs would
-    otherwise form; a NaN from any other source is kept so that the
-    determinant guard sees it.
+    ``t_i`` and ``t_j`` are the raw (sign, log) T-matrix pairs of the two
+    objects and X_JI is the reciprocal image of X_IJ.  Each block is
+    s_row |F_row|^(1/2) X |F_col|^(1/2).  Entries whose row or column
+    amplitude is exactly zero (sign 0, log -inf) are set to zero, the limit
+    of the 0 * inf their logs would otherwise form; a NaN from any other
+    source is kept so that the determinant guard sees it.
     """
-    s_i, g_i = t_row
-    s_j, g_j = t_col
-    sx, gx = x.signed_log()
-    with np.errstate(invalid="ignore"):
-        block = s_i[:, None] * sx * np.exp(0.5 * g_i[:, None] + gx + 0.5 * g_j[None, :])
-    live = (s_i != 0.0)[:, None] & (s_j != 0.0)[None, :]
-    return np.where(live, block, 0.0)
+
+    def balanced(t_row, t_col, y):
+        (s_r, g_r), (s_c, g_c) = t_row, t_col
+        sy, gy = y.signed_log()
+        with np.errstate(invalid="ignore"):
+            scale = np.exp(0.5 * g_r[:, None] + gy + 0.5 * g_c[None, :])
+            block = s_r[:, None] * sy * scale
+        live = (s_r != 0.0)[:, None] & (s_c != 0.0)[None, :]
+        return np.where(live, block, 0.0)
+
+    return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse_translation(x))
+
+
+def _place_blocks(blocks, order, nb):
+    """I - N over the objects ``order`` from balanced blocks {(I, J): block}."""
+    m = np.eye(len(order) * nb)
+    for a, i in enumerate(order):
+        for b, j in enumerate(order):
+            if i != j:
+                m[a * nb : (a + 1) * nb, b * nb : (b + 1) * nb] = -blocks[(i, j)]
+    return m
 
 
 def _positive_logdet(m, what="matrix"):
     """ln det m, raising when the determinant is not positive and finite."""
+    if not np.isfinite(m).all():
+        raise UnphysicalTruncationError(
+            f"{what} has non-finite entries (NaN or inf in a T-matrix or translation)"
+        )
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0.0 or not math.isfinite(logdet):
         raise UnphysicalTruncationError(
@@ -150,33 +175,24 @@ def assemble_block_matrix(config, kappa, l_max):
     reciprocal image.
     """
     objs = config.objects
-    nb = 2 * sector_size(l_max)
-    n = len(objs)
     sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
-    m = np.eye(n * nb)
-    for i in range(n):
-        for j in range(i + 1, n):
+    blocks = {}
+    for i in range(len(objs)):
+        for j in range(i + 1, len(objs)):
             d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
             x = translation_matrix(config.medium, kappa, d, l_max)
-            rows, cols = slice(i * nb, (i + 1) * nb), slice(j * nb, (j + 1) * nb)
-            m[rows, cols] = -_balanced(sl[i], sl[j], x)
-            m[cols, rows] = -_balanced(sl[j], sl[i], reverse_translation(x))
-    return m
+            blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, sl[i], sl[j])
+    return _place_blocks(blocks, range(len(objs)), 2 * sector_size(l_max))
 
 
-def log_det_integrand(config, kappa, l_max, method="det"):
+def log_det_integrand(config, kappa, l_max):
     """ln det of the block matrix; <= 0 for same-class objects.
 
-    ``method`` "det" uses a sign-tracked LU determinant; "tracelog" takes
-    the trace of the dense matrix logarithm (cross-check implementation).
     The truncated matrix must stay positive definite in the determinant
     sense; a non-positive or non-finite determinant signals an unphysical
     truncation.
     """
-    m = assemble_block_matrix(config, kappa, l_max)
-    if method == "tracelog":
-        return float(np.trace(scipy.linalg.logm(m)).real)
-    return _positive_logdet(m)
+    return _positive_logdet(assemble_block_matrix(config, kappa, l_max))
 
 
 def _quad_nodes(n_nodes, scale):
@@ -201,13 +217,13 @@ def _integrate_T0(config, l_max, n_nodes):
     return float(contrib.sum()), samples
 
 
-def energy_T0(config, tol=1e-6, max_refinements=6, l_max=None, n_nodes=24):
+def energy_T0(config, tol=1e-6, l_max=None, n_nodes=24):
     """Zero-temperature energy by node-doubling quadrature.
 
     With ``l_max=None`` the multipole order starts at the geometric default
-    and doubles until the value is order-converged to ``tol``; an explicit
-    ``l_max`` fixes the order (only the quadrature is refined), which lets
-    two calculations share a common truncation.
+    and doubles, at most MAX_ORDER_DOUBLINGS times, until the value is
+    order-converged to ``tol``; an explicit ``l_max`` fixes the order (only
+    the quadrature is refined), so two calculations can share a truncation.
     """
     if config.tau != 0.0:
         raise ValidationError("energy_T0 requires tau = 0")
@@ -216,7 +232,7 @@ def energy_T0(config, tol=1e-6, max_refinements=6, l_max=None, n_nodes=24):
         l_max = default_l_max(config)
     value, samples = _integrate_T0(config, l_max, n_nodes)
     rel = math.inf
-    for _ in range(max_refinements):
+    for _ in range(MAX_ORDER_DOUBLINGS):
         nodes_ok = False
         while not nodes_ok:
             v2, s2 = _integrate_T0(config, l_max, 2 * n_nodes)
@@ -245,13 +261,44 @@ def energy_T0(config, tol=1e-6, max_refinements=6, l_max=None, n_nodes=24):
     )
 
 
+def _matsubara_sum(term, tau, tol, max_terms):
+    """Primed Matsubara sum of ``term(kappa)``, truncated by its tail.
+
+    kappa_0 = KAPPA_FLOOR enters at half weight, then kappa_n = n * tau.
+    The sum stops when a term underflows to zero or when, on decreasing
+    terms, the geometric tail |t_n| r / (1 - r), r = |t_n / t_(n-1)|, is
+    below ``tol`` of the running sum; after ``max_terms`` terms with n >= 1
+    it raises ConvergenceBudgetError with partial = (kappas, weights).
+    Returns (kappas, weights, terms): weights include tau / (2 pi), terms
+    are the summands in order (the n = 0 value halved).
+    """
+    kappas = [KAPPA_FLOOR]
+    weights = [0.5 * tau / (2.0 * math.pi)]
+    terms = [0.5 * term(KAPPA_FLOOR)]
+    total = terms[0]
+    for n in range(1, max_terms + 1):
+        value = term(n * tau)
+        kappas.append(n * tau)
+        weights.append(tau / (2.0 * math.pi))
+        terms.append(value)
+        total += value
+        ratio = abs(value) / abs(terms[-2]) if n > 1 else math.inf
+        tail = abs(value) * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+        if value == 0.0 or tail < tol * max(abs(total), 1e-300):
+            return kappas, weights, terms
+    raise ConvergenceBudgetError(
+        f"Matsubara sum not truncated within {max_terms} terms",
+        partial=(kappas, weights),
+    )
+
+
 def _needs_floor(config):
     kinds = {o.eps.kind for o in config.objects} | {o.mu.kind for o in config.objects}
     kinds |= {config.medium.eps_model.kind, config.medium.mu_model.kind}
     return bool(kinds & {"plasma", "drude"})
 
 
-def free_energy_T(config, tol=1e-6, l_max=None, max_terms=100000):
+def free_energy_T(config, tol=1e-6, l_max=None):
     """Finite-temperature free energy: (tau/2pi) * primed Matsubara sum.
 
     The n = 0 term is halved and, for every material, evaluated at
@@ -260,7 +307,8 @@ def free_energy_T(config, tol=1e-6, l_max=None, max_terms=100000):
     enters, since those diverge at kappa = 0; for other materials the floor
     value stands in for the limit without a flag.  As with
     :func:`energy_T0`, an explicit ``l_max`` fixes the multipole order while
-    ``l_max=None`` doubles it until the sum is order-converged.
+    ``l_max=None`` doubles it until the sum is order-converged.  The sum
+    raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
     """
     if config.tau <= 0.0:
         raise ValidationError("free_energy_T requires tau > 0")
@@ -272,57 +320,24 @@ def free_energy_T(config, tol=1e-6, l_max=None, max_terms=100000):
     floor_used = _needs_floor(config)
     prev = None
     for _ in range(4):
-        try:
-            zero_term = 0.5 * log_det_integrand(config, KAPPA_FLOOR, l_max)
-        except ZeroFrequencyError:
-            raise
-        total = zero_term
-        rows = [(0.0, zero_term, tau / (2.0 * math.pi) * total)]
-        term_prev = None
-        n = 0
-        while True:
-            n += 1
-            if n > max_terms:
-                raise ConvergenceBudgetError(
-                    "Matsubara term budget exhausted",
-                    partial=EnergyResult(
-                        tau / (2.0 * math.pi) * total,
-                        l_max,
-                        n,
-                        math.inf,
-                        np.asarray(rows),
-                        floor_used,
-                    ),
-                )
-            term = log_det_integrand(config, n * tau, l_max)
-            total += term
-            rows.append((n * tau, term, tau / (2.0 * math.pi) * total))
-            if term == 0.0:
-                # underflowed below machine precision: the tail is zero
-                break
-            if term_prev is not None and abs(term) < abs(term_prev):
-                ratio = abs(term) / abs(term_prev)
-                tail = abs(term) * ratio / (1.0 - ratio)
-                if tail < tol * max(abs(total), 1e-300):
-                    break
-            term_prev = term
-        value = tau / (2.0 * math.pi) * total
+        integrand = functools.partial(log_det_integrand, config, l_max=l_max)
+        kappas, _, terms = _matsubara_sum(integrand, tau, tol, MAX_SUM_TERMS)
+        sums = np.cumsum(terms)
+        cumulative = tau / (2.0 * math.pi) * sums
+        rows = np.column_stack([[0.0] + kappas[1:], terms, cumulative])
+        value = float(cumulative[-1])
         if fixed_order:
-            tail_rel = abs(term) / max(abs(total), 1e-300)
-            return EnergyResult(
-                value, l_max, n + 1, tail_rel, np.asarray(rows), floor_used
-            )
+            tail_rel = abs(terms[-1]) / max(abs(float(sums[-1])), 1e-300)
+            return EnergyResult(value, l_max, len(kappas), tail_rel, rows, floor_used)
         if prev is not None:
             rel = abs(value - prev) / max(abs(value), 1e-300)
             if rel < tol:
-                return EnergyResult(
-                    value, l_max, n + 1, rel, np.asarray(rows), floor_used
-                )
+                return EnergyResult(value, l_max, len(kappas), rel, rows, floor_used)
         prev = value
         l_max *= 2
     raise ConvergenceBudgetError(
         "multipole budget exhausted",
-        partial=EnergyResult(prev, l_max, 0, math.inf, np.asarray(rows), floor_used),
+        partial=EnergyResult(prev, l_max, 0, math.inf, rows, floor_used),
     )
 
 
@@ -333,21 +348,17 @@ def free_energy_T(config, tol=1e-6, l_max=None, max_terms=100000):
 def _plate_kernel(mat1, mat2, medium, gap, kappa, n_q):
     """(1/2pi) * integral over the in-plane decay constant q at one kappa."""
     n_m = medium.refractive_index(kappa)
-    t, w = np.polynomial.legendre.leggauss(n_q)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
     # q from n_m kappa to infinity, compactified on the 1/(2 gap) scale
-    q = n_m * kappa + (1.0 / (2.0 * gap)) * (1.0 - t) / t
-    jac = (1.0 / (2.0 * gap)) / t**2
+    offsets, weights = _quad_nodes(n_q, 1.0 / (2.0 * gap))
     total = 0.0
-    for qq, ww, jj in zip(q, w, jac):
+    for qq, ww in zip(n_m * kappa + offsets, weights):
         k_t2 = qq * qq - (n_m * kappa) ** 2
         k_t = math.sqrt(max(k_t2, 0.0))
         r1_te, r1_tm = fresnel_reflection(mat1, medium, kappa, k_t)
         r2_te, r2_tm = fresnel_reflection(mat2, medium, kappa, k_t)
         e = math.exp(-2.0 * qq * gap)
         val = math.log1p(-r1_te * r2_te * e) + math.log1p(-r1_tm * r2_tm * e)
-        total += ww * jj * qq * val
+        total += ww * qq * val
     return total / (2.0 * math.pi)
 
 
@@ -357,35 +368,28 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
     Materials are (eps_model, mu_model) pairs.  At tau = 0 this is the
     double imaginary-frequency integral over kappa and the in-plane decay
     constant; at tau > 0 the kappa integral becomes the primed Matsubara
-    sum.  Attraction gives a negative value.
+    sum, which raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
+    Attraction gives a negative value.
     """
     if gap <= 0.0:
         raise ValidationError("gap must be positive")
 
-    def value(n_q, n_nodes):
-        if tau == 0.0:
-            kappas, weights = _quad_nodes(n_nodes, 1.0 / gap)
-            vals = [
-                _plate_kernel(mat1, mat2, medium, gap, k, n_q) for k in kappas
-            ]
-            return float(np.dot(weights, vals)) / (2.0 * math.pi)
-        total = 0.5 * _plate_kernel(mat1, mat2, medium, gap, KAPPA_FLOOR, n_q)
-        n = 0
-        while True:
-            n += 1
-            term = _plate_kernel(mat1, mat2, medium, gap, n * tau, n_q)
-            total += term
-            if abs(term) < 1e-3 * tol * max(abs(total), 1e-300) or n > 100000:
-                break
-        return tau / (2.0 * math.pi) * total
+    def value(n):
+        # n nodes in kappa (at tau = 0) and in q
+        def kernel(kappa):
+            return _plate_kernel(mat1, mat2, medium, gap, kappa, n)
 
-    n_q, n_nodes = 32, 32
-    prev = value(n_q, n_nodes)
-    for _ in range(6):
-        cur = value(2 * n_q, 2 * n_nodes)
+        if tau == 0.0:
+            kappas, weights = _quad_nodes(n, 1.0 / gap)
+            vals = [kernel(k) for k in kappas]
+            return float(np.dot(weights, vals)) / (2.0 * math.pi)
+        _, _, terms = _matsubara_sum(kernel, tau, tol, MAX_SUM_TERMS)
+        return tau / (2.0 * math.pi) * float(np.cumsum(terms)[-1])
+
+    prev = value(32)
+    for n in (64, 128, 256, 512, 1024, 2048):
+        cur = value(n)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return cur
-        n_q *= 2
-        n_nodes *= 2
         prev = cur
     raise ConvergenceBudgetError("plate quadrature budget exhausted", partial=prev)

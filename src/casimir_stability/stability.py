@@ -24,33 +24,32 @@ block algebra (a Schur complement of the labeled object's rows/columns),
 never by constructing a compound scatterer.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import casimir
 from .casimir import (
     KAPPA_FLOOR,
     Configuration,
-    _balanced,
+    _gap,
+    _matsubara_sum,
+    _pair_blocks,
+    _place_blocks,
     _positive_logdet,
     _quad_nodes,
     default_l_max,
 )
 from .errors import (
-    ConvergenceBudgetError,
     GeometryError,
     ToleranceError,
     ValidationError,
 )
 from .materials import classify
 from .scattering import mie_tmatrix
-from .translation import (
-    reverse_translation,
-    sector_size,
-    translation_gradient,
-    translation_matrix,
-)
+from .translation import sector_size, translation_gradient, translation_matrix
 
 __all__ = [
     "MAX_MATSUBARA_TERMS",
@@ -63,8 +62,8 @@ __all__ = [
     "stability_report",
 ]
 
-# Matsubara terms the frozen finite-temperature grid may hold before its
-# truncation test gives up
+# Matsubara terms the frozen finite-temperature grid may hold (it keeps
+# per-term blocks in memory) before its truncation test gives up
 MAX_MATSUBARA_TERMS = 20000
 
 
@@ -95,112 +94,75 @@ class EquilibriumResult:
 class _CommonGridEngine:
     """Frozen-grid energy evaluator for displacements of one object.
 
-    T-matrices and translation blocks between the unmoved objects are
-    computed once per wavenumber; only blocks touching the labeled object
-    are rebuilt for each displacement.
+    The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
+    Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
+    sum at tau > 0.  T-matrices and translation blocks between the unmoved
+    objects are computed once per wavenumber; only blocks touching the
+    labeled object are rebuilt for each displacement.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
         self.config = config
-        labels = [o.label for o in config.objects]
+        objs = config.objects
+        labels = [o.label for o in objs]
         if label not in labels:
             raise ValidationError(f"unknown object label {label!r}")
         self.idx = labels.index(label)
         self.l_max = l_max if l_max is not None else default_l_max(config)
         self.nb = 2 * sector_size(self.l_max)
+        self.centers = [np.asarray(o.center, float) for o in objs]
+        pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
+        self.moving = [p for p in pairs if self.idx in p]
         if config.tau == 0.0:
-            kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
-            self.kappas = list(kappas)
-            self.weights = list(weights / (2.0 * math.pi))
+            self.kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
+            self.weights = weights / (2.0 * math.pi)
         else:
-            self.kappas, self.weights = self._matsubara_grid(config, n_nodes)
-        self._prepare()
+            # truncated where the tail of a low-order sum is below 1e-12 of it
+            integrand = functools.partial(
+                casimir.log_det_integrand, config, l_max=min(self.l_max, 4)
+            )
+            self.kappas, self.weights, _ = _matsubara_sum(
+                integrand, config.tau, 1e-12, MAX_MATSUBARA_TERMS
+            )
+        # per kappa: raw (sign, log) T-matrices of every object, and the
+        # balanced blocks {(i, j): block} between unmoved objects
+        self.t_logs = [
+            [mie_tmatrix(o, config.medium, k, self.l_max).raw_signed_log() for o in objs]
+            for k in self.kappas
+        ]
+        static = [p for p in pairs if self.idx not in p]
+        self.static = [
+            self.blocks(k, self.centers, static) for k in range(len(self.kappas))
+        ]
 
-    def _matsubara_grid(self, config, n_nodes):
-        from .casimir import log_det_integrand
+    def blocks(self, k, centers, pairs):
+        """Balanced blocks at node k of ``pairs`` (i < j), objects at ``centers``."""
+        sl = self.t_logs[k]
+        blocks = {}
+        for i, j in pairs:
+            d = centers[j] - centers[i]
+            x = translation_matrix(self.config.medium, self.kappas[k], d, self.l_max)
+            blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, sl[i], sl[j])
+        return blocks
 
-        tau = config.tau
-        kappas = [KAPPA_FLOOR]
-        weights = [0.5 * tau / (2.0 * math.pi)]
-        n = 0
-        ref = None
-        while True:
-            n += 1
-            val = log_det_integrand(config, n * tau, min(self.l_max, 4))
-            kappas.append(n * tau)
-            weights.append(tau / (2.0 * math.pi))
-            ref = abs(val) if ref is None else max(ref, abs(val))
-            if abs(val) < 1e-12 * max(ref, 1e-300) and n > 4:
-                return kappas, weights
-            if n >= MAX_MATSUBARA_TERMS:
-                raise ConvergenceBudgetError(
-                    f"Matsubara grid not truncated within {MAX_MATSUBARA_TERMS} terms",
-                    partial=(kappas, weights),
-                )
-
-    def _prepare(self):
-        cfg = self.config
-        objs = cfg.objects
-        self.t_logs = []  # per kappa: list of (sign, log) per object
-        self.static = []  # per kappa: dict (i, j) -> balanced block
-        for kappa in self.kappas:
-            sl = [
-                mie_tmatrix(o, cfg.medium, kappa, self.l_max).raw_signed_log()
-                for o in objs
-            ]
-            blocks = {}
-            for i in range(len(objs)):
-                for j in range(i + 1, len(objs)):
-                    if self.idx in (i, j):
-                        continue
-                    d = np.asarray(objs[j].center) - np.asarray(objs[i].center)
-                    x = translation_matrix(cfg.medium, kappa, d, self.l_max)
-                    blocks[(i, j)] = _balanced(sl[i], sl[j], x)
-                    blocks[(j, i)] = _balanced(sl[j], sl[i], reverse_translation(x))
-            self.t_logs.append(sl)
-            self.static.append(blocks)
-
-    def moved_center(self, u):
-        return np.asarray(self.config.objects[self.idx].center) + np.asarray(u)
-
-    def check_displacement(self, u):
-        """Raise if displacing the labeled object by u causes an overlap."""
-        moved = self.moved_center(u)
+    def displaced(self, u):
+        """Object centres with the labeled one displaced by u; raises on overlap."""
+        centers = list(self.centers)
+        centers[self.idx] = centers[self.idx] + np.asarray(u)
         a = self.config.objects[self.idx]
         for j, o in enumerate(self.config.objects):
-            if j == self.idx:
-                continue
-            gap = np.linalg.norm(moved - np.asarray(o.center)) - a.radius - o.radius
-            if gap <= 0.0:
+            gap = np.linalg.norm(centers[self.idx] - centers[j]) - a.radius - o.radius
+            if j != self.idx and gap <= 0.0:
                 raise GeometryError("displacement makes objects overlap")
+        return centers
 
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
-        self.check_displacement(u)
-        cfg = self.config
-        objs = cfg.objects
-        n = len(objs)
-        moved = self.moved_center(u)
+        centers = self.displaced(u)
         total = 0.0
-        for kappa, weight, sl, blocks in zip(
-            self.kappas, self.weights, self.t_logs, self.static
-        ):
-            m = np.eye(n * self.nb)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if self.idx in (i, j):
-                        ci = moved if i == self.idx else np.asarray(objs[i].center)
-                        cj = moved if j == self.idx else np.asarray(objs[j].center)
-                        x = translation_matrix(
-                            cfg.medium, kappa, cj - ci, self.l_max
-                        )
-                        bij = _balanced(sl[i], sl[j], x)
-                        bji = _balanced(sl[j], sl[i], reverse_translation(x))
-                    else:
-                        bij = blocks[(i, j)]
-                        bji = blocks[(j, i)]
-                    m[i * self.nb : (i + 1) * self.nb, j * self.nb : (j + 1) * self.nb] = -bij
-                    m[j * self.nb : (j + 1) * self.nb, i * self.nb : (i + 1) * self.nb] = -bji
+        for k, weight in enumerate(self.weights):
+            blocks = {**self.static[k], **self.blocks(k, centers, self.moving)}
+            m = _place_blocks(blocks, range(len(centers)), self.nb)
             total += weight * _positive_logdet(m)
         return total
 
@@ -209,31 +171,26 @@ def _default_h(config, label):
     objs = {o.label: o for o in config.objects}
     if label not in objs:
         raise ValidationError(f"no object labeled {label!r}")
-    a = objs[label]
-    gap = min(
-        np.linalg.norm(np.asarray(a.center) - np.asarray(o.center))
-        - a.radius
-        - o.radius
-        for o in config.objects
-        if o.label != label
-    )
+    gap = min(_gap(objs[label], o) for o in config.objects if o.label != label)
     return 1e-3 * gap, gap
+
+
+def _step(config, label, h):
+    """Finite-difference step: ``h``, or 1e-3 * gap by default; below 0.1 * gap."""
+    default, gap = _default_h(config, label)
+    h = default if h is None else h
+    if h >= 0.1 * gap:
+        raise ToleranceError("finite-difference step must be below 0.1*gap")
+    return h
 
 
 def force(config, label, h=None, l_max=None, n_nodes=32, engine=None):
     """Force on the labeled object, -grad E by common-grid differences."""
-    h, gap = (h, None) if h is not None else _default_h(config, label)
-    if gap is None:
-        _, gap = _default_h(config, label)
-    if h >= 0.1 * gap:
-        raise ToleranceError("finite-difference step must be below 0.1*gap")
+    h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
-    f = np.zeros(3)
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = h
-        f[axis] = -(eng.energy(e) - eng.energy(-e)) / (2.0 * h)
-    return f
+    return np.array(
+        [-(eng.energy(e) - eng.energy(-e)) / (2.0 * h) for e in h * np.eye(3)]
+    )
 
 
 def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None,
@@ -244,19 +201,13 @@ def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None,
     Richardson halving; returns the refined value (or, with ``details``,
     the tuple (refined, raw, est_error, h)).
     """
-    h, gap = (h, None) if h is not None else _default_h(config, label)
-    if gap is None:
-        _, gap = _default_h(config, label)
-    if h >= 0.1 * gap:
-        raise ToleranceError("finite-difference step must be below 0.1*gap")
+    h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
     e0 = eng.energy(np.zeros(3))
 
     def second_sum(step):
         total = 0.0
-        for axis in range(3):
-            e = np.zeros(3)
-            e[axis] = step
+        for e in step * np.eye(3):
             total += (eng.energy(e) - 2.0 * e0 + eng.energy(-e)) / step**2
         return total
 
@@ -293,66 +244,43 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     The remainder group is merged through the Schur complement of the
     labeled object's block rows/columns; translation gradients use central
     differences with one Richardson halving.  term1 + term2 + term3 equals
-    the displacement Laplacian of the energy.
+    the displacement Laplacian of the energy on the same frozen grid.
     """
-    if h is None:
-        h, _ = _default_h(config, label)
-    labels = [o.label for o in config.objects]
-    if label not in labels:
-        raise ValidationError(f"unknown object label {label!r}")
-    a_idx = labels.index(label)
-    if l_max is None:
-        l_max = default_l_max(config)
-    nb = 2 * sector_size(l_max)
-    objs = config.objects
-    rest = [i for i in range(len(objs)) if i != a_idx]
-    if config.tau == 0.0:
-        kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
-        weights = weights / (2.0 * math.pi)
-    else:
-        eng = _CommonGridEngine(config, label, l_max, n_nodes)
-        kappas, weights = np.asarray(eng.kappas), np.asarray(eng.weights)
+    h = _step(config, label, h)
+    return _decomposition(_CommonGridEngine(config, label, l_max, n_nodes), h)
 
+
+def _decomposition(eng, h):
+    """Trace decomposition on the grid, T-matrices and static blocks of ``eng``."""
+    medium = eng.config.medium
+    a_idx, nb = eng.idx, eng.nb
+    rest = [i for i in range(len(eng.centers)) if i != a_idx]
+    offsets = [eng.centers[j] - eng.centers[a_idx] for j in rest]
     terms = np.zeros(3)
-    medium = config.medium
-    for kappa, weight in zip(kappas, weights):
+    for k, (kappa, weight) in enumerate(zip(eng.kappas, eng.weights)):
         n_m = medium.refractive_index(kappa)
-        sl = [mie_tmatrix(o, medium, kappa, l_max).raw_signed_log() for o in objs]
-        # remainder-block matrix (balanced) and its inverse action
-        m_rr = np.eye(len(rest) * nb)
-        for bi, i in enumerate(rest):
-            for bj in range(bi + 1, len(rest)):
-                j = rest[bj]
-                d = np.asarray(objs[j].center) - np.asarray(objs[i].center)
-                x = translation_matrix(medium, kappa, d, l_max)
-                rows, cols = slice(bi * nb, (bi + 1) * nb), slice(bj * nb, (bj + 1) * nb)
-                m_rr[rows, cols] = -_balanced(sl[i], sl[j], x)
-                m_rr[cols, rows] = -_balanced(sl[j], sl[i], reverse_translation(x))
-        # U row (A -> J blocks), V column (J -> A blocks) and their gradients
-        u_row = np.zeros((nb, len(rest) * nb))
-        v_col = np.zeros((len(rest) * nb, nb))
-        du = [np.zeros_like(u_row) for _ in range(3)]
-        dv = [np.zeros_like(v_col) for _ in range(3)]
-        for bj, j in enumerate(rest):
-            d = np.asarray(objs[j].center) - np.asarray(objs[a_idx].center)
-            x = translation_matrix(medium, kappa, d, l_max)
-            cols = slice(bj * nb, (bj + 1) * nb)
-            u_row[:, cols] = _balanced(sl[a_idx], sl[j], x)
-            v_col[cols, :] = _balanced(sl[j], sl[a_idx], reverse_translation(x))
-            grads = translation_gradient(
-                medium, kappa, d, l_max, h, richardson=True
-            )
-            for axis in range(3):
-                g = grads[axis]
-                # moving A by +u shifts d by -u, so d/d(a_i) X_AJ = -dX/dd_i;
-                # for the reversed block, X'(-d) = -D X'(d)^T D, so
-                # d/d(a_i) X_JA = +dX/dd_i at -d = -D g^T D
-                du[axis][:, cols] = -_balanced(sl[a_idx], sl[j], g)
-                dv[axis][cols, :] = -_balanced(sl[j], sl[a_idx], reverse_translation(g))
+        sl = eng.t_logs[k]
+        # I - N with the labeled object first: the remainder block M_RR, the
+        # U row (A -> J blocks) and the V column (J -> A blocks)
+        blocks = {**eng.static[k], **eng.blocks(k, eng.centers, eng.moving)}
+        m = _place_blocks(blocks, [a_idx] + rest, nb)
+        m_rr, u_row, v_col = m[nb:, nb:], -m[:nb, nb:], -m[nb:, :nb]
+        grads = [
+            translation_gradient(medium, kappa, d, eng.l_max, h, richardson=True)
+            for d in offsets
+        ]
+        du, dv = [], []
+        for axis in range(3):
+            # moving A by +u shifts d by -u, so d/d(a_i) X_AJ = -dX/dd_i;
+            # for the reversed block, X'(-d) = -D X'(d)^T D, so
+            # d/d(a_i) X_JA = +dX/dd_i at -d = -D g^T D
+            g = [_pair_blocks(gj[axis], sl[a_idx], sl[j]) for gj, j in zip(grads, rest)]
+            du.append(-np.hstack([g_aj for g_aj, _ in g]))
+            dv.append(-np.vstack([g_ja for _, g_ja in g]))
         m_inv_v = np.linalg.solve(m_rr, v_col)
         n_eff = u_row @ m_inv_v
-        resolvent = np.linalg.inv(np.eye(nb) - n_eff)
         _positive_logdet(np.eye(nb) - n_eff, "merged-remainder matrix")
+        resolvent = np.linalg.inv(np.eye(nb) - n_eff)
         b1 = 2.0 * (n_m * kappa) ** 2 * np.trace(resolvent @ n_eff)
         b2 = 0.0
         b3 = 0.0
@@ -367,17 +295,15 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
-    """Full report: force, FD Laplacian, decomposition and sign prediction."""
+    """Full report: force, FD Laplacian, decomposition and sign prediction.
+
+    One frozen grid serves all three.
+    """
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    if h is None:
-        h, _ = _default_h(config, label)
+    h = _step(config, label, h)
     f = force(config, label, h=h, engine=eng)
     lap, raw, err, h_used = laplacian_fd(config, label, h=h, engine=eng, details=True)
-    t1, t2, t3 = laplacian_decomposition(
-        config, label, h=h, l_max=eng.l_max, n_nodes=len(eng.kappas)
-        if config.tau == 0.0
-        else n_nodes,
-    )
+    t1, t2, t3 = _decomposition(eng, h)
     return StabilityReport(
         object_label=label,
         force=f,

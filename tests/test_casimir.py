@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from casimir_stability import (
     Configuration,
@@ -43,8 +44,8 @@ def test_integrand_negative_for_same_class():
 def test_det_and_tracelog_agree():
     cfg = pec_pair(3.5)
     for kappa in (0.2, 1.1):
-        det = log_det_integrand(cfg, kappa, 5, method="det")
-        tr = log_det_integrand(cfg, kappa, 5, method="tracelog")
+        det = log_det_integrand(cfg, kappa, 5)
+        tr = float(np.trace(scipy.linalg.logm(assemble_block_matrix(cfg, kappa, 5))).real)
         assert det == pytest.approx(tr, rel=1e-10)
 
 
@@ -164,6 +165,17 @@ def test_plates_finite_temperature_approaches_zero_t():
     v0 = lifshitz_plates(PEC_PAIR, PEC_PAIR, Medium(), 1.0)
     vt = lifshitz_plates(PEC_PAIR, PEC_PAIR, Medium(), 1.0, tau=1e-2)
     assert vt == pytest.approx(v0, rel=1e-3)
+
+
+def test_plates_matsubara_cap_raises(monkeypatch):
+    from casimir_stability import ConvergenceBudgetError, casimir
+
+    monkeypatch.setattr(casimir, "MAX_SUM_TERMS", 3)
+    with pytest.raises(ConvergenceBudgetError) as info:
+        lifshitz_plates(PEC_PAIR, PEC_PAIR, Medium(), 1.0, tau=1e-2)
+    kappas, weights = info.value.partial
+    assert kappas == pytest.approx([casimir.KAPPA_FLOOR, 1e-2, 2e-2, 3e-2])
+    assert len(weights) == 4
 
 
 def test_plates_dense_medium_scaling():

@@ -52,6 +52,9 @@ def test_step_validation():
     cfg = pec_pair(4.0)
     with pytest.raises(ToleranceError):
         laplacian_fd(cfg, "a", h=1.5, l_max=3, n_nodes=8)
+    # 0.1 * gap <= h < 0.1 * |d|: only the step check rejects it
+    with pytest.raises(ToleranceError):
+        laplacian_decomposition(cfg, "a", h=0.3, l_max=3, n_nodes=8)
 
 
 def test_laplacian_negative_for_same_class_pair():
@@ -165,3 +168,52 @@ def test_matsubara_grid_cap_raises_with_partial_grid(monkeypatch):
     kappas, weights = info.value.partial
     assert kappas == pytest.approx([stability.KAPPA_FLOOR, 0.5, 1.0, 1.5])
     assert len(weights) == 4
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls made through ``module.name``; returns the running list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("three_body", [False, True])
+def test_report_builds_one_engine(monkeypatch, three_body):
+    # one frozen grid serves force, FD Laplacian and decomposition: every
+    # T-matrix is built once per (node, object), and at tau > 0 the grid's
+    # truncation sum evaluates one integrand per Matsubara node
+    from casimir_stability import casimir, stability
+
+    if three_body:
+        objs = (
+            dielectric_sphere((0, 0, 0), 1.0, 4.0, "a"),
+            dielectric_sphere((3.0, 0, 0.5), 0.8, 3.0, "b"),
+            dielectric_sphere((0.6, 3.1, 1.0), 0.6, 5.0, "c"),
+        )
+        cfg, l_max, n_nodes = Configuration(objs, Medium(), 0.0), 5, 12
+    else:
+        cfg, l_max, n_nodes = pec_pair(4.0, tau=0.5), 3, 32
+    engines = []
+
+    class Recorded(stability._CommonGridEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
+    tmatrices = _count_calls(monkeypatch, stability, "mie_tmatrix")
+    integrands = _count_calls(monkeypatch, casimir, "log_det_integrand")
+    stability_report(cfg, "a", l_max=l_max, n_nodes=n_nodes)
+    assert len(engines) == 1
+    nodes = len(engines[0].kappas)
+    assert len(tmatrices) == len(cfg.objects) * nodes
+    if three_body:
+        assert (nodes, len(tmatrices), len(integrands)) == (12, 36, 0)
+    else:
+        assert (nodes, len(tmatrices), len(integrands)) == (15, 30, 15)
