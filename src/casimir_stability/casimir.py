@@ -307,7 +307,9 @@ def free_energy_T(config, tol=1e-6, l_max=None):
     enters, since those diverge at kappa = 0; for other materials the floor
     value stands in for the limit without a flag.  As with
     :func:`energy_T0`, an explicit ``l_max`` fixes the multipole order while
-    ``l_max=None`` doubles it until the sum is order-converged.  The sum
+    ``l_max=None`` doubles it until the sum is order-converged; when four
+    orders do not converge, the ConvergenceBudgetError's ``partial`` is the
+    last evaluated order's result with its last relative change.  The sum
     raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
     """
     if config.tau <= 0.0:
@@ -318,9 +320,9 @@ def free_energy_T(config, tol=1e-6, l_max=None):
     tau = config.tau
 
     floor_used = _needs_floor(config)
-    prev = None
-    for _ in range(4):
-        integrand = functools.partial(log_det_integrand, config, l_max=l_max)
+    prev, rel = None, math.inf
+    for order in [l_max * 2**k for k in range(4)]:
+        integrand = functools.partial(log_det_integrand, config, l_max=order)
         kappas, _, terms = _matsubara_sum(integrand, tau, tol, MAX_SUM_TERMS)
         sums = np.cumsum(terms)
         cumulative = tau / (2.0 * math.pi) * sums
@@ -328,16 +330,15 @@ def free_energy_T(config, tol=1e-6, l_max=None):
         value = float(cumulative[-1])
         if fixed_order:
             tail_rel = abs(terms[-1]) / max(abs(float(sums[-1])), 1e-300)
-            return EnergyResult(value, l_max, len(kappas), tail_rel, rows, floor_used)
+            return EnergyResult(value, order, len(kappas), tail_rel, rows, floor_used)
         if prev is not None:
             rel = abs(value - prev) / max(abs(value), 1e-300)
             if rel < tol:
-                return EnergyResult(value, l_max, len(kappas), rel, rows, floor_used)
+                return EnergyResult(value, order, len(kappas), rel, rows, floor_used)
         prev = value
-        l_max *= 2
     raise ConvergenceBudgetError(
         "multipole budget exhausted",
-        partial=EnergyResult(prev, l_max, 0, math.inf, rows, floor_used),
+        partial=EnergyResult(value, order, len(kappas), rel, rows, floor_used),
     )
 
 

@@ -16,11 +16,24 @@ nonnegative, hence lap F <= 0: thermal fluctuations can only destabilize.
 Both sides are computed independently here (Metropolis estimator versus
 finite differences of a deterministic quadrature) so the identity can be
 verified numerically.
+
+Every function reads one flat charge table per configuration, built on
+first use: the fixed charges first, then the mobiles, each with its charge
+and home container; the fixed charges' absolute positions; each mobile's
+tether stiffness (0 when untethered) and absolute anchor.  Its boolean
+``couples[a, b]`` mask is the one statement of which pairs enter H: charges
+in different containers, or in the same container when that container sets
+``include_intra`` (never a charge with itself).  On that table one
+site-energy kernel gives a mobile's tether plus Coulomb energy at an array
+of points (the quadrature with the fixed partners, the Metropolis step with
+all of them), and one gradient kernel, vectorized over samples, gives
+grad_d H for a single configuration and for a whole chain.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -99,12 +112,6 @@ class Container:
             mobiles.append((float(q), tether))
         object.__setattr__(self, "mobile_charges", tuple(mobiles))
 
-    # --- geometry -------------------------------------------------------
-    def bounding_radius(self):
-        if self.shape == "sphere":
-            return self.size
-        return 0.5 * math.sqrt(sum(s**2 for s in self.size))
-
     def contains(self, points):
         """Boolean mask: which absolute points lie inside the container."""
         p = np.atleast_2d(np.asarray(points, float)) - np.asarray(self.center)
@@ -112,19 +119,6 @@ class Container:
             return np.einsum("ij,ij->i", p, p) <= self.size**2
         half = 0.5 * np.asarray(self.size)
         return np.all(np.abs(p) <= half, axis=1)
-
-    def fixed_absolute(self):
-        c = np.asarray(self.center)
-        return [(q, c + np.asarray(pos)) for q, pos in self.fixed_charges]
-
-    def tether_energy(self, idx, point):
-        """Harmonic tether energy of mobile ``idx`` at absolute ``point``."""
-        _, tether = self.mobile_charges[idx]
-        if tether is None:
-            return 0.0
-        _, k, anchor = tether
-        r = np.asarray(point) - (np.asarray(self.center) + np.asarray(anchor))
-        return 0.5 * k * float(r @ r)
 
 
 @dataclass(frozen=True)
@@ -157,13 +151,9 @@ class ClassicalConfig:
                 return c
         raise ValidationError(f"unknown container label {label!r}")
 
-    def mobile_index(self):
-        """Flattened (container_index, mobile_index) list, in order."""
-        out = []
-        for ci, c in enumerate(self.containers):
-            for mi in range(len(c.mobile_charges)):
-                out.append((ci, mi))
-        return out
+    @cached_property
+    def _table(self):
+        return _ChargeTable(self)
 
 
 @dataclass(frozen=True)
@@ -207,53 +197,103 @@ def _disjoint(a, b):
     return _point_box_distance(sph.center, box.center, box.size) > sph.size
 
 
-def _charges(config, positions):
-    """Per container: list of (q, absolute position) including mobiles."""
-    positions = np.asarray(positions, float).reshape(-1, 3)
-    index = config.mobile_index()
-    if len(positions) != len(index):
-        raise ValidationError(
-            f"expected {len(index)} mobile positions, got {len(positions)}"
-        )
-    per = [list(c.fixed_absolute()) for c in config.containers]
-    for flat, (ci, mi) in enumerate(index):
-        q, _ = config.containers[ci].mobile_charges[mi]
-        per[ci].append((q, positions[flat]))
-    return per, positions, index
+class _ChargeTable:
+    """Every charge of a configuration in one flat table, fixed charges first.
+
+    ``q`` and ``owner`` (container index) cover all charges; ``fixed`` holds
+    the fixed charges' absolute positions; ``stiffness`` and ``anchor`` hold
+    each mobile's tether, stiffness 0 when untethered (the anchor is then the
+    container center, where the chain starts).  ``couples[a, b]`` says
+    whether the pair a-b enters H.
+    """
+
+    def __init__(self, config):
+        fixed, mobile = [], []
+        for ci, c in enumerate(config.containers):
+            center = np.asarray(c.center)
+            fixed += [(ci, q, center + np.asarray(pos)) for q, pos in c.fixed_charges]
+            for q, tether in c.mobile_charges:
+                k, anchor = (0.0, (0.0, 0.0, 0.0)) if tether is None else tether[1:]
+                mobile.append((ci, q, k, center + np.asarray(anchor)))
+        self.eps_M = config.eps_M
+        self.n_fixed = len(fixed)
+        self.q = np.array([q for _, q, *_ in fixed + mobile])
+        self.owner = np.array([ci for ci, *_ in fixed + mobile], dtype=int)
+        self.fixed = np.array([p for *_, p in fixed]).reshape(-1, 3)
+        self.stiffness = np.array([k for *_, k, _ in mobile])
+        self.anchor = np.array([p for *_, p in mobile]).reshape(-1, 3)
+        intra = np.array([c.include_intra for c in config.containers])[self.owner]
+        same = self.owner[:, None] == self.owner[None, :]
+        self.couples = ~same | (intra[:, None] & ~np.eye(len(self.q), dtype=bool))
+
+    def all_positions(self, mobile_positions):
+        """Absolute positions of all charges, given the mobiles' ones."""
+        mobile_positions = np.asarray(mobile_positions, float).reshape(-1, 3)
+        if len(mobile_positions) != len(self.anchor):
+            raise ValidationError(
+                f"expected {len(self.anchor)} mobile positions, "
+                f"got {len(mobile_positions)}"
+            )
+        return np.concatenate([self.fixed, mobile_positions])
 
 
-def _coulomb(q1, p1, q2, p2, eps_m):
-    r = np.linalg.norm(np.asarray(p1) - np.asarray(p2))
-    return _COULOMB * q1 * q2 / (eps_m * r)
+def _site_energy(table, a, points, pos):
+    """Energy of mobile charge ``a`` at each of ``points``.
+
+    Its tether plus its Coulomb energy with every charge b < len(pos) it
+    couples to, charge b sitting at pos[b].  Fixed charges come first in the
+    table, so ``pos = table.fixed`` gives the fixed partners only.
+    """
+    k = a - table.n_fixed
+    r = points - table.anchor[k]
+    u = 0.5 * table.stiffness[k] * np.einsum("ij,ij->i", r, r)
+    for b in np.flatnonzero(table.couples[a, : len(pos)]):
+        dist = np.linalg.norm(points - pos[b], axis=1)
+        u = u + _COULOMB * table.q[a] * table.q[b] / (table.eps_M * dist)
+    return u
+
+
+def _coulomb_energy(table, pos):
+    """Coulomb energy of the coupled pairs among the charges b < len(pos)."""
+    a, b = np.nonzero(np.triu(table.couples[: len(pos), : len(pos)]))
+    dist = np.linalg.norm(pos[a] - pos[b], axis=1)
+    return float(np.sum(_COULOMB * table.q[a] * table.q[b] / (table.eps_M * dist)))
+
+
+def _grad_d(table, pos, ci):
+    """grad_d H for each sample of ``pos`` (samples, charges, 3).
+
+    Only the Coulomb pairs with a in container ``ci`` and b outside it
+    depend on the displacement:
+    grad = -sum q_a q_b (x_a - x_b) / (4 pi eps_M |x_a - x_b|^3).
+    """
+    inside = table.owner == ci
+    grads = np.zeros((len(pos), 3))
+    for a in np.flatnonzero(inside):
+        for b in np.flatnonzero(~inside):
+            r = pos[:, a] - pos[:, b]
+            dist = np.linalg.norm(r, axis=1)
+            grads -= (
+                _COULOMB * table.q[a] * table.q[b] / table.eps_M / dist**3
+            )[:, None] * r
+    return grads
 
 
 def hamiltonian(config, positions):
     """Total configurational energy; +inf if a mobile violates a hard wall.
 
-    Cross-container Coulomb over all charge pairs, plus each container's
-    internal energy (tethers and, when configured, intra-container pairs).
+    Coulomb over all coupled charge pairs (every cross-container pair and,
+    when configured, the intra-container ones) plus the tethers.
     """
-    per, positions, index = _charges(config, positions)
-    for flat, (ci, mi) in enumerate(index):
-        if not config.containers[ci].contains(positions[flat])[0]:
+    table = config._table
+    pos = table.all_positions(positions)
+    mobiles = pos[table.n_fixed :]
+    for ci, p in zip(table.owner[table.n_fixed :], mobiles):
+        if not config.containers[ci].contains(p)[0]:
             return math.inf
-    total = 0.0
-    n = len(config.containers)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for qa, pa in per[i]:
-                for qb, pb in per[j]:
-                    total += _coulomb(qa, pa, qb, pb, config.eps_M)
-    for ci, c in enumerate(config.containers):
-        for flat, (cj, mi) in enumerate(index):
-            if cj == ci:
-                total += c.tether_energy(mi, positions[flat])
-        if c.include_intra:
-            charges = per[ci]
-            for i in range(len(charges)):
-                for j in range(i + 1, len(charges)):
-                    total += _coulomb(*charges[i], *charges[j], config.eps_M)
-    return total
+    r = mobiles - table.anchor
+    tethers = 0.5 * table.stiffness * np.einsum("ij,ij->i", r, r)
+    return _coulomb_energy(table, pos) + float(np.sum(tethers))
 
 
 def grad_d_hamiltonian(config, positions, label):
@@ -263,20 +303,9 @@ def grad_d_hamiltonian(config, positions, label):
     grad = -sum q_a q_b (x_a - x_b) / (4 pi eps_M |x_a - x_b|^3) over pairs
     with a in the labeled container and b outside it.
     """
-    per, _, _ = _charges(config, positions)
-    idx = [c.label for c in config.containers].index(
-        config.container(label).label
-    )
-    grad = np.zeros(3)
-    for qa, pa in per[idx]:
-        for j, charges in enumerate(per):
-            if j == idx:
-                continue
-            for qb, pb in charges:
-                r = np.asarray(pa) - np.asarray(pb)
-                dist = np.linalg.norm(r)
-                grad -= _COULOMB * qa * qb / config.eps_M * r / dist**3
-    return grad
+    table = config._table
+    ci = config.containers.index(config.container(label))
+    return _grad_d(table, table.all_positions(positions)[None], ci)[0]
 
 
 def _shifted(config, label, d):
@@ -326,30 +355,6 @@ def _shape_nodes(container, n):
     return pts, wts
 
 
-def _one_body(config, ci, mi, points):
-    """Energy terms linear in one mobile's position, vectorized over points.
-
-    Tether, Coulomb with every charge of the other containers and, when
-    the container is configured with intra pairs, with its own fixed
-    charges.
-    """
-    c = config.containers[ci]
-    q, tether = c.mobile_charges[mi]
-    pts = np.asarray(points, float)
-    u = np.zeros(len(pts))
-    if tether is not None:
-        _, k, anchor = tether
-        r = pts - (np.asarray(c.center) + np.asarray(anchor))
-        u += 0.5 * k * np.einsum("ij,ij->i", r, r)
-    for cj, other in enumerate(config.containers):
-        if cj == ci and not c.include_intra:
-            continue
-        for qb, pb in other.fixed_absolute():
-            dist = np.linalg.norm(pts - pb, axis=1)
-            u += _COULOMB * q * qb / (config.eps_M * dist)
-    return u
-
-
 def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     """F(d): free energy with the first container rigidly shifted by d.
 
@@ -359,55 +364,37 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     ``tol`` relative; exceeding ``max_n`` raises ConvergenceBudgetError.
     """
     cfg = _shifted(config, config.containers[0].label, d)
-    index = cfg.mobile_index()
-    if len(index) > 2:
+    table = cfg._table
+    mobiles = range(table.n_fixed, len(table.q))
+    if len(mobiles) > 2:
         raise CapabilityError("quadrature free energy supports at most 2 mobiles")
-    # constant part: fixed-fixed cross-container + configured intra pairs
-    e0 = hamiltonian(
-        ClassicalConfig(
-            tuple(
-                replace(c, mobile_charges=()) for c in cfg.containers
-            ),
-            cfg.eps_M,
-            cfg.beta,
-        ),
-        np.zeros((0, 3)),
-    )
-    if not index:
+    # constant part: the coupled pairs of fixed charges
+    e0 = _coulomb_energy(table, table.fixed)
+    if not mobiles:
         return e0
     beta = cfg.beta
 
     def evaluate(n):
-        grids = [
-            _shape_nodes(cfg.containers[ci], n) for ci, mi in index
+        grids = [_shape_nodes(cfg.containers[table.owner[a]], n) for a in mobiles]
+        f = [
+            w * np.exp(-beta * _site_energy(table, a, pts, table.fixed))
+            for a, (pts, w) in zip(mobiles, grids)
         ]
-        ones = [
-            _one_body(cfg, ci, mi, grids[k][0]) for k, (ci, mi) in enumerate(index)
-        ]
-        if len(index) == 1:
-            z = float(np.sum(grids[0][1] * np.exp(-beta * ones[0])))
+        if len(mobiles) == 1:
+            z = float(np.sum(f[0]))
+        elif not table.couples[mobiles[0], mobiles[1]]:
+            z = float(np.sum(f[0])) * float(np.sum(f[1]))
         else:
-            (ci, mi), (cj, mj) = index
-            qa = cfg.containers[ci].mobile_charges[mi][0]
-            qb = cfg.containers[cj].mobile_charges[mj][0]
-            fa = grids[0][1] * np.exp(-beta * ones[0])
-            fb = grids[1][1] * np.exp(-beta * ones[1])
-            interacting = ci != cj or cfg.containers[ci].include_intra
+            a, b = mobiles
+            (pa, _), (pb, _) = grids
             z = 0.0
-            chunk = max(1, 10_000_000 // max(len(fb), 1))
-            for start in range(0, len(fa), chunk):
-                pa = grids[0][0][start : start + chunk]
-                if interacting:
-                    dist = np.linalg.norm(
-                        pa[:, None, :] - grids[1][0][None, :, :], axis=2
-                    )
-                    pair = _COULOMB * qa * qb / (cfg.eps_M * dist)
-                    kern = np.exp(-beta * pair)
-                    z += float(fa[start : start + chunk] @ kern @ fb)
-                else:
-                    z += float(np.sum(fa[start : start + chunk])) * float(
-                        np.sum(fb)
-                    )
+            chunk = max(1, 10_000_000 // len(pb))
+            for start in range(0, len(pa), chunk):
+                dist = np.linalg.norm(
+                    pa[start : start + chunk, None, :] - pb[None, :, :], axis=2
+                )
+                pair = _COULOMB * table.q[a] * table.q[b] / (cfg.eps_M * dist)
+                z += float(f[0][start : start + chunk] @ np.exp(-beta * pair) @ f[1])
         if z <= 0.0:
             raise ConvergenceBudgetError("partition integral not resolvable")
         return e0 - math.log(z) / beta
@@ -425,26 +412,6 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     )
 
 
-def _mobile_delta_energy(config, positions, flat, point):
-    """Energy terms involving mobile ``flat`` evaluated at ``point``."""
-    index = config.mobile_index()
-    ci, mi = index[flat]
-    c = config.containers[ci]
-    q, _ = c.mobile_charges[mi]
-    # _one_body already contains the tether term
-    e = float(_one_body(config, ci, mi, np.asarray(point)[None, :])[0])
-    # interactions with the other mobiles
-    for other, (cj, mj) in enumerate(index):
-        if other == flat:
-            continue
-        if cj == ci and not c.include_intra:
-            continue
-        qb, _ = config.containers[cj].mobile_charges[mj]
-        dist = np.linalg.norm(np.asarray(point) - positions[other])
-        e += _COULOMB * q * qb / (config.eps_M * dist)
-    return e
-
-
 def metropolis_run(config, steps, step_size, seed, burn_in=None):
     """Single-particle-move Metropolis chain over the mobile charges.
 
@@ -453,46 +420,30 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
     An acceptance rate outside [0.1, 0.9] triggers a warning (tune
     step_size), not a failure.
     """
-    index = config.mobile_index()
-    if not index:
+    table = config._table
+    first, n_mobile = table.n_fixed, len(table.anchor)
+    if not n_mobile:
         raise ValidationError("no mobile charges to sample")
     if burn_in is None:
         burn_in = max(1, steps // 10)
     if steps <= burn_in:
         raise ValidationError("steps must exceed the burn-in")
     rng = np.random.default_rng(seed)
-    positions = np.zeros((len(index), 3))
-    for flat, (ci, mi) in enumerate(index):
-        c = config.containers[ci]
-        _, tether = c.mobile_charges[mi]
-        if tether is not None:
-            positions[flat] = np.asarray(c.center) + np.asarray(tether[2])
-        else:
-            positions[flat] = np.asarray(c.center)
-    energies = [
-        _mobile_delta_energy(config, positions, flat, positions[flat])
-        for flat in range(len(index))
-    ]
-    kept = np.empty((steps - burn_in, len(index), 3))
+    pos = np.concatenate([table.fixed, table.anchor])
+    kept = np.empty((steps - burn_in, n_mobile, 3))
     accepted = 0
     beta = config.beta
     for step in range(steps):
-        flat = int(rng.integers(len(index)))
-        ci, _ = index[flat]
-        proposal = positions[flat] + step_size * rng.uniform(-1.0, 1.0, 3)
-        if config.containers[ci].contains(proposal)[0]:
-            e_new = _mobile_delta_energy(config, positions, flat, proposal)
-            delta = e_new - energies[flat]
+        a = first + int(rng.integers(n_mobile))
+        proposal = pos[a] + step_size * rng.uniform(-1.0, 1.0, 3)
+        if config.containers[table.owner[a]].contains(proposal)[0]:
+            e_new, e_old = _site_energy(table, a, np.array([proposal, pos[a]]), pos)
+            delta = e_new - e_old
             if delta <= 0.0 or rng.random() < math.exp(-beta * delta):
-                positions[flat] = proposal
+                pos[a] = proposal
                 accepted += 1
-                # energies of the other mobiles shift too; recompute lazily
-                energies = [
-                    _mobile_delta_energy(config, positions, k, positions[k])
-                    for k in range(len(index))
-                ]
         if step >= burn_in:
-            kept[step - burn_in] = positions
+            kept[step - burn_in] = pos[first:]
     rate = accepted / steps
     if not 0.1 <= rate <= 0.9:
         warnings.warn(
@@ -507,39 +458,6 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
         step_size=step_size,
         burn_in=burn_in,
     )
-
-
-def _grad_samples(config, stream, label):
-    """grad_d H for every sample, vectorized over the chain."""
-    pos = stream.positions
-    idx = [c.label for c in config.containers].index(
-        config.container(label).label
-    )
-    index = config.mobile_index()
-    t = len(pos)
-    grads = np.zeros((t, 3))
-    # charge inventory: (is_mobile, flat index or absolute position, q)
-    inventory = []
-    for ci, c in enumerate(config.containers):
-        for q, p in c.fixed_absolute():
-            inventory.append((ci, False, q, p))
-    for flat, (ci, mi) in enumerate(index):
-        q, _ = config.containers[ci].mobile_charges[mi]
-        inventory.append((ci, True, q, flat))
-    for ai, (ca, mob_a, qa, ra) in enumerate(inventory):
-        if ca != idx:
-            continue
-        pa = pos[:, ra, :] if mob_a else np.broadcast_to(ra, (t, 3))
-        for cb, mob_b, qb, rb in inventory:
-            if cb == idx:
-                continue
-            pb = pos[:, rb, :] if mob_b else np.broadcast_to(rb, (t, 3))
-            r = pa - pb
-            dist = np.linalg.norm(r, axis=1)
-            grads -= (
-                _COULOMB * qa * qb / config.eps_M / dist**3
-            )[:, None] * r
-    return grads
 
 
 def _blocking_stderr(series):
@@ -585,7 +503,10 @@ def laplacian_F_estimator(config, label, samples):
     harmonic.  The estimate is <= 0 by construction; the error bar comes
     from a blocking analysis of the per-sample variance contributions.
     """
-    grads = _grad_samples(config, samples, label)
+    table = config._table
+    fixed = np.broadcast_to(table.fixed, (len(samples.positions), table.n_fixed, 3))
+    ci = config.containers.index(config.container(label))
+    grads = _grad_d(table, np.concatenate([fixed, samples.positions], axis=1), ci)
     center = grads.mean(axis=0)
     contrib = np.einsum("ij,ij->i", grads - center, grads - center)
     if float(contrib.max(initial=0.0)) == 0.0:

@@ -37,10 +37,10 @@ from .errors import (
     UnphysicalTruncationError,
     ValidationError,
 )
-from .materials import DispersionModel, Medium, classify
+from .materials import DispersionModel, Medium
 from .scattering import SphereObject
 from .stability import force as force_on
-from .stability import stability_report
+from .stability import _sign_classes, stability_report
 
 __all__ = ["main", "run", "emit_csv"]
 
@@ -313,22 +313,13 @@ def emit_csv(header, rows, path, length_unit="1 (hbar = c = 1)"):
 
 
 def _cmd_classify(cfg, args):
-    config = _build_configuration(cfg)
-    gap = config.min_gap()
-    samples = [0.5 / gap, 1.0 / gap, 2.0 / gap, 8.0 / gap]
+    classes, products = _sign_classes(_build_configuration(cfg))
     rows = []
-    classes = {}
-    for o in config.objects:
-        c = classify(o.eps, o.mu, config.medium, samples)
-        classes[o.label] = c
-        rows.append(["class", o.label, c.variant])
-        rows.append(["sign", o.label, c.sign if c.sign is not None else ""])
-    labels = [o.label for o in config.objects]
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            sa, sb = classes[a].sign, classes[b].sign
-            product = sa * sb if sa not in (None, 0) and sb not in (None, 0) else None
-            rows.append(["sign_product", f"{a}|{b}", product])
+    for label, c in classes.items():
+        rows.append(["class", label, c.variant])
+        rows.append(["sign", label, c.sign if c.sign is not None else ""])
+    for (a, b), product in products.items():
+        rows.append(["sign_product", f"{a}|{b}", product])
     return ["record", "label", "value"], rows
 
 
@@ -528,20 +519,6 @@ def _load_config(path):
     return data
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        import os
-
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def _diagnostic(kind, exc):
     sys.stderr.write(
         json.dumps({"error": kind, "message": str(exc)}, sort_keys=True) + "\n"
@@ -556,13 +533,11 @@ def run(argv):
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("config", help="YAML configuration file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--lmax", type=int, default=None)
     parser.add_argument("--output", default=None)
     args = parser.parse_args(argv)
 
-    _limit_threads(args.threads)
     try:
         cfg = _load_config(args.config)
         header, rows = _COMMANDS[args.subcommand](cfg, args)

@@ -18,7 +18,7 @@ class ZeroFrequencyError(ValueError):
     of the energy module instead of evaluating the model there."""
 
 
-class CapabilityError(ValueError):
+class CapabilityError(ValidationError):
     """Requested order/size beyond what the special functions support."""
 
 
@@ -41,5 +41,5 @@ class PrecisionError(RuntimeError):
     """Monte Carlo sample too short/correlated for the requested precision."""
 
 
-class ToleranceError(ValueError):
+class ToleranceError(ValidationError):
     """Finite-difference step outside its admissible range."""

@@ -220,22 +220,39 @@ def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None,
     return refined
 
 
-def _sign_product(config, label):
-    """s^A * s^R when both groups have a definite class, else None."""
+def _sign_classes(config):
+    """Material class of every object and the sign product of every pair.
+
+    Each object is classified on the sample wavenumbers [0.5, 1, 2, 8] /
+    min gap.  A pair's product s_a * s_b is defined only when both signs are
+    definite and nonzero, else None.  Returns (classes by label, products
+    by (label_a, label_b) with a listed before b in the configuration).
+    """
     gap = config.min_gap()
     samples = [0.5 / gap, 1.0 / gap, 2.0 / gap, 8.0 / gap]
-    signs = {}
-    for o in config.objects:
-        c = classify(o.eps, o.mu, config.medium, samples)
-        signs[o.label] = c.sign
-    s_a = signs[label]
-    rest = {s for lbl, s in signs.items() if lbl != label}
-    if s_a in (None, 0) or len(rest) != 1:
-        return None
-    s_r = rest.pop()
-    if s_r in (None, 0):
-        return None
-    return s_a * s_r
+    classes = {
+        o.label: classify(o.eps, o.mu, config.medium, samples)
+        for o in config.objects
+    }
+    labels = list(classes)
+    products = {}
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            s_a, s_b = classes[a].sign, classes[b].sign
+            defined = s_a not in (None, 0) and s_b not in (None, 0)
+            products[a, b] = s_a * s_b if defined else None
+    return classes, products
+
+
+def _sign_product(config, label):
+    """s^A * s^R: the one product of the labeled object with every other.
+
+    None unless every pair with the labeled object has the same defined
+    product, i.e. both it and the remainder group have one definite class.
+    """
+    _, products = _sign_classes(config)
+    mine = {p for pair, p in products.items() if label in pair}
+    return mine.pop() if len(mine) == 1 else None
 
 
 def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):

@@ -136,6 +136,33 @@ def test_kappa_floor_flag_for_drude():
     assert not res0.kappa_floor_used
 
 
+def test_free_energy_order_budget_reports_last_evaluated_order(monkeypatch):
+    # an integrand that grows with l_max never order-converges: orders 2, 4,
+    # 8 and 16 are evaluated, and the partial must describe order 16
+    from casimir_stability import ConvergenceBudgetError, casimir
+
+    orders = []
+
+    def integrand(config, kappa, l_max):
+        orders.append(l_max)
+        return -(1.0 + l_max) * math.exp(-kappa)
+
+    monkeypatch.setattr(casimir, "log_det_integrand", integrand)
+    monkeypatch.setattr(casimir, "default_l_max", lambda config: 2)
+    with pytest.raises(ConvergenceBudgetError) as info:
+        free_energy_T(pec_pair(4.0, tau=1.0), tol=1e-6)
+    partial = info.value.partial
+    assert sorted(set(orders)) == [2, 4, 8, 16]
+    last = [k for k in orders if k == 16]
+    assert partial.l_max_used == 16
+    assert partial.node_count == len(last) == len(partial.samples)
+    n = np.arange(1, len(last))
+    assert partial.samples[1:, 1] == pytest.approx(-17.0 * np.exp(-n))
+    # orders 8 and 16 scale the same sum by 9 and 17
+    assert partial.est_rel_error == pytest.approx(8.0 / 17.0)
+    assert partial.value == pytest.approx(partial.samples[-1, 2])
+
+
 def test_default_l_max_scales_with_geometry():
     near = pec_pair(2.2)
     far = pec_pair(12.0)

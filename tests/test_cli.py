@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import subprocess
 import sys
@@ -101,6 +102,29 @@ def test_overlap_rejected_before_compute(tmp_path, capsys):
     code, _, err = run_cli(["energy", path], capsys)
     assert code == 2
     assert "overlap" in err
+
+
+@pytest.mark.parametrize(
+    "args, extra",
+    [
+        (["force"], {"stability": {"object": "a", "h": 1.0}}),  # h >= 0.1 * gap
+        (["energy", "--lmax", "250"], {}),  # beyond the special functions
+    ],
+    ids=["force_step", "energy_lmax"],
+)
+def test_step_and_order_limits_are_validation_errors(tmp_path, capsys, args, extra):
+    path = write_cfg(tmp_path, dict(PAIR_CFG, **extra))
+    code, out, err = run_cli([args[0], path, *args[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_threads_flag_removed(tmp_path):
+    path = write_cfg(tmp_path, PAIR_CFG)
+    with pytest.raises(SystemExit) as info:
+        run(["classify", path, "--threads", "2"])
+    assert info.value.code == 2
 
 
 def test_empty_sweep_rejected(tmp_path, capsys):
