@@ -33,7 +33,7 @@ from .errors import (
 )
 from .materials import Medium
 from .scattering import mie_tmatrix, fresnel_reflection
-from .translation import reverse_translation, sector_size, translation_matrix
+from .translation import reverse_translation, translation_matrix
 
 __all__ = [
     "Configuration",
@@ -141,13 +141,13 @@ def _pair_blocks(x, t_i, t_j):
     return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse_translation(x))
 
 
-def _place_blocks(blocks, order, nb):
-    """I - N over the objects ``order`` from balanced blocks {(I, J): block}."""
-    m = np.eye(len(order) * nb)
-    for a, i in enumerate(order):
-        for b, j in enumerate(order):
-            if i != j:
-                m[a * nb : (a + 1) * nb, b * nb : (b + 1) * nb] = -blocks[(i, j)]
+def _place_blocks(blocks):
+    """I - N from the balanced blocks {(I, J): block} of every ordered pair."""
+    n = 1 + max(i for i, _ in blocks)
+    nb = len(blocks[(0, 1)])
+    m = np.eye(n * nb)
+    for (i, j), block in blocks.items():
+        m[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = -block
     return m
 
 
@@ -182,7 +182,7 @@ def assemble_block_matrix(config, kappa, l_max):
             d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
             x = translation_matrix(config.medium, kappa, d, l_max)
             blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, sl[i], sl[j])
-    return _place_blocks(blocks, range(len(objs)), 2 * sector_size(l_max))
+    return _place_blocks(blocks)
 
 
 def log_det_integrand(config, kappa, l_max):

@@ -355,6 +355,33 @@ def _shape_nodes(container, n):
     return pts, wts
 
 
+def _reject_collapse(config):
+    """Reject a mobile that can reach an opposite charge it couples to.
+
+    exp(-beta q_a q_b / (4 pi eps_M r)) is not integrable at r -> 0 when
+    q_a q_b < 0.  Only charges of the mobile's own container are reachable:
+    the other mobiles there, and the fixed charges placed inside it.
+    """
+    table = config._table
+    n = table.n_fixed
+    reachable = np.ones(len(table.q), bool)
+    for b, p in enumerate(table.fixed):
+        reachable[b] = config.containers[table.owner[b]].contains(p)[0]
+    same = table.owner[:, None] == table.owner[None, :]
+    attract = table.couples & same & reachable & (np.outer(table.q, table.q) < 0.0)
+    attract[:n] = False
+    if attract.any():
+        a, b = np.argwhere(attract)[0]
+        kind = "fixed" if b < n else "mobile"
+        raise ValidationError(
+            f"mobile charge {table.q[a]:g} of container "
+            f"{config.containers[table.owner[a]].label!r} can reach the opposite "
+            f"{kind} charge {table.q[b]:g} of container "
+            f"{config.containers[table.owner[b]].label!r}; exp(-beta H) is not "
+            "integrable there"
+        )
+
+
 def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     """F(d): free energy with the first container rigidly shifted by d.
 
@@ -362,12 +389,15 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     mobile-charge volumes; supports at most two mobile charges in total.
     The per-axis node count is doubled until the result is stable to
     ``tol`` relative; exceeding ``max_n`` raises ConvergenceBudgetError.
+    A mobile coupled to an opposite charge it can reach has no finite
+    partition integral and raises ValidationError up front.
     """
     cfg = _shifted(config, config.containers[0].label, d)
     table = cfg._table
     mobiles = range(table.n_fixed, len(table.q))
     if len(mobiles) > 2:
         raise CapabilityError("quadrature free energy supports at most 2 mobiles")
+    _reject_collapse(cfg)
     # constant part: the coupled pairs of fixed charges
     e0 = _coulomb_energy(table, table.fixed)
     if not mobiles:
@@ -388,7 +418,7 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
             a, b = mobiles
             (pa, _), (pb, _) = grids
             z = 0.0
-            chunk = max(1, 10_000_000 // len(pb))
+            chunk = max(1, 1_000_000 // len(pb))
             for start in range(0, len(pa), chunk):
                 dist = np.linalg.norm(
                     pa[start : start + chunk, None, :] - pb[None, :, :], axis=2

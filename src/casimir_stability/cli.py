@@ -40,7 +40,7 @@ from .errors import (
 from .materials import DispersionModel, Medium
 from .scattering import SphereObject
 from .stability import force as force_on
-from .stability import _sign_classes, stability_report
+from .stability import _sign_classes, _with_displacement, stability_report
 
 __all__ = ["main", "run", "emit_csv"]
 
@@ -312,6 +312,22 @@ def emit_csv(header, rows, path, length_unit="1 (hbar = c = 1)"):
         raise ValidationError(f"cannot write output file {path!r}: {exc}") from exc
 
 
+def _l_max(cfg, args):
+    """Multipole order: ``--lmax``, else the config's ``l_max`` (None: default)."""
+    return args.lmax if args.lmax is not None else cfg.get("l_max")
+
+
+def _tol(cfg, args, default=1e-6):
+    """Tolerance: ``--tol``, else the config's ``tolerance``, else ``default``."""
+    return args.tol if args.tol is not None else cfg.get("tolerance", default)
+
+
+def _energy(config, tol, l_max):
+    """Energy at the configuration's temperature: T = 0 or Matsubara sum."""
+    solve = energy_T0 if config.tau == 0.0 else free_energy_T
+    return solve(config, tol=tol, l_max=l_max)
+
+
 def _cmd_classify(cfg, args):
     classes, products = _sign_classes(_build_configuration(cfg))
     rows = []
@@ -325,12 +341,7 @@ def _cmd_classify(cfg, args):
 
 def _cmd_energy(cfg, args):
     config = _build_configuration(cfg)
-    tol = args.tol if args.tol is not None else cfg.get("tolerance", 1e-6)
-    l_max = args.lmax if args.lmax is not None else cfg.get("l_max")
-    if config.tau == 0.0:
-        result = energy_T0(config, tol=tol, l_max=l_max)
-    else:
-        result = free_energy_T(config, tol=tol, l_max=l_max)
+    result = _energy(config, _tol(cfg, args), _l_max(cfg, args))
     return (
         ["tau", "energy", "l_max", "nodes", "est_rel_error", "kappa_floor_used"],
         [
@@ -356,17 +367,17 @@ def _stability_target(cfg, config):
 def _cmd_force(cfg, args):
     config = _build_configuration(cfg)
     label, h = _stability_target(cfg, config)
-    l_max = args.lmax if args.lmax is not None else cfg.get("l_max")
-    f = force_on(config, label, h=h, l_max=l_max, n_nodes=cfg.get("n_nodes", 32))
+    f = force_on(
+        config, label, h=h, l_max=_l_max(cfg, args), n_nodes=cfg.get("n_nodes", 32)
+    )
     return ["object", "fx", "fy", "fz"], [[label, f[0], f[1], f[2]]]
 
 
 def _cmd_stability(cfg, args):
     config = _build_configuration(cfg)
     label, h = _stability_target(cfg, config)
-    l_max = args.lmax if args.lmax is not None else cfg.get("l_max")
     rep = stability_report(
-        config, label, h=h, l_max=l_max, n_nodes=cfg.get("n_nodes", 32)
+        config, label, h=h, l_max=_l_max(cfg, args), n_nodes=cfg.get("n_nodes", 32)
     )
     header = [
         "object",
@@ -404,19 +415,14 @@ def _cmd_sweep(cfg, args):
         raise ValidationError("the 'sweep' subcommand requires a 'sweep' section")
     label, axis = node["object"], node["axis"]
     quantity = node.get("quantity", "energy")
-    tol = args.tol if args.tol is not None else cfg.get("tolerance", 1e-6)
-    l_max = args.lmax if args.lmax is not None else cfg.get("l_max")
-    from .stability import _with_displacement
+    tol, l_max = _tol(cfg, args), _l_max(cfg, args)
 
     rows = []
     for value in node["values"]:
         moved = _with_displacement(config, label, axis, value)
         row = [value]
         if quantity in ("energy", "both"):
-            if moved.tau == 0.0:
-                row.append(energy_T0(moved, tol=tol, l_max=l_max).value)
-            else:
-                row.append(free_energy_T(moved, tol=tol, l_max=l_max).value)
+            row.append(_energy(moved, tol, l_max).value)
         if quantity in ("force", "both"):
             f = force_on(
                 moved, label, l_max=l_max, n_nodes=cfg.get("n_nodes", 32)
@@ -441,7 +447,6 @@ def _cmd_plates(cfg, args):
         mu = _build_model(sub["mu"]) if "mu" in sub else DispersionModel.constant(1.0)
         return (_build_model(sub["eps"]), mu)
 
-    tol = args.tol if args.tol is not None else cfg.get("tolerance", 1e-8)
     tau = node.get("tau", 0.0)
     value = lifshitz_plates(
         half_space(node["material1"]),
@@ -449,7 +454,7 @@ def _cmd_plates(cfg, args):
         medium,
         node["gap"],
         tau=tau,
-        tol=tol,
+        tol=_tol(cfg, args, 1e-8),
     )
     return ["gap", "tau", "energy_per_area"], [[node["gap"], tau, value]]
 

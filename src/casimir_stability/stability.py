@@ -2,11 +2,12 @@
 
 The central quantity is the Laplacian of the interaction energy under rigid
 displacement of one object: a non-positive Laplacian at a force equilibrium
-rules out stable levitation.  Two independent routes are provided:
+rules out stable levitation.  Two routes read one stencil of I - N matrices
+per node of a frozen grid (the same nodes and multipole order for every
+displaced geometry, so quadrature error cancels in the differences), with
+the labeled object at 0, +-h e_i and +-(h/2) e_i:
 
-* finite differences of the energy on a frozen quadrature grid (the same
-  nodes and multipole order for every displaced geometry, so quadrature
-  error cancels in the differences), and
+* finite differences of the energies, the stencil's ln dets, and
 * the three-term trace decomposition
 
       laplacian = term1 + term2 + term3,
@@ -18,6 +19,7 @@ rules out stable levitation.  Two independent routes are provided:
   therefore nonnegative; with the negative prefactor the stored term3 is
   always <= 0.  For two same-sign-class groups bracket_1 and bracket_2 are
   also nonnegative, which forces laplacian <= 0 (no stable levitation).
+  d_i N is the Richardson-refined central difference of the stencil.
 
 When more than two objects are present, the remainder group R is merged by
 block algebra (a Schur complement of the labeled object's rows/columns),
@@ -42,14 +44,12 @@ from .casimir import (
     _quad_nodes,
     default_l_max,
 )
-from .errors import (
-    GeometryError,
-    ToleranceError,
-    ValidationError,
-)
+from .errors import GeometryError, ToleranceError, ValidationError
 from .materials import classify
 from .scattering import mie_tmatrix
-from .translation import sector_size, translation_gradient, translation_matrix
+from .translation import sector_size, translation_matrix
+# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
+from .translation import translation_gradient  # noqa: F401
 
 __all__ = [
     "MAX_MATSUBARA_TERMS",
@@ -156,14 +156,16 @@ class _CommonGridEngine:
                 raise GeometryError("displacement makes objects overlap")
         return centers
 
+    def matrix(self, k, u):
+        """I - N at node k with the labeled object displaced by u."""
+        moved = self.blocks(k, self.displaced(u), self.moving)
+        return _place_blocks({**self.static[k], **moved})
+
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
-        centers = self.displaced(u)
         total = 0.0
         for k, weight in enumerate(self.weights):
-            blocks = {**self.static[k], **self.blocks(k, centers, self.moving)}
-            m = _place_blocks(blocks, range(len(centers)), self.nb)
-            total += weight * _positive_logdet(m)
+            total += weight * _positive_logdet(self.matrix(k, u))
         return total
 
 
@@ -176,48 +178,55 @@ def _default_h(config, label):
 
 
 def _step(config, label, h):
-    """Finite-difference step: ``h``, or 1e-3 * gap by default; below 0.1 * gap."""
+    """Finite-difference step: ``h``, or 1e-3 * gap; in (1e-8, 0.1) * gap."""
     default, gap = _default_h(config, label)
     h = default if h is None else h
     if h >= 0.1 * gap:
         raise ToleranceError("finite-difference step must be below 0.1*gap")
+    if h <= 1e-8 * gap:
+        raise ToleranceError("finite-difference step must be above 1e-8*gap")
     return h
 
 
-def force(config, label, h=None, l_max=None, n_nodes=32, engine=None):
+def _stencil(h):
+    """The 13 displacements: 0, then per axis +h, -h, +h/2, -h/2."""
+    out = [np.zeros(3)]
+    for e in np.eye(3):
+        for step in (h, 0.5 * h):
+            out += [step * e, -(step * e)]
+    return out
+
+
+def _fd(energies, h):
+    """(force, Laplacian, est_error) from the energies at ``_stencil(h)``.
+
+    Second central differences summed over the axes at h and h/2, with one
+    Richardson halving; est_error is the refined value's distance to h/2's.
+    """
+    e0, e = energies[0], np.reshape(energies[1:], (3, 2, 2))  # axis, step, sign
+    f = -(e[:, 0, 0] - e[:, 0, 1]) / (2.0 * h)
+    raw, half = (
+        sum((e[i, s, 0] - 2.0 * e0 + e[i, s, 1]) / step**2 for i in range(3))
+        for s, step in enumerate((h, 0.5 * h))
+    )
+    refined = (4.0 * half - raw) / 3.0
+    return f, refined, abs(refined - half)
+
+
+def force(config, label, h=None, l_max=None, n_nodes=32):
     """Force on the labeled object, -grad E by common-grid differences."""
     h = _step(config, label, h)
-    eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
+    eng = _CommonGridEngine(config, label, l_max, n_nodes)
     return np.array(
         [-(eng.energy(e) - eng.energy(-e)) / (2.0 * h) for e in h * np.eye(3)]
     )
 
 
-def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None,
-                 details=False):
-    """Laplacian of the energy under rigid displacement of one object.
-
-    Sum of second central differences over the three axes, with one
-    Richardson halving; returns the refined value (or, with ``details``,
-    the tuple (refined, raw, est_error, h)).
-    """
+def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
+    """Displacement Laplacian of the energy from the 13-point stencil (``_fd``)."""
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
-    e0 = eng.energy(np.zeros(3))
-
-    def second_sum(step):
-        total = 0.0
-        for e in step * np.eye(3):
-            total += (eng.energy(e) - 2.0 * e0 + eng.energy(-e)) / step**2
-        return total
-
-    raw = second_sum(h)
-    half = second_sum(0.5 * h)
-    refined = (4.0 * half - raw) / 3.0
-    est_error = abs(refined - half)
-    if details:
-        return refined, raw, est_error, h
-    return refined
+    return _fd([eng.energy(u) for u in _stencil(h)], h)[1]
 
 
 def _sign_classes(config):
@@ -256,82 +265,68 @@ def _sign_product(config, label):
 
 
 def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
-    """kappa-integrated trace decomposition (term1, term2, term3).
+    """The trace decomposition (term1, term2, term3) of :func:`stability_report`."""
+    rep = stability_report(config, label, h, l_max, n_nodes)
+    return rep.term1, rep.term2, rep.term3
 
-    The remainder group is merged through the Schur complement of the
-    labeled object's block rows/columns; translation gradients use central
-    differences with one Richardson halving.  term1 + term2 + term3 equals
-    the displacement Laplacian of the energy on the same frozen grid.
+
+def _node_terms(eng, k, h):
+    """Stencil ln dets and the weightless (-b1, -b2, -b3) at node k.
+
+    I - N is built once per displacement of ``_stencil(h)``, and one
+    displaced matrix is held at a time.  The remainder group R is merged through
+    the Schur complement of the labeled object's rows and columns: M_RR,
+    the U row (A -> J blocks) and the V column (J -> A blocks) are index
+    slices of the undisplaced matrix, dU and dV the same slices of the
+    Richardson-refined central difference d(I - N)/da_i = -dN/da_i.
     """
-    h = _step(config, label, h)
-    return _decomposition(_CommonGridEngine(config, label, l_max, n_nodes), h)
+    kappa, nb = eng.kappas[k], eng.nb
+    mine = np.arange(eng.idx * nb, (eng.idx + 1) * nb)
+    rest = np.setdiff1d(np.arange(len(eng.centers) * nb), mine)
 
+    def split(x):
+        # U = -x_AR and V = -x_RA: their signs cancel in every product below
+        return x[np.ix_(rest, rest)], x[np.ix_(mine, rest)], x[np.ix_(rest, mine)]
 
-def _decomposition(eng, h):
-    """Trace decomposition on the grid, T-matrices and static blocks of ``eng``."""
-    medium = eng.config.medium
-    a_idx, nb = eng.idx, eng.nb
-    rest = [i for i in range(len(eng.centers)) if i != a_idx]
-    offsets = [eng.centers[j] - eng.centers[a_idx] for j in rest]
-    terms = np.zeros(3)
-    for k, (kappa, weight) in enumerate(zip(eng.kappas, eng.weights)):
-        n_m = medium.refractive_index(kappa)
-        sl = eng.t_logs[k]
-        # I - N with the labeled object first: the remainder block M_RR, the
-        # U row (A -> J blocks) and the V column (J -> A blocks)
-        blocks = {**eng.static[k], **eng.blocks(k, eng.centers, eng.moving)}
-        m = _place_blocks(blocks, [a_idx] + rest, nb)
-        m_rr, u_row, v_col = m[nb:, nb:], -m[:nb, nb:], -m[nb:, :nb]
-        grads = [
-            translation_gradient(medium, kappa, d, eng.l_max, h, richardson=True)
-            for d in offsets
-        ]
-        du, dv = [], []
-        for axis in range(3):
-            # moving A by +u shifts d by -u, so d/d(a_i) X_AJ = -dX/dd_i;
-            # for the reversed block, X'(-d) = -D X'(d)^T D, so
-            # d/d(a_i) X_JA = +dX/dd_i at -d = -D g^T D
-            g = [_pair_blocks(gj[axis], sl[a_idx], sl[j]) for gj, j in zip(grads, rest)]
-            du.append(-np.hstack([g_aj for g_aj, _ in g]))
-            dv.append(-np.vstack([g_ja for _, g_ja in g]))
-        m_inv_v = np.linalg.solve(m_rr, v_col)
-        n_eff = u_row @ m_inv_v
-        _positive_logdet(np.eye(nb) - n_eff, "merged-remainder matrix")
-        resolvent = np.linalg.inv(np.eye(nb) - n_eff)
-        b1 = 2.0 * (n_m * kappa) ** 2 * np.trace(resolvent @ n_eff)
-        b2 = 0.0
-        b3 = 0.0
-        for axis in range(3):
-            mid = np.linalg.solve(m_rr, dv[axis])
-            b2 += 2.0 * np.trace(resolvent @ (du[axis] @ mid))
-            dn = du[axis] @ m_inv_v + u_row @ mid
-            rdn = resolvent @ dn
-            b3 += np.trace(rdn @ rdn)
-        terms += weight * np.array([-b1, -b2, -b3])
-    return tuple(terms)
+    stencil = _stencil(h)
+    m = eng.matrix(k, stencil[0])
+    logdets = [_positive_logdet(m)]
+    m_rr, u_row, v_col = split(m)
+    m_inv_v = np.linalg.solve(m_rr, v_col)
+    n_eff = u_row @ m_inv_v
+    _positive_logdet(np.eye(nb) - n_eff, "merged-remainder matrix")
+    resolvent = np.linalg.inv(np.eye(nb) - n_eff)
+    n_m = eng.config.medium.refractive_index(kappa)
+    b1 = 2.0 * (n_m * kappa) ** 2 * np.trace(resolvent @ n_eff)
+    b2 = b3 = 0.0
+    for axis in range(3):
+        # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
+        dm = 0.0
+        for u, c in zip(stencil[1 + 4 * axis : 5 + 4 * axis], (-0.5, 0.5, 4.0, -4.0)):
+            x = eng.matrix(k, u)
+            logdets.append(_positive_logdet(x))
+            dm = dm + c * x
+        _, du, dv = split(dm / (3.0 * h))
+        mid = np.linalg.solve(m_rr, dv)
+        b2 += 2.0 * np.trace(resolvent @ (du @ mid))
+        dn = du @ m_inv_v + u_row @ mid
+        rdn = resolvent @ dn
+        b3 += np.trace(rdn @ rdn)
+    return np.array(logdets), np.array([-b1, -b2, -b3])
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
-    """Full report: force, FD Laplacian, decomposition and sign prediction.
-
-    One frozen grid serves all three.
-    """
-    eng = _CommonGridEngine(config, label, l_max, n_nodes)
+    """Force, FD Laplacian, decomposition and sign prediction in one grid pass."""
     h = _step(config, label, h)
-    f = force(config, label, h=h, engine=eng)
-    lap, raw, err, h_used = laplacian_fd(config, label, h=h, engine=eng, details=True)
-    t1, t2, t3 = _decomposition(eng, h)
-    return StabilityReport(
-        object_label=label,
-        force=f,
-        laplacian=lap,
-        term1=t1,
-        term2=t2,
-        term3=t3,
-        predicted_sign_product=_sign_product(config, label),
-        h_used=h_used,
-        est_error=err,
-    )
+    eng = _CommonGridEngine(config, label, l_max, n_nodes)
+    energies, terms = np.zeros(13), np.zeros(3)
+    for k, weight in enumerate(eng.weights):
+        logdets, brackets = _node_terms(eng, k, h)
+        energies += weight * logdets
+        terms += weight * brackets
+    f, lap, err = _fd(energies, h)
+    sign = _sign_product(config, label)
+    return StabilityReport(label, f, lap, *terms, sign, h, err)
 
 
 def find_axial_equilibrium(
@@ -349,8 +344,7 @@ def find_axial_equilibrium(
         moved = _with_displacement(config, label, axis, s)
         return force(moved, label, l_max=l_max, n_nodes=n_nodes)[axis]
 
-    f_lo = axial_force(lo)
-    f_hi = axial_force(hi)
+    f_lo, f_hi = axial_force(lo), axial_force(hi)
     if f_lo == 0.0:
         root = lo
     elif f_hi == 0.0:
@@ -370,9 +364,7 @@ def find_axial_equilibrium(
         root = 0.5 * (lo + hi)
     at_root = _with_displacement(config, label, axis, root)
     report = stability_report(at_root, label, l_max=l_max, n_nodes=n_nodes)
-    base = np.asarray(
-        next(o for o in config.objects if o.label == label).center, float
-    )
+    base = next(o for o in config.objects if o.label == label).center
     return EquilibriumResult(found=True, position=float(base[axis] + root), report=report)
 
 

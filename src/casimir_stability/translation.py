@@ -459,8 +459,11 @@ def _combine(mats, weights):
 def translation_gradient(medium, kappa, d, l_max, h, richardson=False, spin="vector"):
     """Displacement gradient (dX/dd_x, dX/dd_y, dX/dd_z) of the matrix.
 
-    Central finite differences with step ``h``; with ``richardson`` the
-    half-step evaluation is combined to cancel the leading error term.
+    A validation aid with no caller in the package: the stability report
+    differentiates whole I - N matrices instead, and the tests check its
+    decomposition against a reference built on this gradient.  Central
+    finite differences with step ``h``; with ``richardson`` the half-step
+    evaluation is combined to cancel the leading error term.
     """
     d = np.asarray(d, float)
     dist = float(np.linalg.norm(d))

@@ -1,6 +1,8 @@
 """Classical containers: Hamiltonian, quadrature free energy, Metropolis."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +176,50 @@ def test_free_energy_mobile_cap():
     cfg = ClassicalConfig((a, b), 1.0, 1.0)
     with pytest.raises(CapabilityError):
         free_energy_quadrature(cfg, (0, 0, 0))
+
+
+def test_free_energy_pair_kernel_memory_is_bounded():
+    # two coupled mobiles at 16 nodes per axis (tol = inf stops there):
+    # 4096 x 4096 point pairs, taken in bounded chunks
+    cfg = tethered_toy()
+    tracemalloc.start()
+    try:
+        free_energy_quadrature(cfg, (0, 0, 0), tol=math.inf, max_n=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_free_energy_rejects_reachable_opposite_intra_charge():
+    # exp(-beta H) is not integrable where a mobile meets an opposite
+    # charge: another mobile of its include_intra container, or a fixed
+    # charge inside it
+    a = Container(
+        "a",
+        "sphere",
+        (0, 0, 0),
+        0.5,
+        fixed_charges=[(-0.5, (0.1, 0, 0))],
+        mobile_charges=[(0.8, ("harmonic", 4.0, (0, 0, 0.1)))],
+        include_intra=True,
+    )
+    b = Container("b", "sphere", (0, 0, 2.0), 0.5, fixed_charges=[(1.0, (0, 0, 0))])
+    two_mobiles = replace(
+        a, fixed_charges=(), mobile_charges=((0.8, None), (-0.6, None))
+    )
+    for box, partner in ((a, "fixed charge -0.5"), (two_mobiles, "mobile charge -0.6")):
+        cfg = ClassicalConfig((box, b), 1.3, 1.5)
+        match = f"container 'a'.*{partner} of container 'a'"
+        with pytest.raises(ValidationError, match=match):
+            free_energy_quadrature(cfg, (0, 0, 0))
+    # the same pairs are integrable without intra coupling, or with the
+    # fixed charge outside the container the mobile explores
+    outside = replace(a, fixed_charges=[(-0.5, (0, 0, 0.6))])
+    for box in (replace(a, include_intra=False), outside):
+        cfg = ClassicalConfig((box, b), 1.3, 1.5)
+        f = free_energy_quadrature(cfg, (0, 0, 0), tol=math.inf, max_n=8)
+        assert math.isfinite(f)
 
 
 def test_metropolis_deterministic_and_seed_dependent():

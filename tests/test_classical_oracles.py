@@ -315,16 +315,25 @@ def test_hamiltonian_and_gradient_match_reference():
 
 
 def _subsets():
-    """The mixed configuration cut to at most two mobiles, every pair kind."""
+    """The mixed configuration cut to at most two mobiles, every pair kind.
+
+    A mobile that couples to an opposite charge inside its own container has
+    no finite partition integral (the quadrature rejects it), so a cut with
+    a mobile in container a (``include_intra``) keeps only a's fixed charge
+    of that mobile's sign.
+    """
     cfg = mixed_config()
     a, b, c = cfg.containers
     tethered, free = a.mobile_charges
+    plus, minus = a.fixed_charges
 
-    def with_mobiles(ma, mb, intra=True):
+    def with_mobiles(ma, mb, intra=True, fixed=a.fixed_charges):
         return replace(
             cfg,
             containers=(
-                replace(a, mobile_charges=ma, include_intra=intra),
+                replace(
+                    a, fixed_charges=fixed, mobile_charges=ma, include_intra=intra
+                ),
                 replace(b, mobile_charges=mb),
                 c,
             ),
@@ -332,10 +341,10 @@ def _subsets():
 
     return [
         with_mobiles((), ()),
-        with_mobiles((tethered,), ()),
-        with_mobiles((free,), ()),
+        with_mobiles((tethered,), (), fixed=(plus,)),
+        with_mobiles((free,), (), fixed=(minus,)),
         with_mobiles((), b.mobile_charges),
-        with_mobiles((tethered,), b.mobile_charges),
+        with_mobiles((tethered,), b.mobile_charges, fixed=(plus,)),
         with_mobiles((tethered, free), (), intra=False),
     ]
 

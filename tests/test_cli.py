@@ -120,6 +120,17 @@ def test_step_and_order_limits_are_validation_errors(tmp_path, capsys, args, ext
     assert json.loads(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("command", ["force", "stability"])
+def test_underflowing_step_is_a_validation_error(tmp_path, capsys, command):
+    # h <= 1e-8 * gap: the differences of ln det would be rounding noise
+    cfg = dict(PAIR_CFG, stability={"object": "a", "h": 1e-12})
+    path = write_cfg(tmp_path, cfg)
+    code, out, err = run_cli([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
 def test_threads_flag_removed(tmp_path):
     path = write_cfg(tmp_path, PAIR_CFG)
     with pytest.raises(SystemExit) as info:

@@ -57,6 +57,13 @@ def test_step_validation():
         laplacian_decomposition(cfg, "a", h=0.3, l_max=3, n_nodes=8)
 
 
+@pytest.mark.parametrize("route", [force, laplacian_fd, laplacian_decomposition])
+def test_underflowing_step_rejected(route):
+    # h <= 1e-8 * gap: the differences of ln det would be rounding noise
+    with pytest.raises(ToleranceError):
+        route(pec_pair(4.0), "a", h=1e-12, l_max=3, n_nodes=8)
+
+
 def test_laplacian_negative_for_same_class_pair():
     lap = laplacian_fd(pec_pair(3.0), "a", l_max=L_MAX, n_nodes=NODES)
     assert lap < 0.0
