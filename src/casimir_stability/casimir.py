@@ -54,8 +54,8 @@ KAPPA_FLOOR = 1e-6
 # Matsubara terms a streaming sum (free_energy_T, lifshitz_plates) may take
 MAX_SUM_TERMS = 100000
 
-# doublings of l_max energy_T0 may make before it gives up
-MAX_ORDER_DOUBLINGS = 6
+# doublings of the default l_max an energy may make before it gives up
+MAX_ORDER_DOUBLINGS = 3
 
 
 @dataclass(frozen=True)
@@ -205,62 +205,6 @@ def _quad_nodes(n_nodes, scale):
     return kappa, w * jac
 
 
-def _integrate_T0(config, l_max, n_nodes):
-    scale = 1.0 / config.min_gap()
-    kappas, weights = _quad_nodes(n_nodes, scale)
-    vals = np.array([log_det_integrand(config, k, l_max) for k in kappas])
-    contrib = weights * vals / (2.0 * math.pi)
-    order = np.argsort(kappas)
-    samples = np.column_stack(
-        [kappas[order], vals[order], np.cumsum(contrib[order])]
-    )
-    return float(contrib.sum()), samples
-
-
-def energy_T0(config, tol=1e-6, l_max=None, n_nodes=24):
-    """Zero-temperature energy by node-doubling quadrature.
-
-    With ``l_max=None`` the multipole order starts at the geometric default
-    and doubles, at most MAX_ORDER_DOUBLINGS times, until the value is
-    order-converged to ``tol``; an explicit ``l_max`` fixes the order (only
-    the quadrature is refined), so two calculations can share a truncation.
-    """
-    if config.tau != 0.0:
-        raise ValidationError("energy_T0 requires tau = 0")
-    fixed_order = l_max is not None
-    if l_max is None:
-        l_max = default_l_max(config)
-    value, samples = _integrate_T0(config, l_max, n_nodes)
-    rel = math.inf
-    for _ in range(MAX_ORDER_DOUBLINGS):
-        nodes_ok = False
-        while not nodes_ok:
-            v2, s2 = _integrate_T0(config, l_max, 2 * n_nodes)
-            rel_nodes = abs(v2 - value) / max(abs(v2), 1e-300)
-            n_nodes *= 2
-            value, samples = v2, s2
-            nodes_ok = rel_nodes < tol
-            if not nodes_ok and n_nodes > 1536:
-                raise ConvergenceBudgetError(
-                    "node budget exhausted",
-                    partial=EnergyResult(
-                        value, l_max, n_nodes, rel_nodes, samples
-                    ),
-                )
-        if fixed_order:
-            return EnergyResult(value, l_max, n_nodes, rel_nodes, samples)
-        v3, s3 = _integrate_T0(config, 2 * l_max, n_nodes)
-        rel = abs(v3 - value) / max(abs(v3), 1e-300)
-        if rel < tol:
-            return EnergyResult(value, l_max, n_nodes, max(rel, rel_nodes), samples)
-        l_max *= 2
-        value, samples = v3, s3
-    raise ConvergenceBudgetError(
-        "multipole budget exhausted",
-        partial=EnergyResult(value, l_max, n_nodes, rel, samples),
-    )
-
-
 def _matsubara_sum(term, tau, tol, max_terms):
     """Primed Matsubara sum of ``term(kappa)``, truncated by its tail.
 
@@ -269,8 +213,9 @@ def _matsubara_sum(term, tau, tol, max_terms):
     terms, the geometric tail |t_n| r / (1 - r), r = |t_n / t_(n-1)|, is
     below ``tol`` of the running sum; after ``max_terms`` terms with n >= 1
     it raises ConvergenceBudgetError with partial = (kappas, weights).
-    Returns (kappas, weights, terms): weights include tau / (2 pi), terms
-    are the summands in order (the n = 0 value halved).
+    Returns (kappas, weights, terms, est): weights include tau / (2 pi),
+    terms are the summands (the n = 0 value halved), est is the tail over
+    the sum that stopped it (0 after an underflowed term).
     """
     kappas = [KAPPA_FLOOR]
     weights = [0.5 * tau / (2.0 * math.pi)]
@@ -282,10 +227,13 @@ def _matsubara_sum(term, tau, tol, max_terms):
         weights.append(tau / (2.0 * math.pi))
         terms.append(value)
         total += value
+        if value == 0.0:
+            return kappas, weights, terms, 0.0
         ratio = abs(value) / abs(terms[-2]) if n > 1 else math.inf
         tail = abs(value) * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-        if value == 0.0 or tail < tol * max(abs(total), 1e-300):
-            return kappas, weights, terms
+        scale = max(abs(total), 1e-300)
+        if tail < tol * scale:
+            return kappas, weights, terms, tail / scale
     raise ConvergenceBudgetError(
         f"Matsubara sum not truncated within {max_terms} terms",
         partial=(kappas, weights),
@@ -298,6 +246,83 @@ def _needs_floor(config):
     return bool(kinds & {"plasma", "drude"})
 
 
+def _rel_change(new, old):
+    return abs(new - old) / max(abs(new), 1e-300)
+
+
+def _evaluate(config, tol, l_max, n_nodes):
+    """The energy at one order on one grid (est: Matsubara tail, inf at tau = 0)."""
+    integrand = functools.partial(log_det_integrand, config, l_max=l_max)
+    if config.tau == 0.0:
+        kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
+        vals = np.array([integrand(k) for k in kappas])
+        contrib = weights * vals / (2.0 * math.pi)
+        order = np.argsort(kappas)
+        samples = np.column_stack(
+            [kappas[order], vals[order], np.cumsum(contrib[order])]
+        )
+        return EnergyResult(float(contrib.sum()), l_max, n_nodes, math.inf, samples)
+    kappas, _, terms, est = _matsubara_sum(integrand, config.tau, tol, MAX_SUM_TERMS)
+    cumulative = config.tau / (2.0 * math.pi) * np.cumsum(terms)
+    samples = np.column_stack([[0.0] + kappas[1:], terms, cumulative])
+    value = float(cumulative[-1])
+    return EnergyResult(value, l_max, len(kappas), est, samples, _needs_floor(config))
+
+
+def _grid_converged(config, tol, result):
+    """``result``, with its nodes doubled until two values agree at tau = 0."""
+    while config.tau == 0.0:
+        finer = _evaluate(config, tol, result.l_max_used, 2 * result.node_count)
+        finer.est_rel_error = _rel_change(finer.value, result.value)
+        if finer.est_rel_error < tol:
+            return finer
+        if finer.node_count > 1536:
+            raise ConvergenceBudgetError("node budget exhausted", partial=finer)
+        result = finer
+    return result
+
+
+def _energy(config, tol, l_max):
+    """Energy at the configuration's temperature, converged in grid and order.
+
+    An explicit ``l_max`` returns that order on a converged grid.  With
+    ``l_max=None`` the order starts at :func:`default_l_max` and the doubled
+    order is evaluated on the current grid: if the two agree to ``tol``, the
+    lower order is returned with ``est_rel_error`` = max(order change, grid
+    estimate); else the doubled order becomes current and its grid is
+    refined.  After MAX_ORDER_DOUBLINGS doublings, ConvergenceBudgetError's
+    ``partial`` is the last evaluated order, estimated by its order change.
+    """
+    fixed_order = l_max is not None
+    l_max = l_max if fixed_order else default_l_max(config)
+    current = _evaluate(config, tol, l_max, 24)
+    for _ in range(MAX_ORDER_DOUBLINGS):
+        current = _grid_converged(config, tol, current)
+        if fixed_order:
+            return current
+        doubled = _evaluate(config, tol, 2 * current.l_max_used, current.node_count)
+        rel = _rel_change(doubled.value, current.value)
+        if rel < tol:
+            current.est_rel_error = max(rel, current.est_rel_error)
+            return current
+        current = doubled
+    current.est_rel_error = rel
+    raise ConvergenceBudgetError("multipole budget exhausted", partial=current)
+
+
+def energy_T0(config, tol=1e-6, l_max=None):
+    """Zero-temperature energy by Gauss-Legendre quadrature in kappa.
+
+    The nodes double from 24, at least once, until two successive values
+    agree to ``tol`` (ConvergenceBudgetError past 1536 nodes).  An explicit
+    ``l_max`` is kept, so two calculations can share a truncation, and
+    reports the last node change; ``l_max=None`` follows :func:`_energy`.
+    """
+    if config.tau != 0.0:
+        raise ValidationError("energy_T0 requires tau = 0")
+    return _energy(config, tol, l_max)
+
+
 def free_energy_T(config, tol=1e-6, l_max=None):
     """Finite-temperature free energy: (tau/2pi) * primed Matsubara sum.
 
@@ -305,41 +330,13 @@ def free_energy_T(config, tol=1e-6, l_max=None):
     kappa = KAPPA_FLOOR in place of the kappa -> 0 limit; no analytic limit
     is taken.  ``kappa_floor_used`` is set only when a plasma or Drude model
     enters, since those diverge at kappa = 0; for other materials the floor
-    value stands in for the limit without a flag.  As with
-    :func:`energy_T0`, an explicit ``l_max`` fixes the multipole order while
-    ``l_max=None`` doubles it until the sum is order-converged; when four
-    orders do not converge, the ConvergenceBudgetError's ``partial`` is the
-    last evaluated order's result with its last relative change.  The sum
-    raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
+    value stands in for the limit without a flag.  The sum truncates itself
+    (ConvergenceBudgetError past MAX_SUM_TERMS terms); an explicit ``l_max``
+    reports its tail estimate, ``l_max=None`` follows :func:`_energy`.
     """
     if config.tau <= 0.0:
         raise ValidationError("free_energy_T requires tau > 0")
-    fixed_order = l_max is not None
-    if l_max is None:
-        l_max = default_l_max(config)
-    tau = config.tau
-
-    floor_used = _needs_floor(config)
-    prev, rel = None, math.inf
-    for order in [l_max * 2**k for k in range(4)]:
-        integrand = functools.partial(log_det_integrand, config, l_max=order)
-        kappas, _, terms = _matsubara_sum(integrand, tau, tol, MAX_SUM_TERMS)
-        sums = np.cumsum(terms)
-        cumulative = tau / (2.0 * math.pi) * sums
-        rows = np.column_stack([[0.0] + kappas[1:], terms, cumulative])
-        value = float(cumulative[-1])
-        if fixed_order:
-            tail_rel = abs(terms[-1]) / max(abs(float(sums[-1])), 1e-300)
-            return EnergyResult(value, order, len(kappas), tail_rel, rows, floor_used)
-        if prev is not None:
-            rel = abs(value - prev) / max(abs(value), 1e-300)
-            if rel < tol:
-                return EnergyResult(value, order, len(kappas), rel, rows, floor_used)
-        prev = value
-    raise ConvergenceBudgetError(
-        "multipole budget exhausted",
-        partial=EnergyResult(value, order, len(kappas), rel, rows, floor_used),
-    )
+    return _energy(config, tol, l_max)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,7 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
             kappas, weights = _quad_nodes(n, 1.0 / gap)
             vals = [kernel(k) for k in kappas]
             return float(np.dot(weights, vals)) / (2.0 * math.pi)
-        _, _, terms = _matsubara_sum(kernel, tau, tol, MAX_SUM_TERMS)
+        _, _, terms, _ = _matsubara_sum(kernel, tau, tol, MAX_SUM_TERMS)
         return tau / (2.0 * math.pi) * float(np.cumsum(terms)[-1])
 
     prev = value(32)

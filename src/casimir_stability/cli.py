@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -502,6 +503,44 @@ _COMMANDS = {
 }
 
 
+def _non_finite_path(node, path=()):
+    """Path to the first NaN or infinity in ``node``, or None.
+
+    JSON Schema bounds do not reject them: every comparison with NaN is
+    false, and infinity passes a lower bound.
+    """
+    if isinstance(node, float) and not math.isfinite(node):
+        return path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, value in children:
+        found = _non_finite_path(value, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
+def _validate(data, what):
+    """Check ``data`` against CONFIG_SCHEMA and for non-finite numbers."""
+    errors = sorted(
+        Draft202012Validator(CONFIG_SCHEMA).iter_errors(data), key=str
+    )
+    if errors:
+        details = "; ".join(
+            f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
+            for e in errors[:5]
+        )
+        raise ValidationError(f"{what} failed schema validation: {details}")
+    bad = _non_finite_path(data)
+    if bad is not None:
+        where = "/".join(str(p) for p in bad)
+        raise ValidationError(f"{what} has a non-finite number at {where}")
+
+
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -512,16 +551,16 @@ def _load_config(path):
         raise ValidationError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config file must contain a mapping at top level")
-    errors = sorted(
-        Draft202012Validator(CONFIG_SCHEMA).iter_errors(data), key=str
-    )
-    if errors:
-        details = "; ".join(
-            f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-            for e in errors[:5]
-        )
-        raise ValidationError(f"config failed schema validation: {details}")
+    _validate(data, "config")
     return data
+
+
+def _validate_flags(args):
+    """Hold each flag to the bounds of the config key it overrides."""
+    for flag, key in (("lmax", "l_max"), ("tol", "tolerance"), ("seed", "seed")):
+        value = getattr(args, flag)
+        if value is not None:
+            _validate({key: value}, f"--{flag}")
 
 
 def _diagnostic(kind, exc):
@@ -544,6 +583,7 @@ def run(argv):
     args = parser.parse_args(argv)
 
     try:
+        _validate_flags(args)
         cfg = _load_config(args.config)
         header, rows = _COMMANDS[args.subcommand](cfg, args)
         path = args.output if args.output is not None else cfg.get("output")

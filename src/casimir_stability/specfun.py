@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 __all__ = [
     "mod_sph_bessel_i",
@@ -39,6 +39,20 @@ __all__ = [
 # exp() overflows just above this; used to decide when to hand back the
 # scaled representation
 _LOG_MAX = math.log(np.finfo(float).max) - 2.0
+
+
+def _logsumexp_rows(a):
+    """log(sum(exp(a), axis=1)) for rows with a finite maximum.
+
+    scipy.special.logsumexp's formula, without its array-API dispatch, which
+    costs more than the sum: the m entries equal to the row maximum are
+    counted, not exponentiated, and the rest enter as log1p(sum / m).
+    """
+    top = a.max(axis=1)
+    at_top = a == top[:, None]
+    m = at_top.sum(axis=1, dtype=float)
+    s = np.exp(np.where(at_top, -np.inf, a) - top[:, None]).sum(axis=1) / m
+    return np.log1p(s) + np.log(m) + top
 
 
 def log_bessel_i_array(l_max, x):
@@ -77,7 +91,7 @@ def _log_i_cached(l_max, x):
         - gammaln(k + 1)[None, :]
         - log_ddfact
     )
-    out = logsumexp(log_terms, axis=1)
+    out = _logsumexp_rows(log_terms)
     out.flags.writeable = False
     return out
 
@@ -107,7 +121,7 @@ def _log_k_cached(l_max, x):
         - jj * math.log(2.0 * x),
         -np.inf,
     )
-    out = -x - math.log(x) + logsumexp(log_terms, axis=1)
+    out = -x - math.log(x) + _logsumexp_rows(log_terms)
     out.flags.writeable = False
     return out
 

@@ -121,7 +121,7 @@ class _CommonGridEngine:
             integrand = functools.partial(
                 casimir.log_det_integrand, config, l_max=min(self.l_max, 4)
             )
-            self.kappas, self.weights, _ = _matsubara_sum(
+            self.kappas, self.weights, _, _ = _matsubara_sum(
                 integrand, config.tau, 1e-12, MAX_MATSUBARA_TERMS
             )
         # per kappa: raw (sign, log) T-matrices of every object, and the

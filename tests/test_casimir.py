@@ -122,6 +122,17 @@ def test_high_temperature_limit_dominated_by_zero_mode():
     assert res.value == pytest.approx(zero, rel=1e-3)
 
 
+def test_free_energy_reports_the_tail_that_stopped_the_sum():
+    # est_rel_error is the geometric tail the sum compared with tol, not the
+    # last term alone (which is 1.55e-6 here, above the tol the sum met)
+    res = free_energy_T(pec_pair(2.2, radius=0.1, tau=0.5), tol=1e-6, l_max=6)
+    terms = res.samples[:, 1]
+    r = abs(terms[-1] / terms[-2])
+    tail = abs(terms[-1]) * r / (1.0 - r)
+    assert res.est_rel_error == pytest.approx(tail / abs(terms.sum()), rel=1e-9)
+    assert res.est_rel_error <= 1e-6
+
+
 def test_kappa_floor_flag_for_drude():
     drude = DispersionModel.drude(5.0, 0.5)
     one = DispersionModel.constant(1.0)
@@ -161,6 +172,67 @@ def test_free_energy_order_budget_reports_last_evaluated_order(monkeypatch):
     # orders 8 and 16 scale the same sum by 9 and 17
     assert partial.est_rel_error == pytest.approx(8.0 / 17.0)
     assert partial.value == pytest.approx(partial.samples[-1, 2])
+
+
+def test_energy_T0_order_budget_reports_last_evaluated_order(monkeypatch):
+    # the T = 0 energy has the same budget as the Matsubara sum: three
+    # doublings of the default order, orders 2, 4, 8 and 16 evaluated
+    from casimir_stability import ConvergenceBudgetError, casimir
+
+    orders = []
+
+    def integrand(config, kappa, l_max):
+        orders.append(l_max)
+        return -(1.0 + l_max) * math.exp(-kappa)
+
+    monkeypatch.setattr(casimir, "log_det_integrand", integrand)
+    monkeypatch.setattr(casimir, "default_l_max", lambda config: 2)
+    with pytest.raises(ConvergenceBudgetError) as info:
+        energy_T0(pec_pair(4.0), tol=1e-6)
+    assert "multipole" in str(info.value)
+    partial = info.value.partial
+    assert sorted(set(orders)) == [2, 4, 8, 16]
+    assert partial.l_max_used == 16
+    assert partial.node_count == len(partial.samples)
+    assert partial.est_rel_error == pytest.approx(8.0 / 17.0)
+    assert partial.value == pytest.approx(-17.0 / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_order_convergence_reports_the_lower_order(monkeypatch, tau):
+    # value ~ 1 + 2^-L: orders 8 and 16 agree to 1e-2, so order 8 is
+    # reported with est = max(order change, grid estimate) at either tau
+    from casimir_stability import casimir
+
+    orders = []
+
+    def integrand(config, kappa, l_max):
+        orders.append(l_max)
+        return -(1.0 + 2.0**-l_max) * math.exp(-kappa)
+
+    monkeypatch.setattr(casimir, "log_det_integrand", integrand)
+    monkeypatch.setattr(casimir, "default_l_max", lambda config: 2)
+    cfg = pec_pair(4.0, tau=tau)
+    res = (energy_T0 if tau == 0.0 else free_energy_T)(cfg, tol=1e-2)
+    assert sorted(set(orders)) == [2, 4, 8, 16]
+    assert res.l_max_used == 8
+    assert res.node_count == len(res.samples)
+    assert res.value == pytest.approx(res.samples[-1, 2])
+    order_change = (2.0**-8 - 2.0**-16) / (1.0 + 2.0**-16)
+    if tau == 0.0:
+        # every order has the same node profile, so the last node doubling
+        # changed the value as it does for the plain exponential
+        def quad(n):
+            kappas, weights = casimir._quad_nodes(n, 1.0 / cfg.min_gap())
+            return float(np.dot(weights, np.exp(-kappas)))
+
+        n = res.node_count
+        grid = abs(quad(n) - quad(n // 2)) / abs(quad(n))
+    else:
+        terms = res.samples[:, 1]
+        r = abs(terms[-1] / terms[-2])
+        grid = abs(terms[-1]) * r / (1.0 - r) / abs(terms.sum())
+    assert res.est_rel_error == pytest.approx(max(order_change, grid), rel=1e-6)
 
 
 def test_default_l_max_scales_with_geometry():

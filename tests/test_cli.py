@@ -131,6 +131,54 @@ def test_underflowing_step_is_a_validation_error(tmp_path, capsys, command):
     assert json.loads(err)["error"] == "validation"
 
 
+CLASSICAL_SECTION = {
+    "label": "a",
+    "steps": 100,
+    "containers": [
+        {"label": label, "shape": "sphere", "center": [0, 0, z], "size": 0.3,
+         "mobile_charges": [{"charge": q, "tether": {"k": 5.0}}]}
+        for label, z, q in (("a", 0.0, 1.0), ("b", 1.2, -1.0))
+    ],
+}
+NAN_CENTER = [
+    dict(PAIR_CFG["objects"][0], center=[0, 0, math.nan]),
+    PAIR_CFG["objects"][1],
+]
+PEC = {"eps": {"type": "pec"}}
+
+
+@pytest.mark.parametrize(
+    "args, extra, where",
+    [
+        (["energy", "--lmax", "0"], {}, "--lmax"),
+        (["energy", "--lmax", "-2"], {}, "--lmax"),
+        (["mc", "--seed", "-1"], {"classical": CLASSICAL_SECTION}, "--seed"),
+        (["energy", "--tol", "-1", "--lmax", "1"], {}, "--tol"),
+        (["energy", "--tol", "nan", "--lmax", "1"], {}, "--tol"),
+        (["energy"], {"tau": math.nan}, "tau"),
+        (["energy"], {"objects": NAN_CENTER}, "objects/0/center/2"),
+        (
+            ["plates"],
+            {"plates": {"material1": PEC, "material2": PEC, "gap": math.inf}},
+            "plates/gap",
+        ),
+    ],
+    ids=["lmax_0", "lmax_neg", "seed_neg", "tol_neg", "tol_nan", "tau_nan",
+         "center_nan", "gap_inf"],
+)
+def test_out_of_bounds_input_is_a_validation_error(
+    tmp_path, capsys, args, extra, where
+):
+    # flags get their config key's bounds, and no number may be NaN or inf
+    path = write_cfg(tmp_path, dict(PAIR_CFG, **extra))
+    code, out, err = run_cli([args[0], path, *args[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert where in diagnostic["message"]
+
+
 def test_threads_flag_removed(tmp_path):
     path = write_cfg(tmp_path, PAIR_CFG)
     with pytest.raises(SystemExit) as info:
