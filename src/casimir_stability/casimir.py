@@ -54,6 +54,9 @@ KAPPA_FLOOR = 1e-6
 # Matsubara terms a streaming sum (free_energy_T, lifshitz_plates) may take
 MAX_SUM_TERMS = 100000
 
+# Gauss-Legendre nodes a tau = 0 energy may reach, doubling from 24
+MAX_NODES = 1536
+
 # doublings of the default l_max an energy may make before it gives up
 MAX_ORDER_DOUBLINGS = 3
 
@@ -73,8 +76,7 @@ class Configuration:
         labels = [o.label for o in self.objects]
         if len(set(labels)) != len(labels):
             raise ValidationError("object labels must be unique")
-        if self.tau < 0.0:
-            raise ValidationError("temperature parameter must be nonnegative")
+        _check_tau(self.tau)
         for i, a in enumerate(self.objects):
             for b in self.objects[i + 1 :]:
                 gap = _gap(a, b)
@@ -89,6 +91,18 @@ class Configuration:
             for i, a in enumerate(self.objects)
             for b in self.objects[i + 1 :]
         )
+
+
+def _check_tau(tau):
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValidationError(
+            f"temperature parameter must be finite and nonnegative, got {tau!r}"
+        )
+
+
+def _check_positive(value, what):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
 
 
 def _gap(a, b):
@@ -270,14 +284,18 @@ def _evaluate(config, tol, l_max, n_nodes):
 
 
 def _grid_converged(config, tol, result):
-    """``result``, with its nodes doubled until two values agree at tau = 0."""
+    """``result``, with its nodes doubled until two values agree at tau = 0.
+
+    No grid finer than MAX_NODES is evaluated: ConvergenceBudgetError's
+    ``partial`` is then the MAX_NODES result with its last node change.
+    """
     while config.tau == 0.0:
+        if 2 * result.node_count > MAX_NODES:
+            raise ConvergenceBudgetError("node budget exhausted", partial=result)
         finer = _evaluate(config, tol, result.l_max_used, 2 * result.node_count)
         finer.est_rel_error = _rel_change(finer.value, result.value)
         if finer.est_rel_error < tol:
             return finer
-        if finer.node_count > 1536:
-            raise ConvergenceBudgetError("node budget exhausted", partial=finer)
         result = finer
     return result
 
@@ -293,6 +311,7 @@ def _energy(config, tol, l_max):
     refined.  After MAX_ORDER_DOUBLINGS doublings, ConvergenceBudgetError's
     ``partial`` is the last evaluated order, estimated by its order change.
     """
+    _check_positive(tol, "tol")
     fixed_order = l_max is not None
     l_max = l_max if fixed_order else default_l_max(config)
     current = _evaluate(config, tol, l_max, 24)
@@ -314,7 +333,7 @@ def energy_T0(config, tol=1e-6, l_max=None):
     """Zero-temperature energy by Gauss-Legendre quadrature in kappa.
 
     The nodes double from 24, at least once, until two successive values
-    agree to ``tol`` (ConvergenceBudgetError past 1536 nodes).  An explicit
+    agree to ``tol`` (ConvergenceBudgetError when 1536 nodes do not).  An explicit
     ``l_max`` is kept, so two calculations can share a truncation, and
     reports the last node change; ``l_max=None`` follows :func:`_energy`.
     """
@@ -369,8 +388,9 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
     sum, which raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
     Attraction gives a negative value.
     """
-    if gap <= 0.0:
-        raise ValidationError("gap must be positive")
+    _check_positive(gap, "gap")
+    _check_tau(tau)
+    _check_positive(tol, "tol")
 
     def value(n):
         # n nodes in kappa (at tau = 0) and in q

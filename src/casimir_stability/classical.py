@@ -387,8 +387,9 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
 
     Deterministic tensor-product quadrature of exp(-beta H) over the
     mobile-charge volumes; supports at most two mobile charges in total.
-    The per-axis node count is doubled until the result is stable to
-    ``tol`` relative; exceeding ``max_n`` raises ConvergenceBudgetError.
+    The per-axis node count doubles from 8 until two successive results
+    agree to ``tol`` relative; no count above ``max_n`` is evaluated, and
+    when ``max_n`` nodes do not agree ConvergenceBudgetError is raised.
     A mobile coupled to an opposite charge it can reach has no finite
     partition integral and raises ValidationError up front.
     """
@@ -431,7 +432,7 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
 
     n = 8
     prev = evaluate(n)
-    while n <= max_n:
+    while 2 * n <= max_n:
         n *= 2
         cur = evaluate(n)
         if abs(cur - prev) <= tol * max(abs(cur), 1.0):

@@ -45,6 +45,9 @@ from .stability import _sign_classes, _with_displacement, stability_report
 
 __all__ = ["main", "run", "emit_csv"]
 
+# length unit of the CSV comment line when the config names none
+_DEFAULT_LENGTH_UNIT = "1 (hbar = c = 1)"
+
 _MODEL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -72,6 +75,13 @@ _VEC3 = {
     "minItems": 3,
     "maxItems": 3,
     "items": {"type": "number"},
+}
+
+# the eps and mu of a medium or a half-space; absent means the constant 1
+_RESPONSE_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {"eps": _MODEL_SCHEMA, "mu": _MODEL_SCHEMA},
 }
 
 _OBJECT_SCHEMA = {
@@ -120,16 +130,14 @@ _CONTAINER_SCHEMA = {
     },
 }
 
+_HALF_SPACE_SCHEMA = dict(_RESPONSE_SCHEMA, required=["eps"])
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "length_unit": {"type": "string"},
-        "medium": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"eps": _MODEL_SCHEMA, "mu": _MODEL_SCHEMA},
-        },
+        "medium": _RESPONSE_SCHEMA,
         "tau": {"type": "number", "minimum": 0},
         "objects": {"type": "array", "minItems": 1, "items": _OBJECT_SCHEMA},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
@@ -166,18 +174,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["material1", "material2", "gap"],
             "properties": {
-                "material1": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["eps"],
-                    "properties": {"eps": _MODEL_SCHEMA, "mu": _MODEL_SCHEMA},
-                },
-                "material2": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["eps"],
-                    "properties": {"eps": _MODEL_SCHEMA, "mu": _MODEL_SCHEMA},
-                },
+                "material1": _HALF_SPACE_SCHEMA,
+                "material2": _HALF_SPACE_SCHEMA,
                 "gap": {"type": "number", "exclusiveMinimum": 0},
                 "tau": {"type": "number", "minimum": 0},
             },
@@ -217,32 +215,30 @@ def _build_model(node):
     return DispersionModel.perfect_conductor()
 
 
+def _model_or_one(node, key):
+    """The dispersion model under ``key``, or the constant 1 when it is absent."""
+    return _build_model(node[key]) if key in node else DispersionModel.constant(1.0)
+
+
 def _build_medium(cfg):
     node = cfg.get("medium", {})
-    medium = Medium()
-    if "eps" in node:
-        medium = Medium(eps_model=_build_model(node["eps"]), mu_model=medium.mu_model)
-    if "mu" in node:
-        medium = Medium(eps_model=medium.eps_model, mu_model=_build_model(node["mu"]))
-    return medium
+    return Medium(_model_or_one(node, "eps"), _model_or_one(node, "mu"))
 
 
 def _build_configuration(cfg):
     if "objects" not in cfg or len(cfg["objects"]) < 2:
         raise ValidationError("at least two objects are required")
-    objects = []
-    for node in cfg["objects"]:
-        mu = _build_model(node["mu"]) if "mu" in node else DispersionModel.constant(1.0)
-        objects.append(
-            SphereObject(
-                center=tuple(node["center"]),
-                radius=node["radius"],
-                eps=_build_model(node["eps"]),
-                mu=mu,
-                label=node["label"],
-            )
+    objects = tuple(
+        SphereObject(
+            center=tuple(node["center"]),
+            radius=node["radius"],
+            eps=_build_model(node["eps"]),
+            mu=_model_or_one(node, "mu"),
+            label=node["label"],
         )
-    return Configuration(tuple(objects), _build_medium(cfg), cfg.get("tau", 0.0))
+        for node in cfg["objects"]
+    )
+    return Configuration(objects, _build_medium(cfg), cfg.get("tau", 0.0))
 
 
 def _build_classical(cfg):
@@ -293,7 +289,7 @@ def _fmt(value):
     return str(value)
 
 
-def emit_csv(header, rows, path, length_unit="1 (hbar = c = 1)"):
+def emit_csv(header, rows, path, length_unit=_DEFAULT_LENGTH_UNIT):
     """Write deterministic CSV: comment with the length unit, header, rows."""
     buf = io.StringIO()
     buf.write(f"# length_unit: {length_unit}\n")
@@ -323,39 +319,43 @@ def _tol(cfg, args, default=1e-6):
     return args.tol if args.tol is not None else cfg.get("tolerance", default)
 
 
+def _frozen_grid(cfg, args):
+    """Keyword arguments of the frozen-grid force and stability calculations."""
+    return {"l_max": _l_max(cfg, args), "n_nodes": cfg.get("n_nodes", 32)}
+
+
 def _energy(config, tol, l_max):
     """Energy at the configuration's temperature: T = 0 or Matsubara sum."""
     solve = energy_T0 if config.tau == 0.0 else free_energy_T
     return solve(config, tol=tol, l_max=l_max)
 
 
+# Each command returns its CSV rows as records: one dict per row, with the
+# columns as keys in output order.
+
+
 def _cmd_classify(cfg, args):
     classes, products = _sign_classes(_build_configuration(cfg))
-    rows = []
+    facts = []
     for label, c in classes.items():
-        rows.append(["class", label, c.variant])
-        rows.append(["sign", label, c.sign if c.sign is not None else ""])
-    for (a, b), product in products.items():
-        rows.append(["sign_product", f"{a}|{b}", product])
-    return ["record", "label", "value"], rows
+        facts += [("class", label, c.variant), ("sign", label, c.sign)]
+    facts += [("sign_product", f"{a}|{b}", p) for (a, b), p in products.items()]
+    return [dict(zip(("record", "label", "value"), fact)) for fact in facts]
 
 
 def _cmd_energy(cfg, args):
     config = _build_configuration(cfg)
     result = _energy(config, _tol(cfg, args), _l_max(cfg, args))
-    return (
-        ["tau", "energy", "l_max", "nodes", "est_rel_error", "kappa_floor_used"],
-        [
-            [
-                config.tau,
-                result.value,
-                result.l_max_used,
-                result.node_count,
-                result.est_rel_error,
-                int(result.kappa_floor_used),
-            ]
-        ],
-    )
+    return [
+        {
+            "tau": config.tau,
+            "energy": result.value,
+            "l_max": result.l_max_used,
+            "nodes": result.node_count,
+            "est_rel_error": result.est_rel_error,
+            "kappa_floor_used": int(result.kappa_floor_used),
+        }
+    ]
 
 
 def _stability_target(cfg, config):
@@ -365,48 +365,33 @@ def _stability_target(cfg, config):
     return config.objects[0].label, None
 
 
+def _force_record(label, f):
+    return {"object": label, "fx": f[0], "fy": f[1], "fz": f[2]}
+
+
 def _cmd_force(cfg, args):
     config = _build_configuration(cfg)
     label, h = _stability_target(cfg, config)
-    f = force_on(
-        config, label, h=h, l_max=_l_max(cfg, args), n_nodes=cfg.get("n_nodes", 32)
-    )
-    return ["object", "fx", "fy", "fz"], [[label, f[0], f[1], f[2]]]
+    f = force_on(config, label, h=h, **_frozen_grid(cfg, args))
+    return [_force_record(label, f)]
 
 
 def _cmd_stability(cfg, args):
     config = _build_configuration(cfg)
     label, h = _stability_target(cfg, config)
-    rep = stability_report(
-        config, label, h=h, l_max=_l_max(cfg, args), n_nodes=cfg.get("n_nodes", 32)
-    )
-    header = [
-        "object",
-        "fx",
-        "fy",
-        "fz",
-        "laplacian",
-        "term1",
-        "term2",
-        "term3",
-        "predicted_sign_product",
-        "h_used",
-        "est_error",
+    rep = stability_report(config, label, h=h, **_frozen_grid(cfg, args))
+    return [
+        {
+            **_force_record(rep.object_label, rep.force),
+            "laplacian": rep.laplacian,
+            "term1": rep.term1,
+            "term2": rep.term2,
+            "term3": rep.term3,
+            "predicted_sign_product": rep.predicted_sign_product,
+            "h_used": rep.h_used,
+            "est_error": rep.est_error,
+        }
     ]
-    row = [
-        rep.object_label,
-        rep.force[0],
-        rep.force[1],
-        rep.force[2],
-        rep.laplacian,
-        rep.term1,
-        rep.term2,
-        rep.term3,
-        rep.predicted_sign_product,
-        rep.h_used,
-        rep.est_error,
-    ]
-    return header, [row]
 
 
 def _cmd_sweep(cfg, args):
@@ -416,48 +401,33 @@ def _cmd_sweep(cfg, args):
         raise ValidationError("the 'sweep' subcommand requires a 'sweep' section")
     label, axis = node["object"], node["axis"]
     quantity = node.get("quantity", "energy")
-    tol, l_max = _tol(cfg, args), _l_max(cfg, args)
+    tol, grid = _tol(cfg, args), _frozen_grid(cfg, args)
 
-    rows = []
+    records = []
     for value in node["values"]:
         moved = _with_displacement(config, label, axis, value)
-        row = [value]
+        record = {"displacement": value}
         if quantity in ("energy", "both"):
-            row.append(_energy(moved, tol, l_max).value)
+            record["energy"] = _energy(moved, tol, grid["l_max"]).value
         if quantity in ("force", "both"):
-            f = force_on(
-                moved, label, l_max=l_max, n_nodes=cfg.get("n_nodes", 32)
-            )
-            row.append(f[axis])
-        rows.append(row)
-    header = ["displacement"]
-    if quantity in ("energy", "both"):
-        header.append("energy")
-    if quantity in ("force", "both"):
-        header.append("force_axis")
-    return header, rows
+            record["force_axis"] = force_on(moved, label, **grid)[axis]
+        records.append(record)
+    return records
 
 
 def _cmd_plates(cfg, args):
     node = cfg.get("plates")
     if node is None:
         raise ValidationError("the 'plates' subcommand requires a 'plates' section")
-    medium = _build_medium(cfg)
-
-    def half_space(sub):
-        mu = _build_model(sub["mu"]) if "mu" in sub else DispersionModel.constant(1.0)
-        return (_build_model(sub["eps"]), mu)
-
+    mat1, mat2 = (
+        (_build_model(node[key]["eps"]), _model_or_one(node[key], "mu"))
+        for key in ("material1", "material2")
+    )
     tau = node.get("tau", 0.0)
     value = lifshitz_plates(
-        half_space(node["material1"]),
-        half_space(node["material2"]),
-        medium,
-        node["gap"],
-        tau=tau,
-        tol=_tol(cfg, args, 1e-8),
+        mat1, mat2, _build_medium(cfg), node["gap"], tau=tau, tol=_tol(cfg, args, 1e-8)
     )
-    return ["gap", "tau", "energy_per_area"], [[node["gap"], tau, value]]
+    return [{"gap": node["gap"], "tau": tau, "energy_per_area": value}]
 
 
 def _cmd_mc(cfg, args):
@@ -471,25 +441,17 @@ def _cmd_mc(cfg, args):
         burn_in=node.get("burn_in"),
     )
     est = cl.laplacian_F_estimator(config, node["label"], stream)
-    header = [
-        "label",
-        "mean",
-        "stderr",
-        "n_samples",
-        "autocorrelation_time",
-        "acceptance_rate",
-        "seed",
+    return [
+        {
+            "label": node["label"],
+            "mean": est.mean,
+            "stderr": est.stderr,
+            "n_samples": est.n_samples,
+            "autocorrelation_time": est.autocorrelation_time,
+            "acceptance_rate": stream.acceptance_rate,
+            "seed": seed,
+        }
     ]
-    row = [
-        node["label"],
-        est.mean,
-        est.stderr,
-        est.n_samples,
-        est.autocorrelation_time,
-        stream.acceptance_rate,
-        seed,
-    ]
-    return header, [row]
 
 
 _COMMANDS = {
@@ -585,10 +547,13 @@ def run(argv):
     try:
         _validate_flags(args)
         cfg = _load_config(args.config)
-        header, rows = _COMMANDS[args.subcommand](cfg, args)
+        records = _COMMANDS[args.subcommand](cfg, args)
         path = args.output if args.output is not None else cfg.get("output")
         emit_csv(
-            header, rows, path, length_unit=cfg.get("length_unit", "1 (hbar = c = 1)")
+            list(records[0]),
+            [list(record.values()) for record in records],
+            path,
+            length_unit=cfg.get("length_unit", _DEFAULT_LENGTH_UNIT),
         )
     except ValidationError as exc:
         _diagnostic("validation", exc)

@@ -198,6 +198,36 @@ def test_energy_T0_order_budget_reports_last_evaluated_order(monkeypatch):
     assert partial.value == pytest.approx(-17.0 / (2.0 * math.pi))
 
 
+def test_energy_T0_node_budget_stops_at_1536(monkeypatch):
+    # an oscillating integrand never node-converges: every grid from 24 to
+    # 1536 nodes is evaluated, none finer, and the partial is the 1536-node
+    # result with the change from 768 nodes as its estimate
+    from casimir_stability import ConvergenceBudgetError, casimir
+
+    calls = []
+
+    def integrand(config, kappa, l_max):
+        calls.append(kappa)
+        return -abs(math.sin(1000.0 * kappa)) * math.exp(-kappa)
+
+    monkeypatch.setattr(casimir, "log_det_integrand", integrand)
+    cfg = pec_pair(4.0)
+    with pytest.raises(ConvergenceBudgetError, match="node budget") as info:
+        energy_T0(cfg, tol=1e-12, l_max=2)
+    assert len(calls) == sum(24 * 2**k for k in range(7))
+    partial = info.value.partial
+
+    def quad(n):
+        kappas, weights = casimir._quad_nodes(n, 1.0 / cfg.min_gap())
+        vals = -np.abs(np.sin(1000.0 * kappas)) * np.exp(-kappas)
+        return float(np.dot(weights, vals)) / (2.0 * math.pi)
+
+    assert partial.node_count == len(partial.samples) == 1536
+    assert partial.value == pytest.approx(quad(1536), rel=1e-12)
+    change = abs(quad(1536) - quad(768)) / abs(quad(1536))
+    assert partial.est_rel_error == pytest.approx(change, rel=1e-9)
+
+
 @pytest.mark.parametrize("tau", [0.0, 1.0])
 def test_order_convergence_reports_the_lower_order(monkeypatch, tau):
     # value ~ 1 + 2^-L: orders 8 and 16 agree to 1e-2, so order 8 is
@@ -233,6 +263,40 @@ def test_order_convergence_reports_the_lower_order(monkeypatch, tau):
         r = abs(terms[-1] / terms[-2])
         grid = abs(terms[-1]) * r / (1.0 - r) / abs(terms.sum())
     assert res.est_rel_error == pytest.approx(max(order_change, grid), rel=1e-6)
+
+
+PLATES = (PEC_PAIR, PEC_PAIR, Medium(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pec_pair(4.0, tau=math.nan),
+        lambda: pec_pair(4.0, tau=math.inf),
+        lambda: lifshitz_plates(*PLATES, tau=-0.1),
+        lambda: lifshitz_plates(*PLATES, tau=math.nan),
+        lambda: lifshitz_plates(*PLATES, tau=math.inf),
+        lambda: lifshitz_plates(PEC_PAIR, PEC_PAIR, Medium(), 0.0),
+        lambda: lifshitz_plates(PEC_PAIR, PEC_PAIR, Medium(), math.nan),
+        lambda: lifshitz_plates(PEC_PAIR, PEC_PAIR, Medium(), math.inf),
+        lambda: lifshitz_plates(*PLATES, tol=-1.0),
+        lambda: lifshitz_plates(*PLATES, tol=0.0),
+        lambda: lifshitz_plates(*PLATES, tol=math.nan),
+        lambda: energy_T0(pec_pair(4.0), tol=-1.0, l_max=2),
+        lambda: energy_T0(pec_pair(4.0), tol=math.inf, l_max=2),
+        lambda: free_energy_T(pec_pair(4.0, tau=0.5), tol=-1.0, l_max=2),
+        lambda: free_energy_T(pec_pair(4.0, tau=0.5), tol=math.nan, l_max=2),
+    ],
+    ids=[
+        "config_tau_nan", "config_tau_inf", "plates_tau_neg", "plates_tau_nan",
+        "plates_tau_inf", "plates_gap_0", "plates_gap_nan", "plates_gap_inf",
+        "plates_tol_neg", "plates_tol_0", "plates_tol_nan", "T0_tol_neg",
+        "T0_tol_inf", "T_tol_neg", "T_tol_nan",
+    ],
+)
+def test_out_of_range_tau_gap_and_tol_are_rejected_up_front(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_default_l_max_scales_with_geometry():

@@ -184,11 +184,33 @@ def test_free_energy_pair_kernel_memory_is_bounded():
     cfg = tethered_toy()
     tracemalloc.start()
     try:
-        free_energy_quadrature(cfg, (0, 0, 0), tol=math.inf, max_n=8)
+        free_energy_quadrature(cfg, (0, 0, 0), tol=math.inf, max_n=16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100e6
+
+
+def test_free_energy_quadrature_evaluates_no_more_than_max_n(monkeypatch):
+    # tol = 0 never stabilizes: 8 and 16 nodes per axis are evaluated, and
+    # the budget of 16 raises without a 32-node evaluation
+    from casimir_stability import ConvergenceBudgetError, classical
+
+    counts = []
+    shape_nodes = classical._shape_nodes
+
+    def recording(container, n):
+        counts.append(n)
+        return shape_nodes(container, n)
+
+    monkeypatch.setattr(classical, "_shape_nodes", recording)
+    tethered = [(1.0, ("harmonic", 5.0, (0, 0, 0)))]
+    a = Container("a", "sphere", (0, 0, 0), 0.3, mobile_charges=tethered)
+    b = Container("b", "sphere", (0, 0, 1.2), 0.3, fixed_charges=[(-1.0, (0, 0, 0))])
+    cfg = ClassicalConfig((a, b), 1.0, 2.0)
+    with pytest.raises(ConvergenceBudgetError):
+        free_energy_quadrature(cfg, (0, 0, 0), tol=0.0, max_n=16)
+    assert counts == [8, 16]
 
 
 def test_free_energy_rejects_reachable_opposite_intra_charge():
@@ -218,7 +240,7 @@ def test_free_energy_rejects_reachable_opposite_intra_charge():
     outside = replace(a, fixed_charges=[(-0.5, (0, 0, 0.6))])
     for box in (replace(a, include_intra=False), outside):
         cfg = ClassicalConfig((box, b), 1.3, 1.5)
-        f = free_energy_quadrature(cfg, (0, 0, 0), tol=math.inf, max_n=8)
+        f = free_energy_quadrature(cfg, (0, 0, 0), tol=math.inf, max_n=16)
         assert math.isfinite(f)
 
 

@@ -354,7 +354,7 @@ def test_free_energy_quadrature_matches_reference(index):
     cfg = _subsets()[index]
     # tol = inf stops the node doubling at 16 points per axis
     for d in ((0.0, 0.0, 0.0), (-0.05, 0.02, 0.03)):
-        f = free_energy_quadrature(cfg, d, tol=math.inf, max_n=8)
+        f = free_energy_quadrature(cfg, d, tol=math.inf, max_n=16)
         ref = ref_free_energy(cfg, d, tol=math.inf, max_n=8)
         assert f == pytest.approx(ref, rel=1e-14, abs=1e-14)
 

@@ -1,0 +1,136 @@
+"""Golden CSV: every subcommand's output against committed reference files.
+
+Each case runs one subcommand through ``cli.run`` on a small fixed config and
+compares the CSV with ``tests/golden/<case>.csv``.  The comment line, the
+header, text and integer fields must match exactly; floats must agree to
+1e-12 relative (1e-300 absolute at zeros), so that a different BLAS does not
+trip the comparison.
+
+Rewrite the golden files (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden_csv.py
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+from casimir_stability.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+PEC = {"type": "pec"}
+PAIR = {
+    "objects": [
+        {"label": "a", "center": [0, 0, 0], "radius": 1.0, "eps": PEC},
+        {"label": "b", "center": [0, 0, 4.0], "radius": 1.0, "eps": PEC},
+    ],
+    "l_max": 3,
+    "n_nodes": 8,
+}
+# a dielectric medium, an explicit object mu and an explicit plate mu
+MIXED = {
+    "length_unit": "1 um",
+    "medium": {"eps": {"type": "constant", "value": 2.0}},
+    "objects": [
+        {"label": "a", "center": [0, 0, 0], "radius": 1.0,
+         "eps": {"type": "constant", "value": 6.0},
+         "mu": {"type": "constant", "value": 1.5}},
+        {"label": "b", "center": [0.4, 0.3, 3.6], "radius": 0.8, "eps": PEC},
+        {"label": "c", "center": [2.9, 0.0, 1.8], "radius": 0.5,
+         "eps": {"type": "drude", "omega_p": 4.0, "gamma": 0.2}},
+    ],
+    "l_max": 2,
+    "n_nodes": 8,
+    "stability": {"object": "a", "h": 0.05},
+    "plates": {
+        "material1": {"eps": {"type": "constant", "value": 3.0},
+                      "mu": {"type": "constant", "value": 2.0}},
+        "material2": {"eps": PEC},
+        "gap": 1.0,
+    },
+}
+CLASSICAL = {
+    "classical": {
+        "label": "a",
+        "beta": 2.0,
+        "steps": 2000,
+        "step_size": 0.25,
+        "containers": [
+            {"label": label, "shape": "sphere", "center": [0, 0, z], "size": 0.3,
+             "mobile_charges": [{"charge": q, "tether": {"k": 5.0}}]}
+            for label, z, q in (("a", 0.0, 1.0), ("b", 1.2, -1.0))
+        ],
+    }
+}
+
+CASES = {
+    "classify": ("classify", MIXED, ()),
+    "energy_T0": ("energy", PAIR, ()),
+    "energy_tau": ("energy", dict(PAIR, tau=0.5), ()),
+    "force": ("force", PAIR, ()),
+    "stability": ("stability", MIXED, ()),
+    "sweep": (
+        "sweep",
+        dict(PAIR, l_max=2, sweep={"object": "b", "axis": 2, "values": [0.0, 0.5],
+                                   "quantity": "both"}),
+        (),
+    ),
+    "plates": ("plates", MIXED, ("--tol", "1e-6")),
+    "plates_tau": (
+        "plates",
+        {"plates": {"material1": {"eps": PEC}, "material2": {"eps": PEC},
+                    "gap": 1.0, "tau": 2.0}},
+        (),
+    ),
+    "mc": ("mc", CLASSICAL, ("--seed", "1")),
+}
+
+
+def _output(name, tmp_dir):
+    command, cfg, args = CASES[name]
+    cfg_path = Path(tmp_dir) / f"{name}.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    out_path = Path(tmp_dir) / f"{name}.csv"
+    code = run([command, str(cfg_path), *args, "--output", str(out_path)])
+    assert code == 0
+    return out_path.read_text(encoding="utf-8")
+
+
+def _field_matches(want, got):
+    for kind in (int, float):
+        try:
+            w, g = kind(want), kind(got)
+        except ValueError:
+            continue
+        if kind is int:
+            return w == g
+        return math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-300)
+    return want == got
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_matches_golden(name, tmp_path):
+    want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").split("\n")
+    got = _output(name, tmp_path).split("\n")
+    # comment line and header exactly, then every field
+    assert got[:2] == want[:2]
+    assert len(got) == len(want)
+    for want_line, got_line in zip(want[2:], got[2:]):
+        want_fields, got_fields = want_line.split(","), got_line.split(",")
+        assert len(got_fields) == len(want_fields), got_line
+        for w, g in zip(want_fields, got_fields):
+            assert _field_matches(w, g), f"{name}: {g!r} != {w!r}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN / f"{case}.csv").write_text(_output(case, tmp), encoding="utf-8")
+            print(f"wrote {GOLDEN / case}.csv", file=sys.stderr)

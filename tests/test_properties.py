@@ -1,9 +1,12 @@
 """Property tests of invariants the physics guarantees."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from casimir_stability import Configuration, Medium, force, log_det_integrand
 from conftest import dielectric_sphere, pec_sphere
@@ -42,11 +45,15 @@ def test_newtons_third_law_for_a_pair(gap, r_a, r_b, theta, phi):
     shift=st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
     order=st.permutations(range(3)),
     kappa=st.floats(0.05, 5.0),
+    rotvec=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+    offset=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
 )
-def test_integrand_invariant_under_reordering(shift, order, kappa):
+def test_integrand_invariant_under_reordering(shift, order, kappa, rotvec, offset):
     # each pair is translated once, in the direction the ordering gives, and
     # its other block is the reciprocal image; with three bodies a wrong
-    # image changes ln det(I - N) when the ordering changes
+    # image changes ln det(I - N) when the ordering changes.  A rigid motion
+    # of the reordered bodies must not change it either, and with mu = 2 on
+    # the dielectric sphere both polarizations mix in every translation
     centers = [
         np.zeros(3),
         np.array([0.3, 2.6, 0.8]) + shift[:3],
@@ -55,9 +62,12 @@ def test_integrand_invariant_under_reordering(shift, order, kappa):
     objs = [
         pec_sphere(centers[0], 1.0, "a"),
         pec_sphere(centers[1], 0.6, "b"),
-        dielectric_sphere(centers[2], 0.8, 4.0, "c"),
+        dielectric_sphere(centers[2], 0.8, 4.0, "c", mu_value=2.0),
     ]
     ref = log_det_integrand(Configuration(tuple(objs), Medium(), 0.0), kappa, 3)
-    permuted = tuple(objs[i] for i in order)
-    got = log_det_integrand(Configuration(permuted, Medium(), 0.0), kappa, 3)
+    rotation = Rotation.from_rotvec(rotvec).as_matrix()
+    moved = tuple(
+        replace(objs[i], center=rotation @ centers[i] + offset) for i in order
+    )
+    got = log_det_integrand(Configuration(moved, Medium(), 0.0), kappa, 3)
     assert got == pytest.approx(ref, rel=1e-9)
