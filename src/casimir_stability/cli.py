@@ -48,27 +48,56 @@ __all__ = ["main", "run", "emit_csv"]
 # length unit of the CSV comment line when the config names none
 _DEFAULT_LENGTH_UNIT = "1 (hbar = c = 1)"
 
-_MODEL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["type"],
-    "properties": {
-        "type": {"enum": ["constant", "plasma", "drude", "lorentz", "pec"]},
-        "value": {"type": "number", "exclusiveMinimum": 0},
-        "omega_p": {"type": "number", "exclusiveMinimum": 0},
-        "gamma": {"type": "number", "minimum": 0},
-        "oscillators": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
+# the parameters each dispersion model type requires
+_MODEL_PARAMETERS = {
+    "constant": ["value"],
+    "plasma": ["omega_p"],
+    "drude": ["omega_p", "gamma"],
+    "lorentz": ["oscillators"],
+    "pec": [],
+}
+
+
+def _model_schema(types):
+    """A dispersion model of one of ``types``, with that type's parameters."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["type"],
+        "properties": {
+            "type": {"enum": types},
+            "value": {"type": "number", "exclusiveMinimum": 0},
+            "omega_p": {"type": "number", "exclusiveMinimum": 0},
+            "gamma": {"type": "number", "exclusiveMinimum": 0},
+            # (f, omega, g): strength, resonance and damping; with f >= 0,
+            # omega > 0 and g >= 0 every term is >= 0, so eps(i kappa) >= 1
+            "oscillators": {
                 "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": {"type": "number"},
+                "minItems": 1,
+                "items": {
+                    "type": "array",
+                    "minItems": 3,
+                    "maxItems": 3,
+                    "prefixItems": [
+                        {"type": "number", "minimum": 0},
+                        {"type": "number", "exclusiveMinimum": 0},
+                        {"type": "number", "minimum": 0},
+                    ],
+                },
             },
         },
-    },
-}
+        "allOf": [
+            {"if": {"properties": {"type": {"const": kind}}}, "then": {"required": params}}
+            for kind, params in _MODEL_PARAMETERS.items()
+            if params
+        ],
+    }
+
+
+# a perfect conductor is the eps of an object or a plate only: no medium and
+# no mu has an infinite response
+_MODEL_SCHEMA = _model_schema(list(_MODEL_PARAMETERS))
+_FINITE_MODEL_SCHEMA = _model_schema([t for t in _MODEL_PARAMETERS if t != "pec"])
 
 _VEC3 = {
     "type": "array",
@@ -77,11 +106,11 @@ _VEC3 = {
     "items": {"type": "number"},
 }
 
-# the eps and mu of a medium or a half-space; absent means the constant 1
-_RESPONSE_SCHEMA = {
+# the eps and mu of a medium; absent means the constant 1
+_MEDIUM_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
-    "properties": {"eps": _MODEL_SCHEMA, "mu": _MODEL_SCHEMA},
+    "properties": {"eps": _FINITE_MODEL_SCHEMA, "mu": _FINITE_MODEL_SCHEMA},
 }
 
 _OBJECT_SCHEMA = {
@@ -93,7 +122,7 @@ _OBJECT_SCHEMA = {
         "center": _VEC3,
         "radius": {"type": "number", "exclusiveMinimum": 0},
         "eps": _MODEL_SCHEMA,
-        "mu": _MODEL_SCHEMA,
+        "mu": _FINITE_MODEL_SCHEMA,
     },
 }
 
@@ -130,14 +159,20 @@ _CONTAINER_SCHEMA = {
     },
 }
 
-_HALF_SPACE_SCHEMA = dict(_RESPONSE_SCHEMA, required=["eps"])
+# the eps and mu of a plate; absent mu means the constant 1
+_HALF_SPACE_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["eps"],
+    "properties": {"eps": _MODEL_SCHEMA, "mu": _FINITE_MODEL_SCHEMA},
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
         "length_unit": {"type": "string"},
-        "medium": _RESPONSE_SCHEMA,
+        "medium": _MEDIUM_SCHEMA,
         "tau": {"type": "number", "minimum": 0},
         "objects": {"type": "array", "minItems": 1, "items": _OBJECT_SCHEMA},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},

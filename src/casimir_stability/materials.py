@@ -60,7 +60,13 @@ class DispersionModel:
 
     @classmethod
     def lorentz(cls, oscillators):
-        return cls("lorentz", oscillators=tuple(tuple(map(float, o)) for o in oscillators))
+        oscillators = tuple(tuple(map(float, o)) for o in oscillators)
+        for f, w, g in oscillators:
+            if not (f >= 0.0 and w > 0.0 and g >= 0.0):
+                raise ValueError(
+                    "lorentz oscillators need strength >= 0, resonance > 0 and damping >= 0"
+                )
+        return cls("lorentz", oscillators=oscillators)
 
     @classmethod
     def perfect_conductor(cls):

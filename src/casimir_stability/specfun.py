@@ -1,4 +1,4 @@
-"""Modified spherical Bessel functions and Wigner 3j coefficients.
+"""Modified spherical Bessel functions and Wigner 3j symbols.
 
 Normalization (used everywhere in this package)
 -----------------------------------------------
@@ -19,10 +19,22 @@ Both families satisfy the recurrences
 All values are computed from all-positive-term series, so they are stable for
 large order and argument; log-space variants are provided for use where the
 plain values would over- or underflow.
+
+Wigner 3j symbols
+-----------------
+:func:`wigner3j_rows` returns (j1 j2 j; m1 m2 -m1-m2) for every allowed j of
+whole arrays of (j1, j2, m1, m2) rows, from the three-term recursion in j of
+Schulten & Gordon (J. Math. Phys. 16, 1961, 1975), run forward and backward
+and joined inside the classically allowed range, then normalized by
+sum_j (2j+1) f^2 = 1 in extended precision (see Luscombe & Luban, Phys. Rev.
+E 57, 7274, 1998).  It agrees with exact rational values to a few 1e-16 up
+to j1, j2 = 20.  Exact zeros are returned as exactly 0 at every order: a
+symbol far below its neighbours is tested with the same recursion in
+integers.  :func:`wigner3j` is its scalar view with the usual selection
+rules.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +46,7 @@ __all__ = [
     "log_bessel_i_array",
     "log_bessel_k_array",
     "wigner3j",
+    "wigner3j_rows",
 ]
 
 # exp() overflows just above this; used to decide when to hand back the
@@ -163,53 +176,159 @@ def mod_sph_bessel_k(l, x):
 # ---------------------------------------------------------------------------
 # Wigner 3j
 
+# a symbol below this fraction of a neighbour in j is tested for an exact
+# zero: on every row with j1, j2 <= 26 the residue of an exact zero stays
+# under 1e-14 of its larger neighbour and a nonzero symbol above 5e-6 of it
+_ZERO_SCREEN = 1e-10
 
-@lru_cache(maxsize=200000)
-def _wigner3j_exact(l1, l2, l3, m1, m2, m3):
-    """(sign, log of |3j|) computed in exact rational arithmetic.
 
-    The alternating Racah sum is evaluated with Fractions, which removes the
-    catastrophic cancellation of floating-point evaluation; only the final
-    square root and exp are inexact.
+def _exact_zeros(j1, j2, m1, m2):
+    """Offsets k (j = jmin + k) at which (j1 j2 j; m1 m2 -m1-m2) is exactly 0.
+
+    The backward recursion of :func:`wigner3j_rows` in integers:
+    H(j1 + j2) = 1 and H(j - 1) = -B(j) H(j) - j (j + 2) A(j + 1)^2 H(j + 1)
+    give the symbol at j as H(j) times a factor that does not vanish.
     """
-    f = math.factorial
-    # triangle prefactor, exact rational
-    pre = Fraction(
-        f(l1 + l2 - l3) * f(l1 - l2 + l3) * f(-l1 + l2 + l3), f(l1 + l2 + l3 + 1)
+    m3 = -(m1 + m2)
+    jmin, jmax = max(abs(j1 - j2), abs(m3)), j1 + j2
+    c = (j1 * (j1 + 1) - j2 * (j2 + 1)) * m3
+    h, h_up, zeros = 1, 0, []
+    for j in range(jmax, jmin, -1):
+        jj = (j + 1) ** 2
+        a2 = (jj - (j1 - j2) ** 2) * ((jmax + 1) ** 2 - jj) * (jj - m3 * m3)
+        b = (2 * j + 1) * (j * (j + 1) * (m2 - m1) - c)
+        h, h_up = -b * h - j * (j + 2) * a2 * h_up, h
+        if h == 0:
+            zeros.append(j - 1 - jmin)
+    return zeros
+
+
+def wigner3j_rows(j1, j2, m1, m2):
+    """(j1 j2 j; m1 m2 -m1-m2) for every j = jmin..j1+j2, one row per input.
+
+    Parameters
+    ----------
+    j1, j2, m1, m2 : integers or integer arrays, broadcast together and
+        flattened into rows, with |m1| <= j1 and |m2| <= j2
+
+    Returns
+    -------
+    jmin : int array, max(|j1 - j2|, |m1 + m2|) of each row
+    f : ndarray, shape (rows, width); ``f[r, k]`` is the symbol at
+        j = jmin[r] + k, and 0 past j1 + j2
+
+    The three-term recursion of Schulten & Gordon (J. Math. Phys. 16, 1961,
+    1975) in j,
+
+        j A(j+1) f(j+1) + B(j) f(j) + (j+1) A(j) f(j-1) = 0,
+        A(j) = sqrt((j^2 - (j1-j2)^2) ((j1+j2+1)^2 - j^2) (j^2 - m3^2)),
+        B(j) = (2j+1) [j(j+1)(m2 - m1) - (j1(j1+1) - j2(j2+1)) m3],
+
+    is run forward from jmin and backward from j1 + j2, each starting from 1.
+    Each sweep is stable from its own end through the classically allowed
+    range, so the two are joined where the forward |f| first stops growing:
+    forward values up to that point, the rescaled backward ones above it.
+    Rows with jmin = 0 (j1 = j2, m3 = 0), where the forward step divides by
+    zero, take the backward sweep throughout.  The row is normalized to
+    sum_j (2j+1) f^2 = 1, in long double precision, with the sign of
+    (-1)^(j1-j2-m3) at j = j1 + j2.
+
+    Exact zeros come out as exactly 0.  Rows with B = 0 (m1 = m2 = 0, or
+    j1 = j2 and m1 = m2) alternate between zeros, which both sweeps leave at
+    0, and nonzero symbols.  Any other zero lies between nonzero neighbours
+    and leaves a rounding residue far below them; a symbol under 1e-10 of a
+    neighbour is tested with the recursion in integers (:func:`_exact_zeros`)
+    and set to 0 only if it vanishes exactly.
+    """
+    j1, j2, m1, m2 = (
+        np.ravel(v)
+        for v in np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (j1, j2, m1, m2)))
     )
-    pre *= (
-        f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2) * f(l3 - m3) * f(l3 + m3)
-    )
-    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    s = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        denom = (
-            f(t)
-            * f(l3 - l2 + m1 + t)
-            * f(l3 - l1 - m2 + t)
-            * f(l1 + l2 - l3 - t)
-            * f(l1 - m1 - t)
-            * f(l2 + m2 - t)
-        )
-        s += Fraction((-1) ** t, denom)
-    if s == 0:
-        return 0, -math.inf
-    phase = (-1) ** (l1 - l2 - m3)
-    sign = phase * (1 if s > 0 else -1)
-    log_abs = (
-        0.5 * (math.log(pre.numerator) - math.log(pre.denominator))
-        + math.log(abs(s.numerator))
-        - math.log(s.denominator)
-    )
-    return sign, log_abs
+    m3 = -(m1 + m2)
+    jmin = np.maximum(np.abs(j1 - j2), np.abs(m3))
+    n = j1 + j2 - jmin + 1
+    # rows by decreasing length, so that the rows a sweep still runs at step
+    # k are a prefix: alive[k] rows have n > k
+    order = np.argsort(-n, kind="stable")
+    j1, j2, m1, m2, m3, n, j_lo = (v[order] for v in (j1, j2, m1, m2, m3, n, jmin))
+    width = int(n[0])
+    alive = np.searchsorted(-n, -np.arange(width + 1), side="left")
+    d2, s2, q2 = (v.astype(float) for v in ((j1 - j2) ** 2, (j1 + j2 + 1) ** 2, m3 * m3))
+    c = ((j1 * (j1 + 1) - j2 * (j2 + 1)) * m3).astype(float)
+    dm = (m2 - m1).astype(float)
+
+    def a_of(j):
+        # the integer factors and their product are exact in floats
+        jj, r = j * j, j.size
+        return np.sqrt(np.maximum((jj - d2[:r]) * (s2[:r] - jj) * (jj - q2[:r]), 0.0))
+
+    def b_of(j):
+        return (2.0 * j + 1.0) * (j * (j + 1.0) * dm[: j.size] - c[: j.size])
+
+    rows = np.arange(j1.size)
+    k = np.arange(width)[:, None]
+    # f[k] holds j = j_lo + k; row `width` takes backward values not kept
+    f = np.zeros((width + 1, j1.size))
+    f[0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # forward from jmin; the rows with jmin = 0 divide by zero here and
+        # take the backward sweep throughout
+        j = j_lo.astype(float)
+        prev, a_j, a_up = np.zeros(j1.size), a_of(j), a_of(j + 1.0)
+        for step in range(width - 1):
+            r = alive[step + 1]
+            j, prev, a_j, a_up = j[:r], prev[:r], a_j[:r], a_up[:r]
+            f[step + 1, :r] = -(b_of(j) * f[step, :r] + (j + 1.0) * a_j * prev) / (j * a_up)
+            prev = f[step, :r]
+            j = j + 1.0
+            a_j, a_up = a_up, a_of(j + 1.0)
+        mag = np.abs(f[:width])
+        stop = k == n - 1
+        stop[:-1] |= mag[1:] < mag[:-1]
+        join = np.where(j_lo == 0, 0, stop.argmax(axis=0))
+
+        # backward from j1 + j2, kept above the join and matched at it
+        j = (j1 + j2).astype(float)
+        cur, prev, a_j, a_up = np.ones(j1.size), np.zeros(j1.size), a_of(j), np.zeros(j1.size)
+        f[np.where(n - 1 > join, n - 1, width), rows] = 1.0
+        at_join = np.where(join == n - 1, 1.0, 0.0)
+        for step in range(width - 1):
+            r = alive[step + 1]
+            j, cur, prev, a_j, a_up = j[:r], cur[:r], prev[:r], a_j[:r], a_up[:r]
+            cur, prev = -(b_of(j) * cur + j * a_up * prev) / ((j + 1.0) * a_j), cur
+            col = n[:r] - 2 - step
+            f[np.where(col > join[:r], col, width), rows[:r]] = cur
+            at_join[:r] = np.where(col == join[:r], cur, at_join[:r])
+            j = j - 1.0
+            a_j, a_up = a_of(j), a_j
+        f = f[:width]
+        f *= np.where(k > join, f[join, rows] / at_join, 1.0)
+    # sum_j (2j+1) f^2 with j = j_lo + k, and the scaling, in long doubles:
+    # with the norm summed in doubles, even (1 1 2; 0 0 0) = sqrt(2/15) came
+    # out 1.5 ulps off
+    norm = np.zeros(j1.size, np.longdouble)
+    for kk, r in enumerate(alive[:width]):
+        norm[:r] += (2.0 * (j_lo[:r] + kk) + 1.0) * np.square(f[kk, :r], dtype=np.longdouble)
+    scale = np.where((j1 - j2 - m3) % 2 == 0, 1.0, -1.0) * np.sign(f[n - 1, rows]) / np.sqrt(norm)
+    for kk, r in enumerate(alive[:width]):
+        f[kk, :r] = f[kk, :r] * scale[:r]
+    # the small symbols of a row, then those small against a neighbour
+    mag = np.abs(f)
+    kc, rc = np.nonzero((mag < _ZERO_SCREEN * mag.max(axis=0)) & (mag > 0.0))
+    near = np.maximum(mag[np.maximum(kc - 1, 0), rc], mag[np.minimum(kc + 1, width - 1), rc])
+    for r in np.unique(rc[mag[kc, rc] < _ZERO_SCREEN * near]):
+        f[_exact_zeros(*(int(v[r]) for v in (j1, j2, m1, m2))), r] = 0.0
+    out = np.empty((j1.size, width))
+    out[order] = f.T
+    return jmin, out
 
 
 def wigner3j(l1, l2, l3, m1, m2, m3):
     """Wigner 3j symbol (l1 l2 l3; m1 m2 m3) for integer arguments.
 
     Selection rules (m1+m2+m3 = 0, triangle inequality, |m_i| <= l_i with
-    the last enforced as a precondition) return exactly 0.
+    the last enforced as a precondition) return exactly 0.  A scalar view of
+    :func:`wigner3j_rows`.
     """
     for l, m in ((l1, m1), (l2, m2), (l3, m3)):
         if abs(m) > l:
@@ -218,7 +337,5 @@ def wigner3j(l1, l2, l3, m1, m2, m3):
         return 0.0
     if l3 < abs(l1 - l2) or l3 > l1 + l2:
         return 0.0
-    sign, log_abs = _wigner3j_exact(l1, l2, l3, m1, m2, m3)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(log_abs)
+    jmin, f = wigner3j_rows(l1, l2, m1, m2)
+    return float(f[0, l3 - jmin[0]])

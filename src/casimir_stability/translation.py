@@ -34,11 +34,16 @@ Everything that depends on neither kappa nor the direction of ``d`` is
 computed once per (l_max, spin) into one flat table: for every term of every
 entry, the entry it adds to, its (block, lambda) scale slot, its (lambda, mu)
 harmonic slot and its coefficient, together with the real-basis change and
-the index permutations of the electric/magnetic sector layout.  A build is
-then whole-array work: one ``sph_harm_y`` call over all (lambda, mu), the
-block exponents as one gather, one real weighted bincount over the terms,
-U A U^dagger with U block-diagonal over the whole sector, and one gather
-into the sector layout.
+the index permutations of the electric/magnetic sector layout.  The table is
+itself whole-array work: every (l, l', m, m') of a sector pair is enumerated
+at once, one :func:`~casimir_stability.specfun.wigner3j_rows` call gives
+(l l' lambda; m -m' mu) for all of them and every lambda (the three-term
+recursion in lambda), a second gives the (l l' lambda; 0 0 0) of every
+block, and the parity of l + l' + lambda assigns each nonzero symbol its
+polarization kind.  A build is then whole-array work as well: one
+``sph_harm_y`` call over all (lambda, mu), the block exponents as one
+gather, one real weighted bincount over the terms, U A U^dagger with U
+block-diagonal over the whole sector, and one gather into the sector layout.
 
 Reciprocity
 -----------
@@ -55,7 +60,9 @@ import numpy as np
 from scipy.special import sph_harm_y
 
 from .errors import GeometryError, ToleranceError
-from .specfun import log_bessel_k_array, wigner3j
+from .specfun import log_bessel_k_array, wigner3j_rows
+# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
+from .specfun import wigner3j  # noqa: F401
 
 __all__ = [
     "TranslationMatrix",
@@ -143,43 +150,6 @@ def _real_basis(l):
 # translated waves (see the unit tests).
 
 
-def _lambda_terms(l, lp, m, mp, kind):
-    """List of (lam, coeff) for one matrix entry; coeff excludes k and Y."""
-    root = math.sqrt((2 * l + 1) * (2 * lp + 1) / (4.0 * math.pi))
-    phase = 4.0 * math.pi * (-1) ** (l + m)
-    mu = m - mp
-    out = []
-    parity = (l + lp) % 2 if kind != "cross" else (l + lp + 1) % 2
-    for lam in range(abs(l - lp), l + lp + 2):
-        if lam % 2 != parity or lam > l + lp + (1 if kind == "cross" else 0):
-            continue
-        if abs(mu) > lam:
-            continue
-        if kind == "cross":
-            if lam < 1 or not (abs(l - lp) <= lam - 1 <= l + lp):
-                continue
-            w0 = wigner3j(l, lp, lam - 1, 0, 0, 0)
-        else:
-            w0 = wigner3j(l, lp, lam, 0, 0, 0)
-        if w0 == 0.0:
-            continue
-        wm = wigner3j(l, lp, lam, m, -mp, -mu)
-        if wm == 0.0:
-            continue
-        coeff = phase * root * math.sqrt(2 * lam + 1) * w0 * wm
-        if kind == "same":
-            coeff *= (l * (l + 1) + lp * (lp + 1) - lam * (lam + 1)) / (
-                2.0 * math.sqrt(l * (l + 1) * lp * (lp + 1))
-            )
-        elif kind == "cross":
-            under = (lam**2 - (l - lp) ** 2) * ((l + lp + 1) ** 2 - lam**2)
-            coeff *= -math.sqrt(under) / (
-                2.0 * math.sqrt(l * (l + 1) * lp * (lp + 1))
-            )
-        out.append((lam, coeff))
-    return out
-
-
 @dataclass(frozen=True)
 class _Table:
     """Flat, kappa- and direction-independent build recipe for one (l_max, spin).
@@ -219,49 +189,77 @@ def _coeff_tables(l_max, spin):
     Kinds are (same,) for scalar and (same, cross) for vector waves.
     """
     l_min = 0 if spin == "scalar" else 1
-    kinds = ("scalar",) if spin == "scalar" else ("same", "cross")
+    n_kinds = 1 if spin == "scalar" else 2
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
-    ls = range(l_min, l_max + 1)
-    n_l = len(ls)
+    ls = np.arange(l_min, l_max + 1)
+    n_l = ls.size
     nb = sector_size(l_max, l_min)
-    l_offsets = np.array([l * l - l_min * l_min for l in ls])
-    top_lam = np.zeros(n_l * n_l, int)
-    slot_block, slot_lam = [], []
-    entry, slot, ylm, coeff = [], [], [], []
-    for l in ls:
-        for lp in ls:
-            block = (l - l_min) * n_l + (lp - l_min)
-            r0, c0 = l * l - l_min * l_min + l, lp * lp - l_min * l_min + lp
-            terms = [
-                ((ik * nb + r0 + m) * nb + c0 + mp, lam, lam * lam + lam + m - mp, c)
-                for m in range(-l, l + 1)
-                for mp in range(-lp, lp + 1)
-                for ik, kind in enumerate(kinds)
-                for lam, c in _lambda_terms(l, lp, m, mp, kind)
-            ]
-            lams = sorted({lam for _, lam, _, _ in terms})
-            pos = {lam: len(slot_lam) + j for j, lam in enumerate(lams)}
-            slot_block.extend([block] * len(lams))
-            slot_lam.extend(lams)
-            top_lam[block] = lams[-1]
-            for e, lam, y, c in terms:
-                entry.append(e)
-                slot.append(pos[lam])
-                ylm.append(y)
-                coeff.append(c)
+    l_offsets = ls * ls - l_min * l_min
+    sector_l = np.repeat(ls, 2 * ls + 1)
+    sector_m = np.arange(nb) - sector_l * sector_l + l_min * l_min - sector_l
+
+    # every (row p, column q) of one sector pair, in term order: (l, l')
+    # block, then m, then m'
+    p, q = np.divmod(np.arange(nb * nb), nb)
+    order = np.lexsort((q, p, sector_l[q], sector_l[p]))
+    p, q = p[order], q[order]
+    l, lp, m, mp = sector_l[p], sector_l[q], sector_m[p], sector_m[q]
+    block = (l - l_min) * n_l + lp - l_min
+
+    # (l l' lam; m -m' -mu) with the phase (-1)^(l+m), for every pair;
+    # (l l' lam; 0 0 0) vanishes only at odd l + l' + lam, so parity selects
+    # the kind of each nonzero symbol: same (or scalar) at even, cross at odd
+    lam0, wm = wigner3j_rows(l, lp, m, -mp)
+    wm[(l + m) % 2 == 1] *= -1.0
+    odd = ((l + lp + lam0) % 2 == 1)[:, None] ^ (np.arange(wm.shape[1]) % 2 == 1)
+    live = wm != 0.0
+    if spin == "scalar":
+        t, k = np.nonzero(live & ~odd)
+        kind = np.zeros_like(t)
+    else:
+        # in the order pair, kind, lambda
+        t, kind, k = np.nonzero(np.stack([live & ~odd, live & odd], axis=1))
+    lam = lam0[t] + k
+    block = block[t]
+
+    # the rest of a coefficient depends on (block, kind, lambda) only:
+    # 4 pi sqrt((2l+1)(2l'+1)(2lam+1)/4pi) (l l' lam; 0 0 0) and the kind's
+    # weight, the cross kind taking its (0 0 0) symbol at lambda - 1
+    b_l, b_lp = np.divmod(np.arange(n_l * n_l), n_l)
+    z_lam0, z = wigner3j_rows(b_l + l_min, b_lp + l_min, 0, 0)
+    w0 = np.zeros((n_l * n_l, l_top + 2))  # column lambda + 1 holds lambda
+    zb, zk = np.nonzero(z)
+    w0[zb, z_lam0[zb] + zk + 1] = z[zb, zk]
+    b_l, b_lp, lam_b = b_l[:, None] + l_min, b_lp[:, None] + l_min, np.arange(l_top + 1)
+    root = 4.0 * np.pi * np.sqrt((2 * b_l + 1) * (2 * b_lp + 1) * (2 * lam_b + 1) / (4.0 * np.pi))
+    factor = np.stack([root * w0[:, 1:], root * w0[:, :-1]], axis=1)
+    if spin == "vector":
+        norm = 2.0 * np.sqrt(b_l * (b_l + 1) * b_lp * (b_lp + 1))
+        factor[:, 0] *= (b_l * (b_l + 1) + b_lp * (b_lp + 1) - lam_b * (lam_b + 1)) / norm
+        under = (lam_b**2 - (b_l - b_lp) ** 2) * ((b_l + b_lp + 1) ** 2 - lam_b**2)
+        factor[:, 1] *= -np.sqrt(np.maximum(under, 0)) / norm
+    coeff = factor[block, kind, lam] * wm[t, k]
+    entry = kind * nb * nb + (p * nb + q)[t]
+
+    # the (block, lambda) scale slots: block-major, ascending in lambda
+    used = np.zeros((n_l * n_l, l_top + 1), bool)
+    used[block, lam] = True
+    slot_block, slot_lam = np.nonzero(used)
+    slot_of = np.cumsum(used).reshape(used.shape) - 1
+    top_lam = l_top - np.argmax(used[:, ::-1], axis=1)
+
     y_lam = np.repeat(np.arange(l_top + 1), 2 * np.arange(l_top + 1) + 1)
     y_mu = np.arange(y_lam.size) - y_lam * y_lam - y_lam
 
     u = np.zeros((nb, nb), complex)
     flip = np.zeros(nb, int)
-    for l, off in zip(ls, l_offsets):
+    for l, off in zip(range(l_min, l_max + 1), l_offsets):
         n = 2 * l + 1
         u[off : off + n, off : off + n] = _real_basis(l)
         flip[off : off + n] = off + np.arange(n)[::-1]
     u_diag = np.diagonal(u).copy()
     u_flip = np.where(flip != np.arange(nb), u[np.arange(nb), flip], 0.0)
-    blocks = np.repeat(np.arange(n_l), 2 * np.arange(l_min, l_max + 1) + 1)
-    entry_block = blocks[:, None] * n_l + blocks[None, :]
+    entry_block = (sector_l[:, None] - l_min) * n_l + sector_l[None, :] - l_min
     rows = np.arange(nb)[:, None] * nb
     cols = np.arange(nb)[None, :]
     if spin == "scalar":
@@ -277,20 +275,19 @@ def _coeff_tables(l_max, spin):
             [[rows + cols, nb * nb + rows + fcols], [2 * nb * nb + frows + cols, frows + fcols]]
         )
         entry_block = np.tile(entry_block, (2, 2))
-    entry = np.asarray(entry)
     return _Table(
-        n_kinds=len(kinds),
+        n_kinds=n_kinds,
         nb=nb,
         l_offsets=l_offsets,
         top_lam=top_lam,
-        slot_block=np.asarray(slot_block),
-        slot_lam=np.asarray(slot_lam),
+        slot_block=slot_block,
+        slot_lam=slot_lam,
         y_lam=y_lam,
         y_mu=y_mu,
         term_re_im=(2 * entry[:, None] + np.arange(2)).ravel(),
-        term_slot=np.asarray(slot),
-        term_y=np.asarray(ylm),
-        term_coeff=np.asarray(coeff),
+        term_slot=slot_of[block, lam],
+        term_y=lam * lam + lam + (m - mp)[t],
+        term_coeff=coeff,
         u_diag=u_diag,
         u_flip=u_flip,
         flip=flip,

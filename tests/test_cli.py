@@ -179,6 +179,69 @@ def test_out_of_bounds_input_is_a_validation_error(
     assert where in diagnostic["message"]
 
 
+def _with_models(eps_b=None, mu_b=None, medium=None):
+    """PAIR_CFG with sphere b's eps or mu, or the medium, replaced."""
+    b = dict(PAIR_CFG["objects"][1])
+    if eps_b is not None:
+        b["eps"] = eps_b
+    if mu_b is not None:
+        b["mu"] = mu_b
+    cfg = dict(PAIR_CFG, objects=[PAIR_CFG["objects"][0], b])
+    if medium is not None:
+        cfg["medium"] = medium
+    return cfg
+
+
+def _lorentz(*triple):
+    return {"type": "lorentz", "oscillators": [list(triple)]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, where",
+    [
+        ("energy", _with_models(eps_b={"type": "constant"}), "objects/1/eps"),
+        ("energy", _with_models(eps_b={"type": "plasma"}), "objects/1/eps"),
+        ("energy", _with_models(eps_b={"type": "drude", "gamma": 0.1}), "objects/1/eps"),
+        ("energy", _with_models(eps_b={"type": "drude", "omega_p": 3.0}), "objects/1/eps"),
+        (
+            "energy",
+            _with_models(eps_b={"type": "drude", "omega_p": 3.0, "gamma": 0}),
+            "objects/1/eps/gamma",
+        ),
+        ("energy", _with_models(eps_b={"type": "lorentz"}), "objects/1/eps"),
+        ("energy", _with_models(eps_b=_lorentz(-2.0, 1.0, 0.1)), "objects/1/eps/oscillators/0/0"),
+        ("energy", _with_models(eps_b=_lorentz(1.0, 0.0, 0.1)), "objects/1/eps/oscillators/0/1"),
+        ("energy", _with_models(eps_b=_lorentz(1.0, 1.0, -0.1)), "objects/1/eps/oscillators/0/2"),
+        ("energy", _with_models(medium={"eps": PEC["eps"]}), "medium/eps"),
+        (
+            "energy",
+            _with_models(eps_b={"type": "constant", "value": 4.0}, mu_b=PEC["eps"]),
+            "objects/1/mu",
+        ),
+        (
+            "plates",
+            {"plates": {"material1": PEC, "gap": 1.0, "material2": {
+                "eps": {"type": "constant", "value": 2.5}, "mu": PEC["eps"]}}},
+            "plates/material2/mu",
+        ),
+    ],
+    ids=["constant_no_value", "plasma_no_omega_p", "drude_no_omega_p", "drude_no_gamma",
+         "drude_gamma_0", "lorentz_no_oscillators", "lorentz_negative_strength",
+         "lorentz_zero_resonance", "lorentz_negative_damping", "pec_medium_eps",
+         "pec_object_mu", "pec_plate_mu"],
+)
+def test_unsupported_material_is_a_validation_error(tmp_path, capsys, command, cfg, where):
+    # every model carries its parameters, and eps(i kappa) and mu(i kappa)
+    # are finite and positive except the eps of an object or a plate
+    path = write_cfg(tmp_path, cfg)
+    code, out, err = run_cli([command, path], capsys)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert where in diagnostic["message"]
+
+
 def test_threads_flag_removed(tmp_path):
     path = write_cfg(tmp_path, PAIR_CFG)
     with pytest.raises(SystemExit) as info:

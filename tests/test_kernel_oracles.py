@@ -3,10 +3,14 @@
 The translation build and the Mie T-matrix evaluate every (l, l') block and
 every order l in whole-array numpy.  The references below keep the earlier
 per-block and per-order loops, so a change to the flat tables, the index
-permutations or the vectorized amplitudes shows up as a disagreement.
+permutations or the vectorized amplitudes shows up as a disagreement.  The
+reference coefficients come from Racah's sum for the 3j symbols in exact
+rational arithmetic, independent of the recursion the package uses.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,12 +18,12 @@ from scipy.special import sph_harm_y
 
 from casimir_stability import DispersionModel, Medium, SphereObject, mie_tmatrix
 from casimir_stability.materials import eval_epsilon, eval_mu
-from casimir_stability.specfun import log_bessel_i_array, log_bessel_k_array
+from casimir_stability.specfun import log_bessel_i_array, log_bessel_k_array, wigner3j_rows
 from casimir_stability.translation import (
     TranslationMatrix,
     _build,
+    _coeff_tables,
     _direction,
-    _lambda_terms,
     _real_basis,
     reverse_translation,
     sector_size,
@@ -35,6 +39,160 @@ def _directions():
     dirs = [np.array([0.0, 0.0, 2.5]), np.array([0.0, 0.0, -2.5])]
     dirs += [rng.standard_normal(3) * 2.0 for _ in range(2)]
     return dirs
+
+
+# --- exact 3j symbols and the per-entry coefficient lists ------------------
+
+
+@lru_cache(maxsize=None)
+def _wigner3j_exact(l1, l2, l3, m1, m2, m3):
+    """(l1 l2 l3; m1 m2 m3) from Racah's sum in exact rational arithmetic.
+
+    The alternating sum and the squared value are exact Fractions; only the
+    final square root rounds, so the result is within an ulp or two.
+    """
+    if m1 + m2 + m3 != 0 or not abs(l1 - l2) <= l3 <= l1 + l2:
+        return 0.0
+    f = math.factorial
+    pre = Fraction(
+        f(l1 + l2 - l3) * f(l1 - l2 + l3) * f(-l1 + l2 + l3), f(l1 + l2 + l3 + 1)
+    )
+    pre *= (
+        f(l1 - m1) * f(l1 + m1) * f(l2 - m2) * f(l2 + m2) * f(l3 - m3) * f(l3 + m3)
+    )
+    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
+    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
+    s = Fraction(0)
+    for t in range(t_min, t_max + 1):
+        denom = (
+            f(t)
+            * f(l3 - l2 + m1 + t)
+            * f(l3 - l1 - m2 + t)
+            * f(l1 + l2 - l3 - t)
+            * f(l1 - m1 - t)
+            * f(l2 + m2 - t)
+        )
+        s += Fraction((-1) ** t, denom)
+    if s == 0:
+        return 0.0
+    phase = (-1) ** (l1 - l2 - m3)
+    return phase * math.copysign(math.sqrt(pre * s * s), s)
+
+
+def _lambda_terms(l, lp, m, mp, kind):
+    """List of (lam, coeff) for one matrix entry; coeff excludes k and Y."""
+    root = math.sqrt((2 * l + 1) * (2 * lp + 1) / (4.0 * math.pi))
+    phase = 4.0 * math.pi * (-1) ** (l + m)
+    mu = m - mp
+    out = []
+    parity = (l + lp) % 2 if kind != "cross" else (l + lp + 1) % 2
+    for lam in range(abs(l - lp), l + lp + 2):
+        if lam % 2 != parity or lam > l + lp + (1 if kind == "cross" else 0):
+            continue
+        if abs(mu) > lam:
+            continue
+        if kind == "cross":
+            if lam < 1 or not (abs(l - lp) <= lam - 1 <= l + lp):
+                continue
+            w0 = _wigner3j_exact(l, lp, lam - 1, 0, 0, 0)
+        else:
+            w0 = _wigner3j_exact(l, lp, lam, 0, 0, 0)
+        if w0 == 0.0:
+            continue
+        wm = _wigner3j_exact(l, lp, lam, m, -mp, -mu)
+        if wm == 0.0:
+            continue
+        coeff = phase * root * math.sqrt(2 * lam + 1) * w0 * wm
+        if kind == "same":
+            coeff *= (l * (l + 1) + lp * (lp + 1) - lam * (lam + 1)) / (
+                2.0 * math.sqrt(l * (l + 1) * lp * (lp + 1))
+            )
+        elif kind == "cross":
+            under = (lam**2 - (l - lp) ** 2) * ((l + lp + 1) ** 2 - lam**2)
+            coeff *= -math.sqrt(under) / (
+                2.0 * math.sqrt(l * (l + 1) * lp * (lp + 1))
+            )
+        out.append((lam, coeff))
+    return out
+
+
+def test_wigner3j_rows_match_exact_racah_sums():
+    # every (l l' lam; m -m' mu) of an l_max = 6 table, exact zeros included
+    ls = range(7)
+    rows = np.array(
+        [(l, lp, m, -mp) for l in ls for lp in ls
+         for m in range(-l, l + 1) for mp in range(-lp, lp + 1)]
+    )
+    jmin, f = wigner3j_rows(*rows.T)
+    for (l1, l2, m1, m2), j0, got in zip(rows.tolist(), jmin.tolist(), f):
+        want = np.zeros_like(got)
+        for j in range(j0, l1 + l2 + 1):
+            want[j - j0] = _wigner3j_exact(l1, l2, j, m1, m2, -m1 - m2)
+        assert np.array_equal(got == 0.0, want == 0.0), (l1, l2, m1, m2)
+        assert np.max(np.abs(got - want)) <= 1e-15, (l1, l2, m1, m2)
+
+
+def test_wigner3j_rows_keep_small_symbols_and_exact_zeros_at_order_26():
+    # l = 26 is the largest order a default-order energy_T0 checks.  The
+    # stretched rows hold genuine symbols far below their row's largest
+    # ((26 26 52; 26 -26 0) is 6e-16 of it); each other row holds a zero
+    # that no parity rule explains.  A symbol must be 0 exactly when the
+    # exact sum vanishes, and every other one must keep its relative accuracy.
+    rows = [
+        (23, 23, 23, -23), (26, 26, 26, -26), (26, 25, 26, -25),
+        (26, 26, -11, 9), (26, 26, 4, 9), (26, 25, -17, -20), (26, 25, -8, 5),
+        (26, 25, 25, 5), (25, 26, 2, -1), (25, 25, -10, 20), (25, 25, 5, 0),
+        (24, 26, 15, 9), (24, 25, 3, 0),
+    ]
+    jmin, f = wigner3j_rows(*np.array(rows).T)
+    for (l1, l2, m1, m2), j0, got in zip(rows, jmin.tolist(), f):
+        want = np.zeros_like(got)
+        for j in range(j0, l1 + l2 + 1):
+            want[j - j0] = _wigner3j_exact(l1, l2, j, m1, m2, -m1 - m2)
+        assert np.array_equal(got == 0.0, want == 0.0), (l1, l2, m1, m2)
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-14 * np.abs(want).max()), (l1, l2, m1, m2)
+        assert np.all(err <= 1e-12 * np.abs(want)), (l1, l2, m1, m2)
+
+
+@pytest.mark.parametrize("spin", ["scalar", "vector"])
+def test_coefficient_table_matches_exact_racah_terms(spin):
+    # the same (entry, lambda) terms as the exact per-entry lists, each
+    # coefficient within 1e-14 of its entry's largest, and the same scale
+    # slots: a rounding residue must neither create nor remove a term
+    l_min = 0 if spin == "scalar" else 1
+    kinds = ("scalar",) if spin == "scalar" else ("same", "cross")
+    for l_max in L_MAXES:
+        tab = _coeff_tables(l_max, spin)
+        nb = tab.nb
+        entry = tab.term_re_im[::2] // 2
+        lam = tab.slot_lam[tab.term_slot]
+        assert np.array_equal(tab.y_lam[tab.term_y], lam)
+        for (l, lp), (lams, _, _) in _ref_tables(l_max, spin).items():
+            block = (l - l_min) * (l_max + 1 - l_min) + lp - l_min
+            assert tab.top_lam[block] == lams[-1]
+            assert np.array_equal(tab.slot_lam[tab.slot_block == block], lams)
+        got = {}
+        for e, la, c in zip(entry.tolist(), lam.tolist(), tab.term_coeff.tolist()):
+            got.setdefault(e, []).append((la, c))
+        n_want = 0
+        for l in range(l_min, l_max + 1):
+            for lp in range(l_min, l_max + 1):
+                r0 = l * l - l_min * l_min + l
+                c0 = lp * lp - l_min * l_min + lp
+                for m in range(-l, l + 1):
+                    for mp in range(-lp, lp + 1):
+                        for ik, kind in enumerate(kinds):
+                            want = _lambda_terms(l, lp, m, mp, kind)
+                            if not want:
+                                continue
+                            n_want += 1
+                            have = got.get((ik * nb + r0 + m) * nb + c0 + mp, [])
+                            assert [t[0] for t in have] == [t[0] for t in want]
+                            scale = max(abs(c) for _, c in want)
+                            err = max(abs(a[1] - b[1]) for a, b in zip(have, want))
+                            assert err <= 1e-14 * scale, (l_max, l, lp, m, mp, kind)
+        assert len(got) == n_want
 
 
 # --- reference translation build: one einsum and basis change per block ---

@@ -37,6 +37,12 @@ def test_plasma_drude_lorentz_values():
         assert 1.0 < v < 1.0 + 1e-5
 
 
+@pytest.mark.parametrize("triple", [(-0.5, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, -0.1)])
+def test_lorentz_rejects_oscillators_that_can_make_eps_nonpositive(triple):
+    with pytest.raises(ValueError):
+        DispersionModel.lorentz([(1.0, 2.0, 0.1), triple])
+
+
 def test_zero_frequency_divergence():
     for model in (DispersionModel.plasma(1.0), DispersionModel.drude(1.0, 0.2)):
         with pytest.raises(ZeroFrequencyError):
