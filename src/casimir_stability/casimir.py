@@ -137,22 +137,29 @@ def _pair_blocks(x, t_i, t_j):
 
     ``t_i`` and ``t_j`` are the raw (sign, log) T-matrix pairs of the two
     objects and X_JI is the reciprocal image of X_IJ.  Each block is
-    s_row |F_row|^(1/2) X |F_col|^(1/2).  Entries whose row or column
-    amplitude is exactly zero (sign 0, log -inf) are set to zero, the limit
-    of the 0 * inf their logs would otherwise form; a NaN from any other
-    source is kept so that the determinant guard sees it.
+    s_row |F_row|^(1/2) X |F_col|^(1/2).  An exactly zero amplitude (sign 0,
+    log -inf) makes its entries exp(-inf) = 0, since no log is +inf; a NaN
+    from any source is kept so that the determinant guard sees it.
     """
 
     def balanced(t_row, t_col, y):
         (s_r, g_r), (s_c, g_c) = t_row, t_col
         sy, gy = y.signed_log()
-        with np.errstate(invalid="ignore"):
-            scale = np.exp(0.5 * g_r[:, None] + gy + 0.5 * g_c[None, :])
-            block = s_r[:, None] * sy * scale
-        live = (s_r != 0.0)[:, None] & (s_c != 0.0)[None, :]
-        return np.where(live, block, 0.0)
+        scale = np.exp(0.5 * g_r[:, None] + gy + 0.5 * g_c[None, :])
+        return s_r[:, None] * sy * scale
 
     return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse_translation(x))
+
+
+def _blocks(config, kappa, l_max, t_logs, pairs):
+    """Balanced blocks {(I, J): block} of ``pairs`` (I < J) and their reverses."""
+    objs = config.objects
+    blocks = {}
+    for i, j in pairs:
+        d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
+        x = translation_matrix(config.medium, kappa, d, l_max)
+        blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j])
+    return blocks
 
 
 def _place_blocks(blocks):
@@ -190,13 +197,8 @@ def assemble_block_matrix(config, kappa, l_max):
     """
     objs = config.objects
     sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
-    blocks = {}
-    for i in range(len(objs)):
-        for j in range(i + 1, len(objs)):
-            d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
-            x = translation_matrix(config.medium, kappa, d, l_max)
-            blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, sl[i], sl[j])
-    return _place_blocks(blocks)
+    pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
+    return _place_blocks(_blocks(config, kappa, l_max, sl, pairs))
 
 
 def log_det_integrand(config, kappa, l_max):
@@ -362,11 +364,10 @@ def free_energy_T(config, tol=1e-6, l_max=None):
 # Parallel plates (independent oracle for signs and magnitudes)
 
 
-def _plate_kernel(mat1, mat2, medium, gap, kappa, n_q):
+def _plate_kernel(mat1, mat2, medium, gap, kappa, q_nodes):
     """(1/2pi) * integral over the in-plane decay constant q at one kappa."""
     n_m = medium.refractive_index(kappa)
-    # q from n_m kappa to infinity, compactified on the 1/(2 gap) scale
-    offsets, weights = _quad_nodes(n_q, 1.0 / (2.0 * gap))
+    offsets, weights = q_nodes
     total = 0.0
     for qq, ww in zip(n_m * kappa + offsets, weights):
         k_t2 = qq * qq - (n_m * kappa) ** 2
@@ -382,7 +383,8 @@ def _plate_kernel(mat1, mat2, medium, gap, kappa, n_q):
 def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
     """Interaction energy per unit area of two half-spaces across ``gap``.
 
-    Materials are (eps_model, mu_model) pairs.  At tau = 0 this is the
+    Materials are (eps_model, mu_model) pairs; a perfect conductor is an
+    eps model only (ValidationError for a pec mu).  At tau = 0 this is the
     double imaginary-frequency integral over kappa and the in-plane decay
     constant; at tau > 0 the kappa integral becomes the primed Matsubara
     sum, which raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
@@ -391,11 +393,15 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
     _check_positive(gap, "gap")
     _check_tau(tau)
     _check_positive(tol, "tol")
+    if mat1[1].is_pec or mat2[1].is_pec:
+        raise ValidationError("a half-space permeability cannot be a perfect conductor")
 
     def value(n):
-        # n nodes in kappa (at tau = 0) and in q
+        # n nodes in kappa (at tau = 0) and in q - n_m kappa (scale 1/(2 gap))
+        q_nodes = _quad_nodes(n, 1.0 / (2.0 * gap))
+
         def kernel(kappa):
-            return _plate_kernel(mat1, mat2, medium, gap, kappa, n)
+            return _plate_kernel(mat1, mat2, medium, gap, kappa, q_nodes)
 
         if tau == 0.0:
             kappas, weights = _quad_nodes(n, 1.0 / gap)

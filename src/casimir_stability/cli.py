@@ -41,7 +41,7 @@ from .errors import (
 from .materials import DispersionModel, Medium
 from .scattering import SphereObject
 from .stability import force as force_on
-from .stability import _sign_classes, _with_displacement, stability_report
+from .stability import _displaced, _sign_classes, stability_report
 
 __all__ = ["main", "run", "emit_csv"]
 
@@ -440,7 +440,7 @@ def _cmd_sweep(cfg, args):
 
     records = []
     for value in node["values"]:
-        moved = _with_displacement(config, label, axis, value)
+        moved = _displaced(config, label, value * np.eye(3)[axis])
         record = {"displacement": value}
         if quantity in ("energy", "both"):
             record["energy"] = _energy(moved, tol, grid["l_max"]).value

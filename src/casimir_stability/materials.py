@@ -15,7 +15,7 @@ assigned.
 import math
 from dataclasses import dataclass, field
 
-from .errors import ZeroFrequencyError
+from .errors import ValidationError, ZeroFrequencyError
 
 __all__ = [
     "DispersionModel",
@@ -120,10 +120,17 @@ def eval_mu(model, kappa):
 
 @dataclass(frozen=True)
 class Medium:
-    """Spatially uniform background with its own eps and mu models."""
+    """Spatially uniform background with its own eps and mu models.
+
+    Neither model may be a perfect conductor (ValidationError).
+    """
 
     eps_model: DispersionModel = field(default_factory=lambda: VACUUM)
     mu_model: DispersionModel = field(default_factory=lambda: VACUUM)
+
+    def __post_init__(self):
+        if self.eps_model.is_pec or self.mu_model.is_pec:
+            raise ValidationError("a medium cannot be a perfect conductor")
 
     def eps(self, kappa):
         v = eval_epsilon(self.eps_model, kappa)

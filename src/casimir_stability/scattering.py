@@ -17,12 +17,12 @@ the energy assembly needs, are available from :meth:`TMatrix.raw_signed_log`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, GeometryError
-from .materials import Medium, eval_epsilon, eval_mu
+from .errors import CapabilityError, GeometryError, ValidationError
+from .materials import eval_epsilon, eval_mu
 from .specfun import log_bessel_i_array, log_bessel_k_array
 
 __all__ = [
@@ -40,7 +40,10 @@ MAX_MULTIPOLE_ORDER = 200
 
 @dataclass(frozen=True)
 class SphereObject:
-    """Homogeneous sphere: center, radius and its two response models."""
+    """Homogeneous sphere: center, radius and its two response models.
+
+    A perfect conductor is an eps model only: a pec ``mu`` is rejected.
+    """
 
     center: tuple
     radius: float
@@ -54,6 +57,10 @@ class SphereObject:
             raise GeometryError("sphere center must be a 3-vector")
         if self.radius <= 0.0:
             raise GeometryError("sphere radius must be positive")
+        if self.mu.is_pec:
+            raise ValidationError(
+                f"sphere {self.label!r}: a permeability cannot be a perfect conductor"
+            )
 
 
 def _riccati(kind, l_max, x):
@@ -186,16 +193,14 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
 def fresnel_reflection(mat1, medium, kappa, k_transverse):
     """Imaginary-frequency Fresnel coefficients (r_TE, r_TM) of a half-space.
 
-    ``mat1`` is a (eps_model, mu_model) pair or an object with ``eps`` and
-    ``mu`` dispersion-model attributes.  kappa_i = sqrt(k_t^2 + eps_i mu_i
-    kappa^2) is the normal decay constant on each side.
+    ``mat1`` is an (eps_model, mu_model) pair.  kappa_i = sqrt(k_t^2 +
+    eps_i mu_i kappa^2) is the normal decay constant on each side.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
     if k_transverse < 0.0:
         raise ValueError("k_transverse must be nonnegative")
-    eps_model = mat1[0] if isinstance(mat1, tuple) else mat1.eps
-    mu_model = mat1[1] if isinstance(mat1, tuple) else mat1.mu
+    eps_model, mu_model = mat1
     eps_m = medium.eps(kappa)
     mu_m = medium.mu(kappa)
     kap_m = math.sqrt(k_transverse**2 + eps_m * mu_m * kappa**2)

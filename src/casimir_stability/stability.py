@@ -24,6 +24,9 @@ the labeled object at 0, +-h e_i and +-(h/2) e_i:
 When more than two objects are present, the remainder group R is merged by
 block algebra (a Schur complement of the labeled object's rows/columns),
 never by constructing a compound scatterer.
+
+Every displaced geometry is a new Configuration from :func:`_displaced`,
+and the engine builds its blocks with ``casimir``'s pair loop.
 """
 
 import functools
@@ -34,22 +37,21 @@ import numpy as np
 
 from . import casimir
 from .casimir import (
-    KAPPA_FLOOR,
     Configuration,
+    _blocks,
     _gap,
     _matsubara_sum,
-    _pair_blocks,
     _place_blocks,
     _positive_logdet,
     _quad_nodes,
     default_l_max,
 )
-from .errors import GeometryError, ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError
 from .materials import classify
 from .scattering import mie_tmatrix
-from .translation import sector_size, translation_matrix
-# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
-from .translation import translation_gradient  # noqa: F401
+from .translation import sector_size
+# not called here: the benchmark tracer (perfbench/spans.py) wraps these names
+from .translation import translation_gradient, translation_matrix  # noqa: F401
 
 __all__ = [
     "MAX_MATSUBARA_TERMS",
@@ -91,26 +93,39 @@ class EquilibriumResult:
     report: StabilityReport | None = None
 
 
+def _index(config, label):
+    """Position of the labeled object in ``config.objects``."""
+    for i, o in enumerate(config.objects):
+        if o.label == label:
+            return i
+    raise ValidationError(f"no object labeled {label!r}")
+
+
+def _displaced(config, label, u):
+    """A new Configuration (and so its overlap rule), the labeled object moved by u."""
+    objs = list(config.objects)
+    i = _index(config, label)
+    objs[i] = replace(objs[i], center=np.asarray(objs[i].center, float) + u)
+    return Configuration(tuple(objs), config.medium, config.tau)
+
+
 class _CommonGridEngine:
     """Frozen-grid energy evaluator for displacements of one object.
 
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
-    sum at tau > 0.  T-matrices and translation blocks between the unmoved
-    objects are computed once per wavenumber; only blocks touching the
-    labeled object are rebuilt for each displacement.
+    sum at tau > 0.  T-matrices and the blocks between the unmoved objects
+    are computed once per wavenumber.  A displaced geometry is a
+    Configuration from :func:`_displaced`; only its blocks touching the
+    labeled object are rebuilt, by ``casimir``'s pair loop.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
-        self.config = config
+        self.config, self.label = config, label
         objs = config.objects
-        labels = [o.label for o in objs]
-        if label not in labels:
-            raise ValidationError(f"unknown object label {label!r}")
-        self.idx = labels.index(label)
+        self.idx = _index(config, label)
         self.l_max = l_max if l_max is not None else default_l_max(config)
         self.nb = 2 * sector_size(self.l_max)
-        self.centers = [np.asarray(o.center, float) for o in objs]
         pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
         self.moving = [p for p in pairs if self.idx in p]
         if config.tau == 0.0:
@@ -132,48 +147,27 @@ class _CommonGridEngine:
         ]
         static = [p for p in pairs if self.idx not in p]
         self.static = [
-            self.blocks(k, self.centers, static) for k in range(len(self.kappas))
+            _blocks(config, k, self.l_max, t, static)
+            for k, t in zip(self.kappas, self.t_logs)
         ]
 
-    def blocks(self, k, centers, pairs):
-        """Balanced blocks at node k of ``pairs`` (i < j), objects at ``centers``."""
-        sl = self.t_logs[k]
-        blocks = {}
-        for i, j in pairs:
-            d = centers[j] - centers[i]
-            x = translation_matrix(self.config.medium, self.kappas[k], d, self.l_max)
-            blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, sl[i], sl[j])
-        return blocks
-
-    def displaced(self, u):
-        """Object centres with the labeled one displaced by u; raises on overlap."""
-        centers = list(self.centers)
-        centers[self.idx] = centers[self.idx] + np.asarray(u)
-        a = self.config.objects[self.idx]
-        for j, o in enumerate(self.config.objects):
-            gap = np.linalg.norm(centers[self.idx] - centers[j]) - a.radius - o.radius
-            if j != self.idx and gap <= 0.0:
-                raise GeometryError("displacement makes objects overlap")
-        return centers
-
-    def matrix(self, k, u):
-        """I - N at node k with the labeled object displaced by u."""
-        moved = self.blocks(k, self.displaced(u), self.moving)
-        return _place_blocks({**self.static[k], **moved})
+    def matrix(self, k, moved):
+        """I - N at node k of ``moved``, a displacement of the labeled object."""
+        blocks = _blocks(moved, self.kappas[k], self.l_max, self.t_logs[k], self.moving)
+        return _place_blocks({**self.static[k], **blocks})
 
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
+        moved = _displaced(self.config, self.label, u)
         total = 0.0
         for k, weight in enumerate(self.weights):
-            total += weight * _positive_logdet(self.matrix(k, u))
+            total += weight * _positive_logdet(self.matrix(k, moved))
         return total
 
 
 def _default_h(config, label):
-    objs = {o.label: o for o in config.objects}
-    if label not in objs:
-        raise ValidationError(f"no object labeled {label!r}")
-    gap = min(_gap(objs[label], o) for o in config.objects if o.label != label)
+    a = config.objects[_index(config, label)]
+    gap = min(_gap(a, o) for o in config.objects if o is not a)
     return 1e-3 * gap, gap
 
 
@@ -270,26 +264,25 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _node_terms(eng, k, h):
+def _node_terms(eng, k, moved, h):
     """Stencil ln dets and the weightless (-b1, -b2, -b3) at node k.
 
-    I - N is built once per displacement of ``_stencil(h)``, and one
-    displaced matrix is held at a time.  The remainder group R is merged through
-    the Schur complement of the labeled object's rows and columns: M_RR,
+    I - N is built once for each configuration ``moved`` of ``_stencil(h)``,
+    holding one displaced matrix at a time.  The remainder group R is merged
+    through the Schur complement of the labeled object's rows and columns: M_RR,
     the U row (A -> J blocks) and the V column (J -> A blocks) are index
     slices of the undisplaced matrix, dU and dV the same slices of the
     Richardson-refined central difference d(I - N)/da_i = -dN/da_i.
     """
     kappa, nb = eng.kappas[k], eng.nb
     mine = np.arange(eng.idx * nb, (eng.idx + 1) * nb)
-    rest = np.setdiff1d(np.arange(len(eng.centers) * nb), mine)
+    rest = np.setdiff1d(np.arange(len(eng.config.objects) * nb), mine)
 
     def split(x):
         # U = -x_AR and V = -x_RA: their signs cancel in every product below
         return x[np.ix_(rest, rest)], x[np.ix_(mine, rest)], x[np.ix_(rest, mine)]
 
-    stencil = _stencil(h)
-    m = eng.matrix(k, stencil[0])
+    m = eng.matrix(k, moved[0])
     logdets = [_positive_logdet(m)]
     m_rr, u_row, v_col = split(m)
     m_inv_v = np.linalg.solve(m_rr, v_col)
@@ -302,8 +295,8 @@ def _node_terms(eng, k, h):
     for axis in range(3):
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         dm = 0.0
-        for u, c in zip(stencil[1 + 4 * axis : 5 + 4 * axis], (-0.5, 0.5, 4.0, -4.0)):
-            x = eng.matrix(k, u)
+        for cfg, c in zip(moved[1 + 4 * axis : 5 + 4 * axis], (-0.5, 0.5, 4.0, -4.0)):
+            x = eng.matrix(k, cfg)
             logdets.append(_positive_logdet(x))
             dm = dm + c * x
         _, du, dv = split(dm / (3.0 * h))
@@ -319,9 +312,10 @@ def stability_report(config, label, h=None, l_max=None, n_nodes=32):
     """Force, FD Laplacian, decomposition and sign prediction in one grid pass."""
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
+    moved = [_displaced(config, label, u) for u in _stencil(h)]
     energies, terms = np.zeros(13), np.zeros(3)
     for k, weight in enumerate(eng.weights):
-        logdets, brackets = _node_terms(eng, k, h)
+        logdets, brackets = _node_terms(eng, k, moved, h)
         energies += weight * logdets
         terms += weight * brackets
     f, lap, err = _fd(energies, h)
@@ -338,11 +332,14 @@ def find_axial_equilibrium(
     ``axis`` (0, 1 or 2) relative to its configured position.  Returns an
     EquilibriumResult; absence of a sign change is a result, not an error.
     """
+    base = config.objects[_index(config, label)].center
     lo, hi = float(bracket[0]), float(bracket[1])
 
+    def along(s):
+        return _displaced(config, label, s * np.eye(3)[axis])
+
     def axial_force(s):
-        moved = _with_displacement(config, label, axis, s)
-        return force(moved, label, l_max=l_max, n_nodes=n_nodes)[axis]
+        return force(along(s), label, l_max=l_max, n_nodes=n_nodes)[axis]
 
     f_lo, f_hi = axial_force(lo), axial_force(hi)
     if f_lo == 0.0:
@@ -362,19 +359,5 @@ def find_axial_equilibrium(
             else:
                 lo, f_lo = mid, f_mid
         root = 0.5 * (lo + hi)
-    at_root = _with_displacement(config, label, axis, root)
-    report = stability_report(at_root, label, l_max=l_max, n_nodes=n_nodes)
-    base = next(o for o in config.objects if o.label == label).center
+    report = stability_report(along(root), label, l_max=l_max, n_nodes=n_nodes)
     return EquilibriumResult(found=True, position=float(base[axis] + root), report=report)
-
-
-def _with_displacement(config, label, axis, s):
-    objs = []
-    for o in config.objects:
-        if o.label == label:
-            center = list(o.center)
-            center[axis] += s
-            objs.append(replace(o, center=tuple(center)))
-        else:
-            objs.append(o)
-    return Configuration(tuple(objs), config.medium, config.tau)

@@ -453,8 +453,8 @@ def _combine(mats, weights):
     )
 
 
-def translation_gradient(medium, kappa, d, l_max, h, richardson=False, spin="vector"):
-    """Displacement gradient (dX/dd_x, dX/dd_y, dX/dd_z) of the matrix.
+def translation_gradient(medium, kappa, d, l_max, h, richardson=False):
+    """Displacement gradient (dX/dd_x, dX/dd_y, dX/dd_z) of the vector matrix.
 
     A validation aid with no caller in the package: the stability report
     differentiates whole I - N matrices instead, and the tests check its
@@ -476,8 +476,8 @@ def translation_gradient(medium, kappa, d, l_max, h, richardson=False, spin="vec
         for axis in range(3):
             e = np.zeros(3)
             e[axis] = step
-            plus = _build(medium, kappa, d + e, l_max, spin)
-            minus = _build(medium, kappa, d - e, l_max, spin)
+            plus = _build(medium, kappa, d + e, l_max, "vector")
+            minus = _build(medium, kappa, d - e, l_max, "vector")
             grads.append(_combine([plus, minus], [0.5 / step, -0.5 / step]))
         return grads
 

@@ -23,7 +23,7 @@ def vacuum():
 
 
 def pec_sphere(center, radius, label):
-    return SphereObject(tuple(center), radius, PEC, PEC, label)
+    return SphereObject(tuple(center), radius, PEC, ONE, label)
 
 
 def dielectric_sphere(center, radius, eps_value, label, mu_value=1.0):

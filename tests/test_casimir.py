@@ -341,6 +341,16 @@ def test_plates_matsubara_cap_raises(monkeypatch):
     assert len(weights) == 4
 
 
+@pytest.mark.parametrize("plate", [0, 1])
+def test_plates_reject_pec_mu(plate):
+    # a pec mu on a dielectric plate used to run for minutes
+    glass = (DispersionModel.constant(2.5), DispersionModel.perfect_conductor())
+    mats = [PEC_PAIR, PEC_PAIR]
+    mats[plate] = glass
+    with pytest.raises(ValidationError, match="perfect conductor"):
+        lifshitz_plates(*mats, Medium(), 1.0)
+
+
 def test_plates_dense_medium_scaling():
     # PEC plates across an eps = 4 medium: energy scales by 1/n
     medium = Medium(eps_model=DispersionModel.constant(4.0))

@@ -257,6 +257,19 @@ def test_empty_sweep_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_unknown_sweep_object_is_a_validation_error(tmp_path, capsys):
+    # the sweep moves its object through the one label lookup, so a typo
+    # is rejected instead of printing the undisplaced energy at every point
+    cfg = dict(PAIR_CFG, sweep={"object": "typo", "axis": 2, "values": [0.0, 0.5]})
+    path = write_cfg(tmp_path, cfg)
+    code, out, err = run_cli(["sweep", path], capsys)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert "'typo'" in diagnostic["message"]
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = run_cli(["energy", str(tmp_path / "missing.yaml")], capsys)
     assert code == 2

@@ -383,7 +383,7 @@ def _spheres():
     one = DispersionModel.constant(1.0)
     pec = DispersionModel.perfect_conductor()
     return [
-        SphereObject((0, 0, 0), 1.0, pec, pec, "pec"),
+        SphereObject((0, 0, 0), 1.0, pec, one, "pec"),
         SphereObject((0, 0, 0), 1.0, DispersionModel.constant(4.0), one, "eps4"),
         SphereObject((0, 0, 0), 1.0, DispersionModel.drude(5.0, 0.5), one, "drude"),
         SphereObject((0, 0, 0), 1.0, one, one, "matched"),

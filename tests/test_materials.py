@@ -8,6 +8,7 @@ from casimir_stability import (
     DispersionModel,
     MaterialClass,
     Medium,
+    ValidationError,
     ZeroFrequencyError,
     classify,
     eval_epsilon,
@@ -118,3 +119,9 @@ def test_medium_refractive_index():
         mu_model=DispersionModel.constant(2.25),
     )
     assert medium.refractive_index(1.0) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("which", ["eps_model", "mu_model"])
+def test_medium_rejects_pec_up_front(which):
+    with pytest.raises(ValidationError, match="perfect conductor"):
+        Medium(**{which: DispersionModel.perfect_conductor()})

@@ -11,6 +11,7 @@ from casimir_stability import (
     GeometryError,
     Medium,
     SphereObject,
+    ValidationError,
     definiteness,
     fresnel_reflection,
     mie_tmatrix,
@@ -24,6 +25,15 @@ def test_sphere_validation():
         SphereObject((0, 0), 1.0, pec, pec, "a")
     with pytest.raises(GeometryError):
         SphereObject((0, 0, 0), -1.0, pec, pec, "a")
+
+
+@pytest.mark.parametrize("eps", [4.0, "pec"])
+def test_sphere_rejects_pec_mu(eps):
+    # a pec mu made a dielectric sphere overflow and was ignored on a pec one
+    pec = DispersionModel.perfect_conductor()
+    eps_model = pec if eps == "pec" else DispersionModel.constant(eps)
+    with pytest.raises(ValidationError, match="'a'"):
+        SphereObject((0, 0, 0), 1.0, eps_model, pec, "a")
 
 
 def test_pec_small_argument_laws(vacuum):

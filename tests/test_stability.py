@@ -32,13 +32,13 @@ def test_force_points_toward_partner():
 
 def test_force_matches_energy_slope():
     from casimir_stability import energy_T0
-    from casimir_stability.stability import _with_displacement
+    from casimir_stability.stability import _displaced
 
     cfg = pec_pair(5.0)
     f = force(cfg, "a", l_max=5, n_nodes=32)
     h = 0.02
-    ep = energy_T0(_with_displacement(cfg, "a", 2, +h), tol=1e-9, l_max=5).value
-    em = energy_T0(_with_displacement(cfg, "a", 2, -h), tol=1e-9, l_max=5).value
+    ep = energy_T0(_displaced(cfg, "a", [0.0, 0.0, +h]), tol=1e-9, l_max=5).value
+    em = energy_T0(_displaced(cfg, "a", [0.0, 0.0, -h]), tol=1e-9, l_max=5).value
     assert f[2] == pytest.approx(-(ep - em) / (2 * h), rel=1e-3)
 
 
@@ -46,6 +46,22 @@ def test_unknown_label_rejected():
     cfg = pec_pair(4.0)
     with pytest.raises(ValidationError):
         force(cfg, "missing", l_max=3, n_nodes=8)
+
+
+def test_unknown_label_rejected_by_equilibrium_search():
+    cfg = pec_pair(4.0)
+    with pytest.raises(ValidationError, match="'missing'"):
+        find_axial_equilibrium(cfg, "missing", 2, (-0.5, 0.5), l_max=2, n_nodes=4)
+
+
+def test_overlapping_engine_displacement_uses_the_configuration_rule():
+    from casimir_stability import GeometryError
+    from casimir_stability.stability import _CommonGridEngine
+
+    eng = _CommonGridEngine(pec_pair(4.0), "a", l_max=2, n_nodes=4)
+    # a 2.5 step along +z leaves the centres 1.5 apart, less than 2 radii
+    with pytest.raises(GeometryError, match="'a' and 'b' overlap or touch"):
+        eng.energy(np.array([0.0, 0.0, 2.5]))
 
 
 def test_step_validation():
@@ -153,12 +169,12 @@ def test_no_equilibrium_reported_for_plain_pair():
 
 
 def test_nan_translation_entry_raises_in_engine_and_decomposition(monkeypatch):
-    from casimir_stability import UnphysicalTruncationError, stability
+    from casimir_stability import UnphysicalTruncationError, casimir
     from casimir_stability.stability import _CommonGridEngine
     from test_casimir import _nan_translation
 
     cfg = pec_pair(4.0)
-    _nan_translation(monkeypatch, stability)
+    _nan_translation(monkeypatch, casimir)
     with pytest.raises(UnphysicalTruncationError):
         _CommonGridEngine(cfg, "a", l_max=3, n_nodes=4).energy(np.zeros(3))
     with pytest.raises(UnphysicalTruncationError):
@@ -166,14 +182,14 @@ def test_nan_translation_entry_raises_in_engine_and_decomposition(monkeypatch):
 
 
 def test_matsubara_grid_cap_raises_with_partial_grid(monkeypatch):
-    from casimir_stability import ConvergenceBudgetError, stability
+    from casimir_stability import ConvergenceBudgetError, casimir, stability
     from casimir_stability.stability import _CommonGridEngine
 
     monkeypatch.setattr(stability, "MAX_MATSUBARA_TERMS", 3)
     with pytest.raises(ConvergenceBudgetError) as info:
         _CommonGridEngine(pec_pair(4.0, tau=0.5), "a", l_max=2, n_nodes=4)
     kappas, weights = info.value.partial
-    assert kappas == pytest.approx([stability.KAPPA_FLOOR, 0.5, 1.0, 1.5])
+    assert kappas == pytest.approx([casimir.KAPPA_FLOOR, 0.5, 1.0, 1.5])
     assert len(weights) == 4
 
 
