@@ -388,8 +388,9 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     Deterministic tensor-product quadrature of exp(-beta H) over the
     mobile-charge volumes; supports at most two mobile charges in total.
     The per-axis node count doubles from 8 until two successive results
-    agree to ``tol`` relative; no count above ``max_n`` is evaluated, and
-    when ``max_n`` nodes do not agree ConvergenceBudgetError is raised.
+    differ by at most ``tol * max(|F|, 1)`` (relative for |F| > 1, absolute
+    below); no count above ``max_n`` is evaluated, and when ``max_n`` nodes
+    do not agree ConvergenceBudgetError is raised.
     A mobile coupled to an opposite charge it can reach has no finite
     partition integral and raises ValidationError up front.
     """

@@ -41,20 +41,22 @@ from .errors import (
 from .materials import DispersionModel, Medium
 from .scattering import SphereObject
 from .stability import force as force_on
-from .stability import _displaced, _sign_classes, stability_report
+from .stability import _axial_force, _CommonGridEngine, _displaced, _step
+from .stability import _sign_classes, stability_report
 
 __all__ = ["main", "run", "emit_csv"]
 
 # length unit of the CSV comment line when the config names none
 _DEFAULT_LENGTH_UNIT = "1 (hbar = c = 1)"
 
-# the parameters each dispersion model type requires
-_MODEL_PARAMETERS = {
-    "constant": ["value"],
-    "plasma": ["omega_p"],
-    "drude": ["omega_p", "gamma"],
-    "lorentz": ["oscillators"],
-    "pec": [],
+# each dispersion model type: its constructor and the parameters it requires,
+# passed in this order
+_MODELS = {
+    "constant": (DispersionModel.constant, ["value"]),
+    "plasma": (DispersionModel.plasma, ["omega_p"]),
+    "drude": (DispersionModel.drude, ["omega_p", "gamma"]),
+    "lorentz": (DispersionModel.lorentz, ["oscillators"]),
+    "pec": (DispersionModel.perfect_conductor, []),
 }
 
 
@@ -88,7 +90,7 @@ def _model_schema(types):
         },
         "allOf": [
             {"if": {"properties": {"type": {"const": kind}}}, "then": {"required": params}}
-            for kind, params in _MODEL_PARAMETERS.items()
+            for kind, (_, params) in _MODELS.items()
             if params
         ],
     }
@@ -96,8 +98,8 @@ def _model_schema(types):
 
 # a perfect conductor is the eps of an object or a plate only: no medium and
 # no mu has an infinite response
-_MODEL_SCHEMA = _model_schema(list(_MODEL_PARAMETERS))
-_FINITE_MODEL_SCHEMA = _model_schema([t for t in _MODEL_PARAMETERS if t != "pec"])
+_MODEL_SCHEMA = _model_schema(list(_MODELS))
+_FINITE_MODEL_SCHEMA = _model_schema([t for t in _MODELS if t != "pec"])
 
 _VEC3 = {
     "type": "array",
@@ -238,16 +240,8 @@ CONFIG_SCHEMA = {
 
 
 def _build_model(node):
-    kind = node["type"]
-    if kind == "constant":
-        return DispersionModel.constant(node["value"])
-    if kind == "plasma":
-        return DispersionModel.plasma(node["omega_p"])
-    if kind == "drude":
-        return DispersionModel.drude(node["omega_p"], node["gamma"])
-    if kind == "lorentz":
-        return DispersionModel.lorentz([tuple(o) for o in node["oscillators"]])
-    return DispersionModel.perfect_conductor()
+    build, params = _MODELS[node["type"]]
+    return build(*(node[p] for p in params))
 
 
 def _model_or_one(node, key):
@@ -445,7 +439,8 @@ def _cmd_sweep(cfg, args):
         if quantity in ("energy", "both"):
             record["energy"] = _energy(moved, tol, grid["l_max"]).value
         if quantity in ("force", "both"):
-            record["force_axis"] = force_on(moved, label, **grid)[axis]
+            eng = _CommonGridEngine(moved, label, **grid)
+            record["force_axis"] = _axial_force(eng, _step(moved, label, None), axis)
         records.append(record)
     return records
 

@@ -28,6 +28,14 @@ __all__ = [
 ]
 
 
+def _positive(value, what):
+    """``value`` as a float, if it is finite and positive (else ValidationError)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DispersionModel:
     """One of: constant, plasma, drude, lorentz, pec.
@@ -44,27 +52,29 @@ class DispersionModel:
 
     @classmethod
     def constant(cls, value):
-        if value <= 0.0:
-            raise ValueError("constant response must be positive")
-        return cls("constant", value=float(value))
+        return cls("constant", value=_positive(value, "constant response"))
 
     @classmethod
     def plasma(cls, omega_p):
-        return cls("plasma", omega_p=float(omega_p))
+        return cls("plasma", omega_p=_positive(omega_p, "plasma frequency"))
 
     @classmethod
     def drude(cls, omega_p, gamma):
-        if gamma <= 0.0:
-            raise ValueError("drude relaxation rate must be positive")
-        return cls("drude", omega_p=float(omega_p), gamma=float(gamma))
+        return cls(
+            "drude",
+            omega_p=_positive(omega_p, "drude plasma frequency"),
+            gamma=_positive(gamma, "drude relaxation rate"),
+        )
 
     @classmethod
     def lorentz(cls, oscillators):
         oscillators = tuple(tuple(map(float, o)) for o in oscillators)
         for f, w, g in oscillators:
-            if not (f >= 0.0 and w > 0.0 and g >= 0.0):
-                raise ValueError(
-                    "lorentz oscillators need strength >= 0, resonance > 0 and damping >= 0"
+            finite = all(map(math.isfinite, (f, w, g)))
+            if not (finite and f >= 0.0 and w > 0.0 and g >= 0.0):
+                raise ValidationError(
+                    "lorentz oscillators need finite strength >= 0, "
+                    "resonance > 0 and damping >= 0"
                 )
         return cls("lorentz", oscillators=oscillators)
 

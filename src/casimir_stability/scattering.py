@@ -53,10 +53,10 @@ class SphereObject:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if len(self.center) != 3:
-            raise GeometryError("sphere center must be a 3-vector")
-        if self.radius <= 0.0:
-            raise GeometryError("sphere radius must be positive")
+        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
+            raise GeometryError("sphere center must be a finite 3-vector")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise GeometryError("sphere radius must be finite and positive")
         if self.mu.is_pec:
             raise ValidationError(
                 f"sphere {self.label!r}: a permeability cannot be a perfect conductor"

@@ -207,13 +207,17 @@ def _fd(energies, h):
     return f, refined, abs(refined - half)
 
 
+def _axial_force(eng, h, axis, s=0.0):
+    """-dE/ds along ``axis`` at displacement s e_axis: one central difference."""
+    e = np.eye(3)[axis]
+    return -(eng.energy((s + h) * e) - eng.energy((s - h) * e)) / (2.0 * h)
+
+
 def force(config, label, h=None, l_max=None, n_nodes=32):
     """Force on the labeled object, -grad E by common-grid differences."""
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    return np.array(
-        [-(eng.energy(e) - eng.energy(-e)) / (2.0 * h) for e in h * np.eye(3)]
-    )
+    return np.array([_axial_force(eng, h, axis) for axis in range(3)])
 
 
 def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
@@ -324,40 +328,33 @@ def stability_report(config, label, h=None, l_max=None, n_nodes=32):
 
 
 def find_axial_equilibrium(
-    config, label, axis, bracket, tol=1e-6, max_iter=80, l_max=None, n_nodes=32
+    config, label, axis, bracket, tol=1e-6, l_max=None, n_nodes=32
 ):
-    """Bisect the axial force component to zero within ``bracket``.
+    """Find a zero of the axial force component within ``bracket``.
 
     ``bracket`` is a pair of displacements of the labeled object along
-    ``axis`` (0, 1 or 2) relative to its configured position.  Returns an
-    EquilibriumResult; absence of a sign change is a result, not an error.
+    ``axis`` (0, 1 or 2) relative to its configured position.  The force is
+    the central difference of one frozen grid (that of ``config``, with its
+    step h), and Brent's method locates its zero to ``tol``.  Returns an
+    EquilibriumResult whose report is :func:`stability_report` at the root;
+    absence of a sign change is a result, not an error.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+    if axis not in (0, 1, 2):
+        raise ValidationError(f"axis must be 0, 1 or 2, got {axis!r}")
     base = config.objects[_index(config, label)].center
+    h = _step(config, label, None)
+    eng = _CommonGridEngine(config, label, l_max, n_nodes)
+    # cached: brentq evaluates the two ends of the bracket again
+    f = functools.cache(lambda s: _axial_force(eng, h, axis, s))
     lo, hi = float(bracket[0]), float(bracket[1])
-
-    def along(s):
-        return _displaced(config, label, s * np.eye(3)[axis])
-
-    def axial_force(s):
-        return force(along(s), label, l_max=l_max, n_nodes=n_nodes)[axis]
-
-    f_lo, f_hi = axial_force(lo), axial_force(hi)
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif f_lo * f_hi > 0.0:
+    if f(lo) * f(hi) > 0.0:
         return EquilibriumResult(found=False)
-    else:
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            f_mid = axial_force(mid)
-            if f_mid == 0.0 or (hi - lo) < tol:
-                break
-            if f_lo * f_mid < 0.0:
-                hi, f_hi = mid, f_mid
-            else:
-                lo, f_lo = mid, f_mid
-        root = 0.5 * (lo + hi)
-    report = stability_report(along(root), label, l_max=l_max, n_nodes=n_nodes)
+    # imported here: scipy.optimize would add a third to the CLI's import time
+    from scipy.optimize import brentq
+
+    root = brentq(f, lo, hi, xtol=tol)
+    moved = _displaced(config, label, root * np.eye(3)[axis])
+    report = stability_report(moved, label, l_max=l_max, n_nodes=n_nodes)
     return EquilibriumResult(found=True, position=float(base[axis] + root), report=report)

@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -364,6 +366,42 @@ def test_sweep_output(tmp_path, capsys):
     energies = [float(r[1]) for r in rows]
     # moving a toward b deepens the energy
     assert energies[2] < energies[1] < energies[0] < 0
+
+
+def test_force_sweep_differences_only_the_swept_axis(tmp_path, capsys, monkeypatch):
+    # per point: one frozen grid, and the moving pair's translations at the
+    # two displacements +-h along the swept axis, one per node
+    from casimir_stability import casimir
+    from test_stability import _count_calls
+
+    translations = _count_calls(monkeypatch, casimir, "translation_matrix")
+    values = [-0.5, 0.0, 0.5]
+    cfg = dict(
+        PAIR_CFG, sweep={"object": "a", "axis": 2, "values": values, "quantity": "force"}
+    )
+    code, out, _ = run_cli(["sweep", write_cfg(tmp_path, cfg)], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["displacement", "force_axis"]
+    moving_pairs = 1
+    assert len(translations) == len(values) * 2 * PAIR_CFG["n_nodes"] * moving_pairs
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the equilibrium search imports it on use; loading it with the CLI
+    # would lengthen every command's start-up
+    import casimir_stability
+
+    src = str(Path(casimir_stability.__file__).resolve().parents[1])
+    code = "import sys, casimir_stability.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_installed():

@@ -44,6 +44,30 @@ def test_lorentz_rejects_oscillators_that_can_make_eps_nonpositive(triple):
         DispersionModel.lorentz([(1.0, 2.0, 0.1), triple])
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (DispersionModel.constant, (math.nan,)),
+        (DispersionModel.constant, (math.inf,)),
+        (DispersionModel.plasma, (math.nan,)),
+        (DispersionModel.plasma, (math.inf,)),
+        (DispersionModel.plasma, (-3.0,)),
+        (DispersionModel.plasma, (0.0,)),
+        (DispersionModel.drude, (math.nan, 1.0)),
+        (DispersionModel.drude, (1.0, math.inf)),
+        (DispersionModel.drude, (-2.0, 1.0)),
+        (DispersionModel.drude, (0.0, 1.0)),
+        (DispersionModel.lorentz, ([(math.inf, 1.0, 0.1)],)),
+        (DispersionModel.lorentz, ([(1.0, math.inf, 0.1)],)),
+        (DispersionModel.lorentz, ([(1.0, 1.0, math.inf)],)),
+    ],
+)
+def test_models_reject_nonfinite_and_nonpositive_parameters(build, args):
+    # the CLI schema's bounds, held by the library: a plasma frequency is > 0
+    with pytest.raises(ValidationError, match="finite"):
+        build(*args)
+
+
 def test_zero_frequency_divergence():
     for model in (DispersionModel.plasma(1.0), DispersionModel.drude(1.0, 0.2)):
         with pytest.raises(ZeroFrequencyError):

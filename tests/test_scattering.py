@@ -27,6 +27,24 @@ def test_sphere_validation():
         SphereObject((0, 0, 0), -1.0, pec, pec, "a")
 
 
+@pytest.mark.parametrize(
+    "center, radius",
+    [
+        ((math.nan, 0, 0), 1.0),
+        ((0, math.inf, 0), 1.0),
+        ((0, 0, -math.inf), 1.0),
+        ((0, 0, 0), math.nan),
+        ((0, 0, 0), math.inf),
+    ],
+)
+def test_sphere_rejects_nonfinite_geometry(center, radius):
+    # a NaN radius or centre used to fail deep inside an energy calculation
+    pec = DispersionModel.perfect_conductor()
+    one = DispersionModel.constant(1.0)
+    with pytest.raises(GeometryError, match="finite"):
+        SphereObject(center, radius, pec, one, "a")
+
+
 @pytest.mark.parametrize("eps", [4.0, "pec"])
 def test_sphere_rejects_pec_mu(eps):
     # a pec mu made a dielectric sphere overflow and was ignored on a pec one

@@ -158,6 +158,18 @@ def test_equilibrium_between_identical_spheres():
     assert res.report.laplacian < 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_equilibrium_search_rejects_a_tolerance_it_cannot_reach(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        find_axial_equilibrium(pec_pair(4.0), "a", 2, (-0.5, 0.5), tol=tol)
+
+
+@pytest.mark.parametrize("axis", [-1, 3])
+def test_equilibrium_search_rejects_an_axis_outside_xyz(axis):
+    with pytest.raises(ValidationError, match="axis"):
+        find_axial_equilibrium(pec_pair(4.0), "a", axis, (-0.5, 0.5))
+
+
 def test_no_equilibrium_reported_for_plain_pair():
     cfg = pec_pair(5.0)
     res = find_axial_equilibrium(
@@ -240,3 +252,34 @@ def test_report_builds_one_engine(monkeypatch, three_body):
         assert (nodes, len(tmatrices), len(integrands)) == (12, 36, 0)
     else:
         assert (nodes, len(tmatrices), len(integrands)) == (15, 30, 15)
+
+
+def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
+    # one frozen grid for every force of the search, one for the report at
+    # the root: each builds a T-matrix per (node, object)
+    from casimir_stability import stability
+
+    engines = []
+
+    class Recorded(stability._CommonGridEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
+    tmatrices = _count_calls(monkeypatch, stability, "mie_tmatrix")
+    cfg = Configuration(
+        (
+            pec_sphere((0, 0, -4.0), 1.0, "left"),
+            pec_sphere((0, 0, 0.6), 0.5, "mid"),
+            pec_sphere((0, 0, 4.0), 1.0, "right"),
+        ),
+        Medium(),
+        0.0,
+    )
+    res = find_axial_equilibrium(
+        cfg, "mid", 2, (-1.2, 0.4), tol=1e-4, l_max=4, n_nodes=16
+    )
+    assert res.found
+    assert len(engines) == 2
+    assert len(tmatrices) == 3 * 16 * 2
