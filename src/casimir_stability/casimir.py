@@ -17,11 +17,19 @@ Balancing: F entries underflow while X entries overflow at small kappa, so
 off-diagonal blocks are assembled from the similarity-balanced form
 sign * exp(log|F_a|/2 + log|X_ab| + log|F_b|/2), which leaves the
 determinant unchanged and every entry representable.
+
+Collinear centres: turned so that their line is the z axis, every
+translation is along z and conserves m, so M is block-diagonal in m and
+ln det M = sum_m ln det M_m.  ``log_det_integrand`` takes that route: the
+translations come from the coaxial coefficient table of the translation
+module, only the m-diagonal entries are balanced, and one ``slogdet`` call
+takes the 2 l_max + 1 blocks as an identity-padded stack.  The dense
+``assemble_block_matrix`` stays the general route and the oracle.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +68,10 @@ MAX_NODES = 1536
 # doublings of the default l_max an energy may make before it gives up
 MAX_ORDER_DOUBLINGS = 3
 
+# centres this close to one line, relative to their largest distance from
+# the first centre, take the m-block ln det
+_AXIS_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -84,6 +96,26 @@ class Configuration:
                     raise GeometryError(
                         f"objects {a.label!r} and {b.label!r} overlap or touch"
                     )
+
+    @functools.cached_property
+    def _axis_positions(self):
+        """Positions of the centres along their common line, or None.
+
+        The line runs from the first centre to the one farthest from it, and
+        every centre must lie within _AXIS_RTOL times that distance of the
+        line; two centres always do.  The farthest centre sits at exactly
+        that distance, so a pair keeps the length a general build uses.
+        """
+        c = np.array([o.center for o in self.objects])
+        d = c - c[0]
+        far = int(np.argmax((d * d).sum(axis=1)))
+        reach = float(np.linalg.norm(d[far]))
+        u = d[far] / reach
+        t = d @ u
+        if np.linalg.norm(d - np.outer(t, u), axis=1).max() > _AXIS_RTOL * reach:
+            return None
+        t[far] = reach
+        return t
 
     def min_gap(self):
         return min(
@@ -132,33 +164,48 @@ class EnergyResult:
     kappa_floor_used: bool = False
 
 
-def _pair_blocks(x, t_i, t_j):
+def _pair_blocks(x, t_i, t_j, entries=None):
     """Balanced blocks (I, J) and (J, I) of one pair from X_IJ alone.
 
     ``t_i`` and ``t_j`` are the raw (sign, log) T-matrix pairs of the two
     objects and X_JI is the reciprocal image of X_IJ.  Each block is
     s_row |F_row|^(1/2) X |F_col|^(1/2).  An exactly zero amplitude (sign 0,
     log -inf) makes its entries exp(-inf) = 0, since no log is +inf; a NaN
-    from any source is kept so that the determinant guard sees it.
+    from any source is kept so that the determinant guard sees it.  With
+    ``entries``, a (rows, cols) pair of index arrays, only those entries of
+    each block are balanced, and come back as flat arrays.
     """
+    rows, cols = entries if entries is not None else ((slice(None), None), (None, slice(None)))
 
     def balanced(t_row, t_col, y):
         (s_r, g_r), (s_c, g_c) = t_row, t_col
+        if entries is not None:
+            y = replace(y, scaled=y.scaled[entries], exponent=y.exponent[entries])
         sy, gy = y.signed_log()
-        scale = np.exp(0.5 * g_r[:, None] + gy + 0.5 * g_c[None, :])
-        return s_r[:, None] * sy * scale
+        scale = np.exp(0.5 * g_r[rows] + gy + 0.5 * g_c[cols])
+        return s_r[rows] * sy * scale
 
     return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse_translation(x))
 
 
-def _blocks(config, kappa, l_max, t_logs, pairs):
-    """Balanced blocks {(I, J): block} of ``pairs`` (I < J) and their reverses."""
+def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
+    """Balanced blocks {(I, J): block} of ``pairs`` (I < J) and their reverses.
+
+    With ``entries`` (see :func:`_m_entries`) the configuration is collinear:
+    each pair is translated along +z, from whichever of its centres lies
+    lower on the line, and only those entries are balanced.
+    """
     objs = config.objects
+    line = config._axis_positions if entries is not None else None
     blocks = {}
     for i, j in pairs:
-        d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
+        if line is None:
+            d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
+        else:
+            i, j = (i, j) if line[i] < line[j] else (j, i)
+            d = (0.0, 0.0, line[j] - line[i])
         x = translation_matrix(config.medium, kappa, d, l_max)
-        blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j])
+        blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j], entries)
     return blocks
 
 
@@ -172,18 +219,63 @@ def _place_blocks(blocks):
     return m
 
 
+@functools.lru_cache(maxsize=8)
+def _m_entries(l_max):
+    """The entries of a pair block that a displacement along z can fill.
+
+    Rows and columns of the basis (P, l, m), electric first, with m = m'
+    (the magnetic label m refers to R_{l,-m}, which keeps the sectors in
+    step); and where each one lands in its m-block: the block m + l_max,
+    and the row and column there, P * (l_max + 1 - l_min) + l - l_min with
+    l_min = max(|m|, 1).
+    """
+    ls = np.arange(1, l_max + 1)
+    sector_l = np.repeat(ls, 2 * ls + 1)
+    sector_m = np.arange(sector_l.size) - sector_l * sector_l + 1 - sector_l
+    l = np.tile(sector_l, 2)
+    m = np.tile(sector_m, 2)
+    local = np.repeat([0, 1], sector_l.size) * (l_max + 1 - np.maximum(np.abs(m), 1))
+    local += l - np.maximum(np.abs(m), 1)
+    rows, cols = np.nonzero(m[:, None] == m[None, :])
+    return (rows, cols), m[rows] + l_max, local[rows], local[cols]
+
+
+def _place_m_blocks(blocks, l_max):
+    """The m-blocks of I - N, each identity-padded to 2 l_max per object.
+
+    ``blocks`` holds the balanced :func:`_m_entries` of every ordered pair.
+    """
+    n = 1 + max(i for i, _ in blocks)
+    _, block, row, col = _m_entries(l_max)
+    size = 2 * l_max * n
+    m = np.zeros((2 * l_max + 1, size, size))
+    m[:, np.arange(size), np.arange(size)] = 1.0
+    for (i, j), values in blocks.items():
+        m[block, 2 * l_max * i + row, 2 * l_max * j + col] = -values
+    return m
+
+
 def _positive_logdet(m, what="matrix"):
-    """ln det m, raising when the determinant is not positive and finite."""
-    if not np.isfinite(m).all():
+    """ln det m, raising when the determinant is not positive and finite.
+
+    ``m`` may also be a stack of matrices, ``what`` then naming each one:
+    the value is the sum of their ln dets, and each is checked on its own.
+    """
+    names = [what] if m.ndim == 2 else what
+    finite = np.isfinite(m).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
         raise UnphysicalTruncationError(
-            f"{what} has non-finite entries (NaN or inf in a T-matrix or translation)"
+            f"{names[np.argmin(finite)]} has non-finite entries "
+            "(NaN or inf in a T-matrix or translation)"
         )
     sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0.0 or not math.isfinite(logdet):
+    good = (np.reshape(sign, -1) > 0.0) & np.isfinite(np.reshape(logdet, -1))
+    if not good.all():
         raise UnphysicalTruncationError(
-            f"{what} determinant lost positivity or is not finite; increase l_max"
+            f"{names[np.argmin(good)]} determinant lost positivity or is not finite; "
+            "increase l_max"
         )
-    return float(logdet)
+    return float(np.sum(logdet))
 
 
 def assemble_block_matrix(config, kappa, l_max):
@@ -206,9 +298,20 @@ def log_det_integrand(config, kappa, l_max):
 
     The truncated matrix must stay positive definite in the determinant
     sense; a non-positive or non-finite determinant signals an unphysical
-    truncation.
+    truncation.  When the centres are collinear, a rotation takes their
+    line to z, where m is conserved: I - N splits into one block per m, and
+    the value is the sum of their ln dets, from translations along +z
+    (built from the coaxial coefficient table) and one ``slogdet`` call on
+    the stack of blocks.  Each block must be positive on its own.
     """
-    return _positive_logdet(assemble_block_matrix(config, kappa, l_max))
+    if config._axis_positions is None:
+        return _positive_logdet(assemble_block_matrix(config, kappa, l_max))
+    objs = config.objects
+    sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
+    pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
+    blocks = _blocks(config, kappa, l_max, sl, pairs, _m_entries(l_max)[0])
+    names = [f"m = {m} block of the matrix" for m in range(-l_max, l_max + 1)]
+    return _positive_logdet(_place_m_blocks(blocks, l_max), names)
 
 
 def _quad_nodes(n_nodes, scale):

@@ -1,0 +1,217 @@
+"""Collinear configurations: the m-block ln det and the coaxial table.
+
+On a line, I - N is block-diagonal in m, and ``log_det_integrand`` sums the
+ln dets of the blocks.  The oracle is the general route it bypasses, one
+``slogdet`` of ``assemble_block_matrix``; the coaxial coefficient table is
+checked against the general table's build of the same displacement.
+"""
+
+import numpy as np
+import pytest
+
+from casimir_stability import (
+    Configuration,
+    DispersionModel,
+    Medium,
+    SphereObject,
+    UnphysicalTruncationError,
+    casimir,
+    energy_T0,
+    log_det_integrand,
+    translation,
+)
+from casimir_stability.casimir import assemble_block_matrix
+from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere
+
+KAPPAS = (1e-6, 1e-2, 0.5, 2.0, 50.0)
+DRUDE = DispersionModel.drude(4.0, 0.2)
+
+
+def _axes():
+    rng = np.random.default_rng(11)
+    axes = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), rng.standard_normal(3)]
+    return [np.asarray(a, float) / np.linalg.norm(a) for a in axes]
+
+
+def _chain(spheres, axis, medium=None):
+    """``spheres`` as (position along ``axis``, radius, eps, mu) from 0.3 * axis."""
+    objs = [
+        SphereObject(tuple((0.3 + t) * axis), r, eps, mu, f"s{i}")
+        for i, (t, r, eps, mu) in enumerate(spheres)
+    ]
+    return Configuration(tuple(objs), medium or Medium(), 0.0)
+
+
+# each listed out of axial order
+CHAINS = {
+    "pec pair": ([(2.6, 1.0, PEC, ONE), (0.0, 1.0, PEC, ONE)], None),
+    "eps 4 and drude in eps 2": (
+        [(0.0, 0.8, DispersionModel.constant(4.0), ONE), (-2.5, 1.0, DRUDE, ONE)],
+        Medium(DispersionModel.constant(2.0)),
+    ),
+    "pec, mu 2, eps 4": (
+        [
+            (0.0, 1.0, PEC, ONE),
+            (-3.0, 0.7, DispersionModel.constant(1.5), DispersionModel.constant(2.0)),
+            (2.9, 0.9, DispersionModel.constant(4.0), ONE),
+        ],
+        None,
+    ),
+    "drude middle in eps 2": (
+        [
+            (2.4, 0.6, DispersionModel.constant(4.0), ONE),
+            (0.0, 0.8, DRUDE, ONE),
+            (-2.2, 0.5, PEC, ONE),
+        ],
+        Medium(DispersionModel.constant(2.0)),
+    ),
+}
+
+
+def _general(config, kappa, l_max):
+    sign, logdet = np.linalg.slogdet(assemble_block_matrix(config, kappa, l_max))
+    assert sign > 0.0
+    return logdet
+
+
+@pytest.mark.parametrize("l_max", range(1, 9))
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_m_block_logdet_matches_full_slogdet(name, l_max):
+    spheres, medium = CHAINS[name]
+    for axis in _axes():
+        config = _chain(spheres, axis, medium)
+        assert config._axis_positions is not None
+        for kappa in KAPPAS:
+            got = log_det_integrand(config, kappa, l_max)
+            want = _general(config, kappa, l_max)
+            assert abs(got - want) <= 1e-10 * abs(want) + 1e-14, (axis, kappa)
+
+
+def test_nearly_collinear_third_centre_takes_the_m_blocks():
+    def config(offset):
+        return Configuration(
+            (
+                pec_sphere((0.0, 0.0, 0.0), 1.0, "a"),
+                pec_sphere((offset, 0.0, 3.0), 1.0, "b"),
+                dielectric_sphere((0.0, 0.0, -2.8), 0.7, 4.0, "c"),
+            ),
+            Medium(),
+            0.0,
+        )
+
+    on_line = config(1e-13)
+    assert on_line._axis_positions is not None
+    got = log_det_integrand(on_line, 0.5, 4)
+    assert abs(got - _general(on_line, 0.5, 4)) <= 1e-10 * abs(got) + 1e-14
+    assert config(1e-3)._axis_positions is None
+
+
+def test_m_block_route_makes_one_slogdet_call_on_a_stack(monkeypatch):
+    calls = []
+    original = np.linalg.slogdet
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", spy)
+    log_det_integrand(pec_pair(3.0), 0.7, 3)
+    # one block per m, identity-padded to 2 l_max rows per object
+    assert calls == [(7, 12, 12)]
+
+
+def test_guard_checks_every_block_and_names_it():
+    # two negative blocks (an m, -m pair) keep the product of the
+    # determinants positive: each block must be checked on its own
+    stack = np.stack([np.eye(2), np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])])
+    names = ["m = -1 block", "m = 0 block", "m = 1 block"]
+    with pytest.raises(UnphysicalTruncationError, match="m = 0 block"):
+        casimir._positive_logdet(stack, names)
+    stack[0, 0, 1] = np.nan
+    with pytest.raises(UnphysicalTruncationError, match="m = -1 block has non-finite"):
+        casimir._positive_logdet(stack, names)
+
+
+def test_lost_positivity_names_the_m_block(monkeypatch):
+    # translations inflated 1000-fold turn the m = -1 and m = 1 blocks
+    # negative together: the full determinant stays positive, so only the
+    # check of every block on its own sees it
+    original = casimir.translation_matrix
+
+    def inflated(*args, **kwargs):
+        x = original(*args, **kwargs)
+        x.scaled[...] *= 1e3
+        return x
+
+    monkeypatch.setattr(casimir, "translation_matrix", inflated)
+    assert np.linalg.slogdet(assemble_block_matrix(pec_pair(3.0), 1.0, 3))[0] > 0.0
+    with pytest.raises(UnphysicalTruncationError, match="m = -1 block"):
+        log_det_integrand(pec_pair(3.0), 1.0, 3)
+
+
+# --- the coaxial coefficient table -------------------------------------------
+
+
+@pytest.mark.parametrize("spin", ["scalar", "vector"])
+def test_coaxial_build_equals_general_table_build(spin, monkeypatch):
+    builds = {}
+    for table in ("coaxial", "general"):
+        if table == "general":
+            tables = translation._coeff_tables
+            monkeypatch.setattr(
+                translation, "_coeff_tables", lambda l_max, spin, coaxial=False: tables(l_max, spin)
+            )
+        builds[table] = [
+            translation._build(Medium(), kappa, (0.0, 0.0, 2.5), l_max, spin)
+            for l_max in range(1, 9)
+            for kappa in (1e-6, 1e-2, 1.0, 50.0)
+        ]
+    for got, want in zip(builds["coaxial"], builds["general"]):
+        assert np.array_equal(got.scaled, want.scaled)
+        assert np.array_equal(got.exponent, want.exponent)
+
+
+def test_coaxial_table_holds_only_the_m_diagonal_terms():
+    general = translation._coeff_tables(8, "vector")
+    coaxial = translation._coeff_tables(8, "vector", True)
+    assert (coaxial.term_coeff.size, general.term_coeff.size) == (4148, 46244)
+    assert np.array_equal(coaxial.top_lam, general.top_lam)
+
+
+def test_tables_do_not_depend_on_the_pair_chunk(monkeypatch):
+    fields, default = {}, translation._PAIR_CHUNK
+    for chunk in (default, 7):
+        monkeypatch.setattr(translation, "_PAIR_CHUNK", chunk)
+        translation._coeff_tables.cache_clear()
+        fields[chunk] = [
+            vars(translation._coeff_tables(l_max, spin, coaxial))
+            for l_max in range(1, 7)
+            for spin in ("scalar", "vector")
+            for coaxial in (False, True)
+        ]
+    translation._coeff_tables.cache_clear()
+    for got, want in zip(fields[7], fields[default]):
+        for key, value in want.items():
+            pairs = zip(got[key], value) if isinstance(value, tuple) else [(got[key], value)]
+            assert all(np.array_equal(a, b) for a, b in pairs), key
+
+
+@pytest.mark.parametrize(
+    "config",
+    [pec_pair(3.5), _chain(CHAINS["pec, mu 2, eps 4"][0], np.array([-1.0, 0.0, 0.0]))],
+    ids=["pair", "chain out of order"],
+)
+def test_collinear_energy_builds_no_general_table(config, monkeypatch):
+    # every pair is translated from its lower centre on the line, along +z
+    built = []
+    tables = translation._coeff_tables
+
+    def spy(*args):
+        built.append(args)
+        return tables(*args)
+
+    tables.cache_clear()
+    monkeypatch.setattr(translation, "_coeff_tables", spy)
+    energy_T0(config, l_max=3)
+    assert set(built) == {(3, "vector", True)}
+    assert tables.cache_info().currsize == 1

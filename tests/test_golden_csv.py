@@ -8,7 +8,9 @@ trip the comparison.
 
 Rewrite the golden files (only when an output is meant to change) with
 
-    PYTHONPATH=src python tests/test_golden_csv.py
+    PYTHONPATH=src python tests/test_golden_csv.py [CASE ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 
 import math
@@ -131,6 +133,6 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in sys.argv[1:] or sorted(CASES):
             (GOLDEN / f"{case}.csv").write_text(_output(case, tmp), encoding="utf-8")
             print(f"wrote {GOLDEN / case}.csv", file=sys.stderr)
