@@ -18,16 +18,19 @@ off-diagonal blocks are assembled from the similarity-balanced form
 sign * exp(log|F_a|/2 + log|X_ab| + log|F_b|/2), which leaves the
 determinant unchanged and every entry representable.
 
-Collinear centres: turned so that their line is the z axis, every
-translation is along z and conserves m, so M is block-diagonal in m and
-ln det M = sum_m ln det M_m.  ``log_det_integrand`` takes that route: the
-translations come from the coaxial coefficient table of the translation
-module, only the m-diagonal entries are balanced, and one ``slogdet`` call
-takes the 2 l_max + 1 blocks as an identity-padded stack.  The dense
-``assemble_block_matrix`` stays the general route and the oracle.
+One placement: a layout (``_layout``) says which entries of a pair block
+are balanced and where each lands in a stack of identity-padded matrices.
+The dense layout's one matrix is ``assemble_block_matrix``, the oracle.
+Collinear centres, turned so that their line is the z axis, are translated
+along z, which conserves m, so M is block-diagonal in m and
+ln det M = sum_m ln det M_m: ``log_det_integrand`` then takes the axial
+layout (coaxial translations, only the m-diagonal entries balanced) and
+one ``slogdet`` call on the stack of the 2 l_max + 1 blocks.
 """
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,10 +41,12 @@ from .errors import (
     GeometryError,
     UnphysicalTruncationError,
     ValidationError,
+    _finite,
+    _order,
 )
 from .materials import Medium
 from .scattering import mie_tmatrix, fresnel_reflection
-from .translation import reverse_translation, translation_matrix
+from .translation import reverse_translation, sector_size, translation_matrix
 
 __all__ = [
     "Configuration",
@@ -88,14 +93,18 @@ class Configuration:
         labels = [o.label for o in self.objects]
         if len(set(labels)) != len(labels):
             raise ValidationError("object labels must be unique")
-        _check_tau(self.tau)
-        for i, a in enumerate(self.objects):
-            for b in self.objects[i + 1 :]:
-                gap = _gap(a, b)
-                if gap <= 0.0:
-                    raise GeometryError(
-                        f"objects {a.label!r} and {b.label!r} overlap or touch"
-                    )
+        _finite(self.tau, "temperature parameter", "nonnegative")
+        for i, j in self._pairs:
+            a, b = self.objects[i], self.objects[j]
+            if _gap(a, b) <= 0.0:
+                raise GeometryError(
+                    f"objects {a.label!r} and {b.label!r} overlap or touch"
+                )
+
+    @functools.cached_property
+    def _pairs(self):
+        """Index pairs (i, j), i < j, of the objects."""
+        return tuple(itertools.combinations(range(len(self.objects)), 2))
 
     @functools.cached_property
     def _axis_positions(self):
@@ -118,23 +127,7 @@ class Configuration:
         return t
 
     def min_gap(self):
-        return min(
-            _gap(a, b)
-            for i, a in enumerate(self.objects)
-            for b in self.objects[i + 1 :]
-        )
-
-
-def _check_tau(tau):
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValidationError(
-            f"temperature parameter must be finite and nonnegative, got {tau!r}"
-        )
-
-
-def _check_positive(value, what):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
+        return min(_gap(self.objects[i], self.objects[j]) for i, j in self._pairs)
 
 
 def _gap(a, b):
@@ -191,9 +184,9 @@ def _pair_blocks(x, t_i, t_j, entries=None):
 def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
     """Balanced blocks {(I, J): block} of ``pairs`` (I < J) and their reverses.
 
-    With ``entries`` (see :func:`_m_entries`) the configuration is collinear:
-    each pair is translated along +z, from whichever of its centres lies
-    lower on the line, and only those entries are balanced.
+    With ``entries`` (those of the axial :func:`_layout`) the configuration
+    is collinear: each pair is translated along +z, from whichever of its
+    centres lies lower on the line, and only those entries are balanced.
     """
     objs = config.objects
     line = config._axis_positions if entries is not None else None
@@ -209,26 +202,24 @@ def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
     return blocks
 
 
-def _place_blocks(blocks):
-    """I - N from the balanced blocks {(I, J): block} of every ordered pair."""
-    n = 1 + max(i for i, _ in blocks)
-    nb = len(blocks[(0, 1)])
-    m = np.eye(n * nb)
-    for (i, j), block in blocks.items():
-        m[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = -block
-    return m
+_Layout = collections.namedtuple("_Layout", "entries block row col width names")
 
 
-@functools.lru_cache(maxsize=8)
-def _m_entries(l_max):
-    """The entries of a pair block that a displacement along z can fill.
+@functools.lru_cache(maxsize=16)
+def _layout(l_max, axial):
+    """Which entries of a pair block are balanced, and where each one lands.
 
-    Rows and columns of the basis (P, l, m), electric first, with m = m'
-    (the magnetic label m refers to R_{l,-m}, which keeps the sectors in
-    step); and where each one lands in its m-block: the block m + l_max,
-    and the row and column there, P * (l_max + 1 - l_min) + l - l_min with
+    I - N is a stack of matrices, one per name, with ``width`` rows and
+    columns per object.  Dense: every entry, in the one matrix.  Axial: the
+    entries a displacement along z can fill, rows and columns of the basis
+    (P, l, m), electric first, with m = m' (the magnetic label m refers to
+    R_{l,-m}, which keeps the sectors in step); each lands in the block
+    m + l_max, at row and column P * (l_max + 1 - l_min) + l - l_min with
     l_min = max(|m|, 1).
     """
+    if not axial:
+        every = slice(None)
+        return _Layout(None, 0, every, every, 2 * sector_size(l_max), ("matrix",))
     ls = np.arange(1, l_max + 1)
     sector_l = np.repeat(ls, 2 * ls + 1)
     sector_m = np.arange(sector_l.size) - sector_l * sector_l + 1 - sector_l
@@ -237,22 +228,21 @@ def _m_entries(l_max):
     local = np.repeat([0, 1], sector_l.size) * (l_max + 1 - np.maximum(np.abs(m), 1))
     local += l - np.maximum(np.abs(m), 1)
     rows, cols = np.nonzero(m[:, None] == m[None, :])
-    return (rows, cols), m[rows] + l_max, local[rows], local[cols]
+    names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
+    block = m[rows] + l_max
+    return _Layout((rows, cols), block, local[rows], local[cols], 2 * l_max, names)
 
 
-def _place_m_blocks(blocks, l_max):
-    """The m-blocks of I - N, each identity-padded to 2 l_max per object.
-
-    ``blocks`` holds the balanced :func:`_m_entries` of every ordered pair.
-    """
+def _place_blocks(blocks, layout):
+    """I - N as the stack of ``layout``, from the balanced {(I, J): values}."""
     n = 1 + max(i for i, _ in blocks)
-    _, block, row, col = _m_entries(l_max)
-    size = 2 * l_max * n
-    m = np.zeros((2 * l_max + 1, size, size))
-    m[:, np.arange(size), np.arange(size)] = 1.0
+    depth, size = len(layout.names), layout.width * n
+    stack = np.zeros((depth, size, size))
+    stack.reshape(depth, -1)[:, :: size + 1] = 1.0
+    slots = stack.reshape(depth, n, layout.width, n, layout.width)
     for (i, j), values in blocks.items():
-        m[block, 2 * l_max * i + row, 2 * l_max * j + col] = -values
-    return m
+        slots[layout.block, i, layout.row, j, layout.col] = -values
+    return stack
 
 
 def _positive_logdet(m, what="matrix"):
@@ -278,6 +268,16 @@ def _positive_logdet(m, what="matrix"):
     return float(np.sum(logdet))
 
 
+def _assemble(config, kappa, l_max, axial):
+    """I - N as the stack of ``_layout(l_max, axial)``."""
+    objs = config.objects
+    # first: an order beyond the special functions raises before its layout
+    sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
+    layout = _layout(l_max, axial)
+    blocks = _blocks(config, kappa, l_max, sl, config._pairs, layout.entries)
+    return _place_blocks(blocks, layout)
+
+
 def assemble_block_matrix(config, kappa, l_max):
     """Balanced block matrix whose log-determinant is the integrand.
 
@@ -285,33 +285,22 @@ def assemble_block_matrix(config, kappa, l_max):
     -F_I X_IJ after the determinant-preserving balancing described in the
     module docstring.  For two objects its determinant equals
     det(I - F_A X_AB F_B X_BA).  Each pair is translated once; X_JI is its
-    reciprocal image.
+    reciprocal image.  This is the dense layout's one matrix.
     """
-    objs = config.objects
-    sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
-    pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
-    return _place_blocks(_blocks(config, kappa, l_max, sl, pairs))
+    return _assemble(config, kappa, l_max, False)[0]
 
 
 def log_det_integrand(config, kappa, l_max):
     """ln det of the block matrix; <= 0 for same-class objects.
 
-    The truncated matrix must stay positive definite in the determinant
-    sense; a non-positive or non-finite determinant signals an unphysical
-    truncation.  When the centres are collinear, a rotation takes their
-    line to z, where m is conserved: I - N splits into one block per m, and
-    the value is the sum of their ln dets, from translations along +z
-    (built from the coaxial coefficient table) and one ``slogdet`` call on
-    the stack of blocks.  Each block must be positive on its own.
+    A non-positive or non-finite determinant signals an unphysical
+    truncation.  Collinear centres take the axial layout: the value is the
+    sum of the ln dets of the m-blocks, from one ``slogdet`` call on their
+    stack, and each block must be positive on its own.
     """
-    if config._axis_positions is None:
-        return _positive_logdet(assemble_block_matrix(config, kappa, l_max))
-    objs = config.objects
-    sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
-    pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
-    blocks = _blocks(config, kappa, l_max, sl, pairs, _m_entries(l_max)[0])
-    names = [f"m = {m} block of the matrix" for m in range(-l_max, l_max + 1)]
-    return _positive_logdet(_place_m_blocks(blocks, l_max), names)
+    axial = config._axis_positions is not None
+    stack = _assemble(config, kappa, l_max, axial)
+    return _positive_logdet(stack, _layout(l_max, axial).names)
 
 
 def _quad_nodes(n_nodes, scale):
@@ -416,9 +405,9 @@ def _energy(config, tol, l_max):
     refined.  After MAX_ORDER_DOUBLINGS doublings, ConvergenceBudgetError's
     ``partial`` is the last evaluated order, estimated by its order change.
     """
-    _check_positive(tol, "tol")
+    _finite(tol, "tol")
     fixed_order = l_max is not None
-    l_max = l_max if fixed_order else default_l_max(config)
+    l_max = _order(l_max, "l_max") if fixed_order else default_l_max(config)
     current = _evaluate(config, tol, l_max, 24)
     for _ in range(MAX_ORDER_DOUBLINGS):
         current = _grid_converged(config, tol, current)
@@ -493,9 +482,9 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
     sum, which raises ConvergenceBudgetError past MAX_SUM_TERMS terms.
     Attraction gives a negative value.
     """
-    _check_positive(gap, "gap")
-    _check_tau(tau)
-    _check_positive(tol, "tol")
+    _finite(gap, "gap")
+    _finite(tau, "temperature parameter", "nonnegative")
+    _finite(tol, "tol")
     if mat1[1].is_pec or mat2[1].is_pec:
         raise ValidationError("a half-space permeability cannot be a perfect conductor")
 

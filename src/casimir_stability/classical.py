@@ -43,6 +43,8 @@ from .errors import (
     ConvergenceBudgetError,
     PrecisionError,
     ValidationError,
+    _finite,
+    _vector,
 )
 
 __all__ = [
@@ -70,7 +72,8 @@ class Container:
     ``mobile_charges`` is a sequence of (charge, tether) where tether is
     None or ("harmonic", k, anchor) with the anchor relative to the center.
     ``include_intra`` adds the intra-container Coulomb pairs to the
-    container's internal energy U_J.
+    container's internal energy U_J.  Every number must be finite, sizes
+    positive and tether stiffnesses nonnegative (else ValidationError).
     """
 
     label: str
@@ -84,20 +87,17 @@ class Container:
     def __post_init__(self):
         if self.shape not in ("sphere", "box"):
             raise ValidationError("container shape must be 'sphere' or 'box'")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if len(self.center) != 3:
-            raise ValidationError("container center must be a 3-vector")
+        object.__setattr__(self, "center", _vector(self.center, "container center"))
         if self.shape == "sphere":
-            size = float(self.size)
-            if size <= 0.0:
-                raise ValidationError("sphere radius must be positive")
+            size = _finite(self.size, "sphere radius")
         else:
-            size = tuple(float(s) for s in self.size)
-            if len(size) != 3 or any(s <= 0.0 for s in size):
-                raise ValidationError("box size must be three positive lengths")
+            size = tuple(_finite(s, "box edge") for s in self.size)
+            if len(size) != 3:
+                raise ValidationError("box size must be three edge lengths")
         object.__setattr__(self, "size", size)
         fixed = tuple(
-            (float(q), tuple(float(x) for x in pos)) for q, pos in self.fixed_charges
+            (_finite(q, "charge", sign=None), _vector(pos, "fixed charge position"))
+            for q, pos in self.fixed_charges
         )
         object.__setattr__(self, "fixed_charges", fixed)
         mobiles = []
@@ -106,10 +106,9 @@ class Container:
                 kind, k, anchor = tether
                 if kind != "harmonic":
                     raise ValidationError("tether must be None or harmonic")
-                if k < 0.0:
-                    raise ValidationError("tether stiffness must be nonnegative")
-                tether = ("harmonic", float(k), tuple(float(a) for a in anchor))
-            mobiles.append((float(q), tether))
+                k = _finite(k, "tether stiffness", "nonnegative")
+                tether = ("harmonic", k, _vector(anchor, "tether anchor"))
+            mobiles.append((_finite(q, "charge", sign=None), tether))
         object.__setattr__(self, "mobile_charges", tuple(mobiles))
 
     def contains(self, points):
@@ -123,7 +122,10 @@ class Container:
 
 @dataclass(frozen=True)
 class ClassicalConfig:
-    """Containers in a uniform dielectric at inverse temperature beta."""
+    """Containers in a uniform dielectric at inverse temperature beta.
+
+    eps_M and beta must be finite and positive (else ValidationError).
+    """
 
     containers: tuple
     eps_M: float = 1.0
@@ -131,10 +133,8 @@ class ClassicalConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "containers", tuple(self.containers))
-        if self.eps_M <= 0.0:
-            raise ValidationError("eps_M must be positive")
-        if self.beta <= 0.0:
-            raise ValidationError("beta must be positive")
+        _finite(self.eps_M, "eps_M")
+        _finite(self.beta, "beta")
         labels = [c.label for c in self.containers]
         if len(set(labels)) != len(labels):
             raise ValidationError("container labels must be unique")
@@ -392,9 +392,13 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     below); no count above ``max_n`` is evaluated, and when ``max_n`` nodes
     do not agree ConvergenceBudgetError is raised.
     A mobile coupled to an opposite charge it can reach has no finite
-    partition integral and raises ValidationError up front.
+    partition integral and raises ValidationError up front, as do a shift
+    that is not finite and a ``tol`` that is NaN or negative (0 and inf
+    force the node budget).
     """
-    cfg = _shifted(config, config.containers[0].label, d)
+    if not tol >= 0.0:
+        raise ValidationError(f"tol must be >= 0, got {tol!r}")
+    cfg = _shifted(config, config.containers[0].label, _vector(d, "shift d"))
     table = cfg._table
     mobiles = range(table.n_fixed, len(table.q))
     if len(mobiles) > 2:
@@ -450,8 +454,9 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
     Deterministic for a given seed.  Proposals are uniform cube moves of
     half-width ``step_size``; moves outside the hard walls are rejected.
     An acceptance rate outside [0.1, 0.9] triggers a warning (tune
-    step_size), not a failure.
+    step_size), not a failure; ``step_size`` must be finite and positive.
     """
+    step_size = _finite(step_size, "step_size")
     table = config._table
     first, n_mobile = table.n_fixed, len(table.anchor)
     if not n_mobile:

@@ -15,7 +15,7 @@ assigned.
 import math
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, ZeroFrequencyError
+from .errors import ValidationError, ZeroFrequencyError, _finite
 
 __all__ = [
     "DispersionModel",
@@ -26,14 +26,6 @@ __all__ = [
     "classify",
     "VACUUM",
 ]
-
-
-def _positive(value, what):
-    """``value`` as a float, if it is finite and positive (else ValidationError)."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{what} must be finite and positive, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -52,30 +44,27 @@ class DispersionModel:
 
     @classmethod
     def constant(cls, value):
-        return cls("constant", value=_positive(value, "constant response"))
+        return cls("constant", value=_finite(value, "constant response"))
 
     @classmethod
     def plasma(cls, omega_p):
-        return cls("plasma", omega_p=_positive(omega_p, "plasma frequency"))
+        return cls("plasma", omega_p=_finite(omega_p, "plasma frequency"))
 
     @classmethod
     def drude(cls, omega_p, gamma):
         return cls(
             "drude",
-            omega_p=_positive(omega_p, "drude plasma frequency"),
-            gamma=_positive(gamma, "drude relaxation rate"),
+            omega_p=_finite(omega_p, "drude plasma frequency"),
+            gamma=_finite(gamma, "drude relaxation rate"),
         )
 
     @classmethod
     def lorentz(cls, oscillators):
         oscillators = tuple(tuple(map(float, o)) for o in oscillators)
         for f, w, g in oscillators:
-            finite = all(map(math.isfinite, (f, w, g)))
-            if not (finite and f >= 0.0 and w > 0.0 and g >= 0.0):
-                raise ValidationError(
-                    "lorentz oscillators need finite strength >= 0, "
-                    "resonance > 0 and damping >= 0"
-                )
+            _finite(f, "lorentz oscillator strength", "nonnegative")
+            _finite(w, "lorentz oscillator resonance")
+            _finite(g, "lorentz oscillator damping", "nonnegative")
         return cls("lorentz", oscillators=oscillators)
 
     @classmethod

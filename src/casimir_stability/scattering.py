@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, GeometryError, ValidationError
+from .errors import CapabilityError, GeometryError, ValidationError, _finite, _vector
 from .materials import eval_epsilon, eval_mu
 from .specfun import log_bessel_i_array, log_bessel_k_array
 
@@ -52,11 +52,9 @@ class SphereObject:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
-            raise GeometryError("sphere center must be a finite 3-vector")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise GeometryError("sphere radius must be finite and positive")
+        center = _vector(self.center, "sphere center", GeometryError)
+        object.__setattr__(self, "center", center)
+        _finite(self.radius, "sphere radius", error=GeometryError)
         if self.mu.is_pec:
             raise ValidationError(
                 f"sphere {self.label!r}: a permeability cannot be a perfect conductor"

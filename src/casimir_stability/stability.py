@@ -40,16 +40,16 @@ from .casimir import (
     Configuration,
     _blocks,
     _gap,
+    _layout,
     _matsubara_sum,
     _place_blocks,
     _positive_logdet,
     _quad_nodes,
     default_l_max,
 )
-from .errors import ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError, _finite, _order
 from .materials import classify
 from .scattering import mie_tmatrix
-from .translation import sector_size
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
 from .translation import translation_gradient, translation_matrix  # noqa: F401
 
@@ -124,10 +124,11 @@ class _CommonGridEngine:
         self.config, self.label = config, label
         objs = config.objects
         self.idx = _index(config, label)
-        self.l_max = l_max if l_max is not None else default_l_max(config)
-        self.nb = 2 * sector_size(self.l_max)
-        pairs = [(i, j) for i in range(len(objs)) for j in range(i + 1, len(objs))]
-        self.moving = [p for p in pairs if self.idx in p]
+        _order(n_nodes, "n_nodes")
+        self.l_max = default_l_max(config) if l_max is None else _order(l_max, "l_max")
+        self.layout = _layout(self.l_max, False)
+        self.nb = self.layout.width
+        self.moving = [p for p in config._pairs if self.idx in p]
         if config.tau == 0.0:
             self.kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
             self.weights = weights / (2.0 * math.pi)
@@ -145,7 +146,7 @@ class _CommonGridEngine:
             [mie_tmatrix(o, config.medium, k, self.l_max).raw_signed_log() for o in objs]
             for k in self.kappas
         ]
-        static = [p for p in pairs if self.idx not in p]
+        static = [p for p in config._pairs if self.idx not in p]
         self.static = [
             _blocks(config, k, self.l_max, t, static)
             for k, t in zip(self.kappas, self.t_logs)
@@ -154,14 +155,20 @@ class _CommonGridEngine:
     def matrix(self, k, moved):
         """I - N at node k of ``moved``, a displacement of the labeled object."""
         blocks = _blocks(moved, self.kappas[k], self.l_max, self.t_logs[k], self.moving)
-        return _place_blocks({**self.static[k], **blocks})
+        return _place_blocks({**self.static[k], **blocks}, self.layout)[0]
+
+    def logdet(self, k, m, u, what="matrix"):
+        """ln det of ``m``, I - N (or ``what``) at node k with the object moved by u."""
+        at = ", ".join(f"{c:.6g}" for c in u)
+        where = f"at kappa = {self.kappas[k]:.6g} (node {k}), {self.label!r} moved by"
+        return _positive_logdet(m, f"{what} {where} ({at})")
 
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
         moved = _displaced(self.config, self.label, u)
         total = 0.0
         for k, weight in enumerate(self.weights):
-            total += weight * _positive_logdet(self.matrix(k, moved))
+            total += weight * self.logdet(k, self.matrix(k, moved), u)
         return total
 
 
@@ -174,7 +181,7 @@ def _default_h(config, label):
 def _step(config, label, h):
     """Finite-difference step: ``h``, or 1e-3 * gap; in (1e-8, 0.1) * gap."""
     default, gap = _default_h(config, label)
-    h = default if h is None else h
+    h = default if h is None else _finite(h, "step h", sign=None, error=ToleranceError)
     if h >= 0.1 * gap:
         raise ToleranceError("finite-difference step must be below 0.1*gap")
     if h <= 1e-8 * gap:
@@ -243,11 +250,11 @@ def _sign_classes(config):
     }
     labels = list(classes)
     products = {}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            s_a, s_b = classes[a].sign, classes[b].sign
-            defined = s_a not in (None, 0) and s_b not in (None, 0)
-            products[a, b] = s_a * s_b if defined else None
+    for i, j in config._pairs:
+        a, b = labels[i], labels[j]
+        s_a, s_b = classes[a].sign, classes[b].sign
+        defined = s_a not in (None, 0) and s_b not in (None, 0)
+        products[a, b] = s_a * s_b if defined else None
     return classes, products
 
 
@@ -278,7 +285,7 @@ def _node_terms(eng, k, moved, h):
     slices of the undisplaced matrix, dU and dV the same slices of the
     Richardson-refined central difference d(I - N)/da_i = -dN/da_i.
     """
-    kappa, nb = eng.kappas[k], eng.nb
+    kappa, nb, steps = eng.kappas[k], eng.nb, _stencil(h)
     mine = np.arange(eng.idx * nb, (eng.idx + 1) * nb)
     rest = np.setdiff1d(np.arange(len(eng.config.objects) * nb), mine)
 
@@ -287,11 +294,11 @@ def _node_terms(eng, k, moved, h):
         return x[np.ix_(rest, rest)], x[np.ix_(mine, rest)], x[np.ix_(rest, mine)]
 
     m = eng.matrix(k, moved[0])
-    logdets = [_positive_logdet(m)]
+    logdets = [eng.logdet(k, m, steps[0])]
     m_rr, u_row, v_col = split(m)
     m_inv_v = np.linalg.solve(m_rr, v_col)
     n_eff = u_row @ m_inv_v
-    _positive_logdet(np.eye(nb) - n_eff, "merged-remainder matrix")
+    eng.logdet(k, np.eye(nb) - n_eff, steps[0], "merged-remainder matrix")
     resolvent = np.linalg.inv(np.eye(nb) - n_eff)
     n_m = eng.config.medium.refractive_index(kappa)
     b1 = 2.0 * (n_m * kappa) ** 2 * np.trace(resolvent @ n_eff)
@@ -299,9 +306,9 @@ def _node_terms(eng, k, moved, h):
     for axis in range(3):
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         dm = 0.0
-        for cfg, c in zip(moved[1 + 4 * axis : 5 + 4 * axis], (-0.5, 0.5, 4.0, -4.0)):
-            x = eng.matrix(k, cfg)
-            logdets.append(_positive_logdet(x))
+        for s, c in zip(range(1 + 4 * axis, 5 + 4 * axis), (-0.5, 0.5, 4.0, -4.0)):
+            x = eng.matrix(k, moved[s])
+            logdets.append(eng.logdet(k, x, steps[s]))
             dm = dm + c * x
         _, du, dv = split(dm / (3.0 * h))
         mid = np.linalg.solve(m_rr, dv)
@@ -339,16 +346,15 @@ def find_axial_equilibrium(
     EquilibriumResult whose report is :func:`stability_report` at the root;
     absence of a sign change is a result, not an error.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and positive, got {tol!r}")
+    _finite(tol, "tol")
     if axis not in (0, 1, 2):
         raise ValidationError(f"axis must be 0, 1 or 2, got {axis!r}")
+    lo, hi = (_finite(end, "bracket end", sign=None) for end in bracket)
     base = config.objects[_index(config, label)].center
     h = _step(config, label, None)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
     # cached: brentq evaluates the two ends of the bracket again
     f = functools.cache(lambda s: _axial_force(eng, h, axis, s))
-    lo, hi = float(bracket[0]), float(bracket[1])
     if f(lo) * f(hi) > 0.0:
         return EquilibriumResult(found=False)
     # imported here: scipy.optimize would add a third to the CLI's import time

@@ -299,6 +299,16 @@ def test_out_of_range_tau_gap_and_tol_are_rejected_up_front(call):
         call()
 
 
+@pytest.mark.parametrize("l_max", [2.5, 0, -1, True, "3"])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_energy_order_must_be_an_integer_of_at_least_one(tau, l_max):
+    # a fractional order used to fail inside numpy with "operands could not
+    # be broadcast together"
+    energy = energy_T0 if tau == 0.0 else free_energy_T
+    with pytest.raises(ValidationError, match="l_max must be an integer >= 1"):
+        energy(pec_pair(4.0, tau=tau), l_max=l_max)
+
+
 def test_default_l_max_scales_with_geometry():
     near = pec_pair(2.2)
     far = pec_pair(12.0)

@@ -58,6 +58,71 @@ def test_validation():
         ClassicalConfig((a,), -1.0, 1.0)
 
 
+NAN, INF = math.nan, math.inf
+TETHER = ("harmonic", 5.0, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "eps_m, beta",
+    [(1.0, NAN), (1.0, INF), (1.0, 0.0), (NAN, 1.0), (INF, 1.0)],
+    ids=["beta_nan", "beta_inf", "beta_zero", "eps_nan", "eps_inf"],
+)
+def test_config_rejects_nonfinite_or_nonpositive_parameters(eps_m, beta):
+    # a NaN or infinite beta used to be accepted: the chain then accepted no
+    # move, and the quadrature free energy never converged
+    a, b = tethered_toy().containers
+    with pytest.raises(ValidationError, match="finite and positive"):
+        ClassicalConfig((a, b), eps_m, beta)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(size=NAN),
+        dict(size=INF),
+        dict(shape="box", size=(0.3, NAN, 0.3)),
+        dict(center=(0, NAN, 0)),
+        dict(fixed_charges=[(NAN, (0, 0, 0))]),
+        dict(fixed_charges=[(1.0, (0, 0, INF))]),
+        dict(mobile_charges=[(NAN, TETHER)]),
+        dict(mobile_charges=[(1.0, ("harmonic", NAN, (0, 0, 0)))]),
+        dict(mobile_charges=[(1.0, ("harmonic", -1.0, (0, 0, 0)))]),
+        dict(mobile_charges=[(1.0, ("harmonic", 5.0, (NAN, 0, 0)))]),
+    ],
+    ids=["radius_nan", "radius_inf", "edge_nan", "center_nan", "fixed_q_nan",
+         "fixed_pos_inf", "mobile_q_nan", "tether_k_nan", "tether_k_neg",
+         "anchor_nan"],
+)
+def test_container_rejects_nonfinite_input(kwargs):
+    args = dict(label="a", shape="sphere", center=(0, 0, 0), size=0.3)
+    with pytest.raises(ValidationError, match="must be (a )?finite"):
+        Container(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("step_size", [NAN, INF, 0.0, -0.25])
+def test_metropolis_rejects_nonfinite_or_nonpositive_step(step_size):
+    with pytest.raises(ValidationError, match="step_size must be finite and positive"):
+        metropolis_run(tethered_toy(), 200, step_size, seed=1)
+
+
+@pytest.mark.parametrize(
+    "d, tol, match",
+    [
+        ((NAN, 0, 0), 1e-8, "shift d must be a finite 3-vector"),
+        ((0, 0, INF), 1e-8, "shift d must be a finite 3-vector"),
+        ((0, 0, 0), NAN, "tol must be >= 0"),
+        ((0, 0, 0), -1.0, "tol must be >= 0"),
+    ],
+)
+def test_free_energy_rejects_nonfinite_shift_and_negative_tol(d, tol, match):
+    # a NaN shift used to be reported as two containers that overlap, and a
+    # NaN or negative tol ran the quadrature to its node budget
+    a = Container("a", "sphere", (0, 0, 0), 0.3, mobile_charges=[(1.0, TETHER)])
+    b = Container("b", "sphere", (0, 0, 1.2), 0.3, fixed_charges=[(-1.0, (0, 0, 0))])
+    with pytest.raises(ValidationError, match=match):
+        free_energy_quadrature(ClassicalConfig((a, b), 1.0, 2.0), d, tol=tol)
+
+
 def test_coulomb_between_unit_charges():
     cfg = two_fixed_units(1.0)
     assert hamiltonian(cfg, np.zeros((0, 3))) == pytest.approx(1.0 / (4 * math.pi))

@@ -4,12 +4,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from casimir_stability import Configuration, Medium, force, log_det_integrand
-from conftest import dielectric_sphere, pec_sphere
+from casimir_stability import (
+    ClassicalConfig,
+    Configuration,
+    Container,
+    DispersionModel,
+    Medium,
+    SphereObject,
+    classical,
+    force,
+    free_energy_quadrature,
+    log_det_integrand,
+)
+from casimir_stability.casimir import assemble_block_matrix
+from conftest import ONE, PEC, dielectric_sphere, pec_sphere
 
 
 @settings(max_examples=25, deadline=None)
@@ -71,3 +83,117 @@ def test_integrand_invariant_under_reordering(shift, order, kappa, rotvec, offse
     )
     got = log_det_integrand(Configuration(moved, Medium(), 0.0), kappa, 3)
     assert got == pytest.approx(ref, rel=1e-9)
+
+
+def _unit(theta, phi):
+    return np.array(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
+
+
+angles = st.tuples(st.floats(0.0, np.pi), st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def same_class_configs(draw):
+    """2-3 spheres of one sign class, each placed beyond the last, gaps >= 0.2.
+
+    The class is PEC or eps > 1 in vacuum (class I), or eps below an eps = 6
+    medium (class II); with ``collinear`` every step is along one axis.
+    """
+    kind = draw(st.sampled_from(["pec", "dielectric", "below medium"]))
+    collinear = draw(st.booleans())
+    axis = _unit(*draw(angles))
+    centers, radii, objs = [np.zeros(3)], [draw(st.floats(0.3, 1.5))], []
+    for _ in range(draw(st.integers(1, 2))):
+        if collinear:
+            step = axis * draw(st.sampled_from([1.0, -1.0]))
+        else:
+            step = _unit(*draw(angles))
+        radii.append(draw(st.floats(0.3, 1.5)))
+        reach = radii[-2] + radii[-1] + draw(st.floats(0.2, 2.0))
+        centers.append(centers[-1] + reach * step)
+    for i, (c, r) in enumerate(zip(centers, radii)):
+        if kind == "pec":
+            eps = PEC
+        else:
+            low, high = (1.1, 20.0) if kind == "dielectric" else (1.0, 5.5)
+            eps = DispersionModel.constant(draw(st.floats(low, high)))
+        objs.append(SphereObject(tuple(c), r, eps, ONE, f"s{i}"))
+    below = kind == "below medium"
+    medium = Medium(DispersionModel.constant(6.0)) if below else Medium()
+    gaps = [
+        np.linalg.norm(centers[i] - centers[j]) - radii[i] - radii[j]
+        for i in range(len(objs))
+        for j in range(i)
+    ]
+    assume(min(gaps) >= 0.2)
+    return Configuration(tuple(objs), medium, 0.0), collinear
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=same_class_configs(),
+    log_kappa=st.floats(-3.0, 1.0),
+    l_max=st.integers(1, 4),
+)
+def test_log_det_is_nonpositive_for_same_class_spheres(drawn, log_kappa, l_max):
+    # the paper's first sign statement: ln det(I - N) <= 0, so same-class
+    # bodies attract at every frequency; collinear draws take the m-block
+    # route, and their dense matrix is checked too
+    config, collinear = drawn
+    kappa = 10.0**log_kappa
+    assert log_det_integrand(config, kappa, l_max) <= 0.0
+    if collinear:
+        sign, logdet = np.linalg.slogdet(assemble_block_matrix(config, kappa, l_max))
+        assert sign > 0.0
+        assert logdet <= 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    charges=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0), st.booleans()),
+    k=st.floats(0.0, 10.0),
+    beta=st.floats(0.5, 3.0),
+    direction=angles,
+    gap=st.floats(0.2, 1.0),
+    anchor=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+    spot=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+)
+def test_free_energy_laplacian_is_minus_beta_times_gradient_variance(
+    charges, k, beta, direction, gap, anchor, spot
+):
+    # the classical sign statement, lap F = -beta Var(grad_d H): the left side
+    # from central differences of the quadrature free energy (Richardson, h =
+    # 0.02), the right side from Boltzmann weights on the same volume nodes
+    q, q_fixed, opposite = charges
+    tether = ("harmonic", k, anchor)
+    mobile = Container("a", "sphere", (0, 0, 0), 0.4, mobile_charges=[(q, tether)])
+    center = tuple((0.7 + gap) * _unit(*direction))
+    charge = -q_fixed if opposite else q_fixed
+    fixed = Container("b", "sphere", center, 0.3, fixed_charges=[(charge, spot)])
+    config = ClassicalConfig((mobile, fixed), 1.0, beta)
+
+    table = config._table
+    points, weights = classical._shape_nodes(mobile, 32)
+    energy = classical._site_energy(table, table.n_fixed, points, table.fixed)
+    p = weights * np.exp(-beta * (energy - energy.min()))
+    p /= p.sum()
+    fixed_positions = np.broadcast_to(table.fixed, (len(points), table.n_fixed, 3))
+    positions = np.concatenate([fixed_positions, points[:, None]], axis=1)
+    grads = classical._grad_d(table, positions, 0)
+    centred = grads - p @ grads
+    variance = float(p @ np.einsum("ij,ij->i", centred, centred))
+
+    f0 = free_energy_quadrature(config, (0, 0, 0), tol=1e-13)
+
+    def laplacian(h):
+        return sum(
+            free_energy_quadrature(config, h * e, tol=1e-13)
+            - 2.0 * f0
+            + free_energy_quadrature(config, -h * e, tol=1e-13)
+            for e in np.eye(3)
+        ) / h**2
+
+    lap = (4.0 * laplacian(0.01) - laplacian(0.02)) / 3.0
+    assert lap == pytest.approx(-beta * variance, rel=1e-4)

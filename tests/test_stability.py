@@ -1,5 +1,8 @@
 """Forces, Laplacians, the trace decomposition, and equilibrium search."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,45 @@ def test_nan_translation_entry_raises_in_engine_and_decomposition(monkeypatch):
         _CommonGridEngine(cfg, "a", l_max=3, n_nodes=4).energy(np.zeros(3))
     with pytest.raises(UnphysicalTruncationError):
         laplacian_decomposition(cfg, "a", l_max=3, n_nodes=4)
+
+
+def test_engine_positivity_errors_name_the_node_and_displacement(monkeypatch):
+    from casimir_stability import UnphysicalTruncationError, casimir
+    from casimir_stability.stability import _CommonGridEngine
+    from test_casimir import _nan_translation
+
+    cfg = pec_pair(4.0)
+    _nan_translation(monkeypatch, casimir)
+    eng = _CommonGridEngine(cfg, "a", l_max=3, n_nodes=4)
+    at = re.escape(f"kappa = {eng.kappas[0]:.6g} (node 0), 'a' moved by (0, 0, 0.5)")
+    with pytest.raises(UnphysicalTruncationError, match=f"matrix at {at} has non-fin"):
+        eng.energy(np.array([0.0, 0.0, 0.5]))
+    for call in (force, laplacian_fd, stability_report):
+        with pytest.raises(UnphysicalTruncationError, match=r"kappa = \S+ \(node 0\)"):
+            call(cfg, "a", l_max=3, n_nodes=4)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda cfg: stability_report(cfg, "a", l_max=2, n_nodes=0),
+         ValidationError, "n_nodes must be an integer >= 1"),
+        (lambda cfg: stability_report(cfg, "a", l_max=2, n_nodes=2.5),
+         ValidationError, "n_nodes must be an integer >= 1"),
+        (lambda cfg: force(cfg, "a", l_max=2.5, n_nodes=4),
+         ValidationError, "l_max must be an integer >= 1"),
+        (lambda cfg: force(cfg, "a", h=math.nan, l_max=2, n_nodes=4),
+         ToleranceError, "step h must be finite"),
+        (lambda cfg: find_axial_equilibrium(cfg, "a", 2, (math.nan, 0.5), n_nodes=4),
+         ValidationError, "bracket end must be finite"),
+    ],
+    ids=["n_nodes_0", "n_nodes_2.5", "l_max_2.5", "h_nan", "bracket_nan"],
+)
+def test_orders_steps_and_brackets_are_checked_where_they_enter(call, error, match):
+    # each used to fail deeper: numpy's "deg must be a positive integer", a
+    # TypeError, a broadcast error, or a sphere centre that is not finite
+    with pytest.raises(error, match=match):
+        call(pec_pair(4.0))
 
 
 def test_matsubara_grid_cap_raises_with_partial_grid(monkeypatch):
