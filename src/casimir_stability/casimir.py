@@ -268,11 +268,24 @@ def _positive_logdet(m, what="matrix"):
     return float(np.sum(logdet))
 
 
+def _t_logs(config, kappa, l_max):
+    """Raw (sign, log) T-matrix pair of every object, built once per distinct sphere.
+
+    A T-matrix depends on the radius and the two response models, not on
+    the centre, so equal spheres share one pair.
+    """
+    built = {}
+    for o in config.objects:
+        key = (o.radius, o.eps, o.mu)
+        if key not in built:
+            built[key] = mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log()
+    return [built[o.radius, o.eps, o.mu] for o in config.objects]
+
+
 def _assemble(config, kappa, l_max, axial):
     """I - N as the stack of ``_layout(l_max, axial)``."""
-    objs = config.objects
     # first: an order beyond the special functions raises before its layout
-    sl = [mie_tmatrix(o, config.medium, kappa, l_max).raw_signed_log() for o in objs]
+    sl = _t_logs(config, kappa, l_max)
     layout = _layout(l_max, axial)
     blocks = _blocks(config, kappa, l_max, sl, config._pairs, layout.entries)
     return _place_blocks(blocks, layout)

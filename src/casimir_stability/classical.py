@@ -44,6 +44,7 @@ from .errors import (
     PrecisionError,
     ValidationError,
     _finite,
+    _order,
     _vector,
 )
 
@@ -393,11 +394,12 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     do not agree ConvergenceBudgetError is raised.
     A mobile coupled to an opposite charge it can reach has no finite
     partition integral and raises ValidationError up front, as do a shift
-    that is not finite and a ``tol`` that is NaN or negative (0 and inf
-    force the node budget).
+    that is not finite, a ``tol`` that is NaN or negative (0 and inf force
+    the node budget) and a ``max_n`` that is not an integer >= 8.
     """
     if not tol >= 0.0:
         raise ValidationError(f"tol must be >= 0, got {tol!r}")
+    _order(max_n, "max_n", 8)
     cfg = _shifted(config, config.containers[0].label, _vector(d, "shift d"))
     table = cfg._table
     mobiles = range(table.n_fixed, len(table.q))
@@ -455,14 +457,16 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
     half-width ``step_size``; moves outside the hard walls are rejected.
     An acceptance rate outside [0.1, 0.9] triggers a warning (tune
     step_size), not a failure; ``step_size`` must be finite and positive.
+    ``steps`` and ``burn_in`` (default steps // 10, at least 1) are integers
+    >= 1, and ``steps`` must exceed ``burn_in``.
     """
     step_size = _finite(step_size, "step_size")
     table = config._table
     first, n_mobile = table.n_fixed, len(table.anchor)
     if not n_mobile:
         raise ValidationError("no mobile charges to sample")
-    if burn_in is None:
-        burn_in = max(1, steps // 10)
+    _order(steps, "steps")
+    burn_in = max(1, steps // 10) if burn_in is None else _order(burn_in, "burn_in")
     if steps <= burn_in:
         raise ValidationError("steps must exceed the burn-in")
     rng = np.random.default_rng(seed)

@@ -71,8 +71,8 @@ def _vector(values, what, error=ValidationError):
     return vector
 
 
-def _order(value, what):
-    """``value`` if it is an integer >= 1 (a bool is not), else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{what} must be an integer >= 1, got {value!r}")
+def _order(value, what, least=1):
+    """``value`` if it is an integer >= ``least`` (a bool is not), else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
     return value

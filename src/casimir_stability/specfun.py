@@ -35,7 +35,6 @@ rules.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -85,11 +84,6 @@ def log_bessel_i_array(l_max, x):
     """
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    return _log_i_cached(int(l_max), float(x)).copy()
-
-
-@lru_cache(maxsize=8192)
-def _log_i_cached(l_max, x):
     # enough terms that the last one is negligible: series behaves like exp(x)
     n_terms = max(30, int(1.5 * x) + 40)
     k = np.arange(n_terms)
@@ -104,9 +98,7 @@ def _log_i_cached(l_max, x):
         - gammaln(k + 1)[None, :]
         - log_ddfact
     )
-    out = _logsumexp_rows(log_terms)
-    out.flags.writeable = False
-    return out
+    return _logsumexp_rows(log_terms)
 
 
 def log_bessel_k_array(l_max, x):
@@ -117,11 +109,6 @@ def log_bessel_k_array(l_max, x):
     """
     if x <= 0.0:
         raise ValueError("argument must be positive")
-    return _log_k_cached(int(l_max), float(x)).copy()
-
-
-@lru_cache(maxsize=8192)
-def _log_k_cached(l_max, x):
     ell = np.arange(l_max + 1)[:, None]
     j = np.arange(l_max + 1)[None, :]
     valid = j <= ell
@@ -134,9 +121,7 @@ def _log_k_cached(l_max, x):
         - jj * math.log(2.0 * x),
         -np.inf,
     )
-    out = -x - math.log(x) + _logsumexp_rows(log_terms)
-    out.flags.writeable = False
-    return out
+    return -x - math.log(x) + _logsumexp_rows(log_terms)
 
 
 def _pair_from_logs(log_f, log_f_next, l, x, deriv_sign):

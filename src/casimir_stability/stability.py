@@ -45,12 +45,13 @@ from .casimir import (
     _place_blocks,
     _positive_logdet,
     _quad_nodes,
+    _t_logs,
     default_l_max,
 )
 from .errors import ToleranceError, ValidationError, _finite, _order
 from .materials import classify
-from .scattering import mie_tmatrix
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
+from .scattering import mie_tmatrix  # noqa: F401
 from .translation import translation_gradient, translation_matrix  # noqa: F401
 
 __all__ = [
@@ -114,15 +115,15 @@ class _CommonGridEngine:
 
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
-    sum at tau > 0.  T-matrices and the blocks between the unmoved objects
-    are computed once per wavenumber.  A displaced geometry is a
-    Configuration from :func:`_displaced`; only its blocks touching the
-    labeled object are rebuilt, by ``casimir``'s pair loop.
+    sum at tau > 0.  The T-matrices, one per distinct sphere
+    (``casimir._t_logs``), and the blocks between the unmoved objects are
+    computed once per wavenumber.  A displaced geometry is a Configuration
+    from :func:`_displaced`; only its blocks touching the labeled object are
+    rebuilt, by ``casimir``'s pair loop.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
         self.config, self.label = config, label
-        objs = config.objects
         self.idx = _index(config, label)
         _order(n_nodes, "n_nodes")
         self.l_max = default_l_max(config) if l_max is None else _order(l_max, "l_max")
@@ -142,10 +143,7 @@ class _CommonGridEngine:
             )
         # per kappa: raw (sign, log) T-matrices of every object, and the
         # balanced blocks {(i, j): block} between unmoved objects
-        self.t_logs = [
-            [mie_tmatrix(o, config.medium, k, self.l_max).raw_signed_log() for o in objs]
-            for k in self.kappas
-        ]
+        self.t_logs = [_t_logs(config, k, self.l_max) for k in self.kappas]
         static = [p for p in config._pairs if self.idx not in p]
         self.static = [
             _blocks(config, k, self.l_max, t, static)

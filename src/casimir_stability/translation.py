@@ -126,7 +126,6 @@ def sector_size(l_max, l_min=1):
     return (l_max + 1) ** 2 - l_min**2
 
 
-@lru_cache(maxsize=None)
 def _real_basis(l):
     """Unitary U with R_{l mu} = sum_m U[mu, m] Y_lm (indices offset by l)."""
     n = 2 * l + 1

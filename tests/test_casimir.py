@@ -11,6 +11,7 @@ from casimir_stability import (
     DispersionModel,
     GeometryError,
     Medium,
+    SphereObject,
     ValidationError,
     energy_T0,
     free_energy_T,
@@ -398,3 +399,83 @@ def test_transparent_sphere_gives_finite_integrand():
     )
     for kappa in (1e-6, 0.7, 20.0):
         assert log_det_integrand(cfg, kappa, 4) == 0.0
+
+
+def _sphere(center, radius=1.0, eps=None, mu=None, label="a"):
+    eps = DispersionModel.constant(4.0) if eps is None else eps
+    mu = DispersionModel.constant(1.0) if mu is None else mu
+    return SphereObject(center, radius, eps, mu, label)
+
+
+def test_equal_spheres_share_one_tmatrix():
+    # equal by value, not by identity: every model is built afresh
+    from casimir_stability.casimir import _t_logs
+
+    objs = (
+        _sphere((0, 0, 0), label="a"),
+        pec_sphere((0.4, 0.3, 2.6), 0.5, "b"),
+        _sphere((2.9, 0, 1.8), label="c"),
+    )
+    t = _t_logs(Configuration(objs, Medium(), 0.0), 0.7, 3)
+    assert t[0] is t[2]
+    assert t[1] is not t[0]
+
+
+DRUDE, LORENTZ = DispersionModel.drude, DispersionModel.lorentz
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({"radius": 1.0}, {"radius": 0.8}),
+        ({"eps": DispersionModel.constant(4.0)}, {"eps": DispersionModel.constant(3.0)}),
+        ({"mu": DispersionModel.constant(1.0)}, {"mu": DispersionModel.constant(1.5)}),
+        ({"eps": DRUDE(4.0, 0.2)}, {"eps": DRUDE(4.0, 0.3)}),
+        ({"eps": LORENTZ([(1.0, 2.0, 0.1)])}, {"eps": LORENTZ([(1.0, 2.0, 0.2)])}),
+    ],
+    ids=["radius", "eps", "mu", "drude_gamma", "lorentz"],
+)
+def test_spheres_that_differ_get_their_own_tmatrix(first, second):
+    from casimir_stability.casimir import _t_logs
+
+    a, b = _sphere((0, 0, 0), label="a", **first), _sphere((0, 0, 3.0), label="b", **second)
+    t = _t_logs(Configuration((a, b), Medium(), 0.0), 0.7, 3)
+    assert t[0] is not t[1]
+    assert not all(np.array_equal(x, y) for x, y in zip(t[0], t[1]))
+
+
+def _per_object_stack(cfg, kappa, l_max, axial):
+    """I - N with one T-matrix built for every object."""
+    from casimir_stability import casimir
+    from casimir_stability.scattering import mie_tmatrix
+
+    t = [mie_tmatrix(o, cfg.medium, kappa, l_max).raw_signed_log() for o in cfg.objects]
+    layout = casimir._layout(l_max, axial)
+    blocks = casimir._blocks(cfg, kappa, l_max, t, cfg._pairs, layout.entries)
+    return casimir._place_blocks(blocks, layout)
+
+
+@pytest.mark.parametrize("collinear", [False, True])
+def test_shared_tmatrix_leaves_the_matrix_unchanged(monkeypatch, collinear):
+    centers = (
+        [(0, 0, 0), (0, 0, 2.8), (0, 0, 5.6)] if collinear
+        else [(0, 0, 0), (0.4, 0.3, 2.6), (2.9, 0, 1.8)]
+    )
+    cfg = Configuration(
+        (
+            _sphere(centers[0], label="a"),
+            pec_sphere(centers[1], 0.5, "b"),
+            _sphere(centers[2], label="c"),
+        ),
+        Medium(DispersionModel.constant(1.3)),
+        0.0,
+    )
+    kappa, l_max = 0.7, 3
+    dense = _per_object_stack(cfg, kappa, l_max, False)[0]
+    assert np.array_equal(assemble_block_matrix(cfg, kappa, l_max), dense)
+    seen = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: seen.append(m) or slogdet(m))
+    log_det_integrand(cfg, kappa, l_max)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], _per_object_stack(cfg, kappa, l_max, collinear))

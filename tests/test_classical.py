@@ -106,6 +106,21 @@ def test_metropolis_rejects_nonfinite_or_nonpositive_step(step_size):
 
 
 @pytest.mark.parametrize(
+    "steps, burn_in, match",
+    [
+        (1000, -50, "burn_in must be an integer >= 1"),
+        (1000, 0, "burn_in must be an integer >= 1"),
+        (1000, 50.0, "burn_in must be an integer >= 1"),
+        (1000.5, None, "steps must be an integer >= 1"),
+    ],
+    ids=["burn_in_negative", "burn_in_zero", "burn_in_float", "steps_float"],
+)
+def test_metropolis_rejects_a_bad_step_count_or_burn_in(steps, burn_in, match):
+    with pytest.raises(ValidationError, match=match):
+        metropolis_run(tethered_toy(), steps, 0.25, seed=1, burn_in=burn_in)
+
+
+@pytest.mark.parametrize(
     "d, tol, match",
     [
         ((NAN, 0, 0), 1e-8, "shift d must be a finite 3-vector"),
@@ -278,6 +293,14 @@ def test_free_energy_quadrature_evaluates_no_more_than_max_n(monkeypatch):
     assert counts == [8, 16]
 
 
+@pytest.mark.parametrize("max_n", [4, 0, 16.0, True])
+def test_free_energy_quadrature_rejects_a_budget_below_eight_nodes(max_n):
+    # the first evaluation takes 8 nodes per axis, so a smaller budget would
+    # be exceeded before it is checked
+    with pytest.raises(ValidationError, match="max_n must be an integer >= 8"):
+        free_energy_quadrature(tethered_toy(), (0, 0, 0), max_n=max_n)
+
+
 def test_free_energy_rejects_reachable_opposite_intra_charge():
     # exp(-beta H) is not integrable where a mobile meets an opposite
     # charge: another mobile of its include_intra container, or a fixed
@@ -332,7 +355,8 @@ def test_metropolis_uniform_law_in_box():
 
 def test_metropolis_concentrates_at_low_temperature():
     cfg = tethered_toy(beta=5e4, k=5.0)
-    stream = metropolis_run(cfg, 40000, 0.01, seed=9)
+    with pytest.warns(UserWarning, match="acceptance rate"):
+        stream = metropolis_run(cfg, 40000, 0.01, seed=9)
     # tethered minimum near the anchor (slightly polarized by attraction)
     tail = stream.positions[-1000:, 0, :]
     assert np.linalg.norm(tail.mean(axis=0)) < 0.05

@@ -10,9 +10,14 @@ Rewrite the golden files (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden_csv.py [CASE ...]
 
-which rewrites the named cases, or every case when none is named.
+which rewrites the named cases, or every case when none is named.  With
+``--digest`` it writes no file and prints ``<sha256>  <case>`` for each
+named case (or every case) instead, to show two checkouts byte-identical:
+
+    PYTHONPATH=src python tests/test_golden_csv.py --digest [CASE ...]
 """
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -131,8 +136,15 @@ def test_csv_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
+    args = sys.argv[1:]
+    digest = "--digest" in args
+    cases = [a for a in args if a != "--digest"] or sorted(CASES)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sys.argv[1:] or sorted(CASES):
-            (GOLDEN / f"{case}.csv").write_text(_output(case, tmp), encoding="utf-8")
-            print(f"wrote {GOLDEN / case}.csv", file=sys.stderr)
+        for case in cases:
+            text = _output(case, tmp)
+            if digest:
+                print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {case}")
+            else:
+                GOLDEN.mkdir(exist_ok=True)
+                (GOLDEN / f"{case}.csv").write_text(text, encoding="utf-8")
+                print(f"wrote {GOLDEN / case}.csv", file=sys.stderr)

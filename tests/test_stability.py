@@ -263,8 +263,9 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("three_body", [False, True])
 def test_report_builds_one_engine(monkeypatch, three_body):
     # one frozen grid serves force, FD Laplacian and decomposition: every
-    # T-matrix is built once per (node, object), and at tau > 0 the grid's
-    # truncation sum evaluates one integrand per Matsubara node
+    # T-matrix is built once per (node, distinct sphere), and at tau > 0 the
+    # grid's truncation sum evaluates one integrand per Matsubara node, which
+    # builds its own T-matrices
     from casimir_stability import casimir, stability
 
     if three_body:
@@ -284,12 +285,13 @@ def test_report_builds_one_engine(monkeypatch, three_body):
             engines.append(self)
 
     monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
-    tmatrices = _count_calls(monkeypatch, stability, "mie_tmatrix")
+    tmatrices = _count_calls(monkeypatch, casimir, "mie_tmatrix")
     integrands = _count_calls(monkeypatch, casimir, "log_det_integrand")
     stability_report(cfg, "a", l_max=l_max, n_nodes=n_nodes)
     assert len(engines) == 1
     nodes = len(engines[0].kappas)
-    assert len(tmatrices) == len(cfg.objects) * nodes
+    distinct = 3 if three_body else 1
+    assert len(tmatrices) == distinct * (nodes + len(integrands))
     if three_body:
         assert (nodes, len(tmatrices), len(integrands)) == (12, 36, 0)
     else:
@@ -298,8 +300,9 @@ def test_report_builds_one_engine(monkeypatch, three_body):
 
 def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
     # one frozen grid for every force of the search, one for the report at
-    # the root: each builds a T-matrix per (node, object)
-    from casimir_stability import stability
+    # the root: each builds a T-matrix per (node, distinct sphere), and the
+    # equal outer spheres share one
+    from casimir_stability import casimir, stability
 
     engines = []
 
@@ -309,7 +312,7 @@ def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
-    tmatrices = _count_calls(monkeypatch, stability, "mie_tmatrix")
+    tmatrices = _count_calls(monkeypatch, casimir, "mie_tmatrix")
     cfg = Configuration(
         (
             pec_sphere((0, 0, -4.0), 1.0, "left"),
@@ -324,4 +327,4 @@ def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
     )
     assert res.found
     assert len(engines) == 2
-    assert len(tmatrices) == 3 * 16 * 2
+    assert len(tmatrices) == 2 * 16 * 2
