@@ -23,11 +23,26 @@ and home container; the fixed charges' absolute positions; each mobile's
 tether stiffness (0 when untethered) and absolute anchor.  Its boolean
 ``couples[a, b]`` mask is the one statement of which pairs enter H: charges
 in different containers, or in the same container when that container sets
-``include_intra`` (never a charge with itself).  On that table one
-site-energy kernel gives a mobile's tether plus Coulomb energy at an array
-of points (the quadrature with the fixed partners, the Metropolis step with
-all of them), and one gradient kernel, vectorized over samples, gives
-grad_d H for a single configuration and for a whole chain.
+``include_intra`` (never a charge with itself).  The table also keeps, per
+mobile and in plain floats, its anchor, stiffness, coupled partners with
+their Coulomb coefficients, and its container's wall.
+
+One site-energy kernel (``_site_energy``) gives a mobile's tether plus
+Coulomb energy and one wall test (``_inside``) says whether it is inside its
+container.  Both are written per coordinate, so the same code runs on
+arrays (the quadrature nodes with the fixed partners, ``Container.contains``)
+and on Python floats (the Metropolis step, one point with all partners),
+doing the same float operations in the same order on both.  One gradient
+kernel, vectorized over samples, gives grad_d H for a single configuration
+and for a whole chain.
+
+The chain is reproducible bit for bit from its seed.  Its contract is the
+order of the generator draws per step: ``integers(n_mobile)`` picks the
+mobile, ``uniform(-1, 1, 3)`` its move, and ``random()``, drawn only when
+the move stays inside the wall and raises the energy, decides it; together
+with the kernel's order of operations this fixes every position.  The
+chain starts each mobile at its tether anchor (its container's center when
+untethered), which must lie inside its wall and on no charge it couples to.
 """
 
 import math
@@ -114,11 +129,15 @@ class Container:
 
     def contains(self, points):
         """Boolean mask: which absolute points lie inside the container."""
-        p = np.atleast_2d(np.asarray(points, float)) - np.asarray(self.center)
+        p = np.atleast_2d(np.asarray(points, float))
+        return _inside(self._wall, p[:, 0], p[:, 1], p[:, 2])
+
+    @cached_property
+    def _wall(self):
+        """(center, bound) for ``_inside``: radius squared, or the half edges."""
         if self.shape == "sphere":
-            return np.einsum("ij,ij->i", p, p) <= self.size**2
-        half = 0.5 * np.asarray(self.size)
-        return np.all(np.abs(p) <= half, axis=1)
+            return self.center, self.size**2
+        return self.center, tuple(0.5 * s for s in self.size)
 
 
 @dataclass(frozen=True)
@@ -182,6 +201,20 @@ class SampleStream:
     burn_in: int
 
 
+def _inside(wall, x, y, z):
+    """The hard-wall test of one container, written per coordinate.
+
+    ``wall`` is a ``Container._wall``.  Float coordinates (one point of the
+    Metropolis chain) give a bool, equal-shape arrays an elementwise mask.
+    """
+    (cx, cy, cz), bound = wall
+    dx, dy, dz = x - cx, y - cy, z - cz
+    if isinstance(bound, tuple):
+        hx, hy, hz = bound
+        return (abs(dx) <= hx) & (abs(dy) <= hy) & (abs(dz) <= hz)
+    return (dx * dx + dy * dy) + dz * dz <= bound
+
+
 def _point_box_distance(p, center, size):
     d = np.abs(np.asarray(p) - np.asarray(center)) - 0.5 * np.asarray(size)
     return float(np.linalg.norm(np.clip(d, 0.0, None)))
@@ -205,7 +238,10 @@ class _ChargeTable:
     the fixed charges' absolute positions; ``stiffness`` and ``anchor`` hold
     each mobile's tether, stiffness 0 when untethered (the anchor is then the
     container center, where the chain starts).  ``couples[a, b]`` says
-    whether the pair a-b enters H.
+    whether the pair a-b enters H.  ``sites`` holds, per mobile and in plain
+    floats, what its site energy and wall test read: (anchor, stiffness,
+    partners, wall), with partners the (b, C q_a q_b) of every charge b it
+    couples to in table order and wall its container's ``Container._wall``.
     """
 
     def __init__(self, config):
@@ -226,6 +262,23 @@ class _ChargeTable:
         intra = np.array([c.include_intra for c in config.containers])[self.owner]
         same = self.owner[:, None] == self.owner[None, :]
         self.couples = ~same | (intra[:, None] & ~np.eye(len(self.q), dtype=bool))
+        q = self.q.tolist()
+        self.sites = [
+            (
+                tuple(anchor),
+                k,
+                tuple(
+                    (b, _COULOMB * q[a] * q[b])
+                    for b in np.flatnonzero(self.couples[a]).tolist()
+                ),
+                config.containers[self.owner[a]]._wall,
+            )
+            for a, k, anchor in zip(
+                range(self.n_fixed, len(q)),
+                self.stiffness.tolist(),
+                self.anchor.tolist(),
+            )
+        ]
 
     def all_positions(self, mobile_positions):
         """Absolute positions of all charges, given the mobiles' ones."""
@@ -238,19 +291,30 @@ class _ChargeTable:
         return np.concatenate([self.fixed, mobile_positions])
 
 
-def _site_energy(table, a, points, pos):
-    """Energy of mobile charge ``a`` at each of ``points``.
+def _site_energy(table, a, x, y, z, pos):
+    """Energy of mobile charge ``a`` at the point (x, y, z).
 
     Its tether plus its Coulomb energy with every charge b < len(pos) it
     couples to, charge b sitting at pos[b].  Fixed charges come first in the
-    table, so ``pos = table.fixed`` gives the fixed partners only.
+    table, so ``pos = table.fixed`` gives the fixed partners only.  Float
+    coordinates (one Metropolis move) give a float, equal-shape arrays (the
+    quadrature nodes) an array, with the same operations in the same order:
+    0.5 k ((dx dx + dy dy) + dz dz), then ((C q_a) q_b) / (eps_M dist) for
+    each partner b in table order.
     """
-    k = a - table.n_fixed
-    r = points - table.anchor[k]
-    u = 0.5 * table.stiffness[k] * np.einsum("ij,ij->i", r, r)
-    for b in np.flatnonzero(table.couples[a, : len(pos)]):
-        dist = np.linalg.norm(points - pos[b], axis=1)
-        u = u + _COULOMB * table.q[a] * table.q[b] / (table.eps_M * dist)
+    anchor, k, partners, _ = table.sites[a - table.n_fixed]
+    sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
+    eps = table.eps_M
+    ax, ay, az = anchor
+    dx, dy, dz = x - ax, y - ay, z - az
+    u = 0.5 * k * ((dx * dx + dy * dy) + dz * dz)
+    n = len(pos)
+    for b, coef in partners:
+        if b >= n:
+            break
+        bx, by, bz = pos[b]
+        dx, dy, dz = x - bx, y - by, z - bz
+        u = u + coef / (eps * sqrt((dx * dx + dy * dy) + dz * dz))
     return u
 
 
@@ -415,7 +479,7 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     def evaluate(n):
         grids = [_shape_nodes(cfg.containers[table.owner[a]], n) for a in mobiles]
         f = [
-            w * np.exp(-beta * _site_energy(table, a, pts, table.fixed))
+            w * np.exp(-beta * _site_energy(table, a, *pts.T, table.fixed))
             for a, (pts, w) in zip(mobiles, grids)
         ]
         if len(mobiles) == 1:
@@ -450,15 +514,47 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
     )
 
 
+def _chain_start(config):
+    """Every charge's starting position, as lists of floats, fixed first.
+
+    Each mobile starts at its tether anchor (the container center when
+    untethered).  That point must have a nonzero Boltzmann weight: inside
+    the mobile's wall and on no charge it couples to, else ValidationError.
+    """
+    table = config._table
+    pos = np.concatenate([table.fixed, table.anchor]).tolist()
+    for a, (anchor, _, partners, wall) in enumerate(table.sites, table.n_fixed):
+        if not _inside(wall, *anchor):
+            where = "outside the container"
+        else:
+            on = [b for b, _ in partners if pos[b] == pos[a]]
+            if not on:
+                continue
+            kind = "fixed" if on[0] < table.n_fixed else "mobile"
+            where = (
+                f"on the {kind} charge {table.q[on[0]]:g} of container "
+                f"{config.containers[table.owner[on[0]]].label!r}"
+            )
+        raise ValidationError(
+            f"mobile charge {table.q[a]:g} of container "
+            f"{config.containers[table.owner[a]].label!r} would start the chain "
+            f"at its tether anchor {anchor}, {where}"
+        )
+    return pos
+
+
 def metropolis_run(config, steps, step_size, seed, burn_in=None):
     """Single-particle-move Metropolis chain over the mobile charges.
 
-    Deterministic for a given seed.  Proposals are uniform cube moves of
-    half-width ``step_size``; moves outside the hard walls are rejected.
-    An acceptance rate outside [0.1, 0.9] triggers a warning (tune
-    step_size), not a failure; ``step_size`` must be finite and positive.
-    ``steps`` and ``burn_in`` (default steps // 10, at least 1) are integers
-    >= 1, and ``steps`` must exceed ``burn_in``.
+    Deterministic for a given seed, with the draw order of the module
+    docstring.  Proposals are uniform cube moves of half-width
+    ``step_size``; moves outside the hard walls are rejected.  An
+    acceptance rate outside [0.1, 0.9] triggers a warning (tune step_size),
+    not a failure; ``step_size`` must be finite and positive.  ``steps``
+    and ``burn_in`` (default steps // 10, at least 1) are integers >= 1, and
+    ``steps`` must exceed ``burn_in``.  A mobile whose start (its tether
+    anchor) lies outside its wall or on a charge it couples to raises
+    ValidationError.
     """
     step_size = _finite(step_size, "step_size")
     table = config._table
@@ -469,19 +565,24 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
     burn_in = max(1, steps // 10) if burn_in is None else _order(burn_in, "burn_in")
     if steps <= burn_in:
         raise ValidationError("steps must exceed the burn-in")
+    pos = _chain_start(config)
+    walls = [wall for *_, wall in table.sites]
     rng = np.random.default_rng(seed)
-    pos = np.concatenate([table.fixed, table.anchor])
     kept = np.empty((steps - burn_in, n_mobile, 3))
     accepted = 0
     beta = config.beta
     for step in range(steps):
-        a = first + int(rng.integers(n_mobile))
-        proposal = pos[a] + step_size * rng.uniform(-1.0, 1.0, 3)
-        if config.containers[table.owner[a]].contains(proposal)[0]:
-            e_new, e_old = _site_energy(table, a, np.array([proposal, pos[a]]), pos)
-            delta = e_new - e_old
+        k = int(rng.integers(n_mobile))
+        a = first + k
+        x, y, z = pos[a]
+        ux, uy, uz = rng.uniform(-1.0, 1.0, 3).tolist()
+        new = (x + step_size * ux, y + step_size * uy, z + step_size * uz)
+        if _inside(walls[k], *new):
+            delta = _site_energy(table, a, *new, pos) - _site_energy(
+                table, a, x, y, z, pos
+            )
             if delta <= 0.0 or rng.random() < math.exp(-beta * delta):
-                pos[a] = proposal
+                pos[a] = new
                 accepted += 1
         if step >= burn_in:
             kept[step - burn_in] = pos[first:]

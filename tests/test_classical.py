@@ -120,6 +120,33 @@ def test_metropolis_rejects_a_bad_step_count_or_burn_in(steps, burn_in, match):
         metropolis_run(tethered_toy(), steps, 0.25, seed=1, burn_in=burn_in)
 
 
+def test_metropolis_rejects_a_start_of_zero_weight():
+    # the chain starts each mobile at its tether anchor (the center when
+    # untethered): an anchor outside the wall would leave every sample of
+    # that mobile outside it, with no warning, and a start on a coupled
+    # charge has infinite energy
+    far = replace(
+        tethered_toy().containers[0],
+        mobile_charges=[(1.0, ("harmonic", 5.0, (2.0, 0.0, 0.0)))],
+    )
+    outside = ClassicalConfig((far, tethered_toy().containers[1]), 1.0, 2.0)
+    with pytest.raises(
+        ValidationError,
+        match=r"container 'a' would start the chain at its tether anchor "
+        r"\(2\.0, 0\.0, 0\.0\), outside the container",
+    ):
+        metropolis_run(outside, 5000, 0.25, seed=1)
+    ion = Container(
+        "a", "sphere", (0, 0, 0), 0.3, fixed_charges=[(1.0, (0, 0, 0))],
+        mobile_charges=[(1.0, None)], include_intra=True,
+    )
+    on_charge = ClassicalConfig((ion, tethered_toy().containers[1]), 1.0, 2.0)
+    with pytest.raises(
+        ValidationError, match="on the fixed charge 1 of container 'a'"
+    ):
+        metropolis_run(on_charge, 5000, 0.25, seed=1)
+
+
 @pytest.mark.parametrize(
     "d, tol, match",
     [

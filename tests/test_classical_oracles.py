@@ -361,7 +361,9 @@ def test_free_energy_quadrature_matches_reference(index):
 
 def test_site_energies_match_reference_deltas():
     # a Metropolis step evaluates one mobile at its proposal and at its
-    # current position; both match the reference's per-mobile energies
+    # current position, on Python floats; both match the reference's
+    # per-mobile energies, and the same kernel on arrays (as the quadrature
+    # runs it) gives the same bits
     cfg = mixed_config()
     table = cfg._table
     draws = inside_positions(cfg, 20, seed=5)
@@ -370,11 +372,19 @@ def test_site_energies_match_reference_deltas():
         for k in range(len(pos)):
             a = table.n_fixed + k
             points = np.array([trial[k], pos[k]])
-            e_new, e_old = _site_energy(table, a, points, everything)
+            e_new, e_old = _site_energy(table, a, *points.T, everything)
+            on_floats = [
+                _site_energy(table, a, *p, everything.tolist())
+                for p in points.tolist()
+            ]
+            assert all(type(e) is float for e in on_floats)
+            assert on_floats == [e_new, e_old]
             ref_new = ref_mobile_delta_energy(cfg, pos, k, trial[k])
             ref_old = ref_mobile_delta_energy(cfg, pos, k, pos[k])
-            assert e_new == pytest.approx(ref_new, rel=1e-14)
-            assert e_old == pytest.approx(ref_old, rel=1e-14)
+            for e in (e_new, on_floats[0]):
+                assert e == pytest.approx(ref_new, rel=1e-14)
+            for e in (e_old, on_floats[1]):
+                assert e == pytest.approx(ref_old, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -142,6 +142,16 @@ CLASSICAL_SECTION = {
         for label, z, q in (("a", 0.0, 1.0), ("b", 1.2, -1.0))
     ],
 }
+# sphere a's tether anchor lies outside a, where the chain would start
+ANCHOR_OUTSIDE = dict(
+    CLASSICAL_SECTION,
+    containers=[
+        dict(CLASSICAL_SECTION["containers"][0],
+             mobile_charges=[{"charge": 1.0,
+                              "tether": {"k": 5.0, "anchor": [2.0, 0, 0]}}]),
+        CLASSICAL_SECTION["containers"][1],
+    ],
+)
 NAN_CENTER = [
     dict(PAIR_CFG["objects"][0], center=[0, 0, math.nan]),
     PAIR_CFG["objects"][1],
@@ -155,6 +165,7 @@ PEC = {"eps": {"type": "pec"}}
         (["energy", "--lmax", "0"], {}, "--lmax"),
         (["energy", "--lmax", "-2"], {}, "--lmax"),
         (["mc", "--seed", "-1"], {"classical": CLASSICAL_SECTION}, "--seed"),
+        (["mc"], {"classical": ANCHOR_OUTSIDE}, "container 'a'"),
         (["energy", "--tol", "-1", "--lmax", "1"], {}, "--tol"),
         (["energy", "--tol", "nan", "--lmax", "1"], {}, "--tol"),
         (["energy"], {"tau": math.nan}, "tau"),
@@ -165,8 +176,8 @@ PEC = {"eps": {"type": "pec"}}
             "plates/gap",
         ),
     ],
-    ids=["lmax_0", "lmax_neg", "seed_neg", "tol_neg", "tol_nan", "tau_nan",
-         "center_nan", "gap_inf"],
+    ids=["lmax_0", "lmax_neg", "seed_neg", "anchor_outside", "tol_neg", "tol_nan",
+         "tau_nan", "center_nan", "gap_inf"],
 )
 def test_out_of_bounds_input_is_a_validation_error(
     tmp_path, capsys, args, extra, where

@@ -176,7 +176,7 @@ def test_free_energy_laplacian_is_minus_beta_times_gradient_variance(
 
     table = config._table
     points, weights = classical._shape_nodes(mobile, 32)
-    energy = classical._site_energy(table, table.n_fixed, points, table.fixed)
+    energy = classical._site_energy(table, table.n_fixed, *points.T, table.fixed)
     p = weights * np.exp(-beta * (energy - energy.min()))
     p /= p.sum()
     fixed_positions = np.broadcast_to(table.fixed, (len(points), table.n_fixed, 3))
