@@ -24,8 +24,19 @@ The dense layout's one matrix is ``assemble_block_matrix``, the oracle.
 Collinear centres, turned so that their line is the z axis, are translated
 along z, which conserves m, so M is block-diagonal in m and
 ln det M = sum_m ln det M_m: ``log_det_integrand`` then takes the axial
-layout (coaxial translations, only the m-diagonal entries balanced) and
-one ``slogdet`` call on the stack of the 2 l_max + 1 blocks.
+layout (coaxial translations, only the m-diagonal entries built and
+balanced) and one ``slogdet`` call on the stack of the 2 l_max + 1 blocks.
+
+Frequency is a batch axis: T-matrices, translations, balanced blocks and
+the stack of I - N carry a leading kappa axis, and one ``slogdet`` call
+takes a whole chunk.  Every frequency sum evaluates its integrand on chunks
+of kappa: the tau = 0 quadrature on consecutive runs of its nodes, a
+Matsubara sum on runs that double in length, the plates on (kappa, q)
+arrays.  A chunk holds as many kappas as fit one fixed budget of array
+entries, ``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (its
+q-nodes for the plates); the budget is a constant, not an option.  A single
+kappa is the one-row view of the same code, and each batched row equals it
+bit for bit.
 """
 
 import collections
@@ -44,7 +55,7 @@ from .errors import (
     _finite,
     _order,
 )
-from .materials import Medium
+from .materials import Medium, _per_kappa
 from .scattering import mie_tmatrix, fresnel_reflection
 from .translation import reverse_translation, sector_size, translation_matrix
 
@@ -72,6 +83,10 @@ MAX_NODES = 1536
 
 # doublings of the default l_max an energy may make before it gives up
 MAX_ORDER_DOUBLINGS = 3
+
+# array entries one chunk of kappas may fill: the I - N stacks of an
+# integrand chunk, the (kappa, q) pairs of a plate chunk
+_CHUNK_ENTRIES = 1 << 16
 
 # centres this close to one line, relative to their largest distance from
 # the first centre, take the m-block ln det
@@ -165,20 +180,29 @@ def _pair_blocks(x, t_i, t_j, entries=None):
     s_row |F_row|^(1/2) X |F_col|^(1/2).  An exactly zero amplitude (sign 0,
     log -inf) makes its entries exp(-inf) = 0, since no log is +inf; a NaN
     from any source is kept so that the determinant guard sees it.  With
-    ``entries``, a (rows, cols) pair of index arrays, only those entries of
-    each block are balanced, and come back as flat arrays.
+    ``entries`` (an axial :func:`_layout`'s), ``x`` holds only those entries,
+    and so do the blocks, as flat arrays; X_JI is then read from X_IJ at the
+    transposed entries.  ``x`` and the T-matrices may carry a leading kappa
+    axis.
     """
-    rows, cols = entries if entries is not None else ((slice(None), None), (None, slice(None)))
+    if entries is None:
+        rows, cols = (..., slice(None), None), (..., None, slice(None))
+        reverse = reverse_translation(x)
+    else:
+        rows, cols = (..., entries.rows), (..., entries.cols)
+        reverse = replace(
+            x,
+            scaled=entries.flip * x.scaled[..., entries.swap],
+            exponent=x.exponent[..., entries.swap],
+        )
 
     def balanced(t_row, t_col, y):
         (s_r, g_r), (s_c, g_c) = t_row, t_col
-        if entries is not None:
-            y = replace(y, scaled=y.scaled[entries], exponent=y.exponent[entries])
         sy, gy = y.signed_log()
         scale = np.exp(0.5 * g_r[rows] + gy + 0.5 * g_c[cols])
         return s_r[rows] * sy * scale
 
-    return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse_translation(x))
+    return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse)
 
 
 def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
@@ -186,10 +210,12 @@ def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
 
     With ``entries`` (those of the axial :func:`_layout`) the configuration
     is collinear: each pair is translated along +z, from whichever of its
-    centres lies lower on the line, and only those entries are balanced.
+    centres lies lower on the line, and only those entries are built and
+    balanced.  ``kappa`` is one wavenumber or a 1-D array of them.
     """
     objs = config.objects
     line = config._axis_positions if entries is not None else None
+    wanted = None if entries is None else (entries.rows, entries.cols)
     blocks = {}
     for i, j in pairs:
         if line is None:
@@ -197,12 +223,18 @@ def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
         else:
             i, j = (i, j) if line[i] < line[j] else (j, i)
             d = (0.0, 0.0, line[j] - line[i])
-        x = translation_matrix(config.medium, kappa, d, l_max)
+        x = translation_matrix(config.medium, kappa, d, l_max, wanted)
         blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j], entries)
     return blocks
 
 
 _Layout = collections.namedtuple("_Layout", "entries block row col width names")
+_Entries = collections.namedtuple("_Entries", "rows cols swap flip")
+
+
+def _widths(l_max, axial):
+    """(matrices in the stack, rows per object) of ``_layout(l_max, axial)``."""
+    return (2 * l_max + 1, 2 * l_max) if axial else (1, 2 * sector_size(l_max))
 
 
 @functools.lru_cache(maxsize=16)
@@ -215,11 +247,13 @@ def _layout(l_max, axial):
     (P, l, m), electric first, with m = m' (the magnetic label m refers to
     R_{l,-m}, which keeps the sectors in step); each lands in the block
     m + l_max, at row and column P * (l_max + 1 - l_min) + l - l_min with
-    l_min = max(|m|, 1).
+    l_min = max(|m|, 1).  The axial entries come with the position of their
+    transpose (``swap``) and the sign D_row D_col of the reciprocal image
+    (``flip``), so that X_JI is read from X_IJ without a dense matrix.
     """
     if not axial:
         every = slice(None)
-        return _Layout(None, 0, every, every, 2 * sector_size(l_max), ("matrix",))
+        return _Layout(None, 0, every, every, _widths(l_max, False)[1], ("matrix",))
     ls = np.arange(1, l_max + 1)
     sector_l = np.repeat(ls, 2 * ls + 1)
     sector_m = np.arange(sector_l.size) - sector_l * sector_l + 1 - sector_l
@@ -228,51 +262,73 @@ def _layout(l_max, axial):
     local = np.repeat([0, 1], sector_l.size) * (l_max + 1 - np.maximum(np.abs(m), 1))
     local += l - np.maximum(np.abs(m), 1)
     rows, cols = np.nonzero(m[:, None] == m[None, :])
+    at = np.zeros((m.size, m.size), int)
+    at[rows, cols] = np.arange(rows.size)
+    d_sign = np.repeat([1.0, -1.0], sector_l.size)
+    entries = _Entries(rows, cols, at[cols, rows], d_sign[rows] * d_sign[cols])
     names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
     block = m[rows] + l_max
-    return _Layout((rows, cols), block, local[rows], local[cols], 2 * l_max, names)
+    return _Layout(entries, block, local[rows], local[cols], 2 * l_max, names)
 
 
 def _place_blocks(blocks, layout):
-    """I - N as the stack of ``layout``, from the balanced {(I, J): values}."""
+    """I - N as the stack of ``layout``, from the balanced {(I, J): values}.
+
+    Values with a leading kappa axis give a stack with that axis first.
+    """
     n = 1 + max(i for i, _ in blocks)
+    some = next(iter(blocks.values()))
+    lead = some.shape[: some.ndim - (2 if layout.entries is None else 1)]
     depth, size = len(layout.names), layout.width * n
-    stack = np.zeros((depth, size, size))
-    stack.reshape(depth, -1)[:, :: size + 1] = 1.0
-    slots = stack.reshape(depth, n, layout.width, n, layout.width)
+    stack = np.zeros(lead + (depth, size, size))
+    stack.reshape(-1, size * size)[:, :: size + 1] = 1.0
+    slots = stack.reshape(lead + (depth, n, layout.width, n, layout.width))
     for (i, j), values in blocks.items():
-        slots[layout.block, i, layout.row, j, layout.col] = -values
+        slots[..., layout.block, i, layout.row, j, layout.col] = -values
     return stack
 
 
-def _positive_logdet(m, what="matrix"):
-    """ln det m, raising when the determinant is not positive and finite.
+def _positive_logdet(m, what="matrix", kappas=None):
+    """ln det m, raising when a determinant is not positive and finite.
 
     ``m`` may also be a stack of matrices, ``what`` then naming each one:
     the value is the sum of their ln dets, and each is checked on its own.
+    With ``kappas``, ``m`` has a leading kappa axis before its stack: one
+    ``slogdet`` call takes every matrix, the value is one sum per kappa, and
+    an error names the kappa as well as the matrix.
     """
     names = [what] if m.ndim == 2 else what
-    finite = np.isfinite(m).all(axis=(-2, -1)).reshape(-1)
+    size = m.shape[-1]
+    flat = m.reshape(-1, size, size) if m.ndim > 3 else m
+
+    def where(i):
+        at = "" if kappas is None else f" at kappa = {kappas[i // len(names)]:.6g}"
+        return names[i % len(names)] + at
+
+    finite = np.isfinite(flat).all(axis=(-2, -1)).reshape(-1)
     if not finite.all():
         raise UnphysicalTruncationError(
-            f"{names[np.argmin(finite)]} has non-finite entries "
+            f"{where(np.argmin(finite))} has non-finite entries "
             "(NaN or inf in a T-matrix or translation)"
         )
-    sign, logdet = np.linalg.slogdet(m)
+    sign, logdet = np.linalg.slogdet(flat)
     good = (np.reshape(sign, -1) > 0.0) & np.isfinite(np.reshape(logdet, -1))
     if not good.all():
         raise UnphysicalTruncationError(
-            f"{names[np.argmin(good)]} determinant lost positivity or is not finite; "
+            f"{where(np.argmin(good))} determinant lost positivity or is not finite; "
             "increase l_max"
         )
-    return float(np.sum(logdet))
+    if kappas is None:
+        return float(np.sum(logdet))
+    return np.reshape(logdet, (len(kappas), -1)).sum(axis=-1)
 
 
 def _t_logs(config, kappa, l_max):
     """Raw (sign, log) T-matrix pair of every object, built once per distinct sphere.
 
     A T-matrix depends on the radius and the two response models, not on
-    the centre, so equal spheres share one pair.
+    the centre, so equal spheres share one pair.  For an array of kappa the
+    pair holds one row per kappa.
     """
     built = {}
     for o in config.objects:
@@ -282,12 +338,15 @@ def _t_logs(config, kappa, l_max):
     return [built[o.radius, o.eps, o.mu] for o in config.objects]
 
 
-def _assemble(config, kappa, l_max, axial):
-    """I - N as the stack of ``_layout(l_max, axial)``."""
-    # first: an order beyond the special functions raises before its layout
-    sl = _t_logs(config, kappa, l_max)
+def _assemble(config, kappa, l_max, axial, t_logs):
+    """I - N as the stack of ``_layout(l_max, axial)``, after any kappa axis.
+
+    ``t_logs`` are the objects' T-matrices at ``kappa`` (:func:`_t_logs`):
+    built first, an order beyond the special functions raises before its
+    layout is made.
+    """
     layout = _layout(l_max, axial)
-    blocks = _blocks(config, kappa, l_max, sl, config._pairs, layout.entries)
+    blocks = _blocks(config, kappa, l_max, t_logs, config._pairs, layout.entries)
     return _place_blocks(blocks, layout)
 
 
@@ -300,7 +359,15 @@ def assemble_block_matrix(config, kappa, l_max):
     det(I - F_A X_AB F_B X_BA).  Each pair is translated once; X_JI is its
     reciprocal image.  This is the dense layout's one matrix.
     """
-    return _assemble(config, kappa, l_max, False)[0]
+    return _assemble(config, kappa, l_max, False, _t_logs(config, kappa, l_max))[0]
+
+
+def _log_dets(config, kappas, l_max, t_logs):
+    """ln det(I - N) at each of ``kappas`` (a 1-D array), from one stack;
+    ``t_logs`` are the T-matrix rows of these kappas."""
+    axial = config._axis_positions is not None
+    stack = _assemble(config, kappas, l_max, axial, t_logs)
+    return _positive_logdet(stack, _layout(l_max, axial).names, kappas)
 
 
 def log_det_integrand(config, kappa, l_max):
@@ -309,11 +376,25 @@ def log_det_integrand(config, kappa, l_max):
     A non-positive or non-finite determinant signals an unphysical
     truncation.  Collinear centres take the axial layout: the value is the
     sum of the ln dets of the m-blocks, from one ``slogdet`` call on their
-    stack, and each block must be positive on its own.
+    stack, and each block must be positive on its own.  ``kappa`` may be a
+    1-D array, giving one value per kappa from one stack; a single kappa is
+    its one-row view.
     """
-    axial = config._axis_positions is not None
-    stack = _assemble(config, kappa, l_max, axial)
-    return _positive_logdet(stack, _layout(l_max, axial).names)
+    kappas = np.array(kappa, float, ndmin=1)
+    values = _log_dets(config, kappas, l_max, _t_logs(config, kappas, l_max))
+    return float(values[0]) if np.ndim(kappa) == 0 else values
+
+
+def _chunk(config, l_max):
+    """Kappas per chunk: _CHUNK_ENTRIES over the entries of one kappa's stack."""
+    depth, width = _widths(l_max, config._axis_positions is not None)
+    size = width * len(config.objects)
+    return max(1, _CHUNK_ENTRIES // (depth * size * size))
+
+
+def _in_chunks(f, kappas, chunk):
+    """f on consecutive runs of at most ``chunk`` kappas, joined."""
+    return np.concatenate([f(kappas[i : i + chunk]) for i in range(0, len(kappas), chunk)])
 
 
 def _quad_nodes(n_nodes, scale):
@@ -326,35 +407,47 @@ def _quad_nodes(n_nodes, scale):
     return kappa, w * jac
 
 
-def _matsubara_sum(term, tau, tol, max_terms):
-    """Primed Matsubara sum of ``term(kappa)``, truncated by its tail.
+def _matsubara_sum(term, tau, tol, max_terms, chunk):
+    """Primed Matsubara sum of ``term(kappas)``, truncated by its tail.
 
     kappa_0 = KAPPA_FLOOR enters at half weight, then kappa_n = n * tau.
-    The sum stops when a term underflows to zero or when, on decreasing
-    terms, the geometric tail |t_n| r / (1 - r), r = |t_n / t_(n-1)|, is
-    below ``tol`` of the running sum; after ``max_terms`` terms with n >= 1
-    it raises ConvergenceBudgetError with partial = (kappas, weights).
+    ``term`` maps a 1-D array of kappas to their values; it is called on
+    runs of consecutive kappas, the first holding kappa_0 alone and each
+    next twice as long as the last, up to ``chunk``.  The sum stops when a
+    term underflows to zero or when, on decreasing terms, the geometric tail
+    |t_n| r / (1 - r), r = |t_n / t_(n-1)|, is below ``tol`` of the running
+    sum; the test runs term by term, and the values of a run past the stop
+    are dropped.  After ``max_terms`` terms with n >= 1 it raises
+    ConvergenceBudgetError with partial = (kappas, weights).
     Returns (kappas, weights, terms, est): weights include tau / (2 pi),
     terms are the summands (the n = 0 value halved), est is the tail over
     the sum that stopped it (0 after an underflowed term).
     """
-    kappas = [KAPPA_FLOOR]
-    weights = [0.5 * tau / (2.0 * math.pi)]
-    terms = [0.5 * term(KAPPA_FLOOR)]
-    total = terms[0]
-    for n in range(1, max_terms + 1):
-        value = term(n * tau)
-        kappas.append(n * tau)
-        weights.append(tau / (2.0 * math.pi))
-        terms.append(value)
-        total += value
-        if value == 0.0:
-            return kappas, weights, terms, 0.0
-        ratio = abs(value) / abs(terms[-2]) if n > 1 else math.inf
-        tail = abs(value) * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-        scale = max(abs(total), 1e-300)
-        if tail < tol * scale:
-            return kappas, weights, terms, tail / scale
+    kappas, weights, terms = [], [], []
+    start, size = 0, 1
+    while start <= max_terms:
+        stop = min(start + size, max_terms + 1)
+        run = np.arange(start, stop) * tau
+        if start == 0:
+            run[0] = KAPPA_FLOOR
+        for n, kappa, value in zip(range(start, stop), run.tolist(), term(run).tolist()):
+            kappas.append(kappa)
+            if n == 0:
+                weights.append(0.5 * tau / (2.0 * math.pi))
+                terms.append(0.5 * value)
+                total = terms[0]
+                continue
+            weights.append(tau / (2.0 * math.pi))
+            terms.append(value)
+            total += value
+            if value == 0.0:
+                return kappas, weights, terms, 0.0
+            ratio = abs(value) / abs(terms[-2]) if n > 1 else math.inf
+            tail = abs(value) * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+            scale = max(abs(total), 1e-300)
+            if tail < tol * scale:
+                return kappas, weights, terms, tail / scale
+        start, size = stop, min(2 * size, chunk)
     raise ConvergenceBudgetError(
         f"Matsubara sum not truncated within {max_terms} terms",
         partial=(kappas, weights),
@@ -372,18 +465,25 @@ def _rel_change(new, old):
 
 
 def _evaluate(config, tol, l_max, n_nodes):
-    """The energy at one order on one grid (est: Matsubara tail, inf at tau = 0)."""
-    integrand = functools.partial(log_det_integrand, config, l_max=l_max)
+    """The energy at one order on one grid (est: Matsubara tail, inf at tau = 0).
+
+    The integrand is evaluated on chunks of kappas (:func:`_chunk`).
+    """
+    chunk = _chunk(config, l_max)
+
+    def integrand(kappas):
+        return log_det_integrand(config, kappas, l_max)
+
     if config.tau == 0.0:
         kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
-        vals = np.array([integrand(k) for k in kappas])
+        vals = _in_chunks(integrand, kappas, chunk)
         contrib = weights * vals / (2.0 * math.pi)
         order = np.argsort(kappas)
         samples = np.column_stack(
             [kappas[order], vals[order], np.cumsum(contrib[order])]
         )
         return EnergyResult(float(contrib.sum()), l_max, n_nodes, math.inf, samples)
-    kappas, _, terms, est = _matsubara_sum(integrand, config.tau, tol, MAX_SUM_TERMS)
+    kappas, _, terms, est = _matsubara_sum(integrand, config.tau, tol, MAX_SUM_TERMS, chunk)
     cumulative = config.tau / (2.0 * math.pi) * np.cumsum(terms)
     samples = np.column_stack([[0.0] + kappas[1:], terms, cumulative])
     value = float(cumulative[-1])
@@ -469,20 +569,21 @@ def free_energy_T(config, tol=1e-6, l_max=None):
 # Parallel plates (independent oracle for signs and magnitudes)
 
 
-def _plate_kernel(mat1, mat2, medium, gap, kappa, q_nodes):
-    """(1/2pi) * integral over the in-plane decay constant q at one kappa."""
-    n_m = medium.refractive_index(kappa)
+def _plate_kernel(mat1, mat2, medium, gap, kappas, q_nodes):
+    """(1/2pi) * integral over the in-plane decay constant q, at each of ``kappas``.
+
+    One (kappa, q-node) array carries the whole chunk: each material's
+    Fresnel coefficients are one call on it.
+    """
+    nk = (_per_kappa(medium.refractive_index, kappas) * kappas)[:, None]
     offsets, weights = q_nodes
-    total = 0.0
-    for qq, ww in zip(n_m * kappa + offsets, weights):
-        k_t2 = qq * qq - (n_m * kappa) ** 2
-        k_t = math.sqrt(max(k_t2, 0.0))
-        r1_te, r1_tm = fresnel_reflection(mat1, medium, kappa, k_t)
-        r2_te, r2_tm = fresnel_reflection(mat2, medium, kappa, k_t)
-        e = math.exp(-2.0 * qq * gap)
-        val = math.log1p(-r1_te * r2_te * e) + math.log1p(-r1_tm * r2_tm * e)
-        total += ww * qq * val
-    return total / (2.0 * math.pi)
+    qq = nk + offsets
+    k_t = np.sqrt(np.maximum(qq * qq - nk * nk, 0.0))
+    r1_te, r1_tm = fresnel_reflection(mat1, medium, kappas[:, None], k_t)
+    r2_te, r2_tm = fresnel_reflection(mat2, medium, kappas[:, None], k_t)
+    e = np.exp(-2.0 * qq * gap)
+    val = np.log1p(-r1_te * r2_te * e) + np.log1p(-r1_tm * r2_tm * e)
+    return (weights * qq * val).sum(axis=-1) / (2.0 * math.pi)
 
 
 def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
@@ -502,17 +603,19 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
         raise ValidationError("a half-space permeability cannot be a perfect conductor")
 
     def value(n):
-        # n nodes in kappa (at tau = 0) and in q - n_m kappa (scale 1/(2 gap))
+        # n nodes in kappa (at tau = 0) and in q - n_m kappa (scale 1/(2 gap)),
+        # the kappas taken in chunks of _CHUNK_ENTRIES (kappa, q) pairs
         q_nodes = _quad_nodes(n, 1.0 / (2.0 * gap))
+        chunk = max(1, _CHUNK_ENTRIES // n)
 
-        def kernel(kappa):
-            return _plate_kernel(mat1, mat2, medium, gap, kappa, q_nodes)
+        def kernel(kappas):
+            return _plate_kernel(mat1, mat2, medium, gap, kappas, q_nodes)
 
         if tau == 0.0:
             kappas, weights = _quad_nodes(n, 1.0 / gap)
-            vals = [kernel(k) for k in kappas]
+            vals = _in_chunks(kernel, kappas, chunk)
             return float(np.dot(weights, vals)) / (2.0 * math.pi)
-        _, _, terms, _ = _matsubara_sum(kernel, tau, tol, MAX_SUM_TERMS)
+        _, _, terms, _ = _matsubara_sum(kernel, tau, tol, MAX_SUM_TERMS, chunk)
         return tau / (2.0 * math.pi) * float(np.cumsum(terms)[-1])
 
     prev = value(32)

@@ -344,6 +344,16 @@ def _grad_d(table, pos, ci):
     return grads
 
 
+def _square_norms(v):
+    """|v|^2 of each row of an (n, 3) array, summed as (x x + y y) + z z.
+
+    The order is the site kernel's, fixed in the code: ``np.einsum`` would
+    leave it to the numpy build.
+    """
+    x, y, z = v.T
+    return (x * x + y * y) + z * z
+
+
 def hamiltonian(config, positions):
     """Total configurational energy; +inf if a mobile violates a hard wall.
 
@@ -356,8 +366,7 @@ def hamiltonian(config, positions):
     for ci, p in zip(table.owner[table.n_fixed :], mobiles):
         if not config.containers[ci].contains(p)[0]:
             return math.inf
-    r = mobiles - table.anchor
-    tethers = 0.5 * table.stiffness * np.einsum("ij,ij->i", r, r)
+    tethers = 0.5 * table.stiffness * _square_norms(mobiles - table.anchor)
     return _coulomb_energy(table, pos) + float(np.sum(tethers))
 
 
@@ -649,8 +658,7 @@ def laplacian_F_estimator(config, label, samples):
     fixed = np.broadcast_to(table.fixed, (len(samples.positions), table.n_fixed, 3))
     ci = config.containers.index(config.container(label))
     grads = _grad_d(table, np.concatenate([fixed, samples.positions], axis=1), ci)
-    center = grads.mean(axis=0)
-    contrib = np.einsum("ij,ij->i", grads - center, grads - center)
+    contrib = _square_norms(grads - grads.mean(axis=0))
     if float(contrib.max(initial=0.0)) == 0.0:
         return McEstimate(0.0, 0.0, len(grads), 0.5)
     stderr, tau = _blocking_stderr(contrib)

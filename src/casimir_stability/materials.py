@@ -15,6 +15,8 @@ assigned.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError, ZeroFrequencyError, _finite
 
 __all__ = [
@@ -115,6 +117,15 @@ def eval_epsilon(model, kappa):
 def eval_mu(model, kappa):
     """Permeability counterpart of eval_epsilon (same functional forms)."""
     return eval_epsilon(model, kappa)
+
+
+def _per_kappa(f, kappas):
+    """f(kappa) for each of the array ``kappas``, as a float array of its shape.
+
+    The response functions above are scalar functions of one kappa; every
+    caller that works on an array of kappas evaluates them through this.
+    """
+    return np.reshape([f(k) for k in kappas.ravel().tolist()], kappas.shape)
 
 
 @dataclass(frozen=True)

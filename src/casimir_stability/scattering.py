@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, GeometryError, ValidationError, _finite, _vector
-from .materials import eval_epsilon, eval_mu
+from .materials import _per_kappa, eval_epsilon, eval_mu
 from .specfun import log_bessel_i_array, log_bessel_k_array
 
 __all__ = [
@@ -66,7 +66,8 @@ def _riccati(kind, l_max, x):
 
     Mantissas are scaled by exp(-log f_l(x)), so the mantissa of f_l itself
     is 1 and the derivative's stays O(l + x) for any argument; products of
-    mantissas from different functions then never overflow.
+    mantissas from different functions then never overflow.  ``x`` is a 1-D
+    array of arguments, one row each.
     """
     if kind == "i":
         logs = log_bessel_i_array(l_max + 1, x)
@@ -75,9 +76,10 @@ def _riccati(kind, l_max, x):
         logs = log_bessel_k_array(l_max + 1, x)
         drv_sign = -1.0
     ell = np.arange(1, l_max + 1)
-    e = logs[1:-1]
+    e = logs[:, 1:-1]
+    x = x[:, None]
     # f' = drv_sign * f_{l+1} + (l/x) f_l, all divided by f_l
-    fp = drv_sign * np.exp(logs[2:] - e) + ell / x
+    fp = drv_sign * np.exp(logs[:, 2:] - e) + ell / x
     return 1.0 + x * fp, e
 
 
@@ -88,9 +90,12 @@ class TMatrix:
     ``sign_e/log_e`` hold the electric (TM) entries and ``sign_m/log_m`` the
     magnetic (TE) entries for l = 1..l_max, in the definiteness convention
     described in the module docstring.  Entries are real and m-independent.
+    Built for an array of kappa, ``kappa`` is that array and every
+    amplitude field has a leading kappa axis; ``entry`` and ``diagonal``
+    read a single-kappa matrix only.
     """
 
-    kappa: float
+    kappa: float | np.ndarray
     l_max: int
     sign_e: np.ndarray
     log_e: np.ndarray
@@ -99,6 +104,8 @@ class TMatrix:
 
     def entry(self, pol, l):
         """Plain float entry for polarization "E" or "M" at order l."""
+        if np.ndim(self.kappa):
+            raise ValueError("entry reads a T-matrix built for one kappa")
         if not 1 <= l <= self.l_max:
             raise ValueError("l out of range")
         s = self.sign_e[l - 1] if pol == "E" else self.sign_m[l - 1]
@@ -122,9 +129,11 @@ class TMatrix:
         assembly must use raw signs so that no adjustable constant enters.
         """
         reps = 2 * np.arange(1, self.l_max + 1) + 1
-        signs = np.concatenate([np.repeat(self.sign_e, reps), np.repeat(-self.sign_m, reps)])
-        logs = np.concatenate([np.repeat(self.log_e, reps), np.repeat(self.log_m, reps)])
-        return signs, logs
+
+        def basis(e, m):
+            return np.concatenate([np.repeat(e, reps, axis=-1), np.repeat(m, reps, axis=-1)], axis=-1)
+
+        return basis(self.sign_e, -self.sign_m), basis(self.log_e, self.log_m)
 
 
 def mie_tmatrix(sphere, medium, kappa, l_max):
@@ -139,8 +148,11 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
         TM: the same expression with mu -> eps.
 
     A perfect conductor uses the limits TM: -Di(x)/Dk(x), TE: -i_l/k_l.
+    ``kappa`` may be a 1-D array: the amplitudes then carry a leading kappa
+    axis, and each row equals the scalar call's.
     """
-    if kappa <= 0.0:
+    kappas = np.array(kappa, float, ndmin=1)
+    if not kappas.min() > 0.0:
         raise ValueError("kappa must be positive")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
@@ -148,9 +160,7 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
         raise CapabilityError(
             f"multipole order {l_max} exceeds supported {MAX_MULTIPOLE_ORDER}"
         )
-    x = medium.refractive_index(kappa) * kappa * sphere.radius
-    eps_m = medium.eps(kappa)
-    mu_m = medium.mu(kappa)
+    x = _per_kappa(medium.refractive_index, kappas) * kappas * sphere.radius
     pec = sphere.eps.is_pec
 
     dix, ex = _riccati("i", l_max, x)
@@ -158,11 +168,19 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
     shift = ex - fx
     if pec:
         raw_tm = -dix / dkx
-        raw_te = np.full(l_max, -1.0)  # -i_l/k_l, both mantissas being 1
+        raw_te = np.full(dix.shape, -1.0)  # -i_l/k_l, both mantissas being 1
     else:
-        eps_j = eval_epsilon(sphere.eps, kappa)
-        mu_j = eval_mu(sphere.mu, kappa)
-        y = math.sqrt(eps_j * mu_j) * kappa * sphere.radius
+        # the medium's and the sphere's eps and mu, as columns over kappa
+        eps_m, mu_m, eps_j, mu_j = (
+            _per_kappa(f, kappas)[:, None]
+            for f in (
+                medium.eps,
+                medium.mu,
+                lambda k: eval_epsilon(sphere.eps, k),
+                lambda k: eval_mu(sphere.mu, k),
+            )
+        )
+        y = np.sqrt(eps_j[:, 0] * mu_j[:, 0]) * kappas * sphere.radius
         diy, _ = _riccati("i", l_max, y)
 
         def amp(a_j, a_m):
@@ -178,8 +196,12 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
         log_e = np.where(live_e, np.log(np.abs(raw_tm)) + shift, -math.inf)
         sign_m = np.where(live_m, -np.copysign(1.0, raw_te), 0.0)
         log_m = np.where(live_m, np.log(np.abs(raw_te)) + shift, -math.inf)
+    if np.ndim(kappa) == 0:
+        kappas, sign_e, log_e, sign_m, log_m = (
+            float(kappa), sign_e[0], log_e[0], sign_m[0], log_m[0]
+        )
     return TMatrix(
-        kappa=float(kappa),
+        kappa=kappas,
         l_max=l_max,
         sign_e=sign_e,
         log_e=log_e,
@@ -193,22 +215,31 @@ def fresnel_reflection(mat1, medium, kappa, k_transverse):
 
     ``mat1`` is an (eps_model, mu_model) pair.  kappa_i = sqrt(k_t^2 +
     eps_i mu_i kappa^2) is the normal decay constant on each side.
+    ``kappa`` and ``k_transverse`` may be arrays that broadcast together:
+    the coefficients are then arrays of that shape, the models being
+    evaluated once per kappa.
     """
-    if kappa <= 0.0:
+    kappas = np.asarray(kappa, float)
+    k_t = np.asarray(k_transverse, float)
+    if not (kappas > 0.0).all():
         raise ValueError("kappa must be positive")
-    if k_transverse < 0.0:
+    if not (k_t >= 0.0).all():
         raise ValueError("k_transverse must be nonnegative")
     eps_model, mu_model = mat1
-    eps_m = medium.eps(kappa)
-    mu_m = medium.mu(kappa)
-    kap_m = math.sqrt(k_transverse**2 + eps_m * mu_m * kappa**2)
+    eps_m = _per_kappa(medium.eps, kappas)
+    mu_m = _per_kappa(medium.mu, kappas)
+    k_t2, kappa2 = k_t * k_t, kappas * kappas
+    kap_m = np.sqrt(k_t2 + eps_m * mu_m * kappa2)
     if eps_model.is_pec:
-        return -1.0, 1.0
-    eps_1 = eval_epsilon(eps_model, kappa)
-    mu_1 = eval_mu(mu_model, kappa)
-    kap_1 = math.sqrt(k_transverse**2 + eps_1 * mu_1 * kappa**2)
-    r_te = (mu_1 * kap_m - mu_m * kap_1) / (mu_1 * kap_m + mu_m * kap_1)
-    r_tm = (eps_1 * kap_m - eps_m * kap_1) / (eps_1 * kap_m + eps_m * kap_1)
+        r_te, r_tm = np.full(kap_m.shape, -1.0), np.full(kap_m.shape, 1.0)
+    else:
+        eps_1 = _per_kappa(lambda k: eval_epsilon(eps_model, k), kappas)
+        mu_1 = _per_kappa(lambda k: eval_mu(mu_model, k), kappas)
+        kap_1 = np.sqrt(k_t2 + eps_1 * mu_1 * kappa2)
+        r_te = (mu_1 * kap_m - mu_m * kap_1) / (mu_1 * kap_m + mu_m * kap_1)
+        r_tm = (eps_1 * kap_m - eps_m * kap_1) / (eps_1 * kap_m + eps_m * kap_1)
+    if kap_m.ndim == 0:
+        return float(r_te), float(r_tm)
     return r_te, r_tm
 
 

@@ -18,7 +18,10 @@ Both families satisfy the recurrences
 
 All values are computed from all-positive-term series, so they are stable for
 large order and argument; log-space variants are provided for use where the
-plain values would over- or underflow.
+plain values would over- or underflow.  They take one argument or a 1-D
+array of them, one row each, every row equal to the single-argument call.
+No values are cached; log k_l reads the logs of its binomial factors from
+one table kept for the largest order yet asked for.
 
 Wigner 3j symbols
 -----------------
@@ -67,6 +70,14 @@ def _logsumexp_rows(a):
     return np.log1p(s) + np.log(m) + top
 
 
+def _arguments(x):
+    """``x`` as a 1-D array of positive floats."""
+    xs = np.array(x, float, ndmin=1)
+    if xs.min() <= 0.0:
+        raise ValueError("argument must be positive")
+    return xs
+
+
 def log_bessel_i_array(l_max, x):
     """log(i_l(x)) for l = 0..l_max, via the ascending series.
 
@@ -76,52 +87,77 @@ def log_bessel_i_array(l_max, x):
     Parameters
     ----------
     l_max : int
-    x : float, > 0
+    x : float > 0, or a 1-D array of them
 
     Returns
     -------
-    ndarray, shape (l_max+1,) of log i_l(x)
+    ndarray of log i_l(x), shape (l_max+1,), or one such row per x
+
+    The number of series terms grows with x, and a row is summed over
+    exactly its own terms: the arguments are evaluated in groups of equal
+    length, so every row equals the one a scalar call returns.
     """
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
+    xs = _arguments(x)
     # enough terms that the last one is negligible: series behaves like exp(x)
-    n_terms = max(30, int(1.5 * x) + 40)
-    k = np.arange(n_terms)
-    ell = np.arange(l_max + 1)
-    log_half_x2 = 2.0 * math.log(x) - math.log(2.0)
-    # log (2l+2k+1)!! = lgamma(2n+2) - n log 2 - lgamma(n+1) with n = l+k
-    n = ell[:, None] + k[None, :]
-    log_ddfact = gammaln(2 * n + 2) - n * math.log(2.0) - gammaln(n + 1)
-    log_terms = (
-        ell[:, None] * math.log(x)
-        + k[None, :] * log_half_x2
-        - gammaln(k + 1)[None, :]
-        - log_ddfact
-    )
-    return _logsumexp_rows(log_terms)
+    groups = {}
+    for r, v in enumerate(xs.tolist()):
+        groups.setdefault(max(30, int(1.5 * v) + 40), []).append(r)
+    top = max(groups)
+    # log (2m+1)!! = lgamma(2m+2) - m log 2 - lgamma(m+1), taken at m = l+k
+    m = np.arange(l_max + top)
+    log_ddfact = gammaln(2 * m + 2) - m * math.log(2.0) - gammaln(m + 1)
+    log_k_fact = gammaln(m[:top] + 1)
+    ell = np.arange(l_max + 1)[:, None]
+    out = np.empty((xs.size, l_max + 1))
+    for n_terms, rows in groups.items():
+        k = m[None, :n_terms]
+        log_x = np.array([math.log(v) for v in xs[rows].tolist()])[:, None, None]
+        log_terms = (
+            ell * log_x
+            + k * (2.0 * log_x - math.log(2.0))
+            - log_k_fact[:n_terms]
+            - log_ddfact[ell + k]
+        )
+        out[rows] = _logsumexp_rows(log_terms.reshape(-1, n_terms)).reshape(len(rows), -1)
+    return out if np.ndim(x) else out[0]
+
+
+# log (l+j)! / (j! (l-j)!) at [l, j], -inf for j > l: one read-only table for
+# the largest order yet asked for, whose leading block serves every lower
+# order, so it holds 8 (l_max+1)^2 bytes (1.3 MB at l_max 401, the largest
+# a translation at MAX_MULTIPOLE_ORDER asks for)
+_log_binom = np.zeros((0, 0))
+
+
+def _binomial_logs(n):
+    """The leading n x n block of the log-binomial table, grown if needed."""
+    global _log_binom
+    if len(_log_binom) < n:
+        ell = np.arange(n)[:, None]
+        j = np.arange(n)[None, :]
+        jj = np.where(j <= ell, j, 0)
+        table = gammaln(ell + jj + 1) - gammaln(jj + 1) - gammaln(ell - jj + 1)
+        table = np.where(j <= ell, table, -np.inf)
+        table.setflags(write=False)
+        _log_binom = table
+    return _log_binom[:n, :n]
 
 
 def log_bessel_k_array(l_max, x):
     """log(k_l(x)) for l = 0..l_max, via the finite closed form.
 
     k_l(x) = (e^-x / x) * sum_{j=0}^{l} (l+j)! / (j! (l-j)! (2x)^j); all
-    terms positive.
+    terms positive.  ``x`` may be a 1-D array: one row per argument, each
+    equal to the scalar call's.
     """
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
-    ell = np.arange(l_max + 1)[:, None]
-    j = np.arange(l_max + 1)[None, :]
-    valid = j <= ell
-    jj = np.where(valid, j, 0)
-    log_terms = np.where(
-        valid,
-        gammaln(ell + jj + 1)
-        - gammaln(jj + 1)
-        - gammaln(ell - jj + 1)
-        - jj * math.log(2.0 * x),
-        -np.inf,
-    )
-    return -x - math.log(x) + _logsumexp_rows(log_terms)
+    xs = _arguments(x)
+    n = l_max + 1
+    log_2x = np.array([math.log(2.0 * v) for v in xs.tolist()])[:, None, None]
+    log_terms = _binomial_logs(n) - np.arange(n) * log_2x
+    sums = _logsumexp_rows(log_terms.reshape(-1, n)).reshape(xs.size, -1)
+    log_x = np.array([math.log(v) for v in xs.tolist()])
+    out = (-xs - log_x)[:, None] + sums
+    return out if np.ndim(x) else out[0]
 
 
 def _pair_from_logs(log_f, log_f_next, l, x, deriv_sign):

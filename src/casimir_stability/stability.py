@@ -35,12 +35,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import casimir
 from .casimir import (
     Configuration,
     _blocks,
+    _chunk,
     _gap,
     _layout,
+    _log_dets,
     _matsubara_sum,
     _place_blocks,
     _positive_logdet,
@@ -116,10 +117,11 @@ class _CommonGridEngine:
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
     sum at tau > 0.  The T-matrices, one per distinct sphere
-    (``casimir._t_logs``), and the blocks between the unmoved objects are
-    computed once per wavenumber.  A displaced geometry is a Configuration
-    from :func:`_displaced`; only its blocks touching the labeled object are
-    rebuilt, by ``casimir``'s pair loop.
+    (``casimir._t_logs``), are built for every wavenumber of the grid at
+    once, and the blocks between the unmoved objects once per wavenumber.
+    A displaced geometry is a Configuration from :func:`_displaced`; only
+    its blocks touching the labeled object are rebuilt, node by node, by
+    ``casimir``'s pair loop.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
@@ -133,17 +135,12 @@ class _CommonGridEngine:
         if config.tau == 0.0:
             self.kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
             self.weights = weights / (2.0 * math.pi)
+            t_logs = _t_logs(config, self.kappas, self.l_max)
         else:
-            # truncated where the tail of a low-order sum is below 1e-12 of it
-            integrand = functools.partial(
-                casimir.log_det_integrand, config, l_max=min(self.l_max, 4)
-            )
-            self.kappas, self.weights, _, _ = _matsubara_sum(
-                integrand, config.tau, 1e-12, MAX_MATSUBARA_TERMS
-            )
+            self.kappas, self.weights, t_logs = _matsubara_grid(config, self.l_max)
         # per kappa: raw (sign, log) T-matrices of every object, and the
         # balanced blocks {(i, j): block} between unmoved objects
-        self.t_logs = [_t_logs(config, k, self.l_max) for k in self.kappas]
+        self.t_logs = [[(s[k], g[k]) for s, g in t_logs] for k in range(len(self.kappas))]
         static = [p for p in config._pairs if self.idx not in p]
         self.static = [
             _blocks(config, k, self.l_max, t, static)
@@ -168,6 +165,33 @@ class _CommonGridEngine:
         for k, weight in enumerate(self.weights):
             total += weight * self.logdet(k, self.matrix(k, moved), u)
         return total
+
+
+def _matsubara_grid(config, l_max):
+    """(kappas, weights, T-matrix rows) of the frozen finite-temperature grid.
+
+    The grid is truncated where the tail of a low-order (l_max <= 4) sum is
+    below 1e-12 of it.  When that order is the grid's, the sum's T-matrix
+    rows, one run of kappas at a time, are the grid's; else the grid's are
+    built once for all its kappas.
+    """
+    low = min(l_max, 4)
+    runs = []
+
+    def term(kappas):
+        runs.append(_t_logs(config, kappas, low))
+        return _log_dets(config, kappas, low, runs[-1])
+
+    kappas, weights, _, _ = _matsubara_sum(
+        term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, _chunk(config, low)
+    )
+    if low != l_max:
+        return kappas, weights, _t_logs(config, np.array(kappas), l_max)
+    rows = [
+        tuple(np.concatenate([run[i][part] for run in runs])[: len(kappas)] for part in (0, 1))
+        for i in range(len(config.objects))
+    ]
+    return kappas, weights, rows
 
 
 def _default_h(config, label):

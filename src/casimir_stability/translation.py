@@ -43,10 +43,14 @@ block, and the parity of l + l' + lambda assigns each nonzero symbol its
 polarization kind.  The pairs are enumerated in chunks of fixed size, and
 the term arrays are allocated once at an upper bound and filled in place,
 so the work arrays stay small next to the table.  A build is then
-whole-array work as well: one ``sph_harm_y`` call over all (lambda, mu),
-the block exponents as one gather, one real weighted bincount over the
-terms, U A U^dagger with U block-diagonal over the whole sector, and one
-gather into the sector layout.
+whole-array work as well, for one kappa or a 1-D array of them: one
+``sph_harm_y`` call over all (lambda, mu), once per displacement, the block
+exponents as one gather, one real weighted bincount over the terms of every
+kappa (each kappa's entries in bins of their own, offset by row), U A
+U^dagger with U block-diagonal over the whole sector, and one gather into
+the sector layout, of every entry or of the chosen ``entries`` alone.  Each
+term is (coefficient * k_lambda) * Y, in that order, so every row of a
+batched build equals the single-kappa build bit for bit.
 
 A displacement along +z (d_x = d_y = 0 < d_z) uses a second, coaxial
 table.  There Y_{lambda, m - m'}(theta = 0) vanishes unless m = m', so the
@@ -71,6 +75,7 @@ import numpy as np
 from scipy.special import sph_harm_y
 
 from .errors import GeometryError, ToleranceError
+from .materials import _per_kappa
 from .specfun import log_bessel_k_array, wigner3j_rows
 # not called here: the benchmark tracer (perfbench/spans.py) wraps this name
 from .specfun import wigner3j  # noqa: F401
@@ -196,8 +201,9 @@ class _Table:
     u_col_flip: np.ndarray
     flip_row: np.ndarray
     flip_col: np.ndarray
-    placed: object  # index of the final entries the build sets (... for all)
-    layout: np.ndarray  # placed entry -> index into [Re A, Im B, -Im B]
+    # final entry -> index into [Re A, Im B, -Im B, 0] (the zero: outside
+    # the coaxial table)
+    source: np.ndarray
     entry_block: np.ndarray  # final entry -> (l, l') block index
 
 
@@ -322,7 +328,7 @@ def _coeff_tables(l_max, spin, coaxial=False):
     u_diag = np.diagonal(u).copy()
     u_flip = np.where(flip != np.arange(nb), u[np.arange(nb), flip], 0.0)
 
-    # final layout: where every entry goes, read from [Re A, Im B, -Im B]
+    # final layout: where every entry is read from in [Re A, Im B, -Im B, 0]
     where = entry_of.reshape(nb, nb)
     entry_block = (sector_l[:, None] - l_min) * n_l + sector_l[None, :] - l_min
     if spin == "scalar":
@@ -337,9 +343,8 @@ def _coeff_tables(l_max, spin, coaxial=False):
         zero = np.zeros((nb, nb), int)
         shift = np.block([[zero, zero + n_e], [zero + 2 * n_e, zero]])
         entry_block = np.tile(entry_block, (2, 2))
-    # on the axis, the entries outside the table stay zero
-    placed = np.nonzero(source >= 0) if coaxial else ...
-    source = (source + shift)[placed]
+    # on the axis, the entries outside the table read the zero
+    source = np.where(source >= 0, source + shift, (2 * n_kinds - 1) * n_e)
     return _Table(
         n_kinds=n_kinds,
         nb=nb,
@@ -360,8 +365,7 @@ def _coeff_tables(l_max, spin, coaxial=False):
         u_col_flip=u_flip[col].conj(),
         flip_row=entry_of[flip[row] * nb + col],
         flip_col=entry_of[row * nb + flip[col]],
-        placed=placed,
-        layout=source,
+        source=source,
         entry_block=entry_block,
     )
 
@@ -376,22 +380,33 @@ class TranslationMatrix:
 
     True entries equal ``scaled * exp(exponent)``; the split keeps small-
     wavenumber matrices representable.  ``spin`` is "vector" (two
-    polarization sectors, electric first) or "scalar".
+    polarization sectors, electric first) or "scalar".  Built for an array
+    of kappa, ``kappa`` is that array and ``scaled`` and ``exponent`` carry
+    a leading kappa axis.  Built for chosen ``entries``, a (rows, cols)
+    pair of index arrays, they hold those entries along their last axis,
+    and such a matrix has no ``dim`` or ``dense`` form.
     """
 
-    kappa: float
+    kappa: float | np.ndarray
     displacement: np.ndarray
     l_max: int
     scaled: np.ndarray
     exponent: np.ndarray
     spin: str = "vector"
+    entries: tuple | None = None
+
+    def _whole(self):
+        if self.entries is not None:
+            raise ValueError("a translation built for chosen entries has no dense form")
 
     @property
     def dim(self):
-        return self.scaled.shape[0]
+        self._whole()
+        return self.scaled.shape[-1]
 
     def dense(self):
         """Plain float entries (overflows to inf outside float64 range)."""
+        self._whole()
         with np.errstate(over="ignore"):
             return self.scaled * np.exp(self.exponent)
 
@@ -414,54 +429,68 @@ def _direction(d):
 def _to_real_basis(tab, a):
     """U a U^dagger on the table's entries (trailing axis), using that U has
     at most two nonzero entries per row."""
-    b = tab.u_row_diag * a + tab.u_row_flip * np.take(a, tab.flip_row, axis=-1)
-    return b * tab.u_col_diag + np.take(b, tab.flip_col, axis=-1) * tab.u_col_flip
+    b = tab.u_row_diag * a + tab.u_row_flip * a.take(tab.flip_row, axis=-1)
+    return b * tab.u_col_diag + b.take(tab.flip_col, axis=-1) * tab.u_col_flip
 
 
-def _build(medium, kappa, d, l_max, spin):
+def _build(medium, kappa, d, l_max, spin, entries=None):
+    """The matrix for one displacement at one kappa or a 1-D array of them.
+
+    The angular part, the harmonics of d, is evaluated once; the terms of
+    every kappa are then summed into their entries by one bincount whose
+    bins are offset by row.  ``entries``, a (rows, cols) pair of index
+    arrays, builds only those entries of the final matrix.
+    """
     d, c, theta, phi = _direction(d)
-    if kappa <= 0.0:
+    kappas = np.array(kappa, float, ndmin=1)
+    if not kappas.min() > 0.0:
         raise ValueError("kappa must be positive")
-    x = medium.refractive_index(kappa) * kappa * c
+    x = _per_kappa(medium.refractive_index, kappas) * kappas * c
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
     logk = log_bessel_k_array(l_top, x)
     tab = _coeff_tables(l_max, spin, d[0] == 0.0 and d[1] == 0.0 and d[2] > 0.0)
 
     # k_lam grows with lam, so the largest lambda of a block sets its scale
-    s = logk[tab.top_lam]
-    kv = np.exp(logk[tab.slot_lam] - s[tab.slot_block])
+    s = logk.take(tab.top_lam, axis=-1)
+    kv = np.exp(logk.take(tab.slot_lam, axis=-1) - s.take(tab.slot_block, axis=-1))
     y = sph_harm_y(tab.y_lam, tab.y_mu, theta, phi)
-    terms = (tab.term_coeff * kv[tab.term_slot]) * y[tab.term_y]
-    n_e = tab.u_row_diag.size
-    a = np.bincount(
-        tab.term_re_im, weights=terms.view(float), minlength=2 * tab.n_kinds * n_e
-    ).view(complex)
-    r = _to_real_basis(tab, a.reshape(tab.n_kinds, n_e))
+    terms = (tab.term_coeff * kv.take(tab.term_slot, axis=-1)) * y[tab.term_y]
+    n, n_e = x.size, tab.u_row_diag.size
+    width = 2 * tab.n_kinds * n_e
+    bins = tab.term_re_im if n == 1 else (tab.term_re_im + width * np.arange(n)[:, None]).ravel()
+    a = np.bincount(bins, weights=terms.view(float).ravel(), minlength=n * width).view(complex)
+    r = _to_real_basis(tab, a.reshape(n, tab.n_kinds, n_e))
 
     def block_max(v):
-        return np.maximum.reduceat(np.take(v, tab.check_order, axis=-1), tab.block_start, axis=-1)
+        return np.maximum.reduceat(v.take(tab.check_order, axis=-1), tab.block_start, axis=-1)
 
     if spin == "scalar":
-        size = block_max(np.abs(r[0]))
-        bad = block_max(np.abs(r[0].imag)) > 1e-10 * np.maximum(1.0, size)
-        src = r[0].real
+        size = block_max(np.abs(r[:, 0]))
+        bad = block_max(np.abs(r[:, 0].imag)) > 1e-10 * np.maximum(1.0, size)
+        parts = [r[:, 0].real]
     else:
-        a_r, b_r = r
-        scale = np.maximum(block_max(np.abs(r)).max(axis=0), 1e-300)
-        leak = block_max(np.stack([np.abs(a_r.imag), np.abs(b_r.real)]))
-        bad = leak.max(axis=0) > 1e-9 * scale
-        src = np.concatenate([a_r.real, b_r.imag, -b_r.imag])
+        a_r, b_r = r[:, 0], r[:, 1]
+        scale = np.maximum(block_max(np.abs(r)).max(axis=-2), 1e-300)
+        leak = block_max(np.stack([np.abs(a_r.imag), np.abs(b_r.real)], axis=-2))
+        bad = leak.max(axis=-2) > 1e-9 * scale
+        parts = [a_r.real, b_r.imag, -b_r.imag]
     if bad.any():
         raise RuntimeError("real-basis entries acquired imaginary parts")
-    scaled = np.zeros(tab.entry_block.shape)
-    scaled[tab.placed] = src[tab.layout]
+    src = np.concatenate(parts + [np.zeros((n, 1))], axis=-1)
+    source, block = (tab.source, tab.entry_block) if entries is None else (
+        tab.source[entries], tab.entry_block[entries]
+    )
+    scaled, exponent = src.take(source, axis=-1), s.take(block, axis=-1)
+    if np.ndim(kappa) == 0:
+        kappas, scaled, exponent = float(kappa), scaled[0], exponent[0]
     return TranslationMatrix(
-        kappa=float(kappa),
+        kappa=kappas,
         displacement=d,
         l_max=l_max,
         scaled=scaled,
-        exponent=s[tab.entry_block],
+        exponent=exponent,
         spin=spin,
+        entries=entries,
     )
 
 
@@ -471,7 +500,7 @@ def reverse_translation(x):
     X(-d) = D X(d)^T D, with D = +1 on the electric sector and -1 on the
     magnetic sector for vector waves, and D = 1 for scalar waves.  Applied
     to a displacement gradient dX/dd_i at d it gives minus that gradient
-    at -d.
+    at -d.  A leading kappa axis is kept.
     """
     d_sign = np.ones(x.dim)
     if x.spin == "vector":
@@ -480,19 +509,22 @@ def reverse_translation(x):
         kappa=x.kappa,
         displacement=-x.displacement,
         l_max=x.l_max,
-        scaled=d_sign[:, None] * x.scaled.T * d_sign[None, :],
-        exponent=x.exponent.T.copy(),
+        scaled=d_sign[:, None] * np.swapaxes(x.scaled, -1, -2) * d_sign[None, :],
+        exponent=np.swapaxes(x.exponent, -1, -2).copy(),
         spin=x.spin,
     )
 
 
-def translation_matrix(medium, kappa, d, l_max):
+def translation_matrix(medium, kappa, d, l_max, entries=None):
     """Vector-wave translation matrix for displacement ``d``.
 
     Converts outgoing waves about the point ``d`` into regular waves about
-    the origin, at imaginary wavenumber n_M kappa.
+    the origin, at imaginary wavenumber n_M kappa.  ``kappa`` may be a 1-D
+    array (one matrix per kappa, along a leading axis), and ``entries``, a
+    (rows, cols) pair of index arrays, limits the build to those entries;
+    a single kappa with every entry is the one-row view of that build.
     """
-    return _build(medium, kappa, d, l_max, "vector")
+    return _build(medium, kappa, d, l_max, "vector", entries)
 
 
 def scalar_translation_matrix(medium, kappa, d, l_max):

@@ -150,25 +150,29 @@ def test_kappa_floor_flag_for_drude():
 
 def test_free_energy_order_budget_reports_last_evaluated_order(monkeypatch):
     # an integrand that grows with l_max never order-converges: orders 2, 4,
-    # 8 and 16 are evaluated, and the partial must describe order 16
+    # 8 and 16 are evaluated, and the partial must describe order 16; the
+    # integrand takes runs of kappas, and only the last run of order 16 may
+    # reach past the stop of its sum
     from casimir_stability import ConvergenceBudgetError, casimir
 
-    orders = []
+    runs = []
 
     def integrand(config, kappa, l_max):
-        orders.append(l_max)
-        return -(1.0 + l_max) * math.exp(-kappa)
+        runs.append((l_max, np.size(kappa)))
+        return -(1.0 + l_max) * np.exp(-kappa)
 
     monkeypatch.setattr(casimir, "log_det_integrand", integrand)
     monkeypatch.setattr(casimir, "default_l_max", lambda config: 2)
     with pytest.raises(ConvergenceBudgetError) as info:
         free_energy_T(pec_pair(4.0, tau=1.0), tol=1e-6)
     partial = info.value.partial
-    assert sorted(set(orders)) == [2, 4, 8, 16]
-    last = [k for k in orders if k == 16]
+    assert sorted({order for order, _ in runs}) == [2, 4, 8, 16]
+    last = [size for order, size in runs if order == 16]
+    assert runs[-1][0] == 16
     assert partial.l_max_used == 16
-    assert partial.node_count == len(last) == len(partial.samples)
-    n = np.arange(1, len(last))
+    assert partial.node_count == len(partial.samples)
+    assert sum(last[:-1]) < partial.node_count <= sum(last)
+    n = np.arange(1, partial.node_count)
     assert partial.samples[1:, 1] == pytest.approx(-17.0 * np.exp(-n))
     # orders 8 and 16 scale the same sum by 9 and 17
     assert partial.est_rel_error == pytest.approx(8.0 / 17.0)
@@ -184,7 +188,7 @@ def test_energy_T0_order_budget_reports_last_evaluated_order(monkeypatch):
 
     def integrand(config, kappa, l_max):
         orders.append(l_max)
-        return -(1.0 + l_max) * math.exp(-kappa)
+        return -(1.0 + l_max) * np.exp(-kappa)
 
     monkeypatch.setattr(casimir, "log_det_integrand", integrand)
     monkeypatch.setattr(casimir, "default_l_max", lambda config: 2)
@@ -202,14 +206,15 @@ def test_energy_T0_order_budget_reports_last_evaluated_order(monkeypatch):
 def test_energy_T0_node_budget_stops_at_1536(monkeypatch):
     # an oscillating integrand never node-converges: every grid from 24 to
     # 1536 nodes is evaluated, none finer, and the partial is the 1536-node
-    # result with the change from 768 nodes as its estimate
+    # result with the change from 768 nodes as its estimate; ``calls`` holds
+    # every kappa the integrand was handed
     from casimir_stability import ConvergenceBudgetError, casimir
 
     calls = []
 
     def integrand(config, kappa, l_max):
-        calls.append(kappa)
-        return -abs(math.sin(1000.0 * kappa)) * math.exp(-kappa)
+        calls.extend(kappa)
+        return -np.abs(np.sin(1000.0 * kappa)) * np.exp(-kappa)
 
     monkeypatch.setattr(casimir, "log_det_integrand", integrand)
     cfg = pec_pair(4.0)
@@ -239,7 +244,7 @@ def test_order_convergence_reports_the_lower_order(monkeypatch, tau):
 
     def integrand(config, kappa, l_max):
         orders.append(l_max)
-        return -(1.0 + 2.0**-l_max) * math.exp(-kappa)
+        return -(1.0 + 2.0**-l_max) * np.exp(-kappa)
 
     monkeypatch.setattr(casimir, "log_det_integrand", integrand)
     monkeypatch.setattr(casimir, "default_l_max", lambda config: 2)

@@ -417,3 +417,34 @@ def test_estimator_nonpositive_and_seed_consistent():
 def test_mcestimate_validation():
     with pytest.raises(ValidationError):
         McEstimate(0.0, -1.0, 10, 1.0)
+
+
+def _pinned_square(v):
+    x, y, z = (float(c) for c in v)
+    return (x * x + y * y) + z * z
+
+
+def test_squared_norms_are_summed_in_one_fixed_order():
+    # the tether energy of hamiltonian and the estimator's squared gradient
+    # deviations sum |v|^2 as (x x + y y) + z z, on every numpy build; the
+    # points are chosen so that the order (x x + z z) + y y rounds otherwise
+    rng = np.random.default_rng(0)
+    points = [
+        p for p in rng.uniform(-0.28, 0.28, (400, 3))
+        if (p[0] * p[0] + p[2] * p[2]) + p[1] * p[1] != _pinned_square(p)
+    ]
+    assert len(points) >= 20
+    a = Container(
+        "a", "sphere", (0, 0, 0), 0.5, mobile_charges=[(0.0, ("harmonic", 4.0, (0, 0, 0)))]
+    )
+    b = Container("b", "sphere", (0, 0, 2.0), 0.5, fixed_charges=[(0.0, (0, 0, 0))])
+    cfg = ClassicalConfig((a, b), 1.0, 1.0)
+    for p in points:
+        assert hamiltonian(cfg, p[None]) == 2.0 * _pinned_square(p)
+
+    toy = tethered_toy()
+    stream = metropolis_run(toy, 2000, 0.25, seed=5)
+    grads = np.array([grad_d_hamiltonian(toy, pos, "a") for pos in stream.positions])
+    center = grads.mean(axis=0)
+    contrib = np.array([_pinned_square(g - center) for g in grads])
+    assert laplacian_F_estimator(toy, "a", stream).mean == -toy.beta * float(contrib.mean())

@@ -291,8 +291,9 @@ def ref_estimator(config, label, positions):
             r = pa - pb
             dist = np.linalg.norm(r, axis=1)
             grads -= (_COULOMB * qa * qb / config.eps_M / dist**3)[:, None] * r
-    center = grads.mean(axis=0)
-    contrib = np.einsum("ij,ij->i", grads - center, grads - center)
+    dx, dy, dz = (grads - grads.mean(axis=0)).T
+    # |d|^2 summed as (x x + y y) + z z, the order the estimator pins
+    contrib = (dx * dx + dy * dy) + dz * dz
     stderr, tau = _blocking_stderr(contrib)
     return -config.beta * float(contrib.mean()), config.beta * stderr, tau
 

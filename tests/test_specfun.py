@@ -57,6 +57,23 @@ def test_log_arrays_monotone_and_consistent():
     assert math.log(v) == pytest.approx(li[7], rel=1e-12)
 
 
+def test_k_array_reads_one_table_grown_to_the_largest_order(monkeypatch):
+    # a lower order after a higher one reads the leading block of the grown
+    # table and returns the bits of a first call; rows of an array of x are
+    # the scalar calls, and the table cannot be written through
+    from casimir_stability import specfun
+
+    x = np.array([1e-3, 0.7, 30.0])
+    monkeypatch.setattr(specfun, "_log_binom", np.zeros((0, 0)))
+    first = log_bessel_k_array(5, x)
+    log_bessel_k_array(30, 2.0)
+    assert specfun._log_binom.shape == (31, 31)
+    assert not specfun._log_binom.flags.writeable
+    assert np.array_equal(log_bessel_k_array(5, x), first)
+    for row, v in zip(first, x):
+        assert np.array_equal(row, log_bessel_k_array(5, float(v)))
+
+
 def test_extreme_arguments_no_overflow():
     li = log_bessel_i_array(5, 1e-8)
     lk = log_bessel_k_array(5, 1e-8)

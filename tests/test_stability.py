@@ -263,9 +263,11 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("three_body", [False, True])
 def test_report_builds_one_engine(monkeypatch, three_body):
     # one frozen grid serves force, FD Laplacian and decomposition: every
-    # T-matrix is built once per (node, distinct sphere), and at tau > 0 the
-    # grid's truncation sum evaluates one integrand per Matsubara node, which
-    # builds its own T-matrices
+    # T-matrix row is built once per (node, distinct sphere).  At tau > 0
+    # the grid's truncation sum builds them at l_max 3, the grid's own
+    # order, and the grid keeps them: no row is built twice, so the 15
+    # nodes take 15 rows, not 30.  The sum evaluates runs of kappas, and
+    # only its last run may reach past the stop
     from casimir_stability import casimir, stability
 
     if three_body:
@@ -285,23 +287,27 @@ def test_report_builds_one_engine(monkeypatch, three_body):
             engines.append(self)
 
     monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
-    tmatrices = _count_calls(monkeypatch, casimir, "mie_tmatrix")
-    integrands = _count_calls(monkeypatch, casimir, "log_det_integrand")
+    calls = _count_calls(monkeypatch, casimir, "mie_tmatrix")
     stability_report(cfg, "a", l_max=l_max, n_nodes=n_nodes)
     assert len(engines) == 1
-    nodes = len(engines[0].kappas)
-    distinct = 3 if three_body else 1
-    assert len(tmatrices) == distinct * (nodes + len(integrands))
-    if three_body:
-        assert (nodes, len(tmatrices), len(integrands)) == (12, 36, 0)
-    else:
-        assert (nodes, len(tmatrices), len(integrands)) == (15, 30, 15)
+    grid = engines[0].kappas
+    assert len(grid) == (12 if three_body else 15)
+    runs = {}
+    for sphere, _, kappas, order in calls:
+        assert order == l_max
+        runs.setdefault((sphere.radius, sphere.eps, sphere.mu), []).append(np.atleast_1d(kappas))
+    assert len(runs) == (3 if three_body else 1)
+    for sphere_runs in runs.values():
+        built = np.concatenate(sphere_runs)
+        assert np.unique(built).size == built.size
+        assert np.array_equal(built[: len(grid)], grid)
+        assert built.size - sphere_runs[-1].size < len(grid)
 
 
 def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
     # one frozen grid for every force of the search, one for the report at
-    # the root: each builds a T-matrix per (node, distinct sphere), and the
-    # equal outer spheres share one
+    # the root: each builds a T-matrix row per (node, distinct sphere), and
+    # the equal outer spheres share one
     from casimir_stability import casimir, stability
 
     engines = []
@@ -312,7 +318,7 @@ def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
             engines.append(self)
 
     monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
-    tmatrices = _count_calls(monkeypatch, casimir, "mie_tmatrix")
+    calls = _count_calls(monkeypatch, casimir, "mie_tmatrix")
     cfg = Configuration(
         (
             pec_sphere((0, 0, -4.0), 1.0, "left"),
@@ -327,4 +333,4 @@ def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
     )
     assert res.found
     assert len(engines) == 2
-    assert len(tmatrices) == 2 * 16 * 2
+    assert sum(np.size(kappas) for _, _, kappas, _ in calls) == 2 * 16 * 2
