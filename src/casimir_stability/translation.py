@@ -30,35 +30,33 @@ share the exponent log k_lmax, lmax being the largest lambda in that block.
 
 Construction
 ------------
-Everything that depends on neither kappa nor the direction of ``d`` is
-computed once per (l_max, spin) into one flat table: for every term of every
-entry, the entry it adds to, its (block, lambda) scale slot, its (lambda, mu)
-harmonic slot and its coefficient, together with the real-basis change and
-the index permutations of the electric/magnetic sector layout.  The table is
-itself whole-array work: every (l, l', m, m') of a sector pair is enumerated
-at once, one :func:`~casimir_stability.specfun.wigner3j_rows` call gives
-(l l' lambda; m -m' mu) for all of them and every lambda (the three-term
-recursion in lambda), a second gives the (l l' lambda; 0 0 0) of every
-block, and the parity of l + l' + lambda assigns each nonzero symbol its
-polarization kind.  The pairs are enumerated in chunks of fixed size, and
-the term arrays are allocated once at an upper bound and filled in place,
-so the work arrays stay small next to the table.  A build is then
-whole-array work as well, for one kappa or a 1-D array of them: one
-``sph_harm_y`` call over all (lambda, mu), once per displacement, the block
-exponents as one gather, one real weighted bincount over the terms of every
-kappa (each kappa's entries in bins of their own, offset by row), U A
-U^dagger with U block-diagonal over the whole sector, and one gather into
-the sector layout, of every entry or of the chosen ``entries`` alone.  Each
-term is (coefficient * k_lambda) * Y, in that order, so every row of a
-batched build equals the single-kappa build bit for bit.
+Every build starts from the matrix of a displacement along +z.  There
+Y_{lambda, m - m'}(theta = 0) vanishes unless m = m', and
+Y_{lambda 0}(0) = sqrt((2 lambda + 1) / 4 pi), so one flat table per
+(l_max, spin) holds the m = m' terms alone (4,148 at l_max 8): the entry
+each adds to, its (block, lambda) scale slot and its coefficient.  It is
+whole-array work: one :func:`~casimir_stability.specfun.wigner3j_rows` call
+gives (l l' lambda; m -m 0) for every pair and lambda, a second the
+(l l' lambda; 0 0 0) of every block, and the parity of l + l' + lambda
+assigns each nonzero symbol its polarization kind; pairs go in chunks of
+fixed size into term arrays allocated once at an upper bound.  A +z build
+is then real arithmetic, for one kappa or a 1-D array of them: the block
+exponents as one gather, one weighted bincount over the terms of every
+kappa (bins offset by row), and one gather into the sector layout, which
+applies the signs and m-reversals the real basis reduces to on the axis.
+Each term is coefficient * k_lambda, so every row of a batched build equals
+the single-kappa build bit for bit.
 
-A displacement along +z (d_x = d_y = 0 < d_z) uses a second, coaxial
-table.  There Y_{lambda, m - m'}(theta = 0) vanishes unless m = m', so the
-table enumerates only those pairs, reads only the mu = 0 harmonics, and
-changes basis only on the entries with |m| = |m'| that U mixes them into.
-Its build is bitwise the general table's build of the same displacement,
-from a fraction of the terms (4,148 instead of 46,244 at l_max 8).  It is
-what makes the m-block ln det of collinear configurations cheap.
+Any other d is the +z build at |d| in a rotated frame, X(d) = Q X(|d| z) Q^T
+(Gumerov & Duraiswami, SIAM J. Sci. Comput. 25, 1344 (2003)), with Q
+block-diagonal over (sector, l): the real-harmonic rotation D^l turning z
+into d/|d| on the electric sector, its m-reversed copy on the magnetic one.
+D^l comes from the 3 x 3 frame of d/|d| by the Ivanic-Ruedenberg recursion
+(J. Phys. Chem. 100, 6342 (1996); erratum 102, 9099 (1998)), whole-array
+work per l, once per displacement.  Q does not mix l, so each (l, l') block
+keeps its exponent.  X Q^T takes one product per entry, since the +z rows
+have one entry per band; Q (X Q^T) one matrix product per l, for every
+kappa at once.  A displacement along +z takes no rotation.
 
 Reciprocity
 -----------
@@ -132,7 +130,10 @@ def sector_size(l_max, l_min=1):
 
 
 def _real_basis(l):
-    """Unitary U with R_{l mu} = sum_m U[mu, m] Y_lm (indices offset by l)."""
+    """Unitary U with R_{l mu} = sum_m U[mu, m] Y_lm (indices offset by l).
+
+    The builds never form it; the validation oracles change basis with it.
+    """
     n = 2 * l + 1
     u = np.zeros((n, n), complex)
     u[l, l] = 1.0
@@ -162,49 +163,37 @@ def _real_basis(l):
 #       / (2 sqrt(..)) on odd-parity lambda, with the (l l' lam; 0 0 0)
 #       symbol evaluated at lambda - 1.
 # Both closed forms are certified against direct numerical projection of the
-# translated waves (see the unit tests).
+# translated waves (see the unit tests).  Along +z only m = m' survives, and
+# 4 pi sqrt((2lam+1)/4pi) Y_{lam 0}(0) = 2lam + 1.
 
 
 @dataclass(frozen=True)
 class _Table:
-    """Flat, kappa- and direction-independent build recipe for one (l_max, spin).
+    """Flat, kappa-independent recipe of the +z build for one (l_max, spin).
 
-    Every matrix entry (in the complex basis) is a sum of terms
-    coeff * exp(log k_lam - s_block) * Y_{lam, mu}; the term arrays hold, per
-    term, the entry it adds to, its (block, lambda) scale slot, its harmonic
-    slot and its coefficient; the terms of one entry are contiguous, in
-    ascending lambda.  The entries are the sector pairs (p, q) the build
-    fills, in row-major order: all of them, or for the coaxial table those
-    with |m_p| = |m_q| (its terms have m_p = m_q, and the real-basis change
-    mixes m with -m).
+    Every m = m' entry of a sector pair (the pairs (p, q) with m_p = m_q,
+    row-major) is a sum of terms coeff * exp(log k_lam - s_block); the term
+    arrays hold, per term, its entry, its (block, lambda) scale slot and its
+    coefficient.
     """
 
     n_kinds: int
-    nb: int
+    n_entries: int
     top_lam: np.ndarray  # largest lambda of each (l, l') block
     slot_block: np.ndarray  # (block, lambda) slot -> block
     slot_lam: np.ndarray  # (block, lambda) slot -> lambda
-    y_lam: np.ndarray  # the (lambda, mu) harmonics the terms read
-    y_mu: np.ndarray
-    term_re_im: np.ndarray  # 2 * (kind * entries + entry) + (0, 1): bincount bins
+    term_entry: np.ndarray  # kind * n_entries + entry: the bincount bin
     term_slot: np.ndarray
-    term_y: np.ndarray
     term_coeff: np.ndarray
-    check_order: np.ndarray  # the entries grouped by (l, l') block
-    block_start: np.ndarray  # where each block starts in check_order
-    # real-basis change U over the sector, per entry (p, q): U[p, p] and
-    # U[p, flip p] (flip maps m to -m within each l), the conjugates of
-    # U[q, q] and U[q, flip q], and the entries (flip p, q) and (p, flip q)
-    u_row_diag: np.ndarray
-    u_row_flip: np.ndarray
-    u_col_diag: np.ndarray
-    u_col_flip: np.ndarray
-    flip_row: np.ndarray
-    flip_col: np.ndarray
-    # final entry -> index into [Re A, Im B, -Im B, 0] (the zero: outside
-    # the coaxial table)
+    # final entry -> index into [same, cross, -cross, 0] (the zero: m != m')
     source: np.ndarray
     entry_block: np.ndarray  # final entry -> (l, l') block index
+    # (X Q^T)[r, c] = X[r, c0] Q[c, c0], c0 the column of r's label in c's
+    # band: the two read from [same, cross, -cross, 0] and [D^l raveled, 0]
+    turn_source: np.ndarray
+    turn_at: np.ndarray
+    turn_h: tuple  # the Ivanic-Ruedenberg steps to l = 2, ..., l_max
+    turn_p: tuple  # (see _turn_step)
 
 
 # sector pairs enumerated at once while building a table: bounds the
@@ -212,15 +201,42 @@ class _Table:
 _PAIR_CHUNK = 1 << 13
 
 
-@lru_cache(maxsize=8)
-def _coeff_tables(l_max, spin, coaxial=False):
-    """The flat build recipe (:class:`_Table`) for one (l_max, spin).
+def _turn_step(l):
+    """The Ivanic-Ruedenberg step from D^{l-1} to D^l, as two matrices.
 
-    Kinds are (same,) for scalar and (same, cross) for vector waves.  The
-    ``coaxial`` table serves displacements along +z only: there
-    Y_{lam, m - m'}(theta = 0) vanishes unless m = m', so it holds the terms
-    of those pairs alone and builds the same matrix from far fewer terms.
+    D^l = sum_i H_i D^{l-1} K_i over i = -1, 0, 1, with K_i the sum over j of
+    D^1[i, j] P_j.  ``h`` stacks the H_i as rows (m, i) and ``p`` the P_j
+    as rows j; P_j carries the 1/sqrt(denominator) of its column.  H holds
+    the recursion's u U + v V + w W terms, P its edge rule at |m'| = l.
     """
+    m = np.arange(-l, l + 1)
+    am, pos = np.abs(m), m > 0
+    h = np.zeros((2 * l + 1, 3, 2 * l - 1))
+
+    def add(i, a, coeff, where=slice(None)):
+        h[(m + l)[where], i + 1, (a + l - 1)[where]] += coeff[where]
+
+    u = np.sqrt(np.maximum((l + m) * (l - m), 0.0))
+    v = 0.5 * np.sqrt((1.0 + (m == 0)) * (l + am - 1) * (l + am)) * np.where(m == 0, -1.0, 1.0)
+    w = -0.5 * np.sqrt(np.maximum((l - am - 1) * (l - am), 0.0))
+    s = np.where(pos, 1, -1)
+    add(0, m, u, am < l)
+    add(1, m - s, v * np.where(pos, np.sqrt(1.0 + (m == 1)), 1.0 - (m == -1)))
+    add(-1, s - m, v * np.where(pos, (m == 1) - 1.0, np.sqrt(1.0 + (m == -1))))
+    add(1, m + s, w, (m != 0) & (am < l - 1))
+    add(-1, -m - s, w * s, (m != 0) & (am < l - 1))
+
+    denominator = np.where(am < l, (l + m) * (l - m), 2 * l * (2 * l - 1))
+    p = np.zeros((3, 2 * l - 1, 2 * l + 1))
+    p[1, :, 1:-1] = np.eye(2 * l - 1)
+    p[2, -1, -1], p[0, 0, -1], p[2, 0, 0], p[0, -1, 0] = 1.0, -1.0, 1.0, 1.0
+    p /= np.sqrt(denominator)
+    return h.reshape(-1, 2 * l - 1), p.reshape(3, -1)
+
+
+@lru_cache(maxsize=8)
+def _coeff_tables(l_max, spin):
+    """The :class:`_Table` of kinds (same,) for scalar, (same, cross) for vector waves."""
     l_min = 0 if spin == "scalar" else 1
     n_kinds = 1 if spin == "scalar" else 2
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
@@ -230,33 +246,22 @@ def _coeff_tables(l_max, spin, coaxial=False):
     sector_l = np.repeat(ls, 2 * ls + 1)
     sector_m = np.arange(nb) - sector_l * sector_l + l_min * l_min - sector_l
 
-    # every (row p, column q) of one sector pair with terms, in term order:
-    # (l, l') block, then m, then m'; and the entries
-    p, q = np.divmod(np.arange(nb * nb), nb)
-    order = np.lexsort((q, p, sector_l[q], sector_l[p]))
-    p, q = p[order], q[order]
-    pairs = np.arange(nb * nb)
-    if coaxial:
-        keep = sector_m[p] == sector_m[q]
-        p, q = p[keep], q[keep]
-        pairs = np.flatnonzero(np.abs(sector_m[:, None]) == np.abs(sector_m[None, :]))
-    n_e = pairs.size
-    entry_of = np.full(nb * nb, -1)
-    entry_of[pairs] = np.arange(n_e)
-    row, col = np.divmod(pairs, nb)
-    entry_blk = (sector_l[row] - l_min) * n_l + sector_l[col] - l_min
-    check_order = np.argsort(entry_blk, kind="stable")
+    # the m = m' entries (row p, column q) of one sector pair, row-major
+    p, q = np.nonzero(sector_m[:, None] == sector_m[None, :])
+    n_e = p.size
+    entry_of = np.full((nb, nb), -1)
+    entry_of[p, q] = np.arange(n_e)
 
     # the rest of a coefficient depends on (block, kind, lambda) only:
-    # 4 pi sqrt((2l+1)(2l'+1)(2lam+1)/4pi) (l l' lam; 0 0 0) and the kind's
-    # weight, the cross kind taking its (0 0 0) symbol at lambda - 1
+    # (2lam+1) sqrt((2l+1)(2l'+1)) (l l' lam; 0 0 0) and the kind's weight,
+    # the cross kind taking its (0 0 0) symbol at lambda - 1
     b_l, b_lp = np.divmod(np.arange(n_l * n_l), n_l)
     z_lam0, z = wigner3j_rows(b_l + l_min, b_lp + l_min, 0, 0)
     w0 = np.zeros((n_l * n_l, l_top + 2))  # column lambda + 1 holds lambda
     zb, zk = np.nonzero(z)
     w0[zb, z_lam0[zb] + zk + 1] = z[zb, zk]
     b_l, b_lp, lam_b = b_l[:, None] + l_min, b_lp[:, None] + l_min, np.arange(l_top + 1)
-    root = 4.0 * np.pi * np.sqrt((2 * b_l + 1) * (2 * b_lp + 1) * (2 * lam_b + 1) / (4.0 * np.pi))
+    root = (2 * lam_b + 1) * np.sqrt((2 * b_l + 1) * (2 * b_lp + 1))
     factor = np.stack([root * w0[:, 1:], root * w0[:, :-1]], axis=1)
     if spin == "vector":
         norm = 2.0 * np.sqrt(b_l * (b_l + 1) * b_lp * (b_lp + 1))
@@ -268,20 +273,19 @@ def _coeff_tables(l_max, spin, coaxial=False):
     # lambda of its triangle, so the fields are allocated at that bound and
     # filled in place: the terms are never held twice, and the bound's
     # unused tail is never touched
-    lam_low = np.maximum(np.abs(sector_l[p] - sector_l[q]), np.abs(sector_m[p] - sector_m[q]))
-    bound = int(np.sum(sector_l[p] + sector_l[q] + 1 - lam_low))
-    term_re_im, term_key, term_y = (np.empty(n, int) for n in (2 * bound, bound, bound))
+    bound = int(np.sum(sector_l[p] + sector_l[q] + 1 - np.abs(sector_l[p] - sector_l[q])))
+    term_entry, term_key = np.empty(bound, int), np.empty(bound, int)
     term_coeff = np.empty(bound)
     used = np.zeros((n_l * n_l, l_top + 1), bool)  # (block, lambda) slots
     n_terms = 0
-    for start in range(0, p.size, _PAIR_CHUNK):
+    for start in range(0, n_e, _PAIR_CHUNK):
         pc, qc = p[start : start + _PAIR_CHUNK], q[start : start + _PAIR_CHUNK]
-        l, lp, m, mp = sector_l[pc], sector_l[qc], sector_m[pc], sector_m[qc]
-        # (l l' lam; m -m' -mu) with the phase (-1)^(l+m), for every pair;
+        l, lp, m = sector_l[pc], sector_l[qc], sector_m[pc]
+        # (l l' lam; m -m 0) with the phase (-1)^(l+m), for every pair;
         # (l l' lam; 0 0 0) vanishes only at odd l + l' + lam, so parity
         # selects the kind of each nonzero symbol: same (or scalar) at even,
         # cross at odd
-        lam0, wm = wigner3j_rows(l, lp, m, -mp)
+        lam0, wm = wigner3j_rows(l, lp, m, -m)
         wm[(l + m) % 2 == 1] *= -1.0
         odd = ((l + lp + lam0) % 2 == 1)[:, None] ^ (np.arange(wm.shape[1]) % 2 == 1)
         live = wm != 0.0
@@ -295,11 +299,8 @@ def _coeff_tables(l_max, spin, coaxial=False):
         block = (l[t] - l_min) * n_l + lp[t] - l_min
         used[block, lam] = True
         now = slice(n_terms, n_terms + t.size)
-        term_re_im[2 * now.start : 2 * now.stop] = (
-            2 * (kind * n_e + entry_of[pc * nb + qc][t])[:, None] + np.arange(2)
-        ).ravel()
+        term_entry[now] = kind * n_e + start + t
         term_key[now] = block * (l_top + 1) + lam
-        term_y[now] = lam if coaxial else lam * lam + lam + (m - mp)[t]
         term_coeff[now] = factor[block, kind, lam] * wm[t, k]
         n_terms = now.stop
 
@@ -312,61 +313,49 @@ def _coeff_tables(l_max, spin, coaxial=False):
         part = term_slot[start : start + _PAIR_CHUNK]
         part[:] = slot_of[part]
 
-    if coaxial:
-        y_lam = np.arange(l_top + 1)
-        y_mu = np.zeros_like(y_lam)
-    else:
-        y_lam = np.repeat(np.arange(l_top + 1), 2 * np.arange(l_top + 1) + 1)
-        y_mu = np.arange(y_lam.size) - y_lam * y_lam - y_lam
-
-    u = np.zeros((nb, nb), complex)
-    flip = np.zeros(nb, int)
-    for l, off in zip(range(l_min, l_max + 1), ls * ls - l_min * l_min):
-        n = 2 * l + 1
-        u[off : off + n, off : off + n] = _real_basis(l)
-        flip[off : off + n] = off + np.arange(n)[::-1]
-    u_diag = np.diagonal(u).copy()
-    u_flip = np.where(flip != np.arange(nb), u[np.arange(nb), flip], 0.0)
-
-    # final layout: where every entry is read from in [Re A, Im B, -Im B, 0]
-    where = entry_of.reshape(nb, nb)
+    # final layout: where every entry is read from in [same, cross, -cross, 0]
     entry_block = (sector_l[:, None] - l_min) * n_l + sector_l[None, :] - l_min
     if spin == "scalar":
-        source, shift = where, 0
+        source, shift = entry_of, 0
     else:
-        # electric sector first; magnetic labels refer to R_{l,-m} and carry
-        # the relative factor i, which makes all four sector blocks real:
-        # EE = Re A, EM = Re(-i B flip_cols) = Im B flip_cols,
-        # ME = Re(i flip_rows B) = -Im flip_rows B, MM = Re A flipped both ways
-        flipped = where[flip]
-        source = np.block([[where, where[:, flip]], [flipped, flipped[:, flip]]])
+        # electric sector first.  The magnetic labels refer to R_{l,-m} and
+        # carry the relative factor i, so on the axis the real basis gives
+        # EE = same, EM = cross, ME = -cross and MM = same, the magnetic
+        # rows and columns read at -m
+        flip = sector_l * sector_l - l_min * l_min + sector_l - sector_m
+        flipped = entry_of[flip][:, flip]
+        source = np.block([[entry_of, entry_of], [flipped, flipped]])
         zero = np.zeros((nb, nb), int)
         shift = np.block([[zero, zero + n_e], [zero + 2 * n_e, zero]])
         entry_block = np.tile(entry_block, (2, 2))
-    # on the axis, the entries outside the table read the zero
     source = np.where(source >= 0, source + shift, (2 * n_kinds - 1) * n_e)
+
+    label, l_of = np.tile(sector_m, n_kinds), np.tile(sector_l, n_kinds)
+    live = np.abs(label)[:, None] <= l_of
+    c0 = np.where(live, np.arange(label.size) - label + label[:, None], 0)
+    turn_source = np.where(live, np.take_along_axis(source, c0, axis=1), (2 * n_kinds - 1) * n_e)
+    # Q[c, c0] is D^l[label_c, label_r] at c's l, where D^l starts in the
+    # raveled list; the magnetic sector reads the m-reversed copy of D^l
+    sign = np.repeat([1, -1][:n_kinds], nb)
+    start = np.cumsum((2 * ls + 1) ** 2) - (2 * ls + 1) ** 2
+    row = start[l_of - l_min] + (sign * label + l_of) * (2 * l_of + 1) + l_of
+    turn_at = np.where(live, row + sign * label[:, None], start[-1] + (2 * l_max + 1) ** 2)
+    turns = [_turn_step(l) for l in range(2, l_max + 1)]
     return _Table(
         n_kinds=n_kinds,
-        nb=nb,
+        n_entries=n_e,
         top_lam=top_lam,
         slot_block=slot_block,
         slot_lam=slot_lam,
-        y_lam=y_lam,
-        y_mu=y_mu,
-        term_re_im=term_re_im[: 2 * n_terms],
+        term_entry=term_entry[:n_terms],
         term_slot=term_slot,
-        term_y=term_y[:n_terms],
         term_coeff=term_coeff[:n_terms],
-        check_order=check_order,
-        block_start=np.searchsorted(entry_blk[check_order], np.arange(n_l * n_l)),
-        u_row_diag=u_diag[row],
-        u_row_flip=u_flip[row],
-        u_col_diag=u_diag[col].conj(),
-        u_col_flip=u_flip[col].conj(),
-        flip_row=entry_of[flip[row] * nb + col],
-        flip_col=entry_of[row * nb + flip[col]],
         source=source,
         entry_block=entry_block,
+        turn_source=turn_source,
+        turn_at=turn_at,
+        turn_h=tuple(h for h, _ in turns),
+        turn_p=tuple(p for _, p in turns),
     )
 
 
@@ -417,81 +406,91 @@ class TranslationMatrix:
 
 
 def _direction(d):
+    """``d`` as floats, |d|, and the frame whose third column is d/|d|.
+
+    The frame is None along +z, where a build takes no rotation; it is
+    R_z(phi) R_y(theta), taken from the components of d.
+    """
     d = np.asarray(d, float)
     c = float(np.linalg.norm(d))
     if c == 0.0:
         raise GeometryError("translation displacement must be nonzero")
-    theta = math.acos(max(-1.0, min(1.0, d[2] / c)))
-    phi = math.atan2(d[1], d[0])
-    return d, c, theta, phi
+    if d[0] == 0.0 and d[1] == 0.0 and d[2] > 0.0:
+        return d, c, None
+    rho = math.hypot(d[0], d[1])
+    cos_p, sin_p = (d[0] / rho, d[1] / rho) if rho > 0.0 else (1.0, 0.0)
+    cos_t, sin_t = d[2] / c, rho / c
+    return d, c, np.array(
+        [[cos_p * cos_t, -sin_p, cos_p * sin_t], [sin_p * cos_t, cos_p, sin_p * sin_t], [-sin_t, 0.0, cos_t]]
+    )
 
 
-def _to_real_basis(tab, a):
-    """U a U^dagger on the table's entries (trailing axis), using that U has
-    at most two nonzero entries per row."""
-    b = tab.u_row_diag * a + tab.u_row_flip * a.take(tab.flip_row, axis=-1)
-    return b * tab.u_col_diag + b.take(tab.flip_col, axis=-1) * tab.u_col_flip
+def _rotations(frame, tab):
+    """D^0, ..., D^l_max of ``frame``: R_l(frame x) = D^l R_l(x) on the unit
+    sphere, R_l the real harmonics (m = -l..l) of :func:`real_sph_harm`."""
+    yzx = [1, 2, 0]  # R_{1,-1}, R_10, R_11 go as y, z, x
+    r1 = frame[np.ix_(yzx, yzx)]
+    out = [np.ones((1, 1)), r1]
+    for h, p in zip(tab.turn_h, tab.turn_p):
+        l = len(out)
+        he = (h @ out[-1]).reshape(2 * l + 1, -1)
+        out.append(he @ (r1 @ p).reshape(he.shape[1], -1))
+    return out
+
+
+def _rotate(src, frame, tab, spin, l_max):
+    """Q X Q^T for the +z matrices X whose entries ``src`` holds (see
+    :func:`_build`), Q block-diagonal over (sector, l): the rotations of
+    ``frame`` on the electric sector, their m-reversed copies on the
+    magnetic one."""
+    l_min, n_sec = (0, 1) if spin == "scalar" else (1, 2)
+    rotations = _rotations(frame, tab)[l_min : l_max + 1]
+    flat = np.concatenate([r.ravel() for r in rotations] + [np.zeros(1)])
+    half = src.take(tab.turn_source, axis=-1) * flat.take(tab.turn_at)
+    out = np.empty_like(half)
+    n, dim = half.shape[0], half.shape[-1]
+    half_rows, out_rows = (a.reshape(n, n_sec, dim // n_sec, dim) for a in (half, out))
+    for l, r in enumerate(rotations, l_min):
+        band = slice(l * l - l_min * l_min, (l + 1) ** 2 - l_min * l_min)
+        out_rows[:, :, band] = np.array([r, r[::-1, ::-1]][:n_sec]) @ half_rows[:, :, band]
+    return out
 
 
 def _build(medium, kappa, d, l_max, spin, entries=None):
     """The matrix for one displacement at one kappa or a 1-D array of them.
 
-    The angular part, the harmonics of d, is evaluated once; the terms of
-    every kappa are then summed into their entries by one bincount whose
-    bins are offset by row.  ``entries``, a (rows, cols) pair of index
-    arrays, builds only those entries of the final matrix.
+    The terms of every kappa are summed into the +z entries by one bincount
+    whose bins are offset by row; a displacement off +z then rotates that
+    matrix, with one rotation for every kappa.  ``entries``, a (rows, cols)
+    pair of index arrays, keeps only those entries of the final matrix.
     """
-    d, c, theta, phi = _direction(d)
+    d, c, frame = _direction(d)
     kappas = np.array(kappa, float, ndmin=1)
     if not kappas.min() > 0.0:
         raise ValueError("kappa must be positive")
     x = _per_kappa(medium.refractive_index, kappas) * kappas * c
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
     logk = log_bessel_k_array(l_top, x)
-    tab = _coeff_tables(l_max, spin, d[0] == 0.0 and d[1] == 0.0 and d[2] > 0.0)
+    tab = _coeff_tables(l_max, spin)
 
     # k_lam grows with lam, so the largest lambda of a block sets its scale
     s = logk.take(tab.top_lam, axis=-1)
     kv = np.exp(logk.take(tab.slot_lam, axis=-1) - s.take(tab.slot_block, axis=-1))
-    y = sph_harm_y(tab.y_lam, tab.y_mu, theta, phi)
-    terms = (tab.term_coeff * kv.take(tab.term_slot, axis=-1)) * y[tab.term_y]
-    n, n_e = x.size, tab.u_row_diag.size
-    width = 2 * tab.n_kinds * n_e
-    bins = tab.term_re_im if n == 1 else (tab.term_re_im + width * np.arange(n)[:, None]).ravel()
-    a = np.bincount(bins, weights=terms.view(float).ravel(), minlength=n * width).view(complex)
-    r = _to_real_basis(tab, a.reshape(n, tab.n_kinds, n_e))
-
-    def block_max(v):
-        return np.maximum.reduceat(v.take(tab.check_order, axis=-1), tab.block_start, axis=-1)
-
-    if spin == "scalar":
-        size = block_max(np.abs(r[:, 0]))
-        bad = block_max(np.abs(r[:, 0].imag)) > 1e-10 * np.maximum(1.0, size)
-        parts = [r[:, 0].real]
+    terms = tab.term_coeff * kv.take(tab.term_slot, axis=-1)
+    n, width = x.size, tab.n_kinds * tab.n_entries
+    bins = tab.term_entry if n == 1 else (tab.term_entry + width * np.arange(n)[:, None]).ravel()
+    a = np.bincount(bins, weights=terms.ravel(), minlength=n * width).reshape(n, width)
+    src = np.concatenate([a, -a[:, tab.n_entries :], np.zeros((n, 1))], axis=-1)
+    if frame is None:
+        scaled = src.take(tab.source if entries is None else tab.source[entries], axis=-1)
     else:
-        a_r, b_r = r[:, 0], r[:, 1]
-        scale = np.maximum(block_max(np.abs(r)).max(axis=-2), 1e-300)
-        leak = block_max(np.stack([np.abs(a_r.imag), np.abs(b_r.real)], axis=-2))
-        bad = leak.max(axis=-2) > 1e-9 * scale
-        parts = [a_r.real, b_r.imag, -b_r.imag]
-    if bad.any():
-        raise RuntimeError("real-basis entries acquired imaginary parts")
-    src = np.concatenate(parts + [np.zeros((n, 1))], axis=-1)
-    source, block = (tab.source, tab.entry_block) if entries is None else (
-        tab.source[entries], tab.entry_block[entries]
-    )
-    scaled, exponent = src.take(source, axis=-1), s.take(block, axis=-1)
+        scaled = _rotate(src, frame, tab, spin, l_max)
+        if entries is not None:
+            scaled = scaled[:, entries[0], entries[1]]
+    exponent = s.take(tab.entry_block if entries is None else tab.entry_block[entries], axis=-1)
     if np.ndim(kappa) == 0:
         kappas, scaled, exponent = float(kappa), scaled[0], exponent[0]
-    return TranslationMatrix(
-        kappa=kappas,
-        displacement=d,
-        l_max=l_max,
-        scaled=scaled,
-        exponent=exponent,
-        spin=spin,
-        entries=entries,
-    )
+    return TranslationMatrix(kappas, d, l_max, scaled, exponent, spin, entries)
 
 
 def reverse_translation(x):

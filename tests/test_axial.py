@@ -2,8 +2,9 @@
 
 On a line, I - N is block-diagonal in m, and ``log_det_integrand`` sums the
 ln dets of the blocks.  The oracle is the general route it bypasses, one
-``slogdet`` of ``assemble_block_matrix``; the coaxial coefficient table is
-checked against the general table's build of the same displacement.
+``slogdet`` of ``assemble_block_matrix``.  The coefficient table holds the
+m = m' terms of a displacement along +z alone, and a collinear energy takes
+no rotation out of that frame.
 """
 
 import numpy as np
@@ -152,30 +153,12 @@ def test_lost_positivity_names_the_m_block(monkeypatch):
 # --- the coaxial coefficient table -------------------------------------------
 
 
-@pytest.mark.parametrize("spin", ["scalar", "vector"])
-def test_coaxial_build_equals_general_table_build(spin, monkeypatch):
-    builds = {}
-    for table in ("coaxial", "general"):
-        if table == "general":
-            tables = translation._coeff_tables
-            monkeypatch.setattr(
-                translation, "_coeff_tables", lambda l_max, spin, coaxial=False: tables(l_max, spin)
-            )
-        builds[table] = [
-            translation._build(Medium(), kappa, (0.0, 0.0, 2.5), l_max, spin)
-            for l_max in range(1, 9)
-            for kappa in (1e-6, 1e-2, 1.0, 50.0)
-        ]
-    for got, want in zip(builds["coaxial"], builds["general"]):
-        assert np.array_equal(got.scaled, want.scaled)
-        assert np.array_equal(got.exponent, want.exponent)
-
-
 def test_coaxial_table_holds_only_the_m_diagonal_terms():
-    general = translation._coeff_tables(8, "vector")
-    coaxial = translation._coeff_tables(8, "vector", True)
-    assert (coaxial.term_coeff.size, general.term_coeff.size) == (4148, 46244)
-    assert np.array_equal(coaxial.top_lam, general.top_lam)
+    tab = translation._coeff_tables(8, "vector")
+    assert tab.term_coeff.size == 4148
+    # every (l, l') block keeps its largest lambda, l + l', which sets its exponent
+    l, lp = np.divmod(np.arange(64), 8)
+    assert np.array_equal(tab.top_lam, l + lp + 2)
 
 
 def test_tables_do_not_depend_on_the_pair_chunk(monkeypatch):
@@ -184,10 +167,9 @@ def test_tables_do_not_depend_on_the_pair_chunk(monkeypatch):
         monkeypatch.setattr(translation, "_PAIR_CHUNK", chunk)
         translation._coeff_tables.cache_clear()
         fields[chunk] = [
-            vars(translation._coeff_tables(l_max, spin, coaxial))
+            vars(translation._coeff_tables(l_max, spin))
             for l_max in range(1, 7)
             for spin in ("scalar", "vector")
-            for coaxial in (False, True)
         ]
     translation._coeff_tables.cache_clear()
     for got, want in zip(fields[7], fields[default]):
@@ -201,17 +183,21 @@ def test_tables_do_not_depend_on_the_pair_chunk(monkeypatch):
     [pec_pair(3.5), _chain(CHAINS["pec, mu 2, eps 4"][0], np.array([-1.0, 0.0, 0.0]))],
     ids=["pair", "chain out of order"],
 )
-def test_collinear_energy_builds_no_general_table(config, monkeypatch):
+def test_collinear_energy_applies_no_rotation(config, monkeypatch):
     # every pair is translated from its lower centre on the line, along +z
-    built = []
-    tables = translation._coeff_tables
+    turned = []
+    rotations = translation._rotations
 
     def spy(*args):
-        built.append(args)
-        return tables(*args)
+        turned.append(args)
+        return rotations(*args)
 
-    tables.cache_clear()
-    monkeypatch.setattr(translation, "_coeff_tables", spy)
+    monkeypatch.setattr(translation, "_rotations", spy)
     energy_T0(config, l_max=3)
-    assert set(built) == {(3, "vector", True)}
-    assert tables.cache_info().currsize == 1
+    assert turned == []
+    # while the same spheres off a line do rotate
+    off_line = Configuration(
+        config.objects + (pec_sphere((0.0, 3.0, 0.0), 0.5, "off"),), config.medium, 0.0
+    )
+    log_det_integrand(off_line, 0.5, 3)
+    assert turned

@@ -25,6 +25,8 @@ from casimir_stability.translation import (
     _coeff_tables,
     _direction,
     _real_basis,
+    _rotations,
+    real_sph_harm,
     reverse_translation,
     sector_size,
 )
@@ -157,41 +159,45 @@ def test_wigner3j_rows_keep_small_symbols_and_exact_zeros_at_order_26():
 
 @pytest.mark.parametrize("spin", ["scalar", "vector"])
 def test_coefficient_table_matches_exact_racah_terms(spin):
-    # the same (entry, lambda) terms as the exact per-entry lists, each
-    # coefficient within 1e-14 of its entry's largest, and the same scale
-    # slots: a rounding residue must neither create nor remove a term
+    # the same (entry, lambda) terms as the exact per-entry lists of the
+    # m = m' entries, each coefficient, with its harmonic on the axis
+    # Y_lam0(0) = sqrt((2 lam + 1) / 4 pi), within 1e-14 of its entry's
+    # largest, and the same scale slots: a rounding residue must neither
+    # create nor remove a term
     l_min = 0 if spin == "scalar" else 1
     kinds = ("scalar",) if spin == "scalar" else ("same", "cross")
     for l_max in L_MAXES:
         tab = _coeff_tables(l_max, spin)
-        nb = tab.nb
-        entry = tab.term_re_im[::2] // 2
+        sector_m = np.concatenate([np.arange(-l, l + 1) for l in range(l_min, l_max + 1)])
+        rows, cols = np.nonzero(sector_m[:, None] == sector_m[None, :])
+        entry_of = {(r, c): e for e, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
         lam = tab.slot_lam[tab.term_slot]
-        assert np.array_equal(tab.y_lam[tab.term_y], lam)
         for (l, lp), (lams, _, _) in _ref_tables(l_max, spin).items():
             block = (l - l_min) * (l_max + 1 - l_min) + lp - l_min
             assert tab.top_lam[block] == lams[-1]
             assert np.array_equal(tab.slot_lam[tab.slot_block == block], lams)
         got = {}
-        for e, la, c in zip(entry.tolist(), lam.tolist(), tab.term_coeff.tolist()):
+        for e, la, c in zip(tab.term_entry.tolist(), lam.tolist(), tab.term_coeff.tolist()):
             got.setdefault(e, []).append((la, c))
         n_want = 0
         for l in range(l_min, l_max + 1):
             for lp in range(l_min, l_max + 1):
                 r0 = l * l - l_min * l_min + l
                 c0 = lp * lp - l_min * l_min + lp
-                for m in range(-l, l + 1):
-                    for mp in range(-lp, lp + 1):
-                        for ik, kind in enumerate(kinds):
-                            want = _lambda_terms(l, lp, m, mp, kind)
-                            if not want:
-                                continue
-                            n_want += 1
-                            have = got.get((ik * nb + r0 + m) * nb + c0 + mp, [])
-                            assert [t[0] for t in have] == [t[0] for t in want]
-                            scale = max(abs(c) for _, c in want)
-                            err = max(abs(a[1] - b[1]) for a, b in zip(have, want))
-                            assert err <= 1e-14 * scale, (l_max, l, lp, m, mp, kind)
+                for m in range(-min(l, lp), min(l, lp) + 1):
+                    for ik, kind in enumerate(kinds):
+                        want = [
+                            (la, c * math.sqrt((2 * la + 1) / (4.0 * math.pi)))
+                            for la, c in _lambda_terms(l, lp, m, m, kind)
+                        ]
+                        if not want:
+                            continue
+                        n_want += 1
+                        have = got.get(ik * tab.n_entries + entry_of[(r0 + m, c0 + m)], [])
+                        assert [t[0] for t in have] == [t[0] for t in want]
+                        scale = max(abs(c) for _, c in want)
+                        err = max(abs(a[1] - b[1]) for a, b in zip(have, want))
+                        assert err <= 1e-14 * scale, (l_max, l, lp, m, kind)
         assert len(got) == n_want
 
 
@@ -237,7 +243,11 @@ def _ref_tables(l_max, spin):
 
 
 def _ref_build(medium, kappa, d, l_max, spin):
-    d, c, theta, phi = _direction(d)
+    # the angles of d, as the build took them before it rotated the +z matrix
+    d = np.asarray(d, float)
+    c = float(np.linalg.norm(d))
+    theta = math.acos(max(-1.0, min(1.0, d[2] / c)))
+    phi = math.atan2(d[1], d[0])
     x = medium.refractive_index(kappa) * kappa * c
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
     logk = log_bessel_k_array(l_top, x)
@@ -327,6 +337,53 @@ def test_reverse_matches_direct_build_at_minus_d(spin):
                 assert np.array_equal(rev.displacement, direct.displacement)
                 assert np.array_equal(rev.exponent, direct.exponent)
                 _assert_blockwise_close(rev.scaled, direct.scaled, offsets, 1e-12)
+
+
+# --- the rotation of the +z build into place ---------------------------------
+
+
+def _rotation_directions():
+    rng = np.random.default_rng(5)
+    axes = [(0, 0, 1), (0, 0, -1), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+    return [np.asarray(a, float) for a in axes] + [rng.standard_normal(3) for _ in range(4)]
+
+
+def _angles(x):
+    return np.arctan2(np.hypot(x[:, 0], x[:, 1]), x[:, 2]), np.arctan2(x[:, 1], x[:, 0])
+
+
+def test_rotation_recursion_carries_real_harmonics_to_the_rotated_points():
+    # R_l(frame x) = D^l R_l(x) at sampled points x of the unit sphere, with
+    # D^l orthogonal, for every l <= 20: the oracle is scipy's harmonics at
+    # the rotated points, independent of the recursion
+    rng = np.random.default_rng(9)
+    pts = rng.standard_normal((40, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    tab = _coeff_tables(20, "scalar")
+    for d in _rotation_directions():
+        frame = _direction(3.0 * d)[2]
+        if frame is None:  # +z: the builds take no rotation, D^l is the identity
+            frame = np.eye(3)
+        assert np.allclose(frame @ frame.T, np.eye(3), rtol=0.0, atol=1e-15)
+        assert np.allclose(frame[:, 2], d / np.linalg.norm(d), rtol=0.0, atol=1e-15)
+        rotations = _rotations(frame, tab)
+        theta, phi = _angles(pts)
+        theta_r, phi_r = _angles(pts @ frame.T)
+        for l, r in enumerate(rotations):
+            assert np.max(np.abs(r @ r.T - np.eye(2 * l + 1))) <= 1e-14, (d, l)
+            here = np.array([real_sph_harm(l, m, theta, phi) for m in range(-l, l + 1)])
+            there = np.array([real_sph_harm(l, m, theta_r, phi_r) for m in range(-l, l + 1)])
+            assert np.max(np.abs(r @ here - there)) <= 1e-13, (d, l)
+
+
+def test_scalar_monopole_takes_the_identity_rotation():
+    # l_max = 0 holds D^0 = 1 alone: any direction gives the +z build at |d|
+    d = np.array([0.6, -1.2, 0.4])
+    got = _build(MED, 0.7, d, 0, "scalar")
+    want = _build(MED, 0.7, (0.0, 0.0, float(np.linalg.norm(d))), 0, "scalar")
+    assert got.scaled.shape == (1, 1)
+    assert np.array_equal(got.scaled, want.scaled)
+    assert np.array_equal(got.exponent, want.exponent)
 
 
 # --- reference Mie amplitudes: one log-series pair per order l -------------
