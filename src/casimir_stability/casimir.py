@@ -32,11 +32,12 @@ the stack of I - N carry a leading kappa axis, and one ``slogdet`` call
 takes a whole chunk.  Every frequency sum evaluates its integrand on chunks
 of kappa: the tau = 0 quadrature on consecutive runs of its nodes, a
 Matsubara sum on runs that double in length, the plates on (kappa, q)
-arrays.  A chunk holds as many kappas as fit one fixed budget of array
-entries, ``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (its
-q-nodes for the plates); the budget is a constant, not an option.  A single
-kappa is the one-row view of the same code, and each batched row equals it
-bit for bit.
+arrays, and the stability engine on runs of its frozen grid.  A chunk
+holds as many kappas as fit one fixed budget of array entries,
+``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (dense for the
+engine, its q-nodes for the plates); the budget is a constant, not an
+option.  A single kappa is the one-row view of the same code, and each
+batched row equals it bit for bit.
 """
 
 import collections
@@ -288,34 +289,33 @@ def _place_blocks(blocks, layout):
     return stack
 
 
-def _positive_logdet(m, what="matrix", kappas=None):
+def _positive_logdet(m, what="matrix", kappas=None, where=None):
     """ln det m, raising when a determinant is not positive and finite.
 
-    ``m`` may also be a stack of matrices, ``what`` then naming each one:
+    ``m`` may also be a stack of matrices, ``what`` naming each one (or all):
     the value is the sum of their ln dets, and each is checked on its own.
     With ``kappas``, ``m`` has a leading kappa axis before its stack: one
     ``slogdet`` call takes every matrix, the value is one sum per kappa, and
-    an error names the kappa as well as the matrix.
+    an error names the kappa as well as the matrix, then ``where(row)``.
     """
-    names = [what] if m.ndim == 2 else what
-    size = m.shape[-1]
-    flat = m.reshape(-1, size, size) if m.ndim > 3 else m
+    names = [what] if isinstance(what, str) else what
+    flat = m.reshape(-1, *m.shape[-2:])
 
-    def where(i):
+    def name(i):
         at = "" if kappas is None else f" at kappa = {kappas[i // len(names)]:.6g}"
-        return names[i % len(names)] + at
+        return names[i % len(names)] + at + (where(i // len(names)) if where else "")
 
     finite = np.isfinite(flat).all(axis=(-2, -1)).reshape(-1)
     if not finite.all():
         raise UnphysicalTruncationError(
-            f"{where(np.argmin(finite))} has non-finite entries "
+            f"{name(np.argmin(finite))} has non-finite entries "
             "(NaN or inf in a T-matrix or translation)"
         )
     sign, logdet = np.linalg.slogdet(flat)
     good = (np.reshape(sign, -1) > 0.0) & np.isfinite(np.reshape(logdet, -1))
     if not good.all():
         raise UnphysicalTruncationError(
-            f"{where(np.argmin(good))} determinant lost positivity or is not finite; "
+            f"{name(np.argmin(good))} determinant lost positivity or is not finite; "
             "increase l_max"
         )
     if kappas is None:
@@ -385,9 +385,9 @@ def log_det_integrand(config, kappa, l_max):
     return float(values[0]) if np.ndim(kappa) == 0 else values
 
 
-def _chunk(config, l_max):
-    """Kappas per chunk: _CHUNK_ENTRIES over the entries of one kappa's stack."""
-    depth, width = _widths(l_max, config._axis_positions is not None)
+def _chunk(config, l_max, axial):
+    """Kappas per chunk: _CHUNK_ENTRIES over one kappa's stack of ``_layout(l_max, axial)``."""
+    depth, width = _widths(l_max, axial)
     size = width * len(config.objects)
     return max(1, _CHUNK_ENTRIES // (depth * size * size))
 
@@ -469,7 +469,7 @@ def _evaluate(config, tol, l_max, n_nodes):
 
     The integrand is evaluated on chunks of kappas (:func:`_chunk`).
     """
-    chunk = _chunk(config, l_max)
+    chunk = _chunk(config, l_max, config._axis_positions is not None)
 
     def integrand(kappas):
         return log_det_integrand(config, kappas, l_max)

@@ -501,9 +501,9 @@ def free_energy_quadrature(config, d, tol=1e-8, max_n=64):
             z = 0.0
             chunk = max(1, 1_000_000 // len(pb))
             for start in range(0, len(pa), chunk):
-                dist = np.linalg.norm(
-                    pa[start : start + chunk, None, :] - pb[None, :, :], axis=2
-                )
+                # per coordinate, in _site_energy's order: no (chunk, n, 3) temporary
+                dx, dy, dz = (pa[start : start + chunk, None, c] - pb[:, c] for c in range(3))
+                dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
                 pair = _COULOMB * table.q[a] * table.q[b] / (cfg.eps_M * dist)
                 z += float(f[0][start : start + chunk] @ np.exp(-beta * pair) @ f[1])
         if z <= 0.0:

@@ -25,8 +25,8 @@ When more than two objects are present, the remainder group R is merged by
 block algebra (a Schur complement of the labeled object's rows/columns),
 never by constructing a compound scatterer.
 
-Every displaced geometry is a new Configuration from :func:`_displaced`,
-and the engine builds its blocks with ``casimir``'s pair loop.
+Every displaced geometry is a new Configuration from :func:`_displaced`, and
+the engine builds its (kappa, n, n) stacks per chunk with ``casimir``'s pair loop.
 """
 
 import functools
@@ -50,7 +50,7 @@ from .casimir import (
     default_l_max,
 )
 from .errors import ToleranceError, ValidationError, _finite, _order
-from .materials import classify
+from .materials import _per_kappa, classify
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
 from .scattering import mie_tmatrix  # noqa: F401
 from .translation import translation_gradient, translation_matrix  # noqa: F401
@@ -116,12 +116,11 @@ class _CommonGridEngine:
 
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
-    sum at tau > 0.  The T-matrices, one per distinct sphere
-    (``casimir._t_logs``), are built for every wavenumber of the grid at
-    once, and the blocks between the unmoved objects once per wavenumber.
-    A displaced geometry is a Configuration from :func:`_displaced`; only
-    its blocks touching the labeled object are rebuilt, node by node, by
-    ``casimir``'s pair loop.
+    sum at tau > 0, taken in chunks of as many kappas as the dense I - N
+    fits in ``_CHUNK_ENTRIES``.  The T-matrices (``casimir._t_logs``) are
+    built for the whole grid at once, the blocks between unmoved objects
+    once per chunk.  A displacement (:func:`_displaced`) rebuilds only the
+    blocks touching the labeled object, chunk by chunk.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
@@ -135,36 +134,40 @@ class _CommonGridEngine:
         if config.tau == 0.0:
             self.kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
             self.weights = weights / (2.0 * math.pi)
-            t_logs = _t_logs(config, self.kappas, self.l_max)
+            self.t_logs = _t_logs(config, self.kappas, self.l_max)
         else:
-            self.kappas, self.weights, t_logs = _matsubara_grid(config, self.l_max)
-        # per kappa: raw (sign, log) T-matrices of every object, and the
-        # balanced blocks {(i, j): block} between unmoved objects
-        self.t_logs = [[(s[k], g[k]) for s, g in t_logs] for k in range(len(self.kappas))]
+            self.kappas, self.weights, self.t_logs = _matsubara_grid(config, self.l_max)
+        step = _chunk(config, self.l_max, False)
+        self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
         static = [p for p in config._pairs if self.idx not in p]
-        self.static = [
-            _blocks(config, k, self.l_max, t, static)
-            for k, t in zip(self.kappas, self.t_logs)
-        ]
+        self.static = [self._chunk_blocks(config, c, static) for c in range(len(self.chunks))]
 
-    def matrix(self, k, moved):
-        """I - N at node k of ``moved``, a displacement of the labeled object."""
-        blocks = _blocks(moved, self.kappas[k], self.l_max, self.t_logs[k], self.moving)
-        return _place_blocks({**self.static[k], **blocks}, self.layout)[0]
+    def _chunk_blocks(self, config, c, pairs):
+        """Balanced blocks of ``pairs`` of ``config`` at the kappas of chunk c."""
+        rows = self.chunks[c]
+        t_logs = [(s[rows], g[rows]) for s, g in self.t_logs]
+        return _blocks(config, self.kappas[rows], self.l_max, t_logs, pairs)
 
-    def logdet(self, k, m, u, what="matrix"):
-        """ln det of ``m``, I - N (or ``what``) at node k with the object moved by u."""
-        at = ", ".join(f"{c:.6g}" for c in u)
-        where = f"at kappa = {self.kappas[k]:.6g} (node {k}), {self.label!r} moved by"
-        return _positive_logdet(m, f"{what} {where} ({at})")
+    def matrix(self, c, moved):
+        """I - N of ``moved`` (the labeled object displaced), a matrix per kappa of chunk c."""
+        blocks = {**self.static[c], **self._chunk_blocks(moved, c, self.moving)}
+        return _place_blocks(blocks, self.layout)[:, 0]
+
+    def at(self, c, u):
+        """The kappas of chunk c, and the error text after the kappa of its row i."""
+        rows, shift = self.chunks[c], ", ".join(f"{x:.6g}" for x in u)
+        where = f"{self.label!r} moved by ({shift})"
+        return self.kappas[rows], lambda i: f" (node {rows.start + i}), {where}"
 
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
         moved = _displaced(self.config, self.label, u)
-        total = 0.0
-        for k, weight in enumerate(self.weights):
-            total += weight * self.logdet(k, self.matrix(k, moved), u)
-        return total
+        logdets = [
+            _positive_logdet(self.matrix(c, moved), "matrix", *self.at(c, u))
+            for c in range(len(self.chunks))
+        ]
+        # node after node in grid order: the bits do not depend on the chunk size
+        return float(np.cumsum(self.weights * np.concatenate(logdets))[-1])
 
 
 def _matsubara_grid(config, l_max):
@@ -182,11 +185,11 @@ def _matsubara_grid(config, l_max):
         runs.append(_t_logs(config, kappas, low))
         return _log_dets(config, kappas, low, runs[-1])
 
-    kappas, weights, _, _ = _matsubara_sum(
-        term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, _chunk(config, low)
-    )
+    chunk = _chunk(config, low, config._axis_positions is not None)
+    kappas, weights, _, _ = _matsubara_sum(term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, chunk)
+    kappas, weights = np.array(kappas), np.array(weights)
     if low != l_max:
-        return kappas, weights, _t_logs(config, np.array(kappas), l_max)
+        return kappas, weights, _t_logs(config, kappas, l_max)
     rows = [
         tuple(np.concatenate([run[i][part] for run in runs])[: len(kappas)] for part in (0, 1))
         for i in range(len(config.objects))
@@ -297,48 +300,49 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _node_terms(eng, k, moved, h):
-    """Stencil ln dets and the weightless (-b1, -b2, -b3) at node k.
+def _node_terms(eng, c, moved, h):
+    """One row per kappa of chunk c: 13 stencil ln dets, weightless -b1, -b2, -b3.
 
     I - N is built once for each configuration ``moved`` of ``_stencil(h)``,
-    holding one displaced matrix at a time.  The remainder group R is merged
-    through the Schur complement of the labeled object's rows and columns: M_RR,
-    the U row (A -> J blocks) and the V column (J -> A blocks) are index
-    slices of the undisplaced matrix, dU and dV the same slices of the
-    Richardson-refined central difference d(I - N)/da_i = -dN/da_i.
+    one displaced (kappa, n, n) stack at a time.  The remainder group R is
+    merged through the Schur complement of the labeled object's rows and
+    columns: M_RR, the U row (A -> J blocks) and the V column (J -> A blocks)
+    are index slices of the undisplaced matrix, dU and dV the same slices of
+    the Richardson-refined central difference d(I - N)/da_i = -dN/da_i.
     """
-    kappa, nb, steps = eng.kappas[k], eng.nb, _stencil(h)
+    kappas, nb, steps = eng.kappas[eng.chunks[c]], eng.nb, _stencil(h)
     mine = np.arange(eng.idx * nb, (eng.idx + 1) * nb)
     rest = np.setdiff1d(np.arange(len(eng.config.objects) * nb), mine)
 
     def split(x):
         # U = -x_AR and V = -x_RA: their signs cancel in every product below
-        return x[np.ix_(rest, rest)], x[np.ix_(mine, rest)], x[np.ix_(rest, mine)]
+        return x[:, rest[:, None], rest], x[:, mine[:, None], rest], x[:, rest[:, None], mine]
 
-    m = eng.matrix(k, moved[0])
-    logdets = [eng.logdet(k, m, steps[0])]
+    m = eng.matrix(c, moved[0])
+    logdets = [_positive_logdet(m, "matrix", *eng.at(c, steps[0]))]
     m_rr, u_row, v_col = split(m)
     m_inv_v = np.linalg.solve(m_rr, v_col)
     n_eff = u_row @ m_inv_v
-    eng.logdet(k, np.eye(nb) - n_eff, steps[0], "merged-remainder matrix")
-    resolvent = np.linalg.inv(np.eye(nb) - n_eff)
-    n_m = eng.config.medium.refractive_index(kappa)
-    b1 = 2.0 * (n_m * kappa) ** 2 * np.trace(resolvent @ n_eff)
+    merged = np.eye(nb) - n_eff
+    _positive_logdet(merged, "merged-remainder matrix", *eng.at(c, steps[0]))
+    resolvent = np.linalg.inv(merged)
+    n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
+    b1 = 2.0 * (n_m * kappas) ** 2 * np.trace(resolvent @ n_eff, axis1=1, axis2=2)
     b2 = b3 = 0.0
     for axis in range(3):
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         dm = 0.0
-        for s, c in zip(range(1 + 4 * axis, 5 + 4 * axis), (-0.5, 0.5, 4.0, -4.0)):
-            x = eng.matrix(k, moved[s])
-            logdets.append(eng.logdet(k, x, steps[s]))
-            dm = dm + c * x
+        for s, w in zip(range(1 + 4 * axis, 5 + 4 * axis), (-0.5, 0.5, 4.0, -4.0)):
+            x = eng.matrix(c, moved[s])
+            logdets.append(_positive_logdet(x, "matrix", *eng.at(c, steps[s])))
+            dm = dm + w * x
         _, du, dv = split(dm / (3.0 * h))
         mid = np.linalg.solve(m_rr, dv)
-        b2 += 2.0 * np.trace(resolvent @ (du @ mid))
+        b2 += 2.0 * np.trace(resolvent @ (du @ mid), axis1=1, axis2=2)
         dn = du @ m_inv_v + u_row @ mid
         rdn = resolvent @ dn
-        b3 += np.trace(rdn @ rdn)
-    return np.array(logdets), np.array([-b1, -b2, -b3])
+        b3 += np.trace(rdn @ rdn, axis1=1, axis2=2)
+    return np.transpose(logdets + [-b1, -b2, -b3])
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
@@ -346,14 +350,10 @@ def stability_report(config, label, h=None, l_max=None, n_nodes=32):
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
     moved = [_displaced(config, label, u) for u in _stencil(h)]
-    energies, terms = np.zeros(13), np.zeros(3)
-    for k, weight in enumerate(eng.weights):
-        logdets, brackets = _node_terms(eng, k, moved, h)
-        energies += weight * logdets
-        terms += weight * brackets
-    f, lap, err = _fd(energies, h)
-    sign = _sign_product(config, label)
-    return StabilityReport(label, f, lap, *terms, sign, h, err)
+    rows = np.concatenate([_node_terms(eng, c, moved, h) for c in range(len(eng.chunks))])
+    sums = np.cumsum(eng.weights[:, None] * rows, axis=0)[-1]  # in grid order, as energy
+    f, lap, err = _fd(sums[:13], h)
+    return StabilityReport(label, f, lap, *sums[13:], _sign_product(config, label), h, err)
 
 
 def find_axial_equilibrium(

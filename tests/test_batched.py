@@ -3,9 +3,9 @@
 The integrand, the Matsubara sum and the plate kernel evaluate arrays of
 kappa.  A single kappa is the one-row view of the same code, so each batched
 row must equal it bit for bit; the Matsubara sum must keep the kappas,
-terms and estimate of a sum that streams one term at a time.  The plate
-kernel sums its q-nodes as an array and is held to 1e-14 of a per-(kappa, q)
-loop.
+terms and estimate of a sum that streams one term at a time, and the
+stability engine every field for any chunk size.  The plate kernel sums its
+q-nodes as an array and is held to 1e-14 of a per-(kappa, q) loop.
 """
 
 import math
@@ -22,11 +22,15 @@ from casimir_stability import (
     UnphysicalTruncationError,
     casimir,
     energy_T0,
+    force,
     free_energy_T,
+    laplacian_fd,
     log_det_integrand,
+    stability_report,
 )
 from casimir_stability.casimir import KAPPA_FLOOR, _matsubara_sum, _plate_kernel, _quad_nodes
 from casimir_stability.scattering import fresnel_reflection, mie_tmatrix
+from casimir_stability.stability import _CommonGridEngine
 from casimir_stability.translation import reverse_translation, translation_matrix
 from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere
 
@@ -94,6 +98,37 @@ def test_quadrature_samples_are_the_per_kappa_integrand(case, monkeypatch):
     assert batched.value == single.value
     kappas, values = batched.samples[:3, 0], batched.samples[:3, 1]
     assert np.array_equal(values, [log_det_integrand(cfg, k, l_max) for k in kappas])
+
+
+# (config, l_max) of the stability engine, labeled object "a"
+STABILITY_CASES = {
+    "pec pair": (pec_pair(4.0), 3),
+    "pec pair, tau 0.5": (pec_pair(4.0, tau=0.5), 3),
+    "3-body": (_three_body(), 2),
+}
+
+
+@pytest.mark.parametrize("case", STABILITY_CASES)
+def test_stability_routes_do_not_depend_on_the_chunk(case, monkeypatch):
+    # the engine sums its nodes one after another in grid order, so a chunk
+    # of many kappas and chunks of one kappa give the same bits in every field
+    cfg, l_max = STABILITY_CASES[case]
+    grid = dict(l_max=l_max, n_nodes=24)
+
+    def routes():
+        eng = _CommonGridEngine(cfg, "a", **grid)
+        rep = stability_report(cfg, "a", **grid)
+        values = [*vars(rep).values(), *force(cfg, "a", **grid), laplacian_fd(cfg, "a", **grid)]
+        return len(eng.chunks), len(eng.kappas), values
+
+    chunks, nodes, batched = routes()
+    assert chunks < nodes
+    monkeypatch.setattr(casimir, "_CHUNK_ENTRIES", 1)  # one kappa per chunk
+    chunks, nodes, single = routes()
+    assert chunks == nodes
+    assert len(single) == len(batched)
+    for got, want in zip(single, batched):
+        assert np.array_equal(got, want), (got, want)
 
 
 def test_matsubara_terms_with_the_drude_floor_are_the_per_kappa_integrand():

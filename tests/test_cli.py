@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -381,7 +382,7 @@ def test_sweep_output(tmp_path, capsys):
 
 def test_force_sweep_differences_only_the_swept_axis(tmp_path, capsys, monkeypatch):
     # per point: one frozen grid, and the moving pair's translations at the
-    # two displacements +-h along the swept axis, one per node
+    # two displacements +-h along the swept axis, one kappa row per node
     from casimir_stability import casimir
     from test_stability import _count_calls
 
@@ -395,7 +396,8 @@ def test_force_sweep_differences_only_the_swept_axis(tmp_path, capsys, monkeypat
     header, rows = parse_csv(out)
     assert header == ["displacement", "force_axis"]
     moving_pairs = 1
-    assert len(translations) == len(values) * 2 * PAIR_CFG["n_nodes"] * moving_pairs
+    kappa_rows = sum(np.size(kappa) for _, kappa, *_ in translations)
+    assert kappa_rows == len(values) * 2 * PAIR_CFG["n_nodes"] * moving_pairs
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -11,8 +11,10 @@ Rewrite the golden files (only when an output is meant to change) with
     PYTHONPATH=src python tests/test_golden_csv.py [CASE ...]
 
 which rewrites the named cases, or every case when none is named.  With
-``--digest`` it writes no file and prints ``<sha256>  <case>`` for each
-named case (or every case) instead, to show two checkouts byte-identical:
+``--digest`` it writes no file and prints ``<sha256>  <case>  same`` (or
+``differs``) for each named case (or every case) instead: the hash shows
+two checkouts byte-identical, and the mark whether the output is the
+bytes of the committed file:
 
     PYTHONPATH=src python tests/test_golden_csv.py --digest [CASE ...]
 """
@@ -143,7 +145,10 @@ if __name__ == "__main__":
         for case in cases:
             text = _output(case, tmp)
             if digest:
-                print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {case}")
+                committed = GOLDEN / f"{case}.csv"
+                same = committed.is_file() and committed.read_text(encoding="utf-8") == text
+                mark = "same" if same else "differs"
+                print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {case}  {mark}")
             else:
                 GOLDEN.mkdir(exist_ok=True)
                 (GOLDEN / f"{case}.csv").write_text(text, encoding="utf-8")

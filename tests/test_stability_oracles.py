@@ -22,14 +22,18 @@ from casimir_stability import (
     stability_report,
     translation,
 )
-from casimir_stability.casimir import _blocks, _pair_blocks, _positive_logdet
+from casimir_stability.casimir import _blocks, _pair_blocks, _positive_logdet, _t_logs
 from casimir_stability.stability import _CommonGridEngine, _fd, _stencil, _step
 from conftest import dielectric_sphere, pec_pair
 from test_stability import _count_calls
 
 
 def ref_decomposition(eng, h):
-    """(term1, term2, term3) from translation gradients, labeled object first."""
+    """(term1, term2, term3) from translation gradients, labeled object first.
+
+    Only the grid (nodes, weights, order) is read from ``eng``: the blocks
+    are built here, one kappa at a time.
+    """
     medium = eng.config.medium
     a_idx, nb = eng.idx, eng.nb
     centers = [np.asarray(o.center, float) for o in eng.config.objects]
@@ -37,10 +41,10 @@ def ref_decomposition(eng, h):
     order = [a_idx] + rest
     offsets = [centers[j] - centers[a_idx] for j in rest]
     terms = np.zeros(3)
-    for k, (kappa, weight) in enumerate(zip(eng.kappas, eng.weights)):
+    for kappa, weight in zip(eng.kappas, eng.weights):
         n_m = medium.refractive_index(kappa)
-        sl = eng.t_logs[k]
-        blocks = {**eng.static[k], **_blocks(eng.config, kappa, eng.l_max, sl, eng.moving)}
+        sl = _t_logs(eng.config, kappa, eng.l_max)
+        blocks = _blocks(eng.config, kappa, eng.l_max, sl, eng.config._pairs)
         m = np.eye(len(order) * nb)
         for a, i in enumerate(order):
             for b, j in enumerate(order):
