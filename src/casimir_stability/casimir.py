@@ -15,8 +15,10 @@ kappa in 1/L, energies in hbar c / L.
 
 Balancing: F entries underflow while X entries overflow at small kappa, so
 off-diagonal blocks are assembled from the similarity-balanced form
-sign * exp(log|F_a|/2 + log|X_ab| + log|F_b|/2), which leaves the
-determinant unchanged and every entry representable.
+s_a * scaled_ab * exp(log|F_a|/2 + exponent_ab + log|F_b|/2), with X_ab =
+scaled_ab * exp(exponent_ab) as the translation stores it and s_a the sign
+of F_a; it leaves the determinant unchanged and every entry representable,
+and no log of an X entry is taken.
 
 One placement: a layout (``_layout``) says which entries of a pair block
 are balanced and where each lands in a stack of identity-padded matrices.
@@ -178,13 +180,14 @@ def _pair_blocks(x, t_i, t_j, entries=None):
 
     ``t_i`` and ``t_j`` are the raw (sign, log) T-matrix pairs of the two
     objects and X_JI is the reciprocal image of X_IJ.  Each block is
-    s_row |F_row|^(1/2) X |F_col|^(1/2).  An exactly zero amplitude (sign 0,
-    log -inf) makes its entries exp(-inf) = 0, since no log is +inf; a NaN
-    from any source is kept so that the determinant guard sees it.  With
-    ``entries`` (an axial :func:`_layout`'s), ``x`` holds only those entries,
-    and so do the blocks, as flat arrays; X_JI is then read from X_IJ at the
-    transposed entries.  ``x`` and the T-matrices may carry a leading kappa
-    axis.
+    s_row |F_row|^(1/2) X |F_col|^(1/2), X = scaled * exp(exponent) taken
+    as s_row * scaled * exp(log|F_row|/2 + exponent + log|F_col|/2).  An
+    exactly zero amplitude (sign 0, log -inf) makes its entries 0, since no
+    log is +inf; a NaN from any source is kept so that the determinant
+    guard sees it.  With ``entries`` (an axial :func:`_layout`'s), ``x``
+    holds only those entries, and so do the blocks, as flat arrays; X_JI is
+    then read from X_IJ at the transposed entries.  ``x`` and the
+    T-matrices may carry a leading kappa axis.
     """
     if entries is None:
         rows, cols = (..., slice(None), None), (..., None, slice(None))
@@ -198,10 +201,8 @@ def _pair_blocks(x, t_i, t_j, entries=None):
         )
 
     def balanced(t_row, t_col, y):
-        (s_r, g_r), (s_c, g_c) = t_row, t_col
-        sy, gy = y.signed_log()
-        scale = np.exp(0.5 * g_r[rows] + gy + 0.5 * g_c[cols])
-        return s_r[rows] * sy * scale
+        (s_r, g_r), (_, g_c) = t_row, t_col
+        return s_r[rows] * y.scaled * np.exp(0.5 * g_r[rows] + y.exponent + 0.5 * g_c[cols])
 
     return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse)
 

@@ -2,12 +2,13 @@
 
 The central quantity is the Laplacian of the interaction energy under rigid
 displacement of one object: a non-positive Laplacian at a force equilibrium
-rules out stable levitation.  Two routes read one stencil of I - N matrices
+rules out stable levitation.  Two routes read one stencil of displacements
 per node of a frozen grid (the same nodes and multipole order for every
 displaced geometry, so quadrature error cancels in the differences), with
 the labeled object at 0, +-h e_i and +-(h/2) e_i:
 
-* finite differences of the energies, the stencil's ln dets, and
+* finite differences of the energies, taken as the stencil's ln det ratios
+  ln det[M(u)/M(0)] of M = I - N, and
 * the three-term trace decomposition
 
       laplacian = term1 + term2 + term3,
@@ -21,12 +22,16 @@ the labeled object at 0, +-h e_i and +-(h/2) e_i:
   also nonnegative, which forces laplacian <= 0 (no stable levitation).
   d_i N is the Richardson-refined central difference of the stencil.
 
-When more than two objects are present, the remainder group R is merged by
-block algebra (a Schur complement of the labeled object's rows/columns),
-never by constructing a compound scatterer.
+Both routes, and every force, go through one Schur reduction per node: the
+remainder group R (every object but the labeled one) enters through the
+Schur complement of the labeled object's rows and columns, never as a
+compound scatterer, and a difference of two ln dets is the ln det of a
+small nb x nb matrix I + K summed as a trace series (see
+:class:`_CommonGridEngine`).  No displaced I - N is placed or factored
+whole, and no difference carries the rounding of two large ln dets.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
-the engine builds its (kappa, n, n) stacks per chunk with ``casimir``'s pair loop.
+the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair loop.
 """
 
 import functools
@@ -49,7 +54,7 @@ from .casimir import (
     _t_logs,
     default_l_max,
 )
-from .errors import ToleranceError, ValidationError, _finite, _order
+from .errors import ToleranceError, UnphysicalTruncationError, ValidationError, _finite, _order
 from .materials import _per_kappa, classify
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
 from .scattering import mie_tmatrix  # noqa: F401
@@ -118,9 +123,28 @@ class _CommonGridEngine:
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
     sum at tau > 0, taken in chunks of as many kappas as the dense I - N
     fits in ``_CHUNK_ENTRIES``.  The T-matrices (``casimir._t_logs``) are
-    built for the whole grid at once, the blocks between unmoved objects
-    once per chunk.  A displacement (:func:`_displaced`) rebuilds only the
-    blocks touching the labeled object, chunk by chunk.
+    built for the whole grid at once.
+
+    I - N is never placed whole.  With the labeled object A first it is
+    [[I, -U], [-V, M_RR]]: U (the A row) and V (the A column) hold the
+    balanced blocks between A and the remainder R, and M_RR, those between
+    unmoved objects, does not depend on the displacement.  Per chunk the
+    engine places M_RR once, guards its ln det and keeps its inverse; when R
+    is one object there are no static pairs, M_RR = I, and nothing is
+    placed or solved.  A displacement (:func:`_displaced`) builds only U
+    and V, and ln det(I - N) = ln det M_RR + ln det S, where S = I - U P,
+    P = M_RR^-1 V, is the nb x nb Schur complement of A.  Between a
+    reference u0 and a displacement u,
+
+        ln det M(u) - ln det M(u0) = ln det(I + K),  K = S(u0)^-1 dS,
+        dS = -(dU P(u) + U(u0) dP),  dP = M_RR^-1 dV,
+
+    the block differences dU and dV taken first, and ln det(I + K) is the
+    trace series of :func:`_log_det_1p`: no pivot near 1 is rounded, so a
+    difference keeps the relative precision of dU and dV.  The stencil
+    takes its ratios from u0 = 0 (:meth:`_ratio`); a force takes its two
+    ends about their mean (:meth:`_central`), which makes it exactly odd.
+    ``energy(u)`` is the weighted sum of ln det M_RR + ln det S(u).
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
@@ -131,6 +155,7 @@ class _CommonGridEngine:
         self.layout = _layout(self.l_max, False)
         self.nb = self.layout.width
         self.moving = [p for p in config._pairs if self.idx in p]
+        self.rest = [i for i in range(len(config.objects)) if i != self.idx]
         if config.tau == 0.0:
             self.kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
             self.weights = weights / (2.0 * math.pi)
@@ -140,7 +165,7 @@ class _CommonGridEngine:
         step = _chunk(config, self.l_max, False)
         self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
         static = [p for p in config._pairs if self.idx not in p]
-        self.static = [self._chunk_blocks(config, c, static) for c in range(len(self.chunks))]
+        self.remainder = [self._remainder(c, static) for c in range(len(self.chunks))]
 
     def _chunk_blocks(self, config, c, pairs):
         """Balanced blocks of ``pairs`` of ``config`` at the kappas of chunk c."""
@@ -148,26 +173,133 @@ class _CommonGridEngine:
         t_logs = [(s[rows], g[rows]) for s, g in self.t_logs]
         return _blocks(config, self.kappas[rows], self.l_max, t_logs, pairs)
 
-    def matrix(self, c, moved):
-        """I - N of ``moved`` (the labeled object displaced), a matrix per kappa of chunk c."""
-        blocks = {**self.static[c], **self._chunk_blocks(moved, c, self.moving)}
-        return _place_blocks(blocks, self.layout)[:, 0]
+    def _remainder(self, c, static):
+        """(ln det M_RR, M_RR^-1) at the kappas of chunk c; (0, None) when M_RR = I."""
+        if not static:
+            return 0.0, None
+        at = {j: k for k, j in enumerate(self.rest)}
+        blocks = self._chunk_blocks(self.config, c, static)
+        m_rr = _place_blocks({(at[i], at[j]): b for (i, j), b in blocks.items()}, self.layout)[:, 0]
+        return _positive_logdet(m_rr, "remainder matrix", *self.at(c)), np.linalg.inv(m_rr)
 
-    def at(self, c, u):
-        """The kappas of chunk c, and the error text after the kappa of its row i."""
-        rows, shift = self.chunks[c], ", ".join(f"{x:.6g}" for x in u)
-        where = f"{self.label!r} moved by ({shift})"
-        return self.kappas[rows], lambda i: f" (node {rows.start + i}), {where}"
+    def at(self, c, u=None, u0=None):
+        """The kappas of chunk c, and the error text after the kappa of its row i.
+
+        The text names the displacement u, and the reference u0 it is taken from.
+        """
+        rows, where = self.chunks[c], ""
+        for text, v in ((f", {self.label!r} moved by", u), (" from", u0)):
+            if v is not None:
+                where += f"{text} ({', '.join(f'{x:.6g}' for x in v)})"
+        return self.kappas[rows], lambda i: f" (node {rows.start + i}){where}"
+
+    def _row_col(self, c, moved):
+        """(U, V) at the kappas of chunk c, ``moved`` the displaced configuration."""
+        blocks = self._chunk_blocks(moved, c, self.moving)
+        u_row = np.concatenate([blocks[self.idx, j] for j in self.rest], axis=-1)
+        v_col = np.concatenate([blocks[j, self.idx] for j in self.rest], axis=-2)
+        return u_row, v_col
+
+    def _schur(self, c, point, u):
+        """(ln det S, P, S) of ``point`` = (U, V) at displacement u, S guarded."""
+        u_row, v_col = point
+        inverse = self.remainder[c][1]
+        p = v_col if inverse is None else inverse @ v_col
+        s = np.eye(self.nb) - u_row @ p
+        return _positive_logdet(s, "merged-remainder matrix", *self.at(c, u)), p, s
+
+    def _reference(self, c, point, u):
+        """(U, V, P, S^-1) of ``point`` = (U, V) at u: the u0 of :meth:`_ratio`."""
+        _, p, s = self._schur(c, point, u)
+        return *point, p, np.linalg.inv(s)
+
+    def _ratio(self, c, ref, point, u, u0):
+        """ln det M(u) - ln det M(u0) per kappa of chunk c, and the dU and dP it used.
+
+        ``ref`` is :meth:`_reference` at u0, ``point`` the (U, V) of u.
+        """
+        u_ref, v_ref, p_ref, s_inv = ref
+        du, dv = point[0] - u_ref, point[1] - v_ref
+        inverse = self.remainder[c][1]
+        dp = dv if inverse is None else inverse @ dv
+        k = s_inv @ -(du @ (p_ref + dp) + u_ref @ dp)
+        return _log_det_1p(k, *self.at(c, u, u0)), du, dp
+
+    def _central(self, c, minus, plus, u_minus, u_plus):
+        """ln det M(u+) - ln det M(u-) per kappa of chunk c, from the (U, V) of both ends.
+
+        It is taken about the mean of the two Schur complements,
+        S_mid = I - (U- P- + U+ P+) / 2 with P+ = P- + dP, as
+        ln det(I + K) - ln det(I - K), K = S_mid^-1 dS / 2.  For two
+        mirror-image ends S_mid is mirror-symmetric to the bit and K odd,
+        so both series are the same bits and the difference is an exact 0.
+        """
+        (u_m, v_m), (u_p, v_p) = minus, plus
+        inverse = self.remainder[c][1]
+        du, dv = u_p - u_m, v_p - v_m
+        p_m, dp = (v_m, dv) if inverse is None else (inverse @ v_m, inverse @ dv)
+        p_p = p_m + dp
+        mid = np.eye(self.nb) - 0.5 * (u_m @ p_m + u_p @ p_p)
+        kappas, where = self.at(c, u_plus, u_minus)
+        _positive_logdet(mid, "mid-step merged-remainder matrix", kappas, where)
+        k = 0.5 * np.linalg.solve(mid, -(du @ p_p + u_m @ dp))
+        return _log_det_1p(k, kappas, where) - _log_det_1p(-k, kappas, where)
+
+    def _sum(self, rows):
+        """Weighted grid sum of the per-chunk ``rows``, one per node (or a column each)."""
+        rows = np.concatenate(rows)
+        weights = self.weights if rows.ndim == 1 else self.weights[:, None]
+        # node after node in grid order: the bits do not depend on the chunk size
+        return np.cumsum(weights * rows, axis=0)[-1]
 
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
         moved = _displaced(self.config, self.label, u)
-        logdets = [
-            _positive_logdet(self.matrix(c, moved), "matrix", *self.at(c, u))
-            for c in range(len(self.chunks))
-        ]
-        # node after node in grid order: the bits do not depend on the chunk size
-        return float(np.cumsum(self.weights * np.concatenate(logdets))[-1])
+        return float(self._sum(
+            [
+                logdet + self._schur(c, self._row_col(c, moved), u)[0]
+                for c, (logdet, _) in enumerate(self.remainder)
+            ]
+        ))
+
+
+def _trace_product(a, b):
+    """tr(a b) for each matrix of two stacks: the sum of a * b^T."""
+    prod = a * np.swapaxes(b, -1, -2)
+    return prod.reshape(len(prod), -1).sum(axis=-1)
+
+
+def _log_det_1p(k, kappas, where):
+    """ln det(I + K) per matrix of the stack k: sum (-1)^(n+1) tr(K^n) / n.
+
+    tr(K^n) is the sum of K^a * (K^b)^T with a + b = n, so each power K^b
+    serves two terms.  With |K|, the Frobenius norm, the rest of the series
+    after n terms is at most |K|^(n+1) / ((n + 1)(1 - |K|)); each row stops
+    once that is below 2^-60 of its sum, so the rows of a stack do not
+    change each other's bits.  A K that is not finite, or with |K| >= 1/2,
+    raises UnphysicalTruncationError naming its kappa and ``where(row)``:
+    the series is never cut short silently.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(_trace_product(k, np.swapaxes(k, -1, -2)))
+    bad = ~(norm < 0.5)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise UnphysicalTruncationError(
+            f"ln det(I + K) at kappa = {kappas[i]:.6g}{where(i)}: |K| = {norm[i]:.3g} "
+            "is not below 1/2 (a non-finite T-matrix or translation, or too large a step h)"
+        )
+    total, powers, n = np.trace(k, axis1=-2, axis2=-1), [k], 1
+    while True:
+        live = norm ** (n + 1) / ((n + 1) * (1.0 - norm)) > 2.0**-60 * np.abs(total)
+        if not live.any():
+            return total
+        n += 1
+        a, b = n // 2, n - n // 2
+        if b > len(powers):
+            powers.append(powers[-1] @ k)
+        term = _trace_product(powers[a - 1], powers[b - 1]) / n
+        total = total + np.where(live, term if n % 2 else -term, 0.0)
 
 
 def _matsubara_grid(config, l_max):
@@ -223,26 +355,33 @@ def _stencil(h):
     return out
 
 
-def _fd(energies, h):
-    """(force, Laplacian, est_error) from the energies at ``_stencil(h)``.
+def _fd(ratios, h):
+    """(Laplacian, est_error) from ln det[M(u)/M(0)] at ``_stencil(h)[1:]``.
 
-    Second central differences summed over the axes at h and h/2, with one
-    Richardson halving; est_error is the refined value's distance to h/2's.
+    Second central differences (the ratio at 0 is 0) summed over the axes
+    at h and h/2, with one Richardson halving; est_error is the refined
+    value's distance to h/2's.
     """
-    e0, e = energies[0], np.reshape(energies[1:], (3, 2, 2))  # axis, step, sign
-    f = -(e[:, 0, 0] - e[:, 0, 1]) / (2.0 * h)
+    e = np.reshape(ratios, (3, 2, 2))  # axis, step, sign
     raw, half = (
-        sum((e[i, s, 0] - 2.0 * e0 + e[i, s, 1]) / step**2 for i in range(3))
+        sum((e[i, s, 0] + e[i, s, 1]) / step**2 for i in range(3))
         for s, step in enumerate((h, 0.5 * h))
     )
     refined = (4.0 * half - raw) / 3.0
-    return f, refined, abs(refined - half)
+    return refined, abs(refined - half)
 
 
 def _axial_force(eng, h, axis, s=0.0):
-    """-dE/ds along ``axis`` at displacement s e_axis: one central difference."""
+    """-dE/ds along ``axis`` at displacement s e_axis: one central difference,
+    the blocks of its two ends built once (``_CommonGridEngine._central``)."""
     e = np.eye(3)[axis]
-    return -(eng.energy((s + h) * e) - eng.energy((s - h) * e)) / (2.0 * h)
+    ends = [(s - h) * e, (s + h) * e]
+    moved = [_displaced(eng.config, eng.label, u) for u in ends]
+    rows = [
+        eng._central(c, *(eng._row_col(c, m) for m in moved), *ends)
+        for c in range(len(eng.chunks))
+    ]
+    return -float(eng._sum(rows)) / (2.0 * h)
 
 
 def force(config, label, h=None, l_max=None, n_nodes=32):
@@ -256,7 +395,7 @@ def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
     """Displacement Laplacian of the energy from the 13-point stencil (``_fd``)."""
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
-    return _fd([eng.energy(u) for u in _stencil(h)], h)[1]
+    return _fd(_stencil_sums(eng, h)[:12], h)[0]
 
 
 def _sign_classes(config):
@@ -300,60 +439,55 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _node_terms(eng, c, moved, h):
-    """One row per kappa of chunk c: 13 stencil ln dets, weightless -b1, -b2, -b3.
+def _stencil_rows(eng, c, moved, h):
+    """One row per kappa of chunk c: 12 ratios, 3 forces, weightless -b1, -b2, -b3.
 
-    I - N is built once for each configuration ``moved`` of ``_stencil(h)``,
-    one displaced (kappa, n, n) stack at a time.  The remainder group R is
-    merged through the Schur complement of the labeled object's rows and
-    columns: M_RR, the U row (A -> J blocks) and the V column (J -> A blocks)
-    are index slices of the undisplaced matrix, dU and dV the same slices of
-    the Richardson-refined central difference d(I - N)/da_i = -dN/da_i.
+    ``moved`` holds the configurations of ``_stencil(h)``.  The ratios are
+    ln det[M(u)/M(0)] at its 12 points after 0, the forces' columns
+    ln det[M(+h)/M(-h)] of each axis, as :func:`_axial_force` takes them.
+    The axes are taken one at a time: the blocks of an axis's four points,
+    and the dU and dP of their ratios, are dropped before the next.  The
+    decomposition reads the same dU and dP: since the Richardson weights
+    sum to 0, the refined central differences dU/da_i and M_RR^-1 dV/da_i
+    are their weighted sums.
     """
-    kappas, nb, steps = eng.kappas[eng.chunks[c]], eng.nb, _stencil(h)
-    mine = np.arange(eng.idx * nb, (eng.idx + 1) * nb)
-    rest = np.setdiff1d(np.arange(len(eng.config.objects) * nb), mine)
-
-    def split(x):
-        # U = -x_AR and V = -x_RA: their signs cancel in every product below
-        return x[:, rest[:, None], rest], x[:, mine[:, None], rest], x[:, rest[:, None], mine]
-
-    m = eng.matrix(c, moved[0])
-    logdets = [_positive_logdet(m, "matrix", *eng.at(c, steps[0]))]
-    m_rr, u_row, v_col = split(m)
-    m_inv_v = np.linalg.solve(m_rr, v_col)
-    n_eff = u_row @ m_inv_v
-    merged = np.eye(nb) - n_eff
-    _positive_logdet(merged, "merged-remainder matrix", *eng.at(c, steps[0]))
-    resolvent = np.linalg.inv(merged)
+    kappas, steps = eng.kappas[eng.chunks[c]], _stencil(h)
+    ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
+    u_ref, _, p_ref, s_inv = ref
     n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
-    b1 = 2.0 * (n_m * kappas) ** 2 * np.trace(resolvent @ n_eff, axis1=1, axis2=2)
-    b2 = b3 = 0.0
+    b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
+    ratios, forces, b2, b3 = [], [], 0.0, 0.0
     for axis in range(3):
+        at = range(1 + 4 * axis, 5 + 4 * axis)  # +h, -h, +h/2, -h/2
+        points = [eng._row_col(c, moved[s]) for s in at]
+        forces.append(eng._central(c, points[1], points[0], steps[at[1]], steps[at[0]]))
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
-        dm = 0.0
-        for s, w in zip(range(1 + 4 * axis, 5 + 4 * axis), (-0.5, 0.5, 4.0, -4.0)):
-            x = eng.matrix(c, moved[s])
-            logdets.append(_positive_logdet(x, "matrix", *eng.at(c, steps[s])))
-            dm = dm + w * x
-        _, du, dv = split(dm / (3.0 * h))
-        mid = np.linalg.solve(m_rr, dv)
-        b2 += 2.0 * np.trace(resolvent @ (du @ mid), axis1=1, axis2=2)
-        dn = du @ m_inv_v + u_row @ mid
-        rdn = resolvent @ dn
-        b3 += np.trace(rdn @ rdn, axis1=1, axis2=2)
-    return np.transpose(logdets + [-b1, -b2, -b3])
+        du = dp = 0.0
+        for s, point, w in zip(at, points, (-0.5, 0.5, 4.0, -4.0)):
+            ratio, d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
+            ratios.append(ratio)
+            du, dp = du + w * d_u, dp + w * d_p
+        du, dp = du / (3.0 * h), dp / (3.0 * h)
+        b2 += 2.0 * _trace_product(s_inv, du @ dp)
+        rdn = s_inv @ (du @ p_ref + u_ref @ dp)
+        b3 += _trace_product(rdn, rdn)
+    return np.column_stack(ratios + forces + [-b1, -b2, -b3])
+
+
+def _stencil_sums(eng, h):
+    """The grid sums of :func:`_stencil_rows`' columns."""
+    moved = [_displaced(eng.config, eng.label, u) for u in _stencil(h)]
+    return eng._sum([_stencil_rows(eng, c, moved, h) for c in range(len(eng.chunks))])
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
     """Force, FD Laplacian, decomposition and sign prediction in one grid pass."""
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    moved = [_displaced(config, label, u) for u in _stencil(h)]
-    rows = np.concatenate([_node_terms(eng, c, moved, h) for c in range(len(eng.chunks))])
-    sums = np.cumsum(eng.weights[:, None] * rows, axis=0)[-1]  # in grid order, as energy
-    f, lap, err = _fd(sums[:13], h)
-    return StabilityReport(label, f, lap, *sums[13:], _sign_product(config, label), h, err)
+    sums = _stencil_sums(eng, h)
+    lap, err = _fd(sums[:12], h)
+    f = -sums[12:15] / (2.0 * h)
+    return StabilityReport(label, f, lap, *sums[15:], _sign_product(config, label), h, err)
 
 
 def find_axial_equilibrium(

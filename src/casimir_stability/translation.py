@@ -399,11 +399,6 @@ class TranslationMatrix:
         with np.errstate(over="ignore"):
             return self.scaled * np.exp(self.exponent)
 
-    def signed_log(self):
-        """(sign, log|entry|) arrays; log of a zero entry is -inf."""
-        with np.errstate(divide="ignore"):
-            return np.sign(self.scaled), np.log(np.abs(self.scaled)) + self.exponent
-
 
 def _direction(d):
     """``d`` as floats, |d|, and the frame whose third column is d/|d|.

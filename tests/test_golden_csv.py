@@ -22,11 +22,14 @@ bytes of the committed file:
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+from casimir_stability import translation
 from casimir_stability.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -133,6 +136,47 @@ def test_csv_matches_golden(name, tmp_path):
         assert len(got_fields) == len(want_fields), got_line
         for w, g in zip(want_fields, got_fields):
             assert _field_matches(w, g), f"{name}: {g!r} != {w!r}"
+
+
+def _fields(text, names):
+    """The named float fields of a CSV output, row after row."""
+    lines = text.split("\n")[1:]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:] if line]
+    return [float(row[header.index(n)]) for row in rows for n in names]
+
+
+# the finite-difference fields of the golden cases
+DIFFERENCES = {
+    "force": ("fx", "fy", "fz"),
+    "stability": ("fx", "fy", "fz", "laplacian"),
+    "sweep": ("force_axis",),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_differences_hold_under_one_ulp_translation_coefficients(seed, tmp_path, monkeypatch):
+    # every nonzero coefficient of the translation tables moved one ulp up or
+    # down at random: the force and Laplacian fields, differences of
+    # ln det(I - N), move by less than the golden comparison's 1e-12
+    want = {name: _fields(_output(name, tmp_path), DIFFERENCES[name]) for name in DIFFERENCES}
+    rng, tables, original = np.random.default_rng(seed), {}, translation._coeff_tables
+
+    def perturbed(l_max, spin):
+        if (l_max, spin) not in tables:
+            table = original(l_max, spin)
+            c = table.term_coeff
+            toward = np.where(rng.random(c.size) < 0.5, -np.inf, np.inf)
+            moved = np.where(c == 0.0, 0.0, np.nextafter(c, toward))
+            tables[l_max, spin] = replace(table, term_coeff=moved)
+        return tables[l_max, spin]
+
+    monkeypatch.setattr(translation, "_coeff_tables", perturbed)
+    got = {name: _fields(_output(name, tmp_path), DIFFERENCES[name]) for name in DIFFERENCES}
+    assert got != want  # the perturbation reaches the output
+    for name in DIFFERENCES:
+        for g, w in zip(got[name], want[name]):
+            assert abs(g - w) <= 1e-12 * abs(w), (name, g, w)
 
 
 if __name__ == "__main__":

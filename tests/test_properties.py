@@ -19,6 +19,7 @@ from casimir_stability import (
     force,
     free_energy_quadrature,
     log_det_integrand,
+    stability_report,
 )
 from casimir_stability.casimir import assemble_block_matrix
 from conftest import ONE, PEC, dielectric_sphere, pec_sphere
@@ -148,6 +149,31 @@ def test_log_det_is_nonpositive_for_same_class_spheres(drawn, log_kappa, l_max):
         sign, logdet = np.linalg.slogdet(assemble_block_matrix(config, kappa, l_max))
         assert sign > 0.0
         assert logdet <= 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    eps=st.tuples(*[st.one_of(st.none(), st.floats(1.5, 20.0))] * 2),
+    radii=st.tuples(st.floats(0.4, 1.5), st.floats(0.4, 1.5)),
+    gap=st.floats(0.3, 3.0),
+    direction=angles,
+)
+def test_laplacian_and_its_terms_are_nonpositive_for_same_class_pairs(
+    eps, radii, gap, direction
+):
+    # the paper's theorem, laplacian E <= 0 for same-class bodies, and each
+    # term of its trace decomposition on its own; a None eps is a PEC sphere
+    a, b = (
+        SphereObject(tuple(c), r, PEC if e is None else DispersionModel.constant(e), ONE, label)
+        for c, r, e, label in zip(
+            (np.zeros(3), (sum(radii) + gap) * _unit(*direction)), radii, eps, "ab"
+        )
+    )
+    rep = stability_report(Configuration((a, b), Medium(), 0.0), "a", l_max=3, n_nodes=8)
+    assert rep.term1 <= 0.0
+    assert rep.term2 <= 0.0
+    assert rep.term3 <= 0.0
+    assert rep.laplacian <= 0.0
 
 
 @settings(max_examples=15, deadline=None)

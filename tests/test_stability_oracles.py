@@ -1,14 +1,17 @@
 """The one-pass stability report against the earlier per-route computations.
 
-``stability_report`` builds I - N once per stencil displacement at every
-node and reads from those matrices the energies of force and FD Laplacian
-and the derivatives of the trace decomposition.  The reference below keeps
+``stability_report`` builds the labeled object's blocks once per stencil
+displacement at every node and reads from their differences the ln det
+ratios of force and FD Laplacian and the derivatives of the trace
+decomposition; the ratios are checked against 40-digit ln dets of the
+whole I - N matrices they stand for.  The reference below keeps
 the earlier decomposition, which differentiated the translation matrices
 themselves (``translation_gradient``, Richardson-refined, with the sign
 rules of the reversed blocks) and balanced each gradient block with the
 T-matrices, on a matrix placed with the labeled object first.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,8 +25,14 @@ from casimir_stability import (
     stability_report,
     translation,
 )
-from casimir_stability.casimir import _blocks, _pair_blocks, _positive_logdet, _t_logs
-from casimir_stability.stability import _CommonGridEngine, _fd, _stencil, _step
+from casimir_stability.casimir import (
+    _blocks,
+    _pair_blocks,
+    _place_blocks,
+    _positive_logdet,
+    _t_logs,
+)
+from casimir_stability.stability import _CommonGridEngine, _displaced, _fd, _stencil, _step
 from conftest import dielectric_sphere, pec_pair
 from test_stability import _count_calls
 
@@ -114,8 +123,17 @@ def test_report_matches_reference_and_fd_routes(case):
     f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
     assert np.array_equal(rep.force, f)
     assert rep.laplacian == laplacian_fd(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
-    _, _, err = _fd([eng.energy(u) for u in _stencil(h)], h)
+    # est_error from the engine's ratios ln det[M(u)/M(0)], chunk by chunk
+    eng, steps = _CommonGridEngine(cfg, label, l_max, n_nodes), _stencil(h)
+    moved = [_displaced(cfg, label, u) for u in steps]
+    rows = []
+    for c in range(len(eng.chunks)):
+        ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
+        points = [eng._row_col(c, m) for m in moved[1:]]
+        rows.append(np.column_stack(
+            [eng._ratio(c, ref, p, u, steps[0])[0] for p, u in zip(points, steps[1:])]
+        ))
+    _, err = _fd(eng._sum(rows), h)
     assert rep.est_error == err
     assert rep.h_used == h
 
@@ -132,8 +150,73 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
         for module in (translation, stability)
     ]
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    assert len(matrices) == n_nodes * 13
+    # I - N is never placed whole: only the remainder's M_RR, once per
+    # chunk (one kappa each here), and nothing for a pair, whose M_RR = I
+    assert len(matrices) == (n_nodes if static else 0)
     assert len(translations) == n_nodes * (13 * moving + static)
     assert gradients == [[], []]
     if case == "pec_pair":
         assert len(translations) == 156
+
+
+@pytest.mark.parametrize("case", ["pec_pair", "triple_a"])
+def test_fd_laplacian_matches_its_decomposition(case):
+    # the finite differences are ln det(I + K) series of exact block
+    # differences, so their rounding no longer hides the Richardson error
+    # the two routes share: at the parent, whose stencil energies were whole
+    # slogdets, these read 1.7e-6 and 1.4e-5
+    cfg, label, l_max, n_nodes = CASES[case]
+    rep = stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    terms = rep.term1 + rep.term2 + rep.term3
+    assert abs(rep.laplacian - terms) <= 1e-8 * abs(rep.laplacian)
+
+
+def _exact_log_det(m):
+    """ln |det| of a float matrix: LU with partial pivoting in 40-digit arithmetic.
+
+    The rows are numpy arrays of mpmath numbers, so that each elimination
+    step is one array update.
+    """
+    with mpmath.workdps(40):
+        a = np.array([[mpmath.mpf(x) for x in row] for row in m.tolist()], dtype=object)
+        total = mpmath.mpf(0)
+        for k in range(len(a)):
+            p = k + int(np.argmax([abs(x) for x in a[k:, k]]))
+            a[[k, p]] = a[[p, k]]
+            total += mpmath.log(abs(a[k, k]))
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
+        return total
+
+
+@pytest.mark.parametrize("case", ["pec_pair", "triple"])
+def test_stencil_differences_are_the_exact_ln_det_differences(case):
+    # every stencil ratio ln det[M(u)/M(0)] and axial ln det[M(+h)/M(-h)] of
+    # the engine against the 40-digit ln det difference of the very float
+    # matrices I - N it stands for, placed whole from the same blocks.  An
+    # axial difference whose first order nearly vanishes at a node is held
+    # to the size of its two ends' ratios, which it cannot resolve below
+    cfg, label = (pec_pair(4.0), "a") if case == "pec_pair" else (_triple(), "b")
+    eng = _CommonGridEngine(cfg, label, l_max=2, n_nodes=3)
+    h = _step(cfg, label, None)
+    steps = _stencil(h)
+    moved = [_displaced(cfg, label, u) for u in steps]
+    static = [p for p in cfg._pairs if eng.idx not in p]
+    (c,) = range(len(eng.chunks))
+    fixed = eng._chunk_blocks(cfg, c, static)
+    exact = []
+    for config in moved:
+        blocks = {**fixed, **eng._chunk_blocks(config, c, eng.moving)}
+        exact.append([_exact_log_det(m) for m in _place_blocks(blocks, eng.layout)[:, 0]])
+    points = [eng._row_col(c, config) for config in moved]
+    ref = eng._reference(c, points[0], steps[0])
+    ratios = [[x - x0 for x, x0 in zip(exact[s], exact[0])] for s in range(13)]
+    for s in range(1, 13):
+        got = eng._ratio(c, ref, points[s], steps[s], steps[0])[0]
+        for g, w in zip(got, ratios[s]):
+            assert abs(g - w) <= 1e-14 * abs(w), (s, g, w)
+    for plus in (1, 5, 9):
+        got = eng._central(c, points[plus + 1], points[plus], steps[plus + 1], steps[plus])
+        for g, r_plus, r_minus in zip(got, ratios[plus], ratios[plus + 1]):
+            w = r_plus - r_minus
+            scale = max(abs(w), abs(r_plus), abs(r_minus))
+            assert abs(g - w) <= 1e-14 * scale, (plus, g, w)
