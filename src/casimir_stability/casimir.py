@@ -14,11 +14,11 @@ Everything is evaluated in hbar = c = 1 units with one length unit L:
 kappa in 1/L, energies in hbar c / L.
 
 Balancing: F entries underflow while X entries overflow at small kappa, so
-off-diagonal blocks are assembled from the similarity-balanced form
-s_a * scaled_ab * exp(log|F_a|/2 + exponent_ab + log|F_b|/2), with X_ab =
-scaled_ab * exp(exponent_ab) as the translation stores it and s_a the sign
-of F_a; it leaves the determinant unchanged and every entry representable,
-and no log of an X entry is taken.
+off-diagonal blocks are the similarity-balanced scaled_ab * s_a exp(log|F_a|/2
++ exponent_ab + log|F_b|/2), with X_ab = scaled_ab * exp(exponent_ab) as the
+translation stores it and s_a the sign of F_a: the determinant is unchanged,
+every entry representable, and no log of an X entry is taken.  Everything
+but scaled_ab depends on the (P, l) x (P', l') band alone: formed per band.
 
 One placement: a layout (``_layout``) says which entries of a pair block
 are balanced and where each lands in a stack of identity-padded matrices.
@@ -46,7 +46,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .errors import (
 )
 from .materials import Medium, _per_kappa
 from .scattering import mie_tmatrix, fresnel_reflection
-from .translation import reverse_translation, sector_size, translation_matrix
+from .translation import _band_of, reverse_translation, sector_size, translation_matrix
 
 __all__ = [
     "Configuration",
@@ -175,47 +175,43 @@ class EnergyResult:
     kappa_floor_used: bool = False
 
 
-def _pair_blocks(x, t_i, t_j, entries=None):
+def _pair_blocks(x, t_i, t_j, layout):
     """Balanced blocks (I, J) and (J, I) of one pair from X_IJ alone.
 
     ``t_i`` and ``t_j`` are the raw (sign, log) T-matrix pairs of the two
-    objects and X_JI is the reciprocal image of X_IJ.  Each block is
-    s_row |F_row|^(1/2) X |F_col|^(1/2), X = scaled * exp(exponent) taken
-    as s_row * scaled * exp(log|F_row|/2 + exponent + log|F_col|/2).  An
-    exactly zero amplitude (sign 0, log -inf) makes its entries 0, since no
-    log is +inf; a NaN from any source is kept so that the determinant
-    guard sees it.  With ``entries`` (an axial :func:`_layout`'s), ``x``
-    holds only those entries, and so do the blocks, as flat arrays; X_JI is
-    then read from X_IJ at the transposed entries.  ``x`` and the
-    T-matrices may carry a leading kappa axis.
+    objects, one per (P, l) band, and X_JI is the reciprocal image of X_IJ.
+    Each block s_row |F_row|^(1/2) X |F_col|^(1/2), X = scaled * exp(exponent),
+    is ``scaled`` times s_row * exp(log|F_row|/2 + exponent + log|F_col|/2),
+    formed per band and gathered by the ``band`` index of ``layout`` (a
+    :func:`_layout`), on either layout.  A zero amplitude (sign 0, log -inf)
+    makes its entries 0; a NaN from any source is kept for the determinant
+    guard.  On the axial layout ``x`` and the blocks hold only its entries,
+    as flat arrays, and X_JI is read from X_IJ at the transposed entries.
+    ``x`` and the T-matrices may carry a leading kappa axis.
     """
+    entries = layout.entries
     if entries is None:
-        rows, cols = (..., slice(None), None), (..., None, slice(None))
-        reverse = reverse_translation(x)
+        reverse = reverse_translation(x).scaled
     else:
-        rows, cols = (..., entries.rows), (..., entries.cols)
-        reverse = replace(
-            x,
-            scaled=entries.flip * x.scaled[..., entries.swap],
-            exponent=x.exponent[..., entries.swap],
-        )
+        reverse = entries.flip * x.scaled[..., entries.swap]
 
-    def balanced(t_row, t_col, y):
+    def balanced(t_row, t_col, scaled):
         (s_r, g_r), (_, g_c) = t_row, t_col
-        return s_r[rows] * y.scaled * np.exp(0.5 * g_r[rows] + y.exponent + 0.5 * g_c[cols])
+        scale = s_r[..., :, None] * np.exp(0.5 * g_r[..., :, None] + x.exponent + 0.5 * g_c[..., None, :])
+        return scaled * scale.reshape(*scale.shape[:-2], -1).take(layout.band, axis=-1)
 
-    return balanced(t_i, t_j, x), balanced(t_j, t_i, reverse)
+    return balanced(t_i, t_j, x.scaled), balanced(t_j, t_i, reverse)
 
 
-def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
+def _blocks(config, kappa, l_max, t_logs, pairs, layout):
     """Balanced blocks {(I, J): block} of ``pairs`` (I < J) and their reverses.
 
-    With ``entries`` (those of the axial :func:`_layout`) the configuration
-    is collinear: each pair is translated along +z, from whichever of its
-    centres lies lower on the line, and only those entries are built and
-    balanced.  ``kappa`` is one wavenumber or a 1-D array of them.
+    On the axial ``layout`` (see :func:`_layout`) the configuration is
+    collinear: each pair is translated along +z, from whichever of its
+    centres lies lower on the line, and only the layout's entries are built
+    and balanced.  ``kappa`` is one wavenumber or a 1-D array of them.
     """
-    objs = config.objects
+    objs, entries = config.objects, layout.entries
     line = config._axis_positions if entries is not None else None
     wanted = None if entries is None else (entries.rows, entries.cols)
     blocks = {}
@@ -226,11 +222,11 @@ def _blocks(config, kappa, l_max, t_logs, pairs, entries=None):
             i, j = (i, j) if line[i] < line[j] else (j, i)
             d = (0.0, 0.0, line[j] - line[i])
         x = translation_matrix(config.medium, kappa, d, l_max, wanted)
-        blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j], entries)
+        blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j], layout)
     return blocks
 
 
-_Layout = collections.namedtuple("_Layout", "entries block row col width names")
+_Layout = collections.namedtuple("_Layout", "entries band block row col width names")
 _Entries = collections.namedtuple("_Entries", "rows cols swap flip")
 
 
@@ -244,7 +240,8 @@ def _layout(l_max, axial):
     """Which entries of a pair block are balanced, and where each one lands.
 
     I - N is a stack of matrices, one per name, with ``width`` rows and
-    columns per object.  Dense: every entry, in the one matrix.  Axial: the
+    columns per object; ``band`` is the flat (P, l) x (P', l') band of each
+    balanced entry.  Dense: every entry, in the one matrix.  Axial: the
     entries a displacement along z can fill, rows and columns of the basis
     (P, l, m), electric first, with m = m' (the magnetic label m refers to
     R_{l,-m}, which keeps the sectors in step); each lands in the block
@@ -253,24 +250,25 @@ def _layout(l_max, axial):
     transpose (``swap``) and the sign D_row D_col of the reciprocal image
     (``flip``), so that X_JI is read from X_IJ without a dense matrix.
     """
+    band, n_bands = _band_of(l_max), 2 * l_max
     if not axial:
         every = slice(None)
-        return _Layout(None, 0, every, every, _widths(l_max, False)[1], ("matrix",))
-    ls = np.arange(1, l_max + 1)
-    sector_l = np.repeat(ls, 2 * ls + 1)
-    sector_m = np.arange(sector_l.size) - sector_l * sector_l + 1 - sector_l
-    l = np.tile(sector_l, 2)
-    m = np.tile(sector_m, 2)
-    local = np.repeat([0, 1], sector_l.size) * (l_max + 1 - np.maximum(np.abs(m), 1))
-    local += l - np.maximum(np.abs(m), 1)
+        dense = band[:, None] * n_bands + band
+        return _Layout(None, dense, 0, every, every, _widths(l_max, False)[1], ("matrix",))
+    sector, l = np.divmod(band, l_max)
+    l += 1
+    m = np.arange(band.size) % sector_size(l_max) - l * l + 1 - l
+    l_min = np.maximum(np.abs(m), 1)
+    local = sector * (l_max + 1 - l_min) + l - l_min
     rows, cols = np.nonzero(m[:, None] == m[None, :])
     at = np.zeros((m.size, m.size), int)
     at[rows, cols] = np.arange(rows.size)
-    d_sign = np.repeat([1.0, -1.0], sector_l.size)
+    d_sign = 1.0 - 2.0 * sector
     entries = _Entries(rows, cols, at[cols, rows], d_sign[rows] * d_sign[cols])
     names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
     block = m[rows] + l_max
-    return _Layout(entries, block, local[rows], local[cols], 2 * l_max, names)
+    band = band[rows] * n_bands + band[cols]
+    return _Layout(entries, band, block, local[rows], local[cols], 2 * l_max, names)
 
 
 def _place_blocks(blocks, layout):
@@ -347,7 +345,7 @@ def _assemble(config, kappa, l_max, axial, t_logs):
     layout is made.
     """
     layout = _layout(l_max, axial)
-    blocks = _blocks(config, kappa, l_max, t_logs, config._pairs, layout.entries)
+    blocks = _blocks(config, kappa, l_max, t_logs, config._pairs, layout)
     return _place_blocks(blocks, layout)
 
 

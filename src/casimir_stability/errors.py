@@ -8,6 +8,8 @@ every layer (finite numbers, 3-vectors and orders) live here too.
 import math
 import numbers
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Bad input: schema violations, overlapping spheres, empty sweeps."""
@@ -38,7 +40,10 @@ class ConvergenceBudgetError(RuntimeError):
 
 
 class UnphysicalTruncationError(RuntimeError):
-    """An eigenvalue of I - N dropped below zero; increase l_max."""
+    """A ln det of I - N cannot be trusted, for one of three causes: a
+    determinant (of I - N, an m-block, the remainder or the Schur complement)
+    is not positive, so increase l_max; a matrix has NaN or inf entries; or a
+    stability difference ln det(I + K) has |K| >= 1/2 (too large a step h)."""
 
 
 class PrecisionError(RuntimeError):
@@ -49,18 +54,26 @@ class ToleranceError(ValidationError):
     """Finite-difference step outside its admissible range."""
 
 
-def _finite(value, what, sign="positive", error=ValidationError):
-    """``value`` as a float if it is finite and of ``sign``, else ``error``.
+def _finite_array(values, what, sign="positive", error=ValidationError):
+    """``values`` as a float array if every entry is finite and of ``sign``, else ``error``.
 
     ``sign`` is "positive", "nonnegative" or None (either sign); the message
-    names ``what`` and the rule.
+    names ``what``, the rule and a bad entry (a scalar as given).
     """
-    number = float(value)
-    signed = sign is None or number > 0.0 or (sign == "nonnegative" and number == 0.0)
-    if not (math.isfinite(number) and signed):
-        rule = f"finite and {sign}" if sign else "finite"
-        raise error(f"{what} must be {rule}, got {value!r}")
-    return number
+    array = np.asarray(values, float)
+    if array.size:
+        lo, hi = array.min(), array.max()  # a NaN carries through both
+        low = lo >= 0.0 if sign == "nonnegative" else lo > (0.0 if sign else -math.inf)
+        if not (low and hi < math.inf):
+            bad = values if array.ndim == 0 else (hi if low else lo).item()
+            rule = f"finite and {sign}" if sign else "finite"
+            raise error(f"{what} must be {rule}, got {bad!r}")
+    return array
+
+
+def _finite(value, what, sign="positive", error=ValidationError):
+    """``value`` as a float: the one-number :func:`_finite_array`."""
+    return float(_finite_array(value, what, sign, error))
 
 
 def _vector(values, what, error=ValidationError):

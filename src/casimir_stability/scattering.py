@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, GeometryError, ValidationError, _finite, _vector
+from .errors import CapabilityError, GeometryError, ValidationError
+from .errors import _finite, _finite_array, _order, _vector
 from .materials import _per_kappa, eval_epsilon, eval_mu
 from .specfun import log_bessel_i_array, log_bessel_k_array
+from .translation import _band_of
 
 __all__ = [
     "SphereObject",
@@ -116,24 +118,22 @@ class TMatrix:
 
     def diagonal(self):
         """Dense diagonal over the (P, l, m) basis, electric sector first."""
-        out = []
-        for pol in ("E", "M"):
-            for l in range(1, self.l_max + 1):
-                out.extend([self.entry(pol, l)] * (2 * l + 1))
-        return np.asarray(out)
+        bands = [self.entry(pol, l) for pol in ("E", "M") for l in range(1, self.l_max + 1)]
+        return np.asarray(bands)[_band_of(self.l_max)]
 
     def raw_signed_log(self):
-        """(sign, log|amp|) over the basis, raw boundary-value signs.
+        """(sign, log|amp|) per (P, l) band, raw boundary-value signs.
 
-        The raw magnetic amplitude is minus the stored entry; the energy
-        assembly must use raw signs so that no adjustable constant enters.
+        One value per band, l = 1..l_max electric then magnetic (2 l_max,
+        after any kappa axis): the amplitude is the same for the 2l + 1
+        labels m of a band.  The raw magnetic amplitude is minus the stored
+        entry; the energy assembly must use raw signs so that no adjustable
+        constant enters.
         """
-        reps = 2 * np.arange(1, self.l_max + 1) + 1
-
-        def basis(e, m):
-            return np.concatenate([np.repeat(e, reps, axis=-1), np.repeat(m, reps, axis=-1)], axis=-1)
-
-        return basis(self.sign_e, -self.sign_m), basis(self.log_e, self.log_m)
+        return (
+            np.concatenate([self.sign_e, -self.sign_m], axis=-1),
+            np.concatenate([self.log_e, self.log_m], axis=-1),
+        )
 
 
 def mie_tmatrix(sphere, medium, kappa, l_max):
@@ -151,12 +151,8 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
     ``kappa`` may be a 1-D array: the amplitudes then carry a leading kappa
     axis, and each row equals the scalar call's.
     """
-    kappas = np.array(kappa, float, ndmin=1)
-    if not kappas.min() > 0.0:
-        raise ValueError("kappa must be positive")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    if l_max > MAX_MULTIPOLE_ORDER:
+    kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
+    if _order(l_max, "l_max") > MAX_MULTIPOLE_ORDER:
         raise CapabilityError(
             f"multipole order {l_max} exceeds supported {MAX_MULTIPOLE_ORDER}"
         )
@@ -219,12 +215,8 @@ def fresnel_reflection(mat1, medium, kappa, k_transverse):
     the coefficients are then arrays of that shape, the models being
     evaluated once per kappa.
     """
-    kappas = np.asarray(kappa, float)
-    k_t = np.asarray(k_transverse, float)
-    if not (kappas > 0.0).all():
-        raise ValueError("kappa must be positive")
-    if not (k_t >= 0.0).all():
-        raise ValueError("k_transverse must be nonnegative")
+    kappas = _finite_array(kappa, "kappa")
+    k_t = _finite_array(k_transverse, "k_transverse", "nonnegative")
     eps_model, mu_model = mat1
     eps_m = _per_kappa(medium.eps, kappas)
     mu_m = _per_kappa(medium.mu, kappas)

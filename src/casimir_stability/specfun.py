@@ -42,6 +42,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from .errors import _finite_array
+
 __all__ = [
     "mod_sph_bessel_i",
     "mod_sph_bessel_k",
@@ -71,11 +73,8 @@ def _logsumexp_rows(a):
 
 
 def _arguments(x):
-    """``x`` as a 1-D array of positive floats."""
-    xs = np.array(x, float, ndmin=1)
-    if xs.min() <= 0.0:
-        raise ValueError("argument must be positive")
-    return xs
+    """``x`` as a 1-D array of finite positive floats, else ValidationError."""
+    return np.array(_finite_array(x, "argument"), ndmin=1)
 
 
 def log_bessel_i_array(l_max, x):

@@ -171,7 +171,7 @@ class _CommonGridEngine:
         """Balanced blocks of ``pairs`` of ``config`` at the kappas of chunk c."""
         rows = self.chunks[c]
         t_logs = [(s[rows], g[rows]) for s, g in self.t_logs]
-        return _blocks(config, self.kappas[rows], self.l_max, t_logs, pairs)
+        return _blocks(config, self.kappas[rows], self.l_max, t_logs, pairs, self.layout)
 
     def _remainder(self, c, static):
         """(ln det M_RR, M_RR^-1) at the kappas of chunk c; (0, None) when M_RR = I."""

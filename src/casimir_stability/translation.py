@@ -23,10 +23,10 @@ Scaling
 Entries grow like k_lambda(n kappa |d|) ~ (lambda/x)^lambda at small
 argument and would overflow float64 well inside the physically relevant
 range, so a :class:`TranslationMatrix` stores ``scaled`` values together
-with a per-entry natural-log ``exponent``; the true entry is
-``scaled * exp(exponent)``.  :meth:`TranslationMatrix.dense` materializes
-plain floats when they are representable.  All entries of one (l, l') block
-share the exponent log k_lmax, lmax being the largest lambda in that block.
+with one natural-log ``exponent`` per (sector, l) x (sector', l') band,
+log k_(l+l'): k_lambda grows with lambda, and l + l' is the largest lambda
+of every band, since (l l' l+l'; m -m 0) never vanishes.  The true entry is
+``scaled * exp(exponent)``, which :meth:`TranslationMatrix.dense` forms.
 
 Construction
 ------------
@@ -34,13 +34,13 @@ Every build starts from the matrix of a displacement along +z.  There
 Y_{lambda, m - m'}(theta = 0) vanishes unless m = m', and
 Y_{lambda 0}(0) = sqrt((2 lambda + 1) / 4 pi), so one flat table per
 (l_max, spin) holds the m = m' terms alone (4,148 at l_max 8): the entry
-each adds to, its (block, lambda) scale slot and its coefficient.  It is
+each adds to, its (l + l', lambda) scale slot and its coefficient.  It is
 whole-array work: one :func:`~casimir_stability.specfun.wigner3j_rows` call
 gives (l l' lambda; m -m 0) for every pair and lambda, a second the
 (l l' lambda; 0 0 0) of every block, and the parity of l + l' + lambda
 assigns each nonzero symbol its polarization kind; pairs go in chunks of
 fixed size into term arrays allocated once at an upper bound.  A +z build
-is then real arithmetic, for one kappa or a 1-D array of them: the block
+is then real arithmetic, for one kappa or a 1-D array of them: the band
 exponents as one gather, one weighted bincount over the terms of every
 kappa (bins offset by row), and one gather into the sector layout, which
 applies the signs and m-reversals the real basis reduces to on the axis.
@@ -53,8 +53,9 @@ block-diagonal over (sector, l): the real-harmonic rotation D^l turning z
 into d/|d| on the electric sector, its m-reversed copy on the magnetic one.
 D^l comes from the 3 x 3 frame of d/|d| by the Ivanic-Ruedenberg recursion
 (J. Phys. Chem. 100, 6342 (1996); erratum 102, 9099 (1998)), whole-array
-work per l, once per displacement.  Q does not mix l, so each (l, l') block
-keeps its exponent.  X Q^T takes one product per entry, since the +z rows
+work per l, once per build (one displacement and one chunk of kappas).
+Q does not mix l, so each band keeps its exponent.  X Q^T takes one
+product per entry, since the +z rows
 have one entry per band; Q (X Q^T) one matrix product per l, for every
 kappa at once.  A displacement along +z takes no rotation.
 
@@ -72,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import sph_harm_y
 
-from .errors import GeometryError, ToleranceError
+from .errors import GeometryError, ToleranceError, _finite, _finite_array, _order
 from .materials import _per_kappa
 from .specfun import log_bessel_k_array, wigner3j_rows
 # not called here: the benchmark tracer (perfbench/spans.py) wraps this name
@@ -108,8 +109,7 @@ def momentum_space_G(medium, kappa, k):
     mu_M (I + k k^T / (n^2 kappa^2)) / (k^2 + n^2 kappa^2), evaluated at
     imaginary frequency where it is real and positive semidefinite.
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    kappa = _finite(kappa, "kappa")
     k = np.asarray(k, float)
     n2k2 = (medium.refractive_index(kappa) * kappa) ** 2
     mu_m = medium.mu(kappa)
@@ -127,6 +127,13 @@ def sector_indices(l_max, l_min=1):
 
 def sector_size(l_max, l_min=1):
     return (l_max + 1) ** 2 - l_min**2
+
+
+def _band_of(l_max, spin="vector"):
+    """The (sector, l) band of every basis label: each band repeated 2l + 1 times."""
+    l_min, n_sec = (0, 1) if spin == "scalar" else (1, 2)
+    reps = np.tile(2 * np.arange(l_min, l_max + 1) + 1, n_sec)
+    return np.repeat(np.arange(reps.size), reps)
 
 
 def _real_basis(l):
@@ -172,22 +179,21 @@ class _Table:
     """Flat, kappa-independent recipe of the +z build for one (l_max, spin).
 
     Every m = m' entry of a sector pair (the pairs (p, q) with m_p = m_q,
-    row-major) is a sum of terms coeff * exp(log k_lam - s_block); the term
-    arrays hold, per term, its entry, its (block, lambda) scale slot and its
-    coefficient.
+    row-major) is a sum of terms coeff * exp(log k_lam - log k_top), top =
+    l + l'; the term arrays hold, per term, its entry, its (top, lambda)
+    scale slot top (top + 1) / 2 + lambda and its coefficient.
     """
 
     n_kinds: int
     n_entries: int
-    top_lam: np.ndarray  # largest lambda of each (l, l') block
-    slot_block: np.ndarray  # (block, lambda) slot -> block
-    slot_lam: np.ndarray  # (block, lambda) slot -> lambda
+    slot_top: np.ndarray  # (top, lambda) slot -> top
+    slot_lam: np.ndarray  # (top, lambda) slot -> lambda
     term_entry: np.ndarray  # kind * n_entries + entry: the bincount bin
     term_slot: np.ndarray
     term_coeff: np.ndarray
+    band_top: np.ndarray  # l + l' of each (sector, l) x (sector', l') band
     # final entry -> index into [same, cross, -cross, 0] (the zero: m != m')
     source: np.ndarray
-    entry_block: np.ndarray  # final entry -> (l, l') block index
     # (X Q^T)[r, c] = X[r, c0] Q[c, c0], c0 the column of r's label in c's
     # band: the two read from [same, cross, -cross, 0] and [D^l raveled, 0]
     turn_source: np.ndarray
@@ -274,9 +280,8 @@ def _coeff_tables(l_max, spin):
     # filled in place: the terms are never held twice, and the bound's
     # unused tail is never touched
     bound = int(np.sum(sector_l[p] + sector_l[q] + 1 - np.abs(sector_l[p] - sector_l[q])))
-    term_entry, term_key = np.empty(bound, int), np.empty(bound, int)
+    term_entry, term_slot = np.empty(bound, int), np.empty(bound, int)
     term_coeff = np.empty(bound)
-    used = np.zeros((n_l * n_l, l_top + 1), bool)  # (block, lambda) slots
     n_terms = 0
     for start in range(0, n_e, _PAIR_CHUNK):
         pc, qc = p[start : start + _PAIR_CHUNK], q[start : start + _PAIR_CHUNK]
@@ -296,25 +301,14 @@ def _coeff_tables(l_max, spin):
             # in the order pair, kind, lambda
             t, kind, k = np.nonzero(np.stack([live & ~odd, live & odd], axis=1))
         lam = lam0[t] + k
-        block = (l[t] - l_min) * n_l + lp[t] - l_min
-        used[block, lam] = True
+        top = l[t] + lp[t]
         now = slice(n_terms, n_terms + t.size)
         term_entry[now] = kind * n_e + start + t
-        term_key[now] = block * (l_top + 1) + lam
-        term_coeff[now] = factor[block, kind, lam] * wm[t, k]
+        term_slot[now] = top * (top + 1) // 2 + lam
+        term_coeff[now] = factor[(l[t] - l_min) * n_l + lp[t] - l_min, kind, lam] * wm[t, k]
         n_terms = now.stop
 
-    # the (block, lambda) scale slots: block-major, ascending in lambda
-    slot_block, slot_lam = np.nonzero(used)
-    slot_of = (np.cumsum(used) - 1).ravel()
-    top_lam = l_top - np.argmax(used[:, ::-1], axis=1)
-    term_slot = term_key[:n_terms]
-    for start in range(0, n_terms, _PAIR_CHUNK):
-        part = term_slot[start : start + _PAIR_CHUNK]
-        part[:] = slot_of[part]
-
     # final layout: where every entry is read from in [same, cross, -cross, 0]
-    entry_block = (sector_l[:, None] - l_min) * n_l + sector_l[None, :] - l_min
     if spin == "scalar":
         source, shift = entry_of, 0
     else:
@@ -327,7 +321,6 @@ def _coeff_tables(l_max, spin):
         source = np.block([[entry_of, entry_of], [flipped, flipped]])
         zero = np.zeros((nb, nb), int)
         shift = np.block([[zero, zero + n_e], [zero + 2 * n_e, zero]])
-        entry_block = np.tile(entry_block, (2, 2))
     source = np.where(source >= 0, source + shift, (2 * n_kinds - 1) * n_e)
 
     label, l_of = np.tile(sector_m, n_kinds), np.tile(sector_l, n_kinds)
@@ -341,17 +334,17 @@ def _coeff_tables(l_max, spin):
     row = start[l_of - l_min] + (sign * label + l_of) * (2 * l_of + 1) + l_of
     turn_at = np.where(live, row + sign * label[:, None], start[-1] + (2 * l_max + 1) ** 2)
     turns = [_turn_step(l) for l in range(2, l_max + 1)]
+    slot_top, slot_lam = np.tril_indices(l_top + 1)
     return _Table(
         n_kinds=n_kinds,
         n_entries=n_e,
-        top_lam=top_lam,
-        slot_block=slot_block,
+        slot_top=slot_top,
         slot_lam=slot_lam,
         term_entry=term_entry[:n_terms],
-        term_slot=term_slot,
+        term_slot=term_slot[:n_terms],
         term_coeff=term_coeff[:n_terms],
+        band_top=np.add.outer(np.tile(ls, n_kinds), np.tile(ls, n_kinds)),
         source=source,
-        entry_block=entry_block,
         turn_source=turn_source,
         turn_at=turn_at,
         turn_h=tuple(h for h, _ in turns),
@@ -368,12 +361,14 @@ class TranslationMatrix:
     """Outgoing-to-regular wave conversion across a displacement.
 
     True entries equal ``scaled * exp(exponent)``; the split keeps small-
-    wavenumber matrices representable.  ``spin`` is "vector" (two
-    polarization sectors, electric first) or "scalar".  Built for an array
-    of kappa, ``kappa`` is that array and ``scaled`` and ``exponent`` carry
-    a leading kappa axis.  Built for chosen ``entries``, a (rows, cols)
-    pair of index arrays, they hold those entries along their last axis,
-    and such a matrix has no ``dim`` or ``dense`` form.
+    wavenumber matrices representable.  ``exponent`` is the symmetric band
+    matrix log k_(l+l') (order 2 l_max for vector, l_max + 1 for scalar
+    waves), repeated over the labels of a band (:func:`_band_of`) to meet
+    ``scaled``.  ``spin`` is "vector" (two polarization sectors, electric
+    first) or "scalar".  Built for an array of kappa, ``kappa`` is that
+    array and both carry a leading kappa axis.  Built for chosen
+    ``entries``, a (rows, cols) pair of index arrays, ``scaled`` holds those
+    entries along its last axis, and the matrix has no ``dim`` or ``dense``.
     """
 
     kappa: float | np.ndarray
@@ -396,8 +391,9 @@ class TranslationMatrix:
     def dense(self):
         """Plain float entries (overflows to inf outside float64 range)."""
         self._whole()
+        band = _band_of(self.l_max, self.spin)
         with np.errstate(over="ignore"):
-            return self.scaled * np.exp(self.exponent)
+            return self.scaled * np.exp(self.exponent)[..., band[:, None], band]
 
 
 def _direction(d):
@@ -460,17 +456,15 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
     pair of index arrays, keeps only those entries of the final matrix.
     """
     d, c, frame = _direction(d)
-    kappas = np.array(kappa, float, ndmin=1)
-    if not kappas.min() > 0.0:
-        raise ValueError("kappa must be positive")
+    kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
+    _order(l_max, "l_max", 0 if spin == "scalar" else 1)
     x = _per_kappa(medium.refractive_index, kappas) * kappas * c
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
     logk = log_bessel_k_array(l_top, x)
     tab = _coeff_tables(l_max, spin)
 
-    # k_lam grows with lam, so the largest lambda of a block sets its scale
-    s = logk.take(tab.top_lam, axis=-1)
-    kv = np.exp(logk.take(tab.slot_lam, axis=-1) - s.take(tab.slot_block, axis=-1))
+    # k_lam grows with lam, so l + l', the largest lambda of a band, sets its scale
+    kv = np.exp(logk.take(tab.slot_lam, axis=-1) - logk.take(tab.slot_top, axis=-1))
     terms = tab.term_coeff * kv.take(tab.term_slot, axis=-1)
     n, width = x.size, tab.n_kinds * tab.n_entries
     bins = tab.term_entry if n == 1 else (tab.term_entry + width * np.arange(n)[:, None]).ravel()
@@ -482,7 +476,7 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
         scaled = _rotate(src, frame, tab, spin, l_max)
         if entries is not None:
             scaled = scaled[:, entries[0], entries[1]]
-    exponent = s.take(tab.entry_block if entries is None else tab.entry_block[entries], axis=-1)
+    exponent = logk.take(tab.band_top, axis=-1)
     if np.ndim(kappa) == 0:
         kappas, scaled, exponent = float(kappa), scaled[0], exponent[0]
     return TranslationMatrix(kappas, d, l_max, scaled, exponent, spin, entries)
@@ -494,7 +488,8 @@ def reverse_translation(x):
     X(-d) = D X(d)^T D, with D = +1 on the electric sector and -1 on the
     magnetic sector for vector waves, and D = 1 for scalar waves.  Applied
     to a displacement gradient dX/dd_i at d it gives minus that gradient
-    at -d.  A leading kappa axis is kept.
+    at -d.  A leading kappa axis is kept, and the symmetric band exponent
+    is shared with ``x``.
     """
     d_sign = np.ones(x.dim)
     if x.spin == "vector":
@@ -504,7 +499,7 @@ def reverse_translation(x):
         displacement=-x.displacement,
         l_max=x.l_max,
         scaled=d_sign[:, None] * np.swapaxes(x.scaled, -1, -2) * d_sign[None, :],
-        exponent=np.swapaxes(x.exponent, -1, -2).copy(),
+        exponent=x.exponent,
         spin=x.spin,
     )
 
@@ -533,11 +528,12 @@ def scalar_translation_matrix(medium, kappa, d, l_max):
 
 def _combine(mats, weights):
     """Weighted sum of equally-shaped scaled matrices, rescaled safely."""
-    exponent = np.maximum.reduce([m.exponent for m in mats])
-    scaled = np.zeros_like(mats[0].scaled)
-    for w, m in zip(weights, mats):
-        scaled += w * m.scaled * np.exp(m.exponent - exponent)
     ref = mats[0]
+    exponent = np.maximum.reduce([m.exponent for m in mats])
+    band = _band_of(ref.l_max, ref.spin)
+    scaled = np.zeros_like(ref.scaled)
+    for w, m in zip(weights, mats):
+        scaled += w * m.scaled * np.exp(m.exponent - exponent)[..., band[:, None], band]
     return TranslationMatrix(
         kappa=ref.kappa,
         displacement=ref.displacement,

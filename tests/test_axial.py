@@ -22,6 +22,7 @@ from casimir_stability import (
     translation,
 )
 from casimir_stability.casimir import assemble_block_matrix
+from casimir_stability.specfun import log_bessel_k_array
 from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere
 
 KAPPAS = (1e-6, 1e-2, 0.5, 2.0, 50.0)
@@ -156,9 +157,20 @@ def test_lost_positivity_names_the_m_block(monkeypatch):
 def test_coaxial_table_holds_only_the_m_diagonal_terms():
     tab = translation._coeff_tables(8, "vector")
     assert tab.term_coeff.size == 4148
-    # every (l, l') block keeps its largest lambda, l + l', which sets its exponent
-    l, lp = np.divmod(np.arange(64), 8)
-    assert np.array_equal(tab.top_lam, l + lp + 2)
+    # every (l, l') block keeps its largest lambda, l + l', which sets the
+    # exponent of its bands: log k_(l+l') in every sector pair
+    sector_l = np.repeat(np.arange(1, 9), 2 * np.arange(1, 9) + 1)
+    sector_m = np.arange(sector_l.size) - sector_l * sector_l + 1 - sector_l
+    p, q = np.nonzero(sector_m[:, None] == sector_m[None, :])
+    entry = tab.term_entry % tab.n_entries
+    l, lp = sector_l[p[entry]], sector_l[q[entry]]
+    assert np.array_equal(tab.slot_top[tab.term_slot], l + lp)
+    top = np.zeros((8, 8), int)
+    np.maximum.at(top, (l - 1, lp - 1), tab.slot_lam[tab.term_slot])
+    assert np.array_equal(top, np.add.outer(np.arange(8), np.arange(8)) + 2)
+    x = translation.translation_matrix(Medium(), 0.7, (0.0, 0.0, 2.5), 8)
+    band_l = np.tile(np.arange(1, 9), 2)
+    assert np.array_equal(x.exponent, log_bessel_k_array(17, 0.7 * 2.5)[np.add.outer(band_l, band_l)])
 
 
 def test_tables_do_not_depend_on_the_pair_chunk(monkeypatch):

@@ -19,6 +19,9 @@ from casimir_stability import (
     log_det_integrand,
 )
 from casimir_stability.casimir import assemble_block_matrix, default_l_max
+from casimir_stability.scattering import fresnel_reflection, mie_tmatrix
+from casimir_stability.specfun import log_bessel_i_array, log_bessel_k_array
+from casimir_stability.translation import translation_matrix
 from conftest import dielectric_sphere, pec_pair, pec_sphere
 
 PEC_PAIR = (DispersionModel.perfect_conductor(), DispersionModel.constant(1.0))
@@ -315,6 +318,41 @@ def test_energy_order_must_be_an_integer_of_at_least_one(tau, l_max):
         energy(pec_pair(4.0, tau=tau), l_max=l_max)
 
 
+KERNELS = {
+    "mie_tmatrix": lambda k, l_max: mie_tmatrix(pec_sphere((0, 0, 0), 1.0, "a"), Medium(), k, l_max),
+    "translation_matrix": lambda k, l_max: translation_matrix(Medium(), k, (0.3, 0.0, 3.0), l_max),
+    "fresnel_reflection": lambda k, _: fresnel_reflection(PEC_PAIR, Medium(), k, 1.0),
+    "log_bessel_k_array": lambda k, l_max: log_bessel_k_array(l_max, k),
+    "log_bessel_i_array": lambda k, l_max: log_bessel_i_array(l_max, k),
+}
+
+
+@pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan, 0.0, -1.0, [0.5, math.nan]])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernels_take_only_finite_positive_wavenumbers(kernel, kappa):
+    # inf used to raise a bare OverflowError from the T-matrix and give NaN
+    # entries from the translation and Fresnel kernels, and NaN passed the
+    # special functions' "<= 0" test; each kernel names the bad value now
+    bad = kappa[1] if isinstance(kappa, list) else kappa
+    with pytest.raises(ValidationError, match=f"must be finite and positive, got {bad!r}"):
+        KERNELS[kernel](kappa, 3)
+
+
+@pytest.mark.parametrize("k_t", [math.inf, math.nan, -0.5])
+def test_fresnel_takes_only_finite_nonnegative_transverse_wavenumbers(k_t):
+    with pytest.raises(ValidationError, match=f"k_transverse must be finite and nonnegative, got {k_t!r}"):
+        fresnel_reflection(PEC_PAIR, Medium(), 0.7, [0.0, k_t])
+
+
+@pytest.mark.parametrize("l_max", [2.5, 0, True, "3"])
+@pytest.mark.parametrize("kernel", ["mie_tmatrix", "translation_matrix", "log_det_integrand"])
+def test_kernel_orders_must_be_integers_of_at_least_one(kernel, l_max):
+    # True used to pass as order 1 and 2.5 raised a bare TypeError
+    call = KERNELS.get(kernel, lambda k, order: log_det_integrand(pec_pair(4.0), k, order))
+    with pytest.raises(ValidationError, match="l_max must be an integer >= 1"):
+        call(0.7, l_max)
+
+
 def test_default_l_max_scales_with_geometry():
     near = pec_pair(2.2)
     far = pec_pair(12.0)
@@ -456,7 +494,7 @@ def _per_object_stack(cfg, kappa, l_max, axial):
 
     t = [mie_tmatrix(o, cfg.medium, kappa, l_max).raw_signed_log() for o in cfg.objects]
     layout = casimir._layout(l_max, axial)
-    blocks = casimir._blocks(cfg, kappa, l_max, t, cfg._pairs, layout.entries)
+    blocks = casimir._blocks(cfg, kappa, l_max, t, cfg._pairs, layout)
     return casimir._place_blocks(blocks, layout)
 
 

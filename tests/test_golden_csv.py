@@ -14,14 +14,18 @@ which rewrites the named cases, or every case when none is named.  With
 ``--digest`` it writes no file and prints ``<sha256>  <case>  same`` (or
 ``differs``) for each named case (or every case) instead: the hash shows
 two checkouts byte-identical, and the mark whether the output is the
-bytes of the committed file:
+bytes of the committed file.  It exits 1 when any case differs and 0 when
+all are the same, so "byte-identical to the committed golden files" is one
+command's exit status:
 
     PYTHONPATH=src python tests/test_golden_csv.py --digest [CASE ...]
 """
 
 import hashlib
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -179,21 +183,42 @@ def test_differences_hold_under_one_ulp_translation_coefficients(seed, tmp_path,
             assert abs(g - w) <= 1e-12 * abs(w), (name, g, w)
 
 
-if __name__ == "__main__":
-    import tempfile
+def main(argv, golden=GOLDEN):
+    """The command line of this file (see the module docstring) on ``golden``.
 
-    args = sys.argv[1:]
-    digest = "--digest" in args
-    cases = [a for a in args if a != "--digest"] or sorted(CASES)
+    Returns the exit status: 1 when ``--digest`` finds a case that differs.
+    """
+    digest = "--digest" in argv
+    cases = [a for a in argv if a != "--digest"] or sorted(CASES)
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
             text = _output(case, tmp)
             if digest:
-                committed = GOLDEN / f"{case}.csv"
+                committed = golden / f"{case}.csv"
                 same = committed.is_file() and committed.read_text(encoding="utf-8") == text
+                status = status if same else 1
                 mark = "same" if same else "differs"
                 print(f"{hashlib.sha256(text.encode('utf-8')).hexdigest()}  {case}  {mark}")
             else:
-                GOLDEN.mkdir(exist_ok=True)
-                (GOLDEN / f"{case}.csv").write_text(text, encoding="utf-8")
-                print(f"wrote {GOLDEN / case}.csv", file=sys.stderr)
+                golden.mkdir(exist_ok=True)
+                (golden / f"{case}.csv").write_text(text, encoding="utf-8")
+                print(f"wrote {golden / case}.csv", file=sys.stderr)
+    return status
+
+
+def test_digest_exit_status_is_the_byte_identity_gate(tmp_path, capsys):
+    # one cheap case against a copy of the golden files: unchanged, then
+    # with one byte appended
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    assert main(["--digest", "classify"], golden) == 0
+    assert capsys.readouterr().out.endswith("  classify  same\n")
+    path = golden / "classify.csv"
+    path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert main(["--digest", "classify"], golden) == 1
+    assert capsys.readouterr().out.endswith("  classify  differs\n")
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

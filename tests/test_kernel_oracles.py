@@ -17,6 +17,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from casimir_stability import DispersionModel, Medium, SphereObject, mie_tmatrix
+from casimir_stability.casimir import _layout, _pair_blocks
 from casimir_stability.materials import eval_epsilon, eval_mu
 from casimir_stability.specfun import log_bessel_i_array, log_bessel_k_array, wigner3j_rows
 from casimir_stability.translation import (
@@ -162,8 +163,9 @@ def test_coefficient_table_matches_exact_racah_terms(spin):
     # the same (entry, lambda) terms as the exact per-entry lists of the
     # m = m' entries, each coefficient, with its harmonic on the axis
     # Y_lam0(0) = sqrt((2 lam + 1) / 4 pi), within 1e-14 of its entry's
-    # largest, and the same scale slots: a rounding residue must neither
-    # create nor remove a term
+    # largest, each term in the scale slot (l + l', lam), and l + l' the
+    # largest lambda of every block: a rounding residue must neither create
+    # nor remove a term
     l_min = 0 if spin == "scalar" else 1
     kinds = ("scalar",) if spin == "scalar" else ("same", "cross")
     for l_max in L_MAXES:
@@ -171,14 +173,12 @@ def test_coefficient_table_matches_exact_racah_terms(spin):
         sector_m = np.concatenate([np.arange(-l, l + 1) for l in range(l_min, l_max + 1)])
         rows, cols = np.nonzero(sector_m[:, None] == sector_m[None, :])
         entry_of = {(r, c): e for e, (r, c) in enumerate(zip(rows.tolist(), cols.tolist()))}
-        lam = tab.slot_lam[tab.term_slot]
+        lam, top = tab.slot_lam[tab.term_slot], tab.slot_top[tab.term_slot]
         for (l, lp), (lams, _, _) in _ref_tables(l_max, spin).items():
-            block = (l - l_min) * (l_max + 1 - l_min) + lp - l_min
-            assert tab.top_lam[block] == lams[-1]
-            assert np.array_equal(tab.slot_lam[tab.slot_block == block], lams)
+            assert lams[-1] == l + lp
         got = {}
-        for e, la, c in zip(tab.term_entry.tolist(), lam.tolist(), tab.term_coeff.tolist()):
-            got.setdefault(e, []).append((la, c))
+        for e, la, tp, c in zip(*(a.tolist() for a in (tab.term_entry, lam, top, tab.term_coeff))):
+            got.setdefault(e, []).append((la, c, tp))
         n_want = 0
         for l in range(l_min, l_max + 1):
             for lp in range(l_min, l_max + 1):
@@ -195,6 +195,7 @@ def test_coefficient_table_matches_exact_racah_terms(spin):
                         n_want += 1
                         have = got.get(ik * tab.n_entries + entry_of[(r0 + m, c0 + m)], [])
                         assert [t[0] for t in have] == [t[0] for t in want]
+                        assert all(t[2] == l + lp for t in have)
                         scale = max(abs(c) for _, c in want)
                         err = max(abs(a[1] - b[1]) for a, b in zip(have, want))
                         assert err <= 1e-14 * scale, (l_max, l, lp, m, kind)
@@ -258,8 +259,9 @@ def _ref_build(medium, kappa, d, l_max, spin):
     l_min = 0 if spin == "scalar" else 1
     nb = sector_size(l_max, l_min)
     dim = nb if spin == "scalar" else 2 * nb
+    n_l = l_max + 1 - l_min
     scaled = np.zeros((dim, dim))
-    exponent = np.zeros((dim, dim))
+    exponent = np.zeros((n_l if spin == "scalar" else 2 * n_l,) * 2)  # one value per band
 
     def offset(l):
         return l * l - l_min * l_min
@@ -277,9 +279,10 @@ def _ref_build(medium, kappa, d, l_max, spin):
         r0, c0 = offset(l), offset(lp)
         rows = slice(r0, r0 + 2 * l + 1)
         cols = slice(c0, c0 + 2 * lp + 1)
+        bands = (l - l_min, lp - l_min)
         if spin == "scalar":
             scaled[rows, cols] = a_r.real
-            exponent[rows, cols] = s
+            exponent[bands] = s
             continue
         b_r = u_l @ blocks[1] @ u_lp.conj().T
         rows_m = slice(nb + r0, nb + r0 + 2 * l + 1)
@@ -288,8 +291,8 @@ def _ref_build(medium, kappa, d, l_max, spin):
         scaled[rows_m, cols_m] = a_r[::-1, ::-1].real
         scaled[rows_m, cols] = (1j * b_r[::-1, :]).real
         scaled[rows, cols_m] = (-1j * b_r[:, ::-1]).real
-        for blk in ((rows, cols), (rows_m, cols_m), (rows_m, cols), (rows, cols_m)):
-            exponent[blk] = s
+        for sec, sec_p in ((0, 0), (1, 1), (1, 0), (0, 1)):
+            exponent[bands[0] + sec * n_l, bands[1] + sec_p * n_l] = s
     return TranslationMatrix(float(kappa), d, l_max, scaled, exponent, spin)
 
 
@@ -337,6 +340,76 @@ def test_reverse_matches_direct_build_at_minus_d(spin):
                 assert np.array_equal(rev.displacement, direct.displacement)
                 assert np.array_equal(rev.exponent, direct.exponent)
                 _assert_blockwise_close(rev.scaled, direct.scaled, offsets, 1e-12)
+
+
+# --- one balancing scale per band ---------------------------------------------
+
+BAND_KAPPAS = np.array([1e-6, 0.9, 40.0])
+
+
+def _band_labels(l_max, spin):
+    """The band of every basis label: each (sector, l) repeated 2l + 1 times."""
+    ls = np.arange(0 if spin == "scalar" else 1, l_max + 1)
+    n_sec = 1 if spin == "scalar" else 2
+    return np.repeat(np.arange(n_sec * ls.size), np.tile(2 * ls + 1, n_sec))
+
+
+@pytest.mark.parametrize("spin", ["scalar", "vector"])
+def test_band_exponent_is_log_k_at_l_plus_lp(spin):
+    # one exponent per (sector, l) x (sector', l') band, log k_(l+l') of
+    # n kappa |d| as a single-kappa call returns it, in a medium with n != 1
+    medium = Medium(DispersionModel.constant(2.0))
+    l_min, n_sec = (0, 1) if spin == "scalar" else (1, 2)
+    for l_max in range(1, 21):
+        band_l = np.tile(np.arange(l_min, l_max + 1), n_sec)
+        l_top = 2 * l_max + (1 if spin == "vector" else 0)
+        for d in _directions():
+            got = _build(medium, BAND_KAPPAS, d, l_max, spin).exponent
+            assert got.shape == (BAND_KAPPAS.size, band_l.size, band_l.size)
+            for row, kappa in zip(got, BAND_KAPPAS.tolist()):
+                x = medium.refractive_index(kappa) * kappa * float(np.linalg.norm(d))
+                want = log_bessel_k_array(l_top, x)[np.add.outer(band_l, band_l)]
+                assert np.array_equal(row, want), (l_max, kappa, d)
+    _coeff_tables.cache_clear()
+
+
+def _balanced_per_entry(t_row, t_col, scaled, exponent, band):
+    """s_row * scaled * exp(g_row / 2 + e + g_col / 2), entry by entry."""
+    (s_r, g_r), (_, g_c) = ((s[:, band], g[:, band]) for s, g in (t_row, t_col))
+    e = exponent[:, band[:, None], band]
+    return s_r[:, :, None] * scaled * np.exp(0.5 * g_r[:, :, None] + e + 0.5 * g_c[:, None, :])
+
+
+@pytest.mark.parametrize("axial", [False, True], ids=["dense", "axial"])
+def test_pair_blocks_balance_each_band_as_each_entry(axial):
+    # the band scale gathered onto the layout's entries is the balancing
+    # taken entry by entry from the expanded exponent and T-matrix logs, bit
+    # for bit, on both layouts; at kappa = 1e-6 the plain X overflows
+    l_max = 20
+    one = DispersionModel.constant(1.0)
+    spheres = (
+        SphereObject((0, 0, 0), 0.2, DispersionModel.perfect_conductor(), one, "a"),
+        SphereObject((0, 0, 0), 0.15, DispersionModel.constant(4.0), one, "b"),
+    )
+    t_i, t_j = (mie_tmatrix(s, MED, BAND_KAPPAS, l_max).raw_signed_log() for s in spheres)
+    d = np.array([0.0, 0.0, 0.4]) if axial else np.array([0.1, -0.2, 0.3])
+    full = _build(MED, BAND_KAPPAS, d, l_max, "vector")
+    assert full.exponent[0].max() > math.log(np.finfo(float).max)
+    layout = _layout(l_max, axial)
+    x = full
+    if axial:
+        x = _build(MED, BAND_KAPPAS, d, l_max, "vector", (layout.entries.rows, layout.entries.cols))
+    band = _band_labels(l_max, "vector")
+    reverse = reverse_translation(full).scaled
+    want = (
+        _balanced_per_entry(t_i, t_j, full.scaled, full.exponent, band),
+        _balanced_per_entry(t_j, t_i, reverse, full.exponent, band),
+    )
+    for got, w in zip(_pair_blocks(x, t_i, t_j, layout), want):
+        if axial:
+            w = w[:, layout.entries.rows, layout.entries.cols]
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, w)
 
 
 # --- the rotation of the +z build into place ---------------------------------
@@ -467,13 +540,7 @@ def test_mie_tmatrix_matches_per_order_reference(sphere):
                 flip * t_sign[l - 1]
                 for t_sign, flip in ((t.sign_e, 1.0), (t.sign_m, -1.0))
                 for l in range(1, l_max + 1)
-                for _ in range(2 * l + 1)
             ]
-            ref_logs = [
-                t_log[l - 1]
-                for t_log in (t.log_e, t.log_m)
-                for l in range(1, l_max + 1)
-                for _ in range(2 * l + 1)
-            ]
+            ref_logs = [t_log[l - 1] for t_log in (t.log_e, t.log_m) for l in range(1, l_max + 1)]
             assert np.array_equal(signs, ref_signs)
             assert np.array_equal(logs, ref_logs)

@@ -53,7 +53,7 @@ def ref_decomposition(eng, h):
     for kappa, weight in zip(eng.kappas, eng.weights):
         n_m = medium.refractive_index(kappa)
         sl = _t_logs(eng.config, kappa, eng.l_max)
-        blocks = _blocks(eng.config, kappa, eng.l_max, sl, eng.config._pairs)
+        blocks = _blocks(eng.config, kappa, eng.l_max, sl, eng.config._pairs, eng.layout)
         m = np.eye(len(order) * nb)
         for a, i in enumerate(order):
             for b, j in enumerate(order):
@@ -72,7 +72,7 @@ def ref_decomposition(eng, h):
             # for the reversed block, X'(-d) = -D X'(d)^T D, so
             # d/d(a_i) X_JA = +dX/dd_i at -d = -D g^T D
             g = [
-                _pair_blocks(gj[axis], sl[a_idx], sl[j]) for gj, j in zip(grads, rest)
+                _pair_blocks(gj[axis], sl[a_idx], sl[j], eng.layout) for gj, j in zip(grads, rest)
             ]
             du.append(-np.hstack([g_aj for g_aj, _ in g]))
             dv.append(-np.vstack([g_ja for _, g_ja in g]))
