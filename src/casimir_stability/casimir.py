@@ -182,10 +182,10 @@ def _pair_blocks(x, t_i, t_j, layout):
     objects, one per (P, l) band, and X_JI is the reciprocal image of X_IJ.
     Each block s_row |F_row|^(1/2) X |F_col|^(1/2), X = scaled * exp(exponent),
     is ``scaled`` times s_row * exp(log|F_row|/2 + exponent + log|F_col|/2),
-    formed per band and gathered by the ``band`` index of ``layout`` (a
-    :func:`_layout`), on either layout.  A zero amplitude (sign 0, log -inf)
-    makes its entries 0; a NaN from any source is kept for the determinant
-    guard.  On the axial layout ``x`` and the blocks hold only its entries,
+    formed per band and gathered by the ``band_row`` and ``band_col`` of
+    ``layout`` (a :func:`_layout`), on either layout.  A zero amplitude
+    (sign 0, log -inf) makes its entries 0; a NaN from any source is kept
+    for the determinant guard.  On the axial layout ``x`` and the blocks hold only its entries,
     as flat arrays, and X_JI is read from X_IJ at the transposed entries.
     ``x`` and the T-matrices may carry a leading kappa axis.
     """
@@ -198,7 +198,7 @@ def _pair_blocks(x, t_i, t_j, layout):
     def balanced(t_row, t_col, scaled):
         (s_r, g_r), (_, g_c) = t_row, t_col
         scale = s_r[..., :, None] * np.exp(0.5 * g_r[..., :, None] + x.exponent + 0.5 * g_c[..., None, :])
-        return scaled * scale.reshape(*scale.shape[:-2], -1).take(layout.band, axis=-1)
+        return scaled * scale[..., layout.band_row, layout.band_col]
 
     return balanced(t_i, t_j, x.scaled), balanced(t_j, t_i, reverse)
 
@@ -226,7 +226,7 @@ def _blocks(config, kappa, l_max, t_logs, pairs, layout):
     return blocks
 
 
-_Layout = collections.namedtuple("_Layout", "entries band block row col width names")
+_Layout = collections.namedtuple("_Layout", "entries band_row band_col block row col width names")
 _Entries = collections.namedtuple("_Entries", "rows cols swap flip")
 
 
@@ -240,8 +240,8 @@ def _layout(l_max, axial):
     """Which entries of a pair block are balanced, and where each one lands.
 
     I - N is a stack of matrices, one per name, with ``width`` rows and
-    columns per object; ``band`` is the flat (P, l) x (P', l') band of each
-    balanced entry.  Dense: every entry, in the one matrix.  Axial: the
+    columns per object; ``band_row`` and ``band_col`` are the (P, l) and
+    (P', l') bands of each balanced entry (broadcasting, when dense).  Dense: every entry, in the one matrix.  Axial: the
     entries a displacement along z can fill, rows and columns of the basis
     (P, l, m), electric first, with m = m' (the magnetic label m refers to
     R_{l,-m}, which keeps the sectors in step); each lands in the block
@@ -250,11 +250,10 @@ def _layout(l_max, axial):
     transpose (``swap``) and the sign D_row D_col of the reciprocal image
     (``flip``), so that X_JI is read from X_IJ without a dense matrix.
     """
-    band, n_bands = _band_of(l_max), 2 * l_max
+    band = _band_of(l_max)
     if not axial:
         every = slice(None)
-        dense = band[:, None] * n_bands + band
-        return _Layout(None, dense, 0, every, every, _widths(l_max, False)[1], ("matrix",))
+        return _Layout(None, band[:, None], band, 0, every, every, _widths(l_max, False)[1], ("matrix",))
     sector, l = np.divmod(band, l_max)
     l += 1
     m = np.arange(band.size) % sector_size(l_max) - l * l + 1 - l
@@ -267,8 +266,7 @@ def _layout(l_max, axial):
     entries = _Entries(rows, cols, at[cols, rows], d_sign[rows] * d_sign[cols])
     names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
     block = m[rows] + l_max
-    band = band[rows] * n_bands + band[cols]
-    return _Layout(entries, band, block, local[rows], local[cols], 2 * l_max, names)
+    return _Layout(entries, band[rows], band[cols], block, local[rows], local[cols], 2 * l_max, names)
 
 
 def _place_blocks(blocks, layout):

@@ -72,8 +72,9 @@ def _finite_array(values, what, sign="positive", error=ValidationError):
 
 
 def _finite(value, what, sign="positive", error=ValidationError):
-    """``value`` as a float: the one-number :func:`_finite_array`."""
-    return float(_finite_array(value, what, sign, error))
+    """``value`` as a float: the one-number :func:`_finite_array` (a
+    one-element list is a TypeError, as it is for ``float``)."""
+    return float(_finite_array(float(value), what, sign, error))
 
 
 def _vector(values, what, error=ValidationError):

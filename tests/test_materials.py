@@ -68,6 +68,13 @@ def test_models_reject_nonfinite_and_nonpositive_parameters(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("build", [DispersionModel.constant, DispersionModel.plasma])
+def test_models_reject_a_one_element_list_as_a_number(build):
+    # a scalar parameter is a number, as float() reads it: [2.0] is not one
+    with pytest.raises(TypeError):
+        build([2.0])
+
+
 def test_zero_frequency_divergence():
     for model in (DispersionModel.plasma(1.0), DispersionModel.drude(1.0, 0.2)):
         with pytest.raises(ZeroFrequencyError):
