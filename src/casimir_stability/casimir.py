@@ -198,7 +198,10 @@ def _pair_blocks(x, t_i, t_j, layout):
     def balanced(t_row, t_col, scaled):
         (s_r, g_r), (_, g_c) = t_row, t_col
         scale = s_r[..., :, None] * np.exp(0.5 * g_r[..., :, None] + x.exponent + 0.5 * g_c[..., None, :])
-        return scaled * scale[..., layout.band_row, layout.band_col]
+        # gathered, then multiplied in place: one entry-sized array, not two
+        out = scale[..., layout.band_row, layout.band_col]
+        out *= scaled
+        return out
 
     return balanced(t_i, t_j, x.scaled), balanced(t_j, t_i, reverse)
 

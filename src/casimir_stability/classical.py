@@ -52,6 +52,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.random import default_rng
 
 from .errors import (
     CapabilityError,
@@ -576,7 +577,7 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
         raise ValidationError("steps must exceed the burn-in")
     pos = _chain_start(config)
     walls = [wall for *_, wall in table.sites]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     kept = np.empty((steps - burn_in, n_mobile, 3))
     accepted = 0
     beta = config.beta

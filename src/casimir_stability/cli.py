@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -533,10 +534,22 @@ def _validate(data, what):
         raise ValidationError(f"{what} has a non-finite number at {where}")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads a plain exponent without a dot, such
+    as ``1e-6``, as a float, as YAML 1.2 does; a quoted one stays a string."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -71,7 +71,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .errors import GeometryError, ToleranceError, _finite, _finite_array, _order
 from .materials import _per_kappa
@@ -95,7 +94,11 @@ def real_sph_harm(l, m, theta, phi):
 
     R_l0 = Y_l0; for m > 0, R_lm = sqrt(2) (-1)^m Re Y_lm; for m < 0,
     R_lm = sqrt(2) (-1)^m Im Y_{l|m|}.  Orthonormal on the unit sphere.
+    Only the tests evaluate it, so scipy is imported here, not with the
+    package.
     """
+    from scipy.special import sph_harm_y
+
     if m == 0:
         return np.real(sph_harm_y(l, 0, theta, phi))
     y = sph_harm_y(l, abs(m), theta, phi)
@@ -389,11 +392,16 @@ class TranslationMatrix:
         return self.scaled.shape[-1]
 
     def dense(self):
-        """Plain float entries (overflows to inf outside float64 range)."""
+        """Plain float entries (overflows to inf outside float64 range).
+
+        Only the nonzero ``scaled`` entries are multiplied, so a structural
+        zero stays 0 where its band's exp(exponent) overflows.
+        """
         self._whole()
         band = _band_of(self.l_max, self.spin)
         with np.errstate(over="ignore"):
-            return self.scaled * np.exp(self.exponent)[..., band[:, None], band]
+            scale = np.exp(self.exponent)[..., band[:, None], band]
+            return np.multiply(self.scaled, scale, out=self.scaled.copy(), where=self.scaled != 0.0)
 
 
 def _direction(d):
@@ -465,7 +473,8 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
 
     # k_lam grows with lam, so l + l', the largest lambda of a band, sets its scale
     kv = np.exp(logk.take(tab.slot_lam, axis=-1) - logk.take(tab.slot_top, axis=-1))
-    terms = tab.term_coeff * kv.take(tab.term_slot, axis=-1)
+    terms = kv.take(tab.term_slot, axis=-1)
+    terms *= tab.term_coeff
     n, width = x.size, tab.n_kinds * tab.n_entries
     bins = tab.term_entry if n == 1 else (tab.term_entry + width * np.arange(n)[:, None]).ravel()
     a = np.bincount(bins, weights=terms.ravel(), minlength=n * width).reshape(n, width)

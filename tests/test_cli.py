@@ -84,6 +84,34 @@ def test_plates_closed_form(tmp_path, capsys):
     assert float(rows[0][2]) == pytest.approx(-math.pi**2 / 720.0, rel=1e-6)
 
 
+PLATES_YAML = """\
+plates:
+  material1: {eps: {type: pec}}
+  material2: {eps: {type: pec}}
+  gap: 1.0
+tolerance: %s
+"""
+
+
+def test_plain_exponent_without_a_dot_is_a_number(tmp_path, capsys):
+    # YAML 1.1 reads 1e-6 as a string; the config loader reads it as the
+    # float 1.0e-6 does, while a quoted "1e-6" stays a string and fails the
+    # schema
+    outputs = []
+    for text in ("1e-6", "1.0e-6"):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(PLATES_YAML % text, encoding="utf-8")
+        code, out, _ = run_cli(["plates", str(path)], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    path.write_text(PLATES_YAML % '"1e-6"', encoding="utf-8")
+    code, out, err = run_cli(["plates", str(path)], capsys)
+    assert code == 2
+    assert "'1e-6' is not of type 'number'" in err
+    assert out == ""
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = dict(PAIR_CFG)
     cfg["bogus"] = 1
@@ -400,13 +428,17 @@ def test_force_sweep_differences_only_the_swept_axis(tmp_path, capsys, monkeypat
     assert kappa_rows == len(values) * 2 * PAIR_CFG["n_nodes"] * moving_pairs
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the equilibrium search imports it on use; loading it with the CLI
-    # would lengthen every command's start-up
+def test_cli_import_leaves_scipy_unloaded():
+    # the equilibrium search imports scipy.optimize on use and the test
+    # oracles scipy.special; loading either with the CLI would lengthen
+    # every command's start-up
     import casimir_stability
 
     src = str(Path(casimir_stability.__file__).resolve().parents[1])
-    code = "import sys, casimir_stability.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, casimir_stability.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -414,7 +446,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed():

@@ -24,6 +24,7 @@ command's exit status:
 import hashlib
 import math
 import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -106,14 +107,18 @@ CASES = {
 }
 
 
-def _output(name, tmp_dir):
+def _argv(name, tmp_dir):
+    """The case's command line, its config written under ``tmp_dir``."""
     command, cfg, args = CASES[name]
     cfg_path = Path(tmp_dir) / f"{name}.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-    out_path = Path(tmp_dir) / f"{name}.csv"
-    code = run([command, str(cfg_path), *args, "--output", str(out_path)])
+    return [command, str(cfg_path), *args, "--output", str(Path(tmp_dir) / f"{name}.csv")]
+
+
+def _output(name, tmp_dir):
+    code = run(_argv(name, tmp_dir))
     assert code == 0
-    return out_path.read_text(encoding="utf-8")
+    return (Path(tmp_dir) / f"{name}.csv").read_text(encoding="utf-8")
 
 
 def _field_matches(want, got):
@@ -140,6 +145,30 @@ def test_csv_matches_golden(name, tmp_path):
         assert len(got_fields) == len(want_fields), got_line
         for w, g in zip(want_fields, got_fields):
             assert _field_matches(w, g), f"{name}: {g!r} != {w!r}"
+
+
+# runs one command line and prints its exit status and the modules it
+# loaded beyond those of ``import casimir_stability.cli``
+_NEW_MODULES = """\
+import sys
+import casimir_stability.cli as cli
+loaded = set(sys.modules)
+status = cli.run(sys.argv[1:])
+print(status, sorted(set(sys.modules) - loaded))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_op_loads_no_module_beyond_the_cli_import(name, tmp_path):
+    # every start-up cost is paid by the import: a module first loaded
+    # inside an op would move its import into the op's time
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES, *_argv(name, tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def _fields(text, names):

@@ -373,6 +373,24 @@ def test_band_exponent_is_log_k_at_l_plus_lp(spin):
     _coeff_tables.cache_clear()
 
 
+def test_dense_keeps_structural_zeros_where_the_band_scale_overflows():
+    # at kappa = 1e-6 and L = 20 exp(log k_(l+l')) overflows in the top
+    # bands: the entries there are inf, the structural zeros of a +z build
+    # (m != m') stay 0 rather than 0 * inf = NaN, which would warn and, under
+    # the suite's error::RuntimeWarning filter, raise
+    x = _build(MED, np.array([1e-6, 0.9, 40.0]), (0.0, 0.0, 0.4), 20, "vector")
+    dense = x.dense()
+    assert not np.isnan(dense).any()
+    assert np.array_equal(dense == 0.0, x.scaled == 0.0)
+    assert np.isinf(dense[0]).any() and np.isfinite(dense[1:]).all()
+    band = _band_labels(20, "vector")
+    with np.errstate(over="ignore"):
+        scale = np.exp(x.exponent)[:, band[:, None], band]
+    finite = np.isfinite(scale)
+    assert np.array_equal(np.isinf(dense), ~finite & (x.scaled != 0.0))
+    assert np.array_equal(dense[finite], x.scaled[finite] * scale[finite])
+
+
 def _balanced_per_entry(t_row, t_col, scaled, exponent, band):
     """s_row * scaled * exp(g_row / 2 + e + g_col / 2), entry by entry."""
     (s_r, g_r), (_, g_c) = ((s[:, band], g[:, band]) for s, g in (t_row, t_col))
