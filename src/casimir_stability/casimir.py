@@ -31,10 +31,13 @@ balanced) and one ``slogdet`` call on the stack of the 2 l_max + 1 blocks.
 
 Frequency is a batch axis: T-matrices, translations, balanced blocks and
 the stack of I - N carry a leading kappa axis, and one ``slogdet`` call
-takes a whole chunk.  Every frequency sum evaluates its integrand on chunks
-of kappa: the tau = 0 quadrature on consecutive runs of its nodes, a
-Matsubara sum on runs that double in length, the plates on (kappa, q)
-arrays, and the stability engine on runs of its frozen grid.  A chunk
+takes a whole chunk.  Geometry is kept apart from frequency: the
+``log_det_integrand`` of any number of kappas builds their T-matrices, and
+each pair's displacement and rotation (``_geometry``), once, then places
+and factors I - N chunk by chunk.  The tau = 0 quadrature hands it its
+whole grid, a Matsubara sum runs that double in length up to one chunk;
+the plates take chunks of (kappa, q) arrays, and the stability engine
+chunks of its frozen grid, its T-matrices and rotations made once.  A chunk
 holds as many kappas as fit one fixed budget of array entries,
 ``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (dense for the
 engine, its q-nodes for the plates); the budget is a constant, not an
@@ -60,7 +63,7 @@ from .errors import (
 )
 from .materials import Medium, _per_kappa
 from .scattering import mie_tmatrix, fresnel_reflection
-from .translation import _band_of, reverse_translation, sector_size, translation_matrix
+from .translation import _band_of, _displacement, reverse_translation, sector_size, translation_matrix
 
 __all__ = [
     "Configuration",
@@ -206,25 +209,41 @@ def _pair_blocks(x, t_i, t_j, layout):
     return balanced(t_i, t_j, x.scaled), balanced(t_j, t_i, reverse)
 
 
-def _blocks(config, kappa, l_max, t_logs, pairs, layout):
-    """Balanced blocks {(I, J): block} of ``pairs`` (I < J) and their reverses.
+def _geometry(config, pairs, l_max, axial):
+    """(i, j, d) of each of ``pairs`` (i < j): the kappa-independent half of its translation.
 
-    On the axial ``layout`` (see :func:`_layout`) the configuration is
-    collinear: each pair is translated along +z, from whichever of its
-    centres lies lower on the line, and only the layout's entries are built
-    and balanced.  ``kappa`` is one wavenumber or a 1-D array of them.
+    d is a prepared :func:`~casimir_stability.translation._displacement`
+    from object i to object j, its rotation made here once for every kappa
+    it is built at.  On the axial layout the configuration is collinear: each pair is
+    translated along +z, from whichever of its centres lies lower on the
+    line, and takes no rotation.
     """
-    objs, entries = config.objects, layout.entries
-    line = config._axis_positions if entries is not None else None
-    wanted = None if entries is None else (entries.rows, entries.cols)
-    blocks = {}
+    objs = config.objects
+    line = config._axis_positions if axial else None
+    out = []
     for i, j in pairs:
         if line is None:
             d = np.asarray(objs[j].center, float) - np.asarray(objs[i].center, float)
         else:
             i, j = (i, j) if line[i] < line[j] else (j, i)
             d = (0.0, 0.0, line[j] - line[i])
-        x = translation_matrix(config.medium, kappa, d, l_max, wanted)
+        out.append((i, j, _displacement(d, l_max)))
+    return out
+
+
+def _blocks(medium, kappa, l_max, t_logs, geometry, layout):
+    """Balanced blocks {(I, J): block} of the pairs of ``geometry`` (:func:`_geometry`)
+    and their reverses.
+
+    On the axial ``layout`` (see :func:`_layout`) only the layout's entries
+    are built and balanced.  ``kappa`` is one wavenumber or a 1-D array of
+    them.
+    """
+    entries = layout.entries
+    wanted = None if entries is None else (entries.rows, entries.cols)
+    blocks = {}
+    for i, j, d in geometry:
+        x = translation_matrix(medium, kappa, d, l_max, wanted)
         blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j], layout)
     return blocks
 
@@ -338,16 +357,15 @@ def _t_logs(config, kappa, l_max):
     return [built[o.radius, o.eps, o.mu] for o in config.objects]
 
 
-def _assemble(config, kappa, l_max, axial, t_logs):
+def _assemble(config, kappa, l_max, axial, t_logs, geometry):
     """I - N as the stack of ``_layout(l_max, axial)``, after any kappa axis.
 
     ``t_logs`` are the objects' T-matrices at ``kappa`` (:func:`_t_logs`):
     built first, an order beyond the special functions raises before its
-    layout is made.
+    layout is made.  ``geometry`` is :func:`_geometry` of every pair.
     """
     layout = _layout(l_max, axial)
-    blocks = _blocks(config, kappa, l_max, t_logs, config._pairs, layout)
-    return _place_blocks(blocks, layout)
+    return _place_blocks(_blocks(config.medium, kappa, l_max, t_logs, geometry, layout), layout)
 
 
 def assemble_block_matrix(config, kappa, l_max):
@@ -359,14 +377,17 @@ def assemble_block_matrix(config, kappa, l_max):
     det(I - F_A X_AB F_B X_BA).  Each pair is translated once; X_JI is its
     reciprocal image.  This is the dense layout's one matrix.
     """
-    return _assemble(config, kappa, l_max, False, _t_logs(config, kappa, l_max))[0]
+    t_logs = _t_logs(config, kappa, l_max)
+    geometry = _geometry(config, config._pairs, l_max, False)
+    return _assemble(config, kappa, l_max, False, t_logs, geometry)[0]
 
 
-def _log_dets(config, kappas, l_max, t_logs):
+def _log_dets(config, kappas, l_max, t_logs, geometry):
     """ln det(I - N) at each of ``kappas`` (a 1-D array), from one stack;
-    ``t_logs`` are the T-matrix rows of these kappas."""
+    ``t_logs`` are the T-matrix rows of these kappas, ``geometry`` is
+    :func:`_geometry` of every pair on the configuration's layout."""
     axial = config._axis_positions is not None
-    stack = _assemble(config, kappas, l_max, axial, t_logs)
+    stack = _assemble(config, kappas, l_max, axial, t_logs, geometry)
     return _positive_logdet(stack, _layout(l_max, axial).names, kappas)
 
 
@@ -377,11 +398,21 @@ def log_det_integrand(config, kappa, l_max):
     truncation.  Collinear centres take the axial layout: the value is the
     sum of the ln dets of the m-blocks, from one ``slogdet`` call on their
     stack, and each block must be positive on its own.  ``kappa`` may be a
-    1-D array, giving one value per kappa from one stack; a single kappa is
-    its one-row view.
+    1-D array, giving one value per kappa; a single kappa is its one-row
+    view.  The T-matrices of every kappa and the rotation of every pair are
+    made once per call; I - N is placed and factored in chunks of kappas
+    (:func:`_chunk`).
     """
     kappas = np.array(kappa, float, ndmin=1)
-    values = _log_dets(config, kappas, l_max, _t_logs(config, kappas, l_max))
+    axial = config._axis_positions is not None
+    t_logs = _t_logs(config, kappas, l_max)
+    geometry = _geometry(config, config._pairs, l_max, axial)
+
+    def part(rows):
+        t_rows = [(s[rows], g[rows]) for s, g in t_logs]
+        return _log_dets(config, kappas[rows], l_max, t_rows, geometry)
+
+    values = _in_chunks(part, kappas.size, _chunk(config, l_max, axial))
     return float(values[0]) if np.ndim(kappa) == 0 else values
 
 
@@ -392,9 +423,9 @@ def _chunk(config, l_max, axial):
     return max(1, _CHUNK_ENTRIES // (depth * size * size))
 
 
-def _in_chunks(f, kappas, chunk):
-    """f on consecutive runs of at most ``chunk`` kappas, joined."""
-    return np.concatenate([f(kappas[i : i + chunk]) for i in range(0, len(kappas), chunk)])
+def _in_chunks(f, n, chunk):
+    """f on the consecutive slices of range(n) of at most ``chunk`` rows, joined."""
+    return np.concatenate([f(slice(i, i + chunk)) for i in range(0, n, chunk)])
 
 
 def _quad_nodes(n_nodes, scale):
@@ -467,22 +498,22 @@ def _rel_change(new, old):
 def _evaluate(config, tol, l_max, n_nodes):
     """The energy at one order on one grid (est: Matsubara tail, inf at tau = 0).
 
-    The integrand is evaluated on chunks of kappas (:func:`_chunk`).
+    At tau = 0 the integrand takes the whole grid in one call; the
+    Matsubara sum hands it runs of at most one chunk (:func:`_chunk`).
     """
-    chunk = _chunk(config, l_max, config._axis_positions is not None)
-
     def integrand(kappas):
         return log_det_integrand(config, kappas, l_max)
 
     if config.tau == 0.0:
         kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
-        vals = _in_chunks(integrand, kappas, chunk)
+        vals = integrand(kappas)
         contrib = weights * vals / (2.0 * math.pi)
         order = np.argsort(kappas)
         samples = np.column_stack(
             [kappas[order], vals[order], np.cumsum(contrib[order])]
         )
         return EnergyResult(float(contrib.sum()), l_max, n_nodes, math.inf, samples)
+    chunk = _chunk(config, l_max, config._axis_positions is not None)
     kappas, _, terms, est = _matsubara_sum(integrand, config.tau, tol, MAX_SUM_TERMS, chunk)
     cumulative = config.tau / (2.0 * math.pi) * np.cumsum(terms)
     samples = np.column_stack([[0.0] + kappas[1:], terms, cumulative])
@@ -613,7 +644,7 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
 
         if tau == 0.0:
             kappas, weights = _quad_nodes(n, 1.0 / gap)
-            vals = _in_chunks(kernel, kappas, chunk)
+            vals = _in_chunks(lambda rows: kernel(kappas[rows]), kappas.size, chunk)
             return float(np.dot(weights, vals)) / (2.0 * math.pi)
         _, _, terms, _ = _matsubara_sum(kernel, tau, tol, MAX_SUM_TERMS, chunk)
         return tau / (2.0 * math.pi) * float(np.cumsum(terms)[-1])

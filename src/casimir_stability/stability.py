@@ -31,7 +31,8 @@ small nb x nb matrix I + K summed as a trace series (see
 whole, and no difference carries the rounding of two large ln dets.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
-the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair loop.
+the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
+loop, from each displacement's pair rotations made once (:meth:`_CommonGridEngine.moved`).
 """
 
 import functools
@@ -45,6 +46,7 @@ from .casimir import (
     _blocks,
     _chunk,
     _gap,
+    _geometry,
     _layout,
     _log_dets,
     _matsubara_sum,
@@ -123,7 +125,8 @@ class _CommonGridEngine:
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
     sum at tau > 0, taken in chunks of as many kappas as the dense I - N
     fits in ``_CHUNK_ENTRIES``.  The T-matrices (``casimir._t_logs``) are
-    built for the whole grid at once.
+    built for the whole grid at once, and the rotation of each pair of a
+    displacement (``casimir._geometry``) once for every chunk.
 
     I - N is never placed whole.  With the labeled object A first it is
     [[I, -U], [-V, M_RR]]: U (the A row) and V (the A column) hold the
@@ -164,38 +167,49 @@ class _CommonGridEngine:
             self.kappas, self.weights, self.t_logs = _matsubara_grid(config, self.l_max)
         step = _chunk(config, self.l_max, False)
         self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
-        static = [p for p in config._pairs if self.idx not in p]
+        static = _geometry(config, [p for p in config._pairs if self.idx not in p], self.l_max, False)
         self.remainder = [self._remainder(c, static) for c in range(len(self.chunks))]
 
-    def _chunk_blocks(self, config, c, pairs):
-        """Balanced blocks of ``pairs`` of ``config`` at the kappas of chunk c."""
+    def moved(self, u):
+        """The moving pairs' :func:`~casimir_stability.casimir._geometry`, the
+        labeled object displaced by u: what :meth:`_row_col` builds on."""
+        return _geometry(_displaced(self.config, self.label, u), self.moving, self.l_max, False)
+
+    def _chunk_blocks(self, c, geometry):
+        """Balanced blocks of the pairs of ``geometry`` at the kappas of chunk c."""
         rows = self.chunks[c]
         t_logs = [(s[rows], g[rows]) for s, g in self.t_logs]
-        return _blocks(config, self.kappas[rows], self.l_max, t_logs, pairs, self.layout)
+        return _blocks(self.config.medium, self.kappas[rows], self.l_max, t_logs, geometry, self.layout)
 
     def _remainder(self, c, static):
         """(ln det M_RR, M_RR^-1) at the kappas of chunk c; (0, None) when M_RR = I."""
         if not static:
             return 0.0, None
         at = {j: k for k, j in enumerate(self.rest)}
-        blocks = self._chunk_blocks(self.config, c, static)
+        blocks = self._chunk_blocks(c, static)
         m_rr = _place_blocks({(at[i], at[j]): b for (i, j), b in blocks.items()}, self.layout)[:, 0]
         return _positive_logdet(m_rr, "remainder matrix", *self.at(c)), np.linalg.inv(m_rr)
 
     def at(self, c, u=None, u0=None):
         """The kappas of chunk c, and the error text after the kappa of its row i.
 
-        The text names the displacement u, and the reference u0 it is taken from.
+        The text names the displacement u, and the reference u0 it is taken
+        from; it is formed only when an error asks for it.
         """
-        rows, where = self.chunks[c], ""
-        for text, v in ((f", {self.label!r} moved by", u), (" from", u0)):
-            if v is not None:
-                where += f"{text} ({', '.join(f'{x:.6g}' for x in v)})"
-        return self.kappas[rows], lambda i: f" (node {rows.start + i}){where}"
+        rows = self.chunks[c]
+
+        def where(i):
+            text = f" (node {rows.start + i})"
+            for name, v in ((f", {self.label!r} moved by", u), (" from", u0)):
+                if v is not None:
+                    text += f"{name} ({', '.join(f'{x:.6g}' for x in v)})"
+            return text
+
+        return self.kappas[rows], where
 
     def _row_col(self, c, moved):
-        """(U, V) at the kappas of chunk c, ``moved`` the displaced configuration."""
-        blocks = self._chunk_blocks(moved, c, self.moving)
+        """(U, V) at the kappas of chunk c, ``moved`` a displacement's :meth:`moved`."""
+        blocks = self._chunk_blocks(c, moved)
         u_row = np.concatenate([blocks[self.idx, j] for j in self.rest], axis=-1)
         v_col = np.concatenate([blocks[j, self.idx] for j in self.rest], axis=-2)
         return u_row, v_col
@@ -254,7 +268,7 @@ class _CommonGridEngine:
 
     def energy(self, u):
         """Interaction energy with the labeled object displaced by u."""
-        moved = _displaced(self.config, self.label, u)
+        moved = self.moved(u)
         return float(self._sum(
             [
                 logdet + self._schur(c, self._row_col(c, moved), u)[0]
@@ -311,13 +325,15 @@ def _matsubara_grid(config, l_max):
     built once for all its kappas.
     """
     low = min(l_max, 4)
+    axial = config._axis_positions is not None
+    geometry = _geometry(config, config._pairs, low, axial)
     runs = []
 
     def term(kappas):
         runs.append(_t_logs(config, kappas, low))
-        return _log_dets(config, kappas, low, runs[-1])
+        return _log_dets(config, kappas, low, runs[-1], geometry)
 
-    chunk = _chunk(config, low, config._axis_positions is not None)
+    chunk = _chunk(config, low, axial)
     kappas, weights, _, _ = _matsubara_sum(term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, chunk)
     kappas, weights = np.array(kappas), np.array(weights)
     if low != l_max:
@@ -376,7 +392,7 @@ def _axial_force(eng, h, axis, s=0.0):
     the blocks of its two ends built once (``_CommonGridEngine._central``)."""
     e = np.eye(3)[axis]
     ends = [(s - h) * e, (s + h) * e]
-    moved = [_displaced(eng.config, eng.label, u) for u in ends]
+    moved = [eng.moved(u) for u in ends]
     rows = [
         eng._central(c, *(eng._row_col(c, m) for m in moved), *ends)
         for c in range(len(eng.chunks))
@@ -392,10 +408,13 @@ def force(config, label, h=None, l_max=None, n_nodes=32):
 
 
 def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
-    """Displacement Laplacian of the energy from the 13-point stencil (``_fd``)."""
+    """Displacement Laplacian of the energy from the 13-point stencil (``_fd``).
+
+    Only the stencil's ratios are formed: no force or decomposition term.
+    """
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
-    return _fd(_stencil_sums(eng, h)[:12], h)[0]
+    return _fd(_stencil_sums(eng, h, report=False), h)[0]
 
 
 def _sign_classes(config):
@@ -439,45 +458,50 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _stencil_rows(eng, c, moved, h):
-    """One row per kappa of chunk c: 12 ratios, 3 forces, weightless -b1, -b2, -b3.
+def _stencil_rows(eng, c, moved, h, report=True):
+    """One row per kappa of chunk c: 12 ratios, then 3 forces, weightless -b1, -b2, -b3.
 
-    ``moved`` holds the configurations of ``_stencil(h)``.  The ratios are
-    ln det[M(u)/M(0)] at its 12 points after 0, the forces' columns
-    ln det[M(+h)/M(-h)] of each axis, as :func:`_axial_force` takes them.
-    The axes are taken one at a time: the blocks of an axis's four points,
-    and the dU and dP of their ratios, are dropped before the next.  The
-    decomposition reads the same dU and dP: since the Richardson weights
-    sum to 0, the refined central differences dU/da_i and M_RR^-1 dV/da_i
-    are their weighted sums.
+    ``moved`` holds the :meth:`~_CommonGridEngine.moved` of ``_stencil(h)``.
+    The ratios are ln det[M(u)/M(0)] at its 12 points after 0, the forces'
+    columns ln det[M(+h)/M(-h)] of each axis, as :func:`_axial_force` takes
+    them; without ``report`` the rows hold the ratios alone.  The axes are
+    taken one at a time: the blocks of an axis's four points, and the dU and
+    dP of their ratios, are dropped before the next.  The decomposition
+    reads the same dU and dP: since the Richardson weights sum to 0, the
+    refined central differences dU/da_i and M_RR^-1 dV/da_i are their
+    weighted sums.
     """
     kappas, steps = eng.kappas[eng.chunks[c]], _stencil(h)
     ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
     u_ref, _, p_ref, s_inv = ref
-    n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
-    b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
     ratios, forces, b2, b3 = [], [], 0.0, 0.0
     for axis in range(3):
         at = range(1 + 4 * axis, 5 + 4 * axis)  # +h, -h, +h/2, -h/2
         points = [eng._row_col(c, moved[s]) for s in at]
-        forces.append(eng._central(c, points[1], points[0], steps[at[1]], steps[at[0]]))
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         du = dp = 0.0
         for s, point, w in zip(at, points, (-0.5, 0.5, 4.0, -4.0)):
             ratio, d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
             ratios.append(ratio)
             du, dp = du + w * d_u, dp + w * d_p
+        if not report:
+            continue
+        forces.append(eng._central(c, points[1], points[0], steps[at[1]], steps[at[0]]))
         du, dp = du / (3.0 * h), dp / (3.0 * h)
         b2 += 2.0 * _trace_product(s_inv, du @ dp)
         rdn = s_inv @ (du @ p_ref + u_ref @ dp)
         b3 += _trace_product(rdn, rdn)
+    if not report:
+        return np.column_stack(ratios)
+    n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
+    b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
     return np.column_stack(ratios + forces + [-b1, -b2, -b3])
 
 
-def _stencil_sums(eng, h):
+def _stencil_sums(eng, h, report=True):
     """The grid sums of :func:`_stencil_rows`' columns."""
-    moved = [_displaced(eng.config, eng.label, u) for u in _stencil(h)]
-    return eng._sum([_stencil_rows(eng, c, moved, h) for c in range(len(eng.chunks))])
+    moved = [eng.moved(u) for u in _stencil(h)]
+    return eng._sum([_stencil_rows(eng, c, moved, h, report) for c in range(len(eng.chunks))])
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):

@@ -53,10 +53,11 @@ block-diagonal over (sector, l): the real-harmonic rotation D^l turning z
 into d/|d| on the electric sector, its m-reversed copy on the magnetic one.
 D^l comes from the 3 x 3 frame of d/|d| by the Ivanic-Ruedenberg recursion
 (J. Phys. Chem. 100, 6342 (1996); erratum 102, 9099 (1998)), whole-array
-work per l, once per build (one displacement and one chunk of kappas).
-Q does not mix l, so each band keeps its exponent.  X Q^T takes one
-product per entry, since the +z rows
-have one entry per band; Q (X Q^T) one matrix product per l, for every
+work per l, once per direction: a :func:`_displacement` holds it, and a
+caller that builds one displacement at many kappas, chunk after chunk,
+prepares it once and hands it to every build.  Q does not mix l, so each
+band keeps its exponent.  X Q^T takes one product per entry, since the +z
+rows have one entry per band; Q (X Q^T) one matrix product per l, for every
 kappa at once.  A displacement along +z takes no rotation.
 
 Reciprocity
@@ -437,21 +438,50 @@ def _rotations(frame, tab):
     return out
 
 
-def _rotate(src, frame, tab, spin, l_max):
+@dataclass(frozen=True)
+class _Displacement:
+    """A displacement prepared for builds at one (l_max, spin).
+
+    ``turn`` is None along +z; else it holds Q (see :func:`_rotate`): the
+    raveled D^l list, zero-padded, and per l the stack of D^l and, on the
+    magnetic sector, its m-reversed copy.  It depends on d/|d| alone, so
+    one serves every kappa.
+    """
+
+    d: np.ndarray
+    length: float
+    l_max: int
+    spin: str
+    turn: tuple | None
+
+
+def _displacement(d, l_max, spin="vector"):
+    """``d`` with its length and rotation, made once for any number of builds."""
+    l_min, n_sec = (0, 1) if spin == "scalar" else (1, 2)
+    d, c, frame = _direction(d)
+    _order(l_max, "l_max", l_min)
+    if frame is None:
+        return _Displacement(d, c, l_max, spin, None)
+    rotations = _rotations(frame, _coeff_tables(l_max, spin))[l_min : l_max + 1]
+    flat = np.concatenate([r.ravel() for r in rotations] + [np.zeros(1)])
+    stacks = tuple(np.array([r, r[::-1, ::-1]][:n_sec]) for r in rotations)
+    return _Displacement(d, c, l_max, spin, (flat, stacks))
+
+
+def _rotate(src, turn, tab, spin):
     """Q X Q^T for the +z matrices X whose entries ``src`` holds (see
     :func:`_build`), Q block-diagonal over (sector, l): the rotations of
-    ``frame`` on the electric sector, their m-reversed copies on the
-    magnetic one."""
+    ``turn`` (a :class:`_Displacement`'s) on the electric sector, their
+    m-reversed copies on the magnetic one."""
     l_min, n_sec = (0, 1) if spin == "scalar" else (1, 2)
-    rotations = _rotations(frame, tab)[l_min : l_max + 1]
-    flat = np.concatenate([r.ravel() for r in rotations] + [np.zeros(1)])
+    flat, stacks = turn
     half = src.take(tab.turn_source, axis=-1) * flat.take(tab.turn_at)
     out = np.empty_like(half)
     n, dim = half.shape[0], half.shape[-1]
     half_rows, out_rows = (a.reshape(n, n_sec, dim // n_sec, dim) for a in (half, out))
-    for l, r in enumerate(rotations, l_min):
+    for l, q in enumerate(stacks, l_min):
         band = slice(l * l - l_min * l_min, (l + 1) ** 2 - l_min * l_min)
-        out_rows[:, :, band] = np.array([r, r[::-1, ::-1]][:n_sec]) @ half_rows[:, :, band]
+        out_rows[:, :, band] = q @ half_rows[:, :, band]
     return out
 
 
@@ -460,13 +490,19 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
 
     The terms of every kappa are summed into the +z entries by one bincount
     whose bins are offset by row; a displacement off +z then rotates that
-    matrix, with one rotation for every kappa.  ``entries``, a (rows, cols)
-    pair of index arrays, keeps only those entries of the final matrix.
+    matrix, with one rotation for every kappa.  ``d`` is a vector or a
+    :func:`_displacement` prepared for this (l_max, spin), whose rotation is
+    then not made again.  ``entries``, a (rows, cols) pair of index arrays,
+    keeps only those entries of the final matrix.
     """
-    d, c, frame = _direction(d)
+    if not isinstance(d, _Displacement):
+        d = _displacement(d, l_max, spin)
+    elif (d.l_max, d.spin) != (l_max, spin):
+        raise ValueError(
+            f"a displacement prepared at ({d.spin}, l_max {d.l_max}) is built at ({spin}, l_max {l_max})"
+        )
     kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
-    _order(l_max, "l_max", 0 if spin == "scalar" else 1)
-    x = _per_kappa(medium.refractive_index, kappas) * kappas * c
+    x = _per_kappa(medium.refractive_index, kappas) * kappas * d.length
     l_top = 2 * l_max + (1 if spin == "vector" else 0)
     logk = log_bessel_k_array(l_top, x)
     tab = _coeff_tables(l_max, spin)
@@ -479,16 +515,16 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
     bins = tab.term_entry if n == 1 else (tab.term_entry + width * np.arange(n)[:, None]).ravel()
     a = np.bincount(bins, weights=terms.ravel(), minlength=n * width).reshape(n, width)
     src = np.concatenate([a, -a[:, tab.n_entries :], np.zeros((n, 1))], axis=-1)
-    if frame is None:
+    if d.turn is None:
         scaled = src.take(tab.source if entries is None else tab.source[entries], axis=-1)
     else:
-        scaled = _rotate(src, frame, tab, spin, l_max)
+        scaled = _rotate(src, d.turn, tab, spin)
         if entries is not None:
             scaled = scaled[:, entries[0], entries[1]]
     exponent = logk.take(tab.band_top, axis=-1)
     if np.ndim(kappa) == 0:
         kappas, scaled, exponent = float(kappa), scaled[0], exponent[0]
-    return TranslationMatrix(kappas, d, l_max, scaled, exponent, spin, entries)
+    return TranslationMatrix(kappas, d.d, l_max, scaled, exponent, spin, entries)
 
 
 def reverse_translation(x):
@@ -521,6 +557,7 @@ def translation_matrix(medium, kappa, d, l_max, entries=None):
     array (one matrix per kappa, along a leading axis), and ``entries``, a
     (rows, cols) pair of index arrays, limits the build to those entries;
     a single kappa with every entry is the one-row view of that build.
+    ``d`` may be a :func:`_displacement` prepared at this ``l_max``.
     """
     return _build(medium, kappa, d, l_max, "vector", entries)
 

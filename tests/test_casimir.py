@@ -487,6 +487,35 @@ def test_spheres_that_differ_get_their_own_tmatrix(first, second):
     assert not all(np.array_equal(x, y) for x, y in zip(t[0], t[1]))
 
 
+def test_energy_builds_each_tmatrix_once_per_grid(monkeypatch):
+    # the integrand takes a whole quadrature grid: one T-matrix call per
+    # distinct sphere and grid, on the grid's nodes, though the dense
+    # three-sphere stack fits one kappa per chunk
+    from casimir_stability import casimir
+    from test_stability import _count_calls
+
+    cfg = Configuration(
+        (
+            dielectric_sphere((0, 0, 0), 1.0, 4.0, "a"),
+            dielectric_sphere((3.0, 0, 0.5), 0.8, 3.0, "b"),
+            dielectric_sphere((0.6, 3.1, 1.0), 0.6, 5.0, "c"),
+        ),
+        Medium(),
+        0.0,
+    )
+    assert casimir._chunk(cfg, 3, False) < 24
+    calls = _count_calls(monkeypatch, casimir, "mie_tmatrix")
+    res = energy_T0(cfg, tol=1e-4, l_max=3)
+    grids = [24 * 2**k for k in range(round(math.log2(res.node_count // 24)) + 1)]
+    assert len(calls) == 3 * len(grids)
+    for n, grid_calls in zip(grids, (calls[i : i + 3] for i in range(0, len(calls), 3))):
+        nodes = casimir._quad_nodes(n, 1.0 / cfg.min_gap())[0]
+        assert [sphere.label for sphere, *_ in grid_calls] == ["a", "b", "c"]
+        for _, _, kappas, order in grid_calls:
+            assert order == 3
+            assert np.array_equal(kappas, nodes)
+
+
 def _per_object_stack(cfg, kappa, l_max, axial):
     """I - N with one T-matrix built for every object."""
     from casimir_stability import casimir
@@ -494,7 +523,8 @@ def _per_object_stack(cfg, kappa, l_max, axial):
 
     t = [mie_tmatrix(o, cfg.medium, kappa, l_max).raw_signed_log() for o in cfg.objects]
     layout = casimir._layout(l_max, axial)
-    blocks = casimir._blocks(cfg, kappa, l_max, t, cfg._pairs, layout)
+    geometry = casimir._geometry(cfg, cfg._pairs, l_max, axial)
+    blocks = casimir._blocks(cfg.medium, kappa, l_max, t, geometry, layout)
     return casimir._place_blocks(blocks, layout)
 
 

@@ -25,6 +25,7 @@ from casimir_stability.translation import (
     _build,
     _coeff_tables,
     _direction,
+    _displacement,
     _real_basis,
     _rotations,
     real_sph_harm,
@@ -465,6 +466,26 @@ def test_rotation_recursion_carries_real_harmonics_to_the_rotated_points():
             here = np.array([real_sph_harm(l, m, theta, phi) for m in range(-l, l + 1)])
             there = np.array([real_sph_harm(l, m, theta_r, phi_r) for m in range(-l, l + 1)])
             assert np.max(np.abs(r @ here - there)) <= 1e-13, (d, l)
+
+
+@pytest.mark.parametrize("spin", ["vector", "scalar"])
+def test_prepared_displacement_builds_the_same_bits(spin):
+    # one prepared rotation serves every kappa and every entry selection;
+    # a displacement prepared at another order or spin is refused
+    rows, cols = np.arange(6), np.arange(6)[::-1]
+    for d in [np.array([0.6, -1.2, 0.4]), np.array([0.0, 0.0, 2.5])]:
+        prepared = _displacement(d, 4, spin)
+        for kappa in (0.7, np.array([1e-3, 0.7, 9.0])):
+            for entries in (None, (rows, cols)):
+                got = _build(MED, kappa, prepared, 4, spin, entries)
+                want = _build(MED, kappa, d, 4, spin, entries)
+                assert np.array_equal(got.scaled, want.scaled)
+                assert np.array_equal(got.exponent, want.exponent)
+                assert np.array_equal(got.displacement, d)
+        with pytest.raises(ValueError, match="prepared at"):
+            _build(MED, 0.7, prepared, 3, spin)
+    with pytest.raises(ValueError, match="prepared at"):
+        _build(MED, 0.7, _displacement((1.0, 2.0, 0.5), 4, "scalar"), 4, "vector")
 
 
 def test_scalar_monopole_takes_the_identity_rotation():

@@ -27,12 +27,13 @@ from casimir_stability import (
 )
 from casimir_stability.casimir import (
     _blocks,
+    _geometry,
     _pair_blocks,
     _place_blocks,
     _positive_logdet,
     _t_logs,
 )
-from casimir_stability.stability import _CommonGridEngine, _displaced, _fd, _stencil, _step
+from casimir_stability.stability import _CommonGridEngine, _fd, _stencil, _step
 from conftest import dielectric_sphere, pec_pair
 from test_stability import _count_calls
 
@@ -53,7 +54,8 @@ def ref_decomposition(eng, h):
     for kappa, weight in zip(eng.kappas, eng.weights):
         n_m = medium.refractive_index(kappa)
         sl = _t_logs(eng.config, kappa, eng.l_max)
-        blocks = _blocks(eng.config, kappa, eng.l_max, sl, eng.config._pairs, eng.layout)
+        geometry = _geometry(eng.config, eng.config._pairs, eng.l_max, False)
+        blocks = _blocks(medium, kappa, eng.l_max, sl, geometry, eng.layout)
         m = np.eye(len(order) * nb)
         for a, i in enumerate(order):
             for b, j in enumerate(order):
@@ -125,7 +127,7 @@ def test_report_matches_reference_and_fd_routes(case):
     assert rep.laplacian == laplacian_fd(cfg, label, l_max=l_max, n_nodes=n_nodes)
     # est_error from the engine's ratios ln det[M(u)/M(0)], chunk by chunk
     eng, steps = _CommonGridEngine(cfg, label, l_max, n_nodes), _stencil(h)
-    moved = [_displaced(cfg, label, u) for u in steps]
+    moved = [eng.moved(u) for u in steps]
     rows = []
     for c in range(len(eng.chunks)):
         ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
@@ -157,6 +159,17 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
     assert gradients == [[], []]
     if case == "pec_pair":
         assert len(translations) == 156
+
+
+def test_report_rotates_once_per_direction(monkeypatch):
+    # the rotation D^l depends on d/|d| alone: the engine prepares it once
+    # for each stencil displacement of each moving pair and once for the
+    # static pair, whatever the number of chunks (12 here, one kappa each)
+    cfg, label, l_max, n_nodes = CASES["triple_a"]
+    frames = _count_calls(monkeypatch, translation, "_rotations")
+    stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    assert len(frames) == 13 * 2 + 1
+    assert len({frame.tobytes() for frame, _ in frames}) == len(frames)
 
 
 @pytest.mark.parametrize("case", ["pec_pair", "triple_a"])
@@ -199,15 +212,15 @@ def test_stencil_differences_are_the_exact_ln_det_differences(case):
     eng = _CommonGridEngine(cfg, label, l_max=2, n_nodes=3)
     h = _step(cfg, label, None)
     steps = _stencil(h)
-    moved = [_displaced(cfg, label, u) for u in steps]
+    moved = [eng.moved(u) for u in steps]
     static = [p for p in cfg._pairs if eng.idx not in p]
     (c,) = range(len(eng.chunks))
-    fixed = eng._chunk_blocks(cfg, c, static)
+    fixed = eng._chunk_blocks(c, _geometry(cfg, static, eng.l_max, False))
     exact = []
-    for config in moved:
-        blocks = {**fixed, **eng._chunk_blocks(config, c, eng.moving)}
+    for geometry in moved:
+        blocks = {**fixed, **eng._chunk_blocks(c, geometry)}
         exact.append([_exact_log_det(m) for m in _place_blocks(blocks, eng.layout)[:, 0]])
-    points = [eng._row_col(c, config) for config in moved]
+    points = [eng._row_col(c, geometry) for geometry in moved]
     ref = eng._reference(c, points[0], steps[0])
     ratios = [[x - x0 for x, x0 in zip(exact[s], exact[0])] for s in range(13)]
     for s in range(1, 13):
