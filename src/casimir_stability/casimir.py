@@ -14,11 +14,16 @@ Everything is evaluated in hbar = c = 1 units with one length unit L:
 kappa in 1/L, energies in hbar c / L.
 
 Balancing: F entries underflow while X entries overflow at small kappa, so
-off-diagonal blocks are the similarity-balanced scaled_ab * s_a exp(log|F_a|/2
-+ exponent_ab + log|F_b|/2), with X_ab = scaled_ab * exp(exponent_ab) as the
+off-diagonal blocks are the similarity-balanced scaled_ab * s_a exp(exponent_ab
++ (log|F_a|/2 + log|F_b|/2)), with X_ab = scaled_ab * exp(exponent_ab) as the
 translation stores it and s_a the sign of F_a: the determinant is unchanged,
 every entry representable, and no log of an X entry is taken.  Everything
 but scaled_ab depends on the (P, l) x (P', l') band alone: formed per band.
+Each pair is translated and balanced once, as the block (I, J).
+Reciprocity, X_JI = D X_IJ^T D (D the sector parity), makes the block
+(J, I) W_J B_IJ^T W_I, W = s D per band: sign products, exact, so it is
+the balancing of X_JI to the bit, and W (I - N) is symmetric; for one sign
+class W is one sign and I - N itself is symmetric.
 
 One placement: a layout (``_layout``) says which entries of a pair block
 are balanced and where each lands in a stack of identity-padded matrices.
@@ -33,11 +38,13 @@ Frequency is a batch axis: T-matrices, translations, balanced blocks and
 the stack of I - N carry a leading kappa axis, and one ``slogdet`` call
 takes a whole chunk.  Geometry is kept apart from frequency: the
 ``log_det_integrand`` of any number of kappas builds their T-matrices, and
-each pair's displacement and rotation (``_geometry``), once, then places
-and factors I - N chunk by chunk.  The tau = 0 quadrature hands it its
-whole grid, a Matsubara sum runs that double in length up to one chunk;
-the plates take chunks of (kappa, q) arrays, and the stability engine
-chunks of its frozen grid, its T-matrices and rotations made once.  A chunk
+each pair's displacement, rotation and Bessel rows log k_lambda(n_M kappa
+|d|) for every kappa (``_geometry``), once, then places and factors I - N
+chunk by chunk, each translation built from its slice of the rows
+(``_rows``).  The tau = 0 quadrature hands it its whole grid, a Matsubara
+sum runs that double in length up to one chunk; the plates take chunks of
+(kappa, q) arrays, and the stability engine chunks of its frozen grid, its
+T-matrices, rotations and Bessel rows made once for the grid.  A chunk
 holds as many kappas as fit one fixed budget of array entries,
 ``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (dense for the
 engine, its q-nodes for the plates); the budget is a constant, not an
@@ -63,7 +70,7 @@ from .errors import (
 )
 from .materials import Medium, _per_kappa
 from .scattering import mie_tmatrix, fresnel_reflection
-from .translation import _band_of, _displacement, reverse_translation, sector_size, translation_matrix
+from .translation import _band_of, _bessel_rows, _displacement, sector_size, translation_matrix
 
 __all__ = [
     "Configuration",
@@ -182,41 +189,48 @@ def _pair_blocks(x, t_i, t_j, layout):
     """Balanced blocks (I, J) and (J, I) of one pair from X_IJ alone.
 
     ``t_i`` and ``t_j`` are the raw (sign, log) T-matrix pairs of the two
-    objects, one per (P, l) band, and X_JI is the reciprocal image of X_IJ.
-    Each block s_row |F_row|^(1/2) X |F_col|^(1/2), X = scaled * exp(exponent),
-    is ``scaled`` times s_row * exp(log|F_row|/2 + exponent + log|F_col|/2),
-    formed per band and gathered by the ``band_row`` and ``band_col`` of
-    ``layout`` (a :func:`_layout`), on either layout.  A zero amplitude
+    objects, one per (P, l) band.  B_IJ = s_I |F_I|^(1/2) X_IJ |F_J|^(1/2),
+    X_IJ = scaled * exp(exponent), is ``scaled`` times
+    s_I * exp(exponent + (log|F_I|/2 + log|F_J|/2)), formed per band and
+    gathered onto the entries of ``layout`` (a :func:`_layout`) by one flat
+    take at its ``scale_at``.  B_JI is not balanced again: reciprocity,
+    X_JI = D X_IJ^T D, makes it W_J B_IJ^T W_I with W = s D per band, the
+    raw T-matrix sign times the sector parity: the band-pair signs
+    W_J W_I, gathered as the scale is, times the transpose of B_IJ (on the
+    axial layout its read at ``entries.swap``).  Every factor
+    of W is +-1 or 0 and the exponent's sum is symmetric, so B_JI is, bit
+    for bit, the balancing of X_JI entry by entry.  A zero amplitude
     (sign 0, log -inf) makes its entries 0; a NaN from any source is kept
-    for the determinant guard.  On the axial layout ``x`` and the blocks hold only its entries,
-    as flat arrays, and X_JI is read from X_IJ at the transposed entries.
-    ``x`` and the T-matrices may carry a leading kappa axis.
+    for the determinant guard.  On the axial layout ``x`` and the blocks
+    hold only its entries, as flat arrays.  ``x`` and the T-matrices may
+    carry a leading kappa axis.
     """
+    (s_i, g_i), (s_j, g_j) = t_i, t_j
+    scale = s_i[..., :, None] * np.exp(x.exponent + (0.5 * g_i[..., :, None] + 0.5 * g_j[..., None, :]))
+    # gathered, then multiplied in place: one entry-sized array, not two
+    forward = scale.reshape(*scale.shape[:-2], -1).take(layout.scale_at, axis=-1)
+    forward *= x.scaled
+    # W_J W_I per band pair, gathered as the scale is: one entry-sized array
+    w_i, w_j = s_i * layout.parity, s_j * layout.parity
+    signs = w_j[..., :, None] * w_i[..., None, :]
+    reverse = signs.reshape(*signs.shape[:-2], -1).take(layout.scale_at, axis=-1)
     entries = layout.entries
-    if entries is None:
-        reverse = reverse_translation(x).scaled
-    else:
-        reverse = entries.flip * x.scaled[..., entries.swap]
-
-    def balanced(t_row, t_col, scaled):
-        (s_r, g_r), (_, g_c) = t_row, t_col
-        scale = s_r[..., :, None] * np.exp(0.5 * g_r[..., :, None] + x.exponent + 0.5 * g_c[..., None, :])
-        # gathered, then multiplied in place: one entry-sized array, not two
-        out = scale[..., layout.band_row, layout.band_col]
-        out *= scaled
-        return out
-
-    return balanced(t_i, t_j, x.scaled), balanced(t_j, t_i, reverse)
+    reverse *= np.swapaxes(forward, -1, -2) if entries is None else forward[..., entries.swap]
+    return forward, reverse
 
 
-def _geometry(config, pairs, l_max, axial):
-    """(i, j, d) of each of ``pairs`` (i < j): the kappa-independent half of its translation.
+def _geometry(config, pairs, l_max, axial, kappas=None):
+    """(i, j, d, log_k) of each of ``pairs`` (i < j): what its translation
+    takes from the geometry, made once for every chunk it is built at.
 
     d is a prepared :func:`~casimir_stability.translation._displacement`
-    from object i to object j, its rotation made here once for every kappa
-    it is built at.  On the axial layout the configuration is collinear: each pair is
-    translated along +z, from whichever of its centres lies lower on the
-    line, and takes no rotation.
+    from object i to object j, its rotation made here.  log_k is its
+    :func:`~casimir_stability.translation._bessel_rows` at the 1-D array
+    ``kappas``, one row per kappa, which :func:`_rows` slices per chunk;
+    without ``kappas`` it is None and each build makes its own.  On the
+    axial layout the configuration is collinear: each pair is translated
+    along +z, from whichever of its centres lies lower on the line, and
+    takes no rotation.
     """
     objs = config.objects
     line = config._axis_positions if axial else None
@@ -227,8 +241,15 @@ def _geometry(config, pairs, l_max, axial):
         else:
             i, j = (i, j) if line[i] < line[j] else (j, i)
             d = (0.0, 0.0, line[j] - line[i])
-        out.append((i, j, _displacement(d, l_max)))
+        d = _displacement(d, l_max)
+        out.append((i, j, d, None if kappas is None else _bessel_rows(config.medium, kappas, d)))
     return out
+
+
+def _rows(t_logs, geometry, rows):
+    """:func:`_t_logs` and :func:`_geometry` made for a grid, at its kappas ``rows`` (a slice)."""
+    t_rows = [(s[rows], g[rows]) for s, g in t_logs]
+    return t_rows, [(i, j, d, None if log_k is None else log_k[rows]) for i, j, d, log_k in geometry]
 
 
 def _blocks(medium, kappa, l_max, t_logs, geometry, layout):
@@ -237,19 +258,19 @@ def _blocks(medium, kappa, l_max, t_logs, geometry, layout):
 
     On the axial ``layout`` (see :func:`_layout`) only the layout's entries
     are built and balanced.  ``kappa`` is one wavenumber or a 1-D array of
-    them.
+    them, the kappas of ``geometry``'s Bessel rows when it has them.
     """
     entries = layout.entries
     wanted = None if entries is None else (entries.rows, entries.cols)
     blocks = {}
-    for i, j, d in geometry:
-        x = translation_matrix(medium, kappa, d, l_max, wanted)
+    for i, j, d, log_k in geometry:
+        x = translation_matrix(medium, kappa, d, l_max, wanted, log_k)
         blocks[(i, j)], blocks[(j, i)] = _pair_blocks(x, t_logs[i], t_logs[j], layout)
     return blocks
 
 
-_Layout = collections.namedtuple("_Layout", "entries band_row band_col block row col width names")
-_Entries = collections.namedtuple("_Entries", "rows cols swap flip")
+_Layout = collections.namedtuple("_Layout", "entries scale_at parity block row col width names")
+_Entries = collections.namedtuple("_Entries", "rows cols swap")
 
 
 def _widths(l_max, axial):
@@ -262,20 +283,24 @@ def _layout(l_max, axial):
     """Which entries of a pair block are balanced, and where each one lands.
 
     I - N is a stack of matrices, one per name, with ``width`` rows and
-    columns per object; ``band_row`` and ``band_col`` are the (P, l) and
-    (P', l') bands of each balanced entry (broadcasting, when dense).  Dense: every entry, in the one matrix.  Axial: the
-    entries a displacement along z can fill, rows and columns of the basis
-    (P, l, m), electric first, with m = m' (the magnetic label m refers to
-    R_{l,-m}, which keeps the sectors in step); each lands in the block
-    m + l_max, at row and column P * (l_max + 1 - l_min) + l - l_min with
-    l_min = max(|m|, 1).  The axial entries come with the position of their
-    transpose (``swap``) and the sign D_row D_col of the reciprocal image
-    (``flip``), so that X_JI is read from X_IJ without a dense matrix.
+    columns per object; ``scale_at`` is the position of each balanced
+    entry's (P, l) x (P', l') band pair in a raveled band-by-band matrix
+    (a matrix of them, when dense).  ``parity`` is the sector parity D per
+    band: +1 electric, -1 magnetic.  Dense: every entry, in the one matrix.
+    Axial: the entries a displacement along z can fill, rows and columns of
+    the basis (P, l, m), electric first, with m = m' (the magnetic label m
+    refers to R_{l,-m}, which keeps the sectors in step); each lands in the
+    block m + l_max, at row and column P * (l_max + 1 - l_min) + l - l_min
+    with l_min = max(|m|, 1).  The axial entries come with the position of their
+    transpose (``swap``), so that a reverse block is read from its forward
+    one without a dense matrix.
     """
     band = _band_of(l_max)
+    parity = np.repeat([1.0, -1.0], l_max)
     if not axial:
         every = slice(None)
-        return _Layout(None, band[:, None], band, 0, every, every, _widths(l_max, False)[1], ("matrix",))
+        scale_at = 2 * l_max * band[:, None] + band
+        return _Layout(None, scale_at, parity, 0, every, every, _widths(l_max, False)[1], ("matrix",))
     sector, l = np.divmod(band, l_max)
     l += 1
     m = np.arange(band.size) % sector_size(l_max) - l * l + 1 - l
@@ -284,11 +309,11 @@ def _layout(l_max, axial):
     rows, cols = np.nonzero(m[:, None] == m[None, :])
     at = np.zeros((m.size, m.size), int)
     at[rows, cols] = np.arange(rows.size)
-    d_sign = 1.0 - 2.0 * sector
-    entries = _Entries(rows, cols, at[cols, rows], d_sign[rows] * d_sign[cols])
+    entries = _Entries(rows, cols, at[cols, rows])
     names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
     block = m[rows] + l_max
-    return _Layout(entries, band[rows], band[cols], block, local[rows], local[cols], 2 * l_max, names)
+    scale_at = 2 * l_max * band[rows] + band[cols]
+    return _Layout(entries, scale_at, parity, block, local[rows], local[cols], 2 * l_max, names)
 
 
 def _place_blocks(blocks, layout):
@@ -406,11 +431,10 @@ def log_det_integrand(config, kappa, l_max):
     kappas = np.array(kappa, float, ndmin=1)
     axial = config._axis_positions is not None
     t_logs = _t_logs(config, kappas, l_max)
-    geometry = _geometry(config, config._pairs, l_max, axial)
+    geometry = _geometry(config, config._pairs, l_max, axial, kappas)
 
     def part(rows):
-        t_rows = [(s[rows], g[rows]) for s, g in t_logs]
-        return _log_dets(config, kappas[rows], l_max, t_rows, geometry)
+        return _log_dets(config, kappas[rows], l_max, *_rows(t_logs, geometry, rows))
 
     values = _in_chunks(part, kappas.size, _chunk(config, l_max, axial))
     return float(values[0]) if np.ndim(kappa) == 0 else values

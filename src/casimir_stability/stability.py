@@ -32,7 +32,8 @@ whole, and no difference carries the rounding of two large ln dets.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
-loop, from each displacement's pair rotations made once (:meth:`_CommonGridEngine.moved`).
+loop, from each displacement's pair rotations and Bessel rows made once
+(:meth:`_CommonGridEngine.moved`).
 """
 
 import functools
@@ -53,6 +54,7 @@ from .casimir import (
     _place_blocks,
     _positive_logdet,
     _quad_nodes,
+    _rows,
     _t_logs,
     default_l_max,
 )
@@ -125,8 +127,9 @@ class _CommonGridEngine:
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
     sum at tau > 0, taken in chunks of as many kappas as the dense I - N
     fits in ``_CHUNK_ENTRIES``.  The T-matrices (``casimir._t_logs``) are
-    built for the whole grid at once, and the rotation of each pair of a
-    displacement (``casimir._geometry``) once for every chunk.
+    built for the whole grid at once, and so are the rotation and the
+    Bessel rows of each pair of a displacement (``casimir._geometry``), made
+    once for every chunk and sliced per chunk (``casimir._rows``).
 
     I - N is never placed whole.  With the labeled object A first it is
     [[I, -U], [-V, M_RR]]: U (the A row) and V (the A column) hold the
@@ -167,18 +170,18 @@ class _CommonGridEngine:
             self.kappas, self.weights, self.t_logs = _matsubara_grid(config, self.l_max)
         step = _chunk(config, self.l_max, False)
         self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
-        static = _geometry(config, [p for p in config._pairs if self.idx not in p], self.l_max, False)
+        static = _geometry(config, [p for p in config._pairs if self.idx not in p], self.l_max, False, self.kappas)
         self.remainder = [self._remainder(c, static) for c in range(len(self.chunks))]
 
     def moved(self, u):
-        """The moving pairs' :func:`~casimir_stability.casimir._geometry`, the
-        labeled object displaced by u: what :meth:`_row_col` builds on."""
-        return _geometry(_displaced(self.config, self.label, u), self.moving, self.l_max, False)
+        """The moving pairs' :func:`~casimir_stability.casimir._geometry` on the
+        grid, the labeled object displaced by u: what :meth:`_row_col` builds on."""
+        return _geometry(_displaced(self.config, self.label, u), self.moving, self.l_max, False, self.kappas)
 
     def _chunk_blocks(self, c, geometry):
         """Balanced blocks of the pairs of ``geometry`` at the kappas of chunk c."""
         rows = self.chunks[c]
-        t_logs = [(s[rows], g[rows]) for s, g in self.t_logs]
+        t_logs, geometry = _rows(self.t_logs, geometry, rows)
         return _blocks(self.config.medium, self.kappas[rows], self.l_max, t_logs, geometry, self.layout)
 
     def _remainder(self, c, static):

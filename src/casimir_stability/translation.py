@@ -45,7 +45,11 @@ exponents as one gather, one weighted bincount over the terms of every
 kappa (bins offset by row), and one gather into the sector layout, which
 applies the signs and m-reversals the real basis reduces to on the axis.
 Each term is coefficient * k_lambda, so every row of a batched build equals
-the single-kappa build bit for bit.
+the single-kappa build bit for bit.  All a build takes from kappa, beyond
+its value, is one row of log k_lambda(n kappa |d|) per kappa
+(:func:`_bessel_rows`); a caller that builds one displacement chunk after
+chunk of a grid makes the rows of the whole grid once and hands each build
+its slice.
 
 Any other d is the +z build at |d| in a rotated frame, X(d) = Q X(|d| z) Q^T
 (Gumerov & Duraiswami, SIAM J. Sci. Comput. 25, 1344 (2003)), with Q
@@ -63,8 +67,9 @@ kappa at once.  A displacement along +z takes no rotation.
 Reciprocity
 -----------
 X(-d) = D X(d)^T D (D = +1 on the electric and -1 on the magnetic sector),
-so a pair of objects needs only one build per wavenumber;
-:func:`reverse_translation` is the one implementation of that image.
+so a pair of objects needs only one build per wavenumber.  The energy
+assembly applies that image to its balanced blocks as signs;
+:func:`reverse_translation` applies it to a whole matrix, for the oracles.
 """
 
 import math
@@ -485,15 +490,28 @@ def _rotate(src, turn, tab, spin):
     return out
 
 
-def _build(medium, kappa, d, l_max, spin, entries=None):
+def _bessel_rows(medium, kappa, d):
+    """log k_0, ..., log k_top of n_M kappa |d|, one row per kappa: all that a
+    build of the prepared displacement ``d`` (:func:`_displacement`) takes
+    from kappa beyond its own value.  top = 2 l_max + 1 for vector and
+    2 l_max for scalar waves; each row equals the one-kappa call's bit for
+    bit, so a slice of a grid's rows serves a build of that slice.
+    """
+    kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
+    x = _per_kappa(medium.refractive_index, kappas) * kappas * d.length
+    return log_bessel_k_array(2 * d.l_max + (1 if d.spin == "vector" else 0), x)
+
+
+def _build(medium, kappa, d, l_max, spin, entries=None, log_k=None):
     """The matrix for one displacement at one kappa or a 1-D array of them.
 
     The terms of every kappa are summed into the +z entries by one bincount
     whose bins are offset by row; a displacement off +z then rotates that
     matrix, with one rotation for every kappa.  ``d`` is a vector or a
     :func:`_displacement` prepared for this (l_max, spin), whose rotation is
-    then not made again.  ``entries``, a (rows, cols) pair of index arrays,
-    keeps only those entries of the final matrix.
+    then not made again; ``log_k``, its :func:`_bessel_rows` at these
+    kappas, is likewise not made again.  ``entries``, a (rows, cols) pair of
+    index arrays, keeps only those entries of the final matrix.
     """
     if not isinstance(d, _Displacement):
         d = _displacement(d, l_max, spin)
@@ -501,17 +519,16 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
         raise ValueError(
             f"a displacement prepared at ({d.spin}, l_max {d.l_max}) is built at ({spin}, l_max {l_max})"
         )
-    kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
-    x = _per_kappa(medium.refractive_index, kappas) * kappas * d.length
-    l_top = 2 * l_max + (1 if spin == "vector" else 0)
-    logk = log_bessel_k_array(l_top, x)
+    if log_k is None:
+        log_k = _bessel_rows(medium, kappa, d)
+    kappas = np.array(kappa, float, ndmin=1)
     tab = _coeff_tables(l_max, spin)
 
     # k_lam grows with lam, so l + l', the largest lambda of a band, sets its scale
-    kv = np.exp(logk.take(tab.slot_lam, axis=-1) - logk.take(tab.slot_top, axis=-1))
+    kv = np.exp(log_k.take(tab.slot_lam, axis=-1) - log_k.take(tab.slot_top, axis=-1))
     terms = kv.take(tab.term_slot, axis=-1)
     terms *= tab.term_coeff
-    n, width = x.size, tab.n_kinds * tab.n_entries
+    n, width = kappas.size, tab.n_kinds * tab.n_entries
     bins = tab.term_entry if n == 1 else (tab.term_entry + width * np.arange(n)[:, None]).ravel()
     a = np.bincount(bins, weights=terms.ravel(), minlength=n * width).reshape(n, width)
     src = np.concatenate([a, -a[:, tab.n_entries :], np.zeros((n, 1))], axis=-1)
@@ -521,7 +538,7 @@ def _build(medium, kappa, d, l_max, spin, entries=None):
         scaled = _rotate(src, d.turn, tab, spin)
         if entries is not None:
             scaled = scaled[:, entries[0], entries[1]]
-    exponent = logk.take(tab.band_top, axis=-1)
+    exponent = log_k.take(tab.band_top, axis=-1)
     if np.ndim(kappa) == 0:
         kappas, scaled, exponent = float(kappa), scaled[0], exponent[0]
     return TranslationMatrix(kappas, d.d, l_max, scaled, exponent, spin, entries)
@@ -549,7 +566,7 @@ def reverse_translation(x):
     )
 
 
-def translation_matrix(medium, kappa, d, l_max, entries=None):
+def translation_matrix(medium, kappa, d, l_max, entries=None, log_k=None):
     """Vector-wave translation matrix for displacement ``d``.
 
     Converts outgoing waves about the point ``d`` into regular waves about
@@ -557,9 +574,10 @@ def translation_matrix(medium, kappa, d, l_max, entries=None):
     array (one matrix per kappa, along a leading axis), and ``entries``, a
     (rows, cols) pair of index arrays, limits the build to those entries;
     a single kappa with every entry is the one-row view of that build.
-    ``d`` may be a :func:`_displacement` prepared at this ``l_max``.
+    ``d`` may be a :func:`_displacement` prepared at this ``l_max``, and
+    ``log_k`` its :func:`_bessel_rows` at ``kappa``.
     """
-    return _build(medium, kappa, d, l_max, "vector", entries)
+    return _build(medium, kappa, d, l_max, "vector", entries, log_k)
 
 
 def scalar_translation_matrix(medium, kappa, d, l_max):

@@ -516,6 +516,34 @@ def test_energy_builds_each_tmatrix_once_per_grid(monkeypatch):
             assert np.array_equal(kappas, nodes)
 
 
+def test_energy_makes_each_pairs_bessel_rows_once_per_grid(monkeypatch):
+    # the integrand makes the Bessel rows of each of the three pairs once
+    # for its whole grid, on the grid's nodes, and slices them per chunk
+    from casimir_stability import casimir, translation
+    from test_stability import _count_calls
+
+    cfg = Configuration(
+        (
+            dielectric_sphere((0, 0, 0), 1.0, 4.0, "a"),
+            dielectric_sphere((3.0, 0, 0.5), 0.8, 3.0, "b"),
+            dielectric_sphere((0.6, 3.1, 1.0), 0.6, 5.0, "c"),
+        ),
+        Medium(),
+        0.0,
+    )
+    assert casimir._chunk(cfg, 3, False) < 24
+    rows = _count_calls(monkeypatch, translation, "log_bessel_k_array")
+    res = energy_T0(cfg, tol=1e-4, l_max=3)
+    grids = [24 * 2**k for k in range(round(math.log2(res.node_count // 24)) + 1)]
+    assert len(grids) >= 2
+    assert len(rows) == 3 * len(grids)
+    for n, grid_rows in zip(grids, (rows[i : i + 3] for i in range(0, len(rows), 3))):
+        nodes = casimir._quad_nodes(n, 1.0 / cfg.min_gap())[0]
+        for order, x in grid_rows:
+            assert order == 7
+            assert x.shape == nodes.shape
+
+
 def _per_object_stack(cfg, kappa, l_max, axial):
     """I - N with one T-matrix built for every object."""
     from casimir_stability import casimir

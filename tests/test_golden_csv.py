@@ -19,6 +19,14 @@ all are the same, so "byte-identical to the committed golden files" is one
 command's exit status:
 
     PYTHONPATH=src python tests/test_golden_csv.py --digest [CASE ...]
+
+With ``--delta`` it writes no file either and prints, for each named case
+(or every case) and each column whose committed fields are all numbers,
+``<case>  <column>  <change>``: the largest relative change of the column's
+fields against the committed file (the absolute change where a committed
+field is 0).  It exits 0, so a regeneration can be sized before it is made:
+
+    PYTHONPATH=src python tests/test_golden_csv.py --delta [CASE ...]
 """
 
 import hashlib
@@ -212,18 +220,44 @@ def test_differences_hold_under_one_ulp_translation_coefficients(seed, tmp_path,
             assert abs(g - w) <= 1e-12 * abs(w), (name, g, w)
 
 
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def _deltas(committed, text):
+    """(column, largest change) of each all-number column of ``committed``
+    (a golden CSV) against ``text``: relative, absolute at a committed 0."""
+    want, got = ([line.split(",") for line in t.split("\n")[1:] if line] for t in (committed, text))
+    if len(want) != len(got) or want[0] != got[0]:
+        raise ValueError("the header or the number of rows differs")
+    out = []
+    for col, name in enumerate(want[0]):
+        pairs = [(_number(w[col]), _number(g[col])) for w, g in zip(want[1:], got[1:])]
+        if not pairs or any(w is None or g is None for w, g in pairs):
+            continue
+        out.append((name, max(abs(g - w) / (abs(w) if w else 1.0) for w, g in pairs)))
+    return out
+
+
 def main(argv, golden=GOLDEN):
     """The command line of this file (see the module docstring) on ``golden``.
 
     Returns the exit status: 1 when ``--digest`` finds a case that differs.
     """
-    digest = "--digest" in argv
-    cases = [a for a in argv if a != "--digest"] or sorted(CASES)
+    digest, delta = "--digest" in argv, "--delta" in argv
+    cases = [a for a in argv if a not in ("--digest", "--delta")] or sorted(CASES)
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
             text = _output(case, tmp)
-            if digest:
+            if delta:
+                committed = (golden / f"{case}.csv").read_text(encoding="utf-8")
+                for name, change in _deltas(committed, text):
+                    print(f"{case}  {name}  {change:.2g}")
+            elif digest:
                 committed = golden / f"{case}.csv"
                 same = committed.is_file() and committed.read_text(encoding="utf-8") == text
                 status = status if same else 1
@@ -247,6 +281,15 @@ def test_digest_exit_status_is_the_byte_identity_gate(tmp_path, capsys):
     path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
     assert main(["--digest", "classify"], golden) == 1
     assert capsys.readouterr().out.endswith("  classify  differs\n")
+
+
+def test_delta_of_an_unchanged_tree_is_zero(capsys):
+    # every number column of every case, against the committed files
+    assert main(["--delta"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cases = {line.split("  ")[0] for line in lines}
+    assert cases == set(CASES) - {"classify"}  # classify has no number column
+    assert all(line.endswith("  0") for line in lines), lines
 
 
 if __name__ == "__main__":

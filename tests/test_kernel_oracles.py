@@ -393,10 +393,10 @@ def test_dense_keeps_structural_zeros_where_the_band_scale_overflows():
 
 
 def _balanced_per_entry(t_row, t_col, scaled, exponent, band):
-    """s_row * scaled * exp(g_row / 2 + e + g_col / 2), entry by entry."""
+    """s_row * scaled * exp(e + (g_row / 2 + g_col / 2)), entry by entry."""
     (s_r, g_r), (_, g_c) = ((s[:, band], g[:, band]) for s, g in (t_row, t_col))
     e = exponent[:, band[:, None], band]
-    return s_r[:, :, None] * scaled * np.exp(0.5 * g_r[:, :, None] + e + 0.5 * g_c[:, None, :])
+    return s_r[:, :, None] * scaled * np.exp(e + (0.5 * g_r[:, :, None] + 0.5 * g_c[:, None, :]))
 
 
 @pytest.mark.parametrize("axial", [False, True], ids=["dense", "axial"])

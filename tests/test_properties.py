@@ -21,7 +21,8 @@ from casimir_stability import (
     log_det_integrand,
     stability_report,
 )
-from casimir_stability.casimir import assemble_block_matrix
+from casimir_stability.casimir import _layout, _pair_blocks, _t_logs, assemble_block_matrix
+from casimir_stability.translation import _band_of, translation_matrix
 from conftest import ONE, PEC, dielectric_sphere, pec_sphere
 
 
@@ -223,3 +224,74 @@ def test_free_energy_laplacian_is_minus_beta_times_gradient_variance(
 
     lap = (4.0 * laplacian(0.01) - laplacian(0.02)) / 3.0
     assert lap == pytest.approx(-beta * variance, rel=1e-4)
+
+
+# (eps, mu) of the spheres and the medium's eps, per material kind; "mu" and
+# "mixed" are the mixed-class kinds, the others one class each
+_EPS2 = DispersionModel.constant(2.0)
+RECIPROCITY_KINDS = {
+    "pec": ([(PEC, ONE)] * 3, ONE),
+    "constant": ([(DispersionModel.constant(4.0), ONE)] * 3, ONE),
+    "drude": ([(DispersionModel.drude(4.0, 0.2), ONE)] * 3, ONE),
+    "lorentz": ([(DispersionModel.lorentz([(2.0, 1.5, 0.3)]), ONE)] * 3, ONE),
+    "mu": ([(DispersionModel.constant(3.0), DispersionModel.constant(2.0))] * 3, ONE),
+    "bubble": ([(ONE, ONE)] * 3, _EPS2),
+    "mixed": ([(PEC, ONE), (ONE, ONE), (DispersionModel.constant(4.0), ONE)], _EPS2),
+}
+RECIPROCITY_KAPPAS = np.array([1e-3, 0.7, 3.0])
+
+
+def _reciprocity_config(kind, centers):
+    models, eps_medium = RECIPROCITY_KINDS[kind]
+    objs = tuple(
+        SphereObject(c, r, eps, mu, label)
+        for c, r, (eps, mu), label in zip(centers, (0.8, 0.6, 0.5), models, "abc")
+    )
+    return Configuration(objs, Medium(eps_medium), 0.0)
+
+
+def _w(t_log, l_max):
+    """W = raw T-matrix sign times the sector parity D, on every basis label."""
+    return (t_log[0] * np.repeat([1.0, -1.0], l_max))[..., _band_of(l_max)]
+
+
+@pytest.mark.parametrize("axial", [False, True], ids=["dense", "axial"])
+@pytest.mark.parametrize("kind", sorted(RECIPROCITY_KINDS))
+def test_reverse_block_is_the_balanced_translation_at_minus_d(kind, axial):
+    # B_JI, read from B_IJ by W, against the balancing of X(-d) built on its
+    # own, entry by entry, at each kappa
+    d = np.array([0.0, 0.0, 2.6]) if axial else np.array([0.4, 0.3, 2.6])
+    config = _reciprocity_config(kind, [(0.0, 0.0, 0.0), tuple(d), (2.9, 0.0, 1.8)])
+    l_max = 4
+    layout = _layout(l_max, axial)
+    t_i, t_j = _t_logs(config, RECIPROCITY_KAPPAS, l_max)[:2]
+    wanted = None if layout.entries is None else (layout.entries.rows, layout.entries.cols)
+    x = translation_matrix(config.medium, RECIPROCITY_KAPPAS, d, l_max, wanted)
+    reverse = _pair_blocks(x, t_i, t_j, layout)[1]
+    back = translation_matrix(config.medium, RECIPROCITY_KAPPAS, -d, l_max)
+    band = _band_of(l_max)
+    (s_j, g_j), (_, g_i) = ((s[:, band], g[:, band]) for s, g in (t_j, t_i))
+    want = s_j[:, :, None] * back.scaled * np.exp(
+        back.exponent[:, band[:, None], band] + 0.5 * g_j[:, :, None] + 0.5 * g_i[:, None, :]
+    )
+    if axial:
+        want = want[:, layout.entries.rows, layout.entries.cols]
+    for got_row, want_row in zip(reverse, want):
+        assert np.linalg.norm(got_row - want_row) <= 1e-13 * np.linalg.norm(want_row)
+
+
+@pytest.mark.parametrize("kind", sorted(RECIPROCITY_KINDS))
+def test_balanced_matrix_is_symmetric_after_w(kind):
+    # W (I - N) is symmetric to the bit; for a same-class configuration W is
+    # one sign and I - N itself is symmetric
+    config = _reciprocity_config(kind, [(0.0, 0.0, 0.0), (0.4, 0.3, 2.6), (2.9, 0.0, 1.8)])
+    l_max = 3
+    for kappa in RECIPROCITY_KAPPAS.tolist():
+        m = assemble_block_matrix(config, kappa, l_max)
+        w = np.concatenate([_w(t, l_max) for t in _t_logs(config, kappa, l_max)])
+        same_class = np.unique(w).size == 1
+        assert same_class == (kind not in ("mu", "mixed"))
+        if same_class:
+            assert np.array_equal(m, m.T)
+        wm = w[:, None] * m
+        assert np.array_equal(wm, wm.T)

@@ -172,6 +172,21 @@ def test_report_rotates_once_per_direction(monkeypatch):
     assert len({frame.tobytes() for frame, _ in frames}) == len(frames)
 
 
+def test_report_makes_each_pairs_bessel_rows_once_for_its_grid(monkeypatch):
+    # a reverse block is read from its forward one, never translated again,
+    # and the Bessel rows of a pair are made once for the 12 nodes of the
+    # grid, not per chunk: once for each stencil displacement of each moving
+    # pair and once for the static pair
+    cfg, label, l_max, n_nodes = CASES["triple_a"]
+    assert not hasattr(casimir, "reverse_translation")
+    reverses = _count_calls(monkeypatch, translation, "reverse_translation")
+    rows = _count_calls(monkeypatch, translation, "log_bessel_k_array")
+    stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    assert reverses == []
+    assert len(rows) == 13 * 2 + 1
+    assert all(order == 2 * l_max + 1 and x.shape == (n_nodes,) for order, x in rows)
+
+
 @pytest.mark.parametrize("case", ["pec_pair", "triple_a"])
 def test_fd_laplacian_matches_its_decomposition(case):
     # the finite differences are ln det(I + K) series of exact block
