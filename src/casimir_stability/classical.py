@@ -37,14 +37,18 @@ kernel, vectorized over samples, gives grad_d H for a single configuration
 and for a whole chain.
 
 The chain is reproducible bit for bit from its seed.  Its contract is the
-order of the generator draws per step: ``integers(n_mobile)`` picks the
-mobile, ``uniform(-1, 1, 3)`` its move, and ``random()``, drawn only when
-the move stays inside the wall and raises the energy, decides it; together
-with the kernel's order of operations this fixes every position.  The
+order of the ``numpy.random.default_rng(seed)`` draws per step:
+``integers(n_mobile)`` picks the mobile, ``uniform(-1, 1, 3)`` its move, and
+``random()``, drawn only when the move stays inside the wall and raises the
+energy, decides it; together with the kernel's order of operations this
+fixes every position.  The chain does not call the Generator per draw: it
+decodes the same values from the Generator's raw PCG64 words, fetched in
+blocks (``_Draws``), and an oracle test pins that decoding to numpy's.  The
 chain starts each mobile at its tether anchor (its container's center when
 untethered), which must lie inside its wall and on no charge it couples to.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -553,6 +557,62 @@ def _chain_start(config):
     return pos
 
 
+# raw words per bit-generator call; the draws do not depend on it
+_BLOCK = 1024
+
+
+class _Draws:
+    """``default_rng(seed)``'s draws, decoded from its raw PCG64 words.
+
+    The words come from ``bit_generator.random_raw`` in blocks of ``_BLOCK``
+    and are decoded as numpy's Generator decodes them.  A double is the top
+    53 bits of one word times 2**-53.  A 32-bit draw is the low half of a
+    new word, whose high half is kept for the next 32-bit draw; doubles
+    leave the kept half alone.  ``integers(n)`` is Lemire's bounded rule on
+    32-bit draws.  The methods return the Generator methods' values bit for
+    bit, as Python numbers.
+    """
+
+    def __init__(self, seed):
+        blocks = map(default_rng(seed).bit_generator.random_raw, itertools.repeat(_BLOCK))
+        self._word = itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
+        self._half = None
+
+    def random(self):
+        """``Generator.random()``."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def uniform3(self):
+        """``Generator.uniform(-1, 1, 3)``, as a tuple."""
+        word = self._word
+        return (
+            -1.0 + 2.0 * ((word() >> 11) * 2.0**-53),
+            -1.0 + 2.0 * ((word() >> 11) * 2.0**-53),
+            -1.0 + 2.0 * ((word() >> 11) * 2.0**-53),
+        )
+
+    def _uint32(self):
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def integers(self, n):
+        """``Generator.integers(n)`` for 1 <= n <= 2**32; n = 1 draws nothing."""
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            # reject the low products that would bias the result
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+
 def metropolis_run(config, steps, step_size, seed, burn_in=None):
     """Single-particle-move Metropolis chain over the mobile charges.
 
@@ -577,21 +637,22 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
         raise ValidationError("steps must exceed the burn-in")
     pos = _chain_start(config)
     walls = [wall for *_, wall in table.sites]
-    rng = default_rng(seed)
+    draws = _Draws(seed)
+    integers, uniform3, random = draws.integers, draws.uniform3, draws.random
     kept = np.empty((steps - burn_in, n_mobile, 3))
     accepted = 0
     beta = config.beta
     for step in range(steps):
-        k = int(rng.integers(n_mobile))
+        k = integers(n_mobile)
         a = first + k
         x, y, z = pos[a]
-        ux, uy, uz = rng.uniform(-1.0, 1.0, 3).tolist()
+        ux, uy, uz = uniform3()
         new = (x + step_size * ux, y + step_size * uy, z + step_size * uz)
         if _inside(walls[k], *new):
             delta = _site_energy(table, a, *new, pos) - _site_energy(
                 table, a, x, y, z, pos
             )
-            if delta <= 0.0 or rng.random() < math.exp(-beta * delta):
+            if delta <= 0.0 or random() < math.exp(-beta * delta):
                 pos[a] = new
                 accepted += 1
         if step >= burn_in:

@@ -14,6 +14,7 @@ from casimir_stability import (
     Container,
     McEstimate,
     ValidationError,
+    classical,
     free_energy_quadrature,
     grad_d_hamiltonian,
     hamiltonian,
@@ -366,6 +367,39 @@ def test_metropolis_deterministic_and_seed_dependent():
     s3 = metropolis_run(cfg, 5000, 0.25, seed=43)
     assert np.array_equal(s1.positions, s2.positions)
     assert not np.array_equal(s1.positions, s3.positions)
+
+
+def test_metropolis_fetches_its_draws_in_blocks(monkeypatch):
+    # the chain reads raw words from the bit generator, a block per call, and
+    # calls no Generator method per step
+    fetches, generator_calls = [], []
+
+    class SpyBits:
+        def __init__(self, bits):
+            self._bits = bits
+
+        def random_raw(self, size):
+            fetches.append(size)
+            return self._bits.random_raw(size)
+
+    class SpyGenerator:
+        def __init__(self, seed):
+            self._rng = np.random.default_rng(seed)
+            self.bit_generator = SpyBits(self._rng.bit_generator)
+
+        def __getattr__(self, name):
+            generator_calls.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(classical, "default_rng", SpyGenerator)
+    steps = 50000
+    metropolis_run(tethered_toy(), steps, 0.25, seed=3)
+    assert generator_calls == []
+    assert set(fetches) == {classical._BLOCK}
+    # per step, integers(2) takes half a word (2 divides 2**32, so Lemire's
+    # rule never rejects), uniform(-1, 1, 3) three words and random() at most one
+    fewest, most = (math.ceil(w * steps / classical._BLOCK) for w in (3.5, 4.5))
+    assert fewest <= len(fetches) <= most + 1
 
 
 def test_metropolis_uniform_law_in_box():

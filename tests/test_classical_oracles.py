@@ -27,6 +27,7 @@ from casimir_stability import (
     metropolis_run,
 )
 from casimir_stability.classical import (
+    _Draws,
     _blocking_stderr,
     _shape_nodes,
     _shifted,
@@ -386,6 +387,25 @@ def test_site_energies_match_reference_deltas():
                 assert e == pytest.approx(ref_new, rel=1e-14)
             for e in (e_old, on_floats[1]):
                 assert e == pytest.approx(ref_old, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 1000003, 2**31 + 11, 2**32])
+def test_draws_decode_the_generators_values(n):
+    # the chain decodes default_rng(seed)'s draws from its raw PCG64 words;
+    # the three draw kinds come in a random order, so a 32-bit half kept
+    # across doubles is exercised; 2**31 + 11 rejects about half of its
+    # 32-bit draws, and numpy takes 2**32 unbounded.  A numpy release that
+    # changes a Generator algorithm fails here.
+    for seed in range(30):
+        rng, draws = np.random.default_rng(seed), _Draws(seed)
+        for kind in np.random.default_rng(1000 + seed).integers(3, size=3000).tolist():
+            if kind == 0:
+                value, expected = draws.integers(n), int(rng.integers(n))
+            elif kind == 1:
+                value, expected = draws.uniform3(), tuple(rng.uniform(-1.0, 1.0, 3).tolist())
+            else:
+                value, expected = draws.random(), rng.random()
+            assert value == expected, (seed, kind)
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -187,12 +187,16 @@ def test_laplacian_and_its_terms_are_nonpositive_for_same_class_pairs(
     anchor=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
     spot=st.tuples(*[st.floats(-0.1, 0.1)] * 3),
 )
+@example(
+    charges=(0.5, 0.21875, False), k=0.0, beta=0.5, direction=(0.0, 0.0),
+    gap=1.0, anchor=(0.0, 0.0, 0.0), spot=(0.0, 0.0, 0.0),
+)
 def test_free_energy_laplacian_is_minus_beta_times_gradient_variance(
     charges, k, beta, direction, gap, anchor, spot
 ):
     # the classical sign statement, lap F = -beta Var(grad_d H): the left side
-    # from central differences of the quadrature free energy (Richardson, h =
-    # 0.02), the right side from Boltzmann weights on the same volume nodes
+    # from central differences of the free energy (Richardson, h = 0.005), the
+    # right side from Boltzmann weights, both on the quadrature's 32-node rule
     q, q_fixed, opposite = charges
     tether = ("harmonic", k, anchor)
     mobile = Container("a", "sphere", (0, 0, 0), 0.4, mobile_charges=[(q, tether)])
@@ -204,6 +208,10 @@ def test_free_energy_laplacian_is_minus_beta_times_gradient_variance(
     table = config._table
     points, weights = classical._shape_nodes(mobile, 32)
     energy = classical._site_energy(table, table.n_fixed, *points.T, table.fixed)
+    # the rule's free energy is the quadrature's, within its default tol
+    assert -np.log(weights @ np.exp(-beta * energy)) / beta == pytest.approx(
+        free_energy_quadrature(config, (0, 0, 0)), rel=1e-8, abs=1e-8
+    )
     p = weights * np.exp(-beta * (energy - energy.min()))
     p /= p.sum()
     fixed_positions = np.broadcast_to(table.fixed, (len(points), table.n_fixed, 3))
@@ -212,17 +220,20 @@ def test_free_energy_laplacian_is_minus_beta_times_gradient_variance(
     centred = grads - p @ grads
     variance = float(p @ np.einsum("ij,ij->i", centred, centred))
 
-    f0 = free_energy_quadrature(config, (0, 0, 0), tol=1e-13)
+    def change(d):
+        # F(d) - F(0) on the same nodes: shifting the mobile's container by d
+        # moves the fixed charge by -d relative to it, so the tether term
+        # cancels exactly, and expm1/log1p keep the rounding at the size of
+        # the energy change.  Differencing separately computed F(d) adds
+        # |F|'s rounding, ~1e-15 / h^2, which on the weakest couplings
+        # exceeds 1e-4 at every h where this stencil's truncation does not.
+        moved = classical._site_energy(table, table.n_fixed, *points.T, table.fixed - d)
+        return -np.log1p(p @ np.expm1(-beta * (moved - energy))) / beta
 
     def laplacian(h):
-        return sum(
-            free_energy_quadrature(config, h * e, tol=1e-13)
-            - 2.0 * f0
-            + free_energy_quadrature(config, -h * e, tol=1e-13)
-            for e in np.eye(3)
-        ) / h**2
+        return sum(change(h * e) + change(-h * e) for e in np.eye(3)) / h**2
 
-    lap = (4.0 * laplacian(0.01) - laplacian(0.02)) / 3.0
+    lap = (4.0 * laplacian(0.005) - laplacian(0.01)) / 3.0
     assert lap == pytest.approx(-beta * variance, rel=1e-4)
 
 
