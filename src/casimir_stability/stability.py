@@ -29,6 +29,9 @@ compound scatterer, and a difference of two ln dets is the ln det of a
 small nb x nb matrix I + K summed as a trace series (see
 :class:`_CommonGridEngine`).  No displaced I - N is placed or factored
 whole, and no difference carries the rounding of two large ln dets.
+Every force is a difference of the same ln det ratios: -dE/da_i is minus
+the grid sum of ln det[M(+h e_i)/M(-h e_i)] over 2h, as Rahi et al., PRD
+80, 085021 (2009), write the force as a difference of TGTG ln dets.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
@@ -147,9 +150,11 @@ class _CommonGridEngine:
 
     the block differences dU and dV taken first, and ln det(I + K) is the
     trace series of :func:`_log_det_1p`: no pivot near 1 is rounded, so a
-    difference keeps the relative precision of dU and dV.  The stencil
-    takes its ratios from u0 = 0 (:meth:`_ratio`); a force takes its two
-    ends about their mean (:meth:`_central`), which makes it exactly odd.
+    difference keeps the relative precision of dU and dV.  :meth:`_ratio`
+    is the one difference: the stencil takes its ratios from u0 = 0, and a
+    force is ratio(+h) - ratio(-h) of two of them, or one ratio of its +h
+    end from its -h end.  Every displaced S is guarded, as a reference by
+    :meth:`_schur` or through |K| < 1/2, which keeps det(I + K) > 0.
     ``energy(u)`` is the weighted sum of ln det M_RR + ln det S(u).
     """
 
@@ -241,26 +246,6 @@ class _CommonGridEngine:
         dp = dv if inverse is None else inverse @ dv
         k = s_inv @ -(du @ (p_ref + dp) + u_ref @ dp)
         return _log_det_1p(k, *self.at(c, u, u0)), du, dp
-
-    def _central(self, c, minus, plus, u_minus, u_plus):
-        """ln det M(u+) - ln det M(u-) per kappa of chunk c, from the (U, V) of both ends.
-
-        It is taken about the mean of the two Schur complements,
-        S_mid = I - (U- P- + U+ P+) / 2 with P+ = P- + dP, as
-        ln det(I + K) - ln det(I - K), K = S_mid^-1 dS / 2.  For two
-        mirror-image ends S_mid is mirror-symmetric to the bit and K odd,
-        so both series are the same bits and the difference is an exact 0.
-        """
-        (u_m, v_m), (u_p, v_p) = minus, plus
-        inverse = self.remainder[c][1]
-        du, dv = u_p - u_m, v_p - v_m
-        p_m, dp = (v_m, dv) if inverse is None else (inverse @ v_m, inverse @ dv)
-        p_p = p_m + dp
-        mid = np.eye(self.nb) - 0.5 * (u_m @ p_m + u_p @ p_p)
-        kappas, where = self.at(c, u_plus, u_minus)
-        _positive_logdet(mid, "mid-step merged-remainder matrix", kappas, where)
-        k = 0.5 * np.linalg.solve(mid, -(du @ p_p + u_m @ dp))
-        return _log_det_1p(k, kappas, where) - _log_det_1p(-k, kappas, where)
 
     def _sum(self, rows):
         """Weighted grid sum of the per-chunk ``rows``, one per node (or a column each)."""
@@ -366,10 +351,13 @@ def _step(config, label, h):
 
 
 def _stencil(h):
-    """The 13 displacements: 0, then per axis +h, -h, +h/2, -h/2."""
+    """The 13 displacements: 0, then +h e_i, -h e_i per axis, then the same at h/2.
+
+    The first 7 are the force's stencil (:func:`force`).
+    """
     out = [np.zeros(3)]
-    for e in np.eye(3):
-        for step in (h, 0.5 * h):
+    for step in (h, 0.5 * h):
+        for e in np.eye(3):
             out += [step * e, -(step * e)]
     return out
 
@@ -381,9 +369,9 @@ def _fd(ratios, h):
     at h and h/2, with one Richardson halving; est_error is the refined
     value's distance to h/2's.
     """
-    e = np.reshape(ratios, (3, 2, 2))  # axis, step, sign
+    e = np.reshape(ratios, (2, 3, 2))  # step, axis, sign
     raw, half = (
-        sum((e[i, s, 0] + e[i, s, 1]) / step**2 for i in range(3))
+        sum((e[s, i, 0] + e[s, i, 1]) / step**2 for i in range(3))
         for s, step in enumerate((h, 0.5 * h))
     )
     refined = (4.0 * half - raw) / 3.0
@@ -391,33 +379,38 @@ def _fd(ratios, h):
 
 
 def _axial_force(eng, h, axis, s=0.0):
-    """-dE/ds along ``axis`` at displacement s e_axis: one central difference,
-    the blocks of its two ends built once (``_CommonGridEngine._central``)."""
+    """-dE/ds along ``axis`` at displacement s e_axis, from ln det[M(+h)/M(-h)]
+    of the ends s -+ h: one ``_CommonGridEngine._ratio`` from the -h end."""
     e = np.eye(3)[axis]
     ends = [(s - h) * e, (s + h) * e]
     moved = [eng.moved(u) for u in ends]
-    rows = [
-        eng._central(c, *(eng._row_col(c, m) for m in moved), *ends)
-        for c in range(len(eng.chunks))
-    ]
+    rows = []
+    for c in range(len(eng.chunks)):
+        ref = eng._reference(c, eng._row_col(c, moved[0]), ends[0])
+        rows.append(eng._ratio(c, ref, eng._row_col(c, moved[1]), ends[1], ends[0])[0])
     return -float(eng._sum(rows)) / (2.0 * h)
 
 
 def force(config, label, h=None, l_max=None, n_nodes=32):
-    """Force on the labeled object, -grad E by common-grid differences."""
+    """Force on the labeled object, -grad E by common-grid differences.
+
+    The force columns of :func:`stability_report`, from the 7 points 0 and
+    +-h e_i of its stencil, so the two forces are the same bits.
+    """
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    return np.array([_axial_force(eng, h, axis) for axis in range(3)])
+    return -_stencil_sums(eng, _stencil(h)[:7], report=False)[6:] / (2.0 * h)
 
 
 def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
     """Displacement Laplacian of the energy from the 13-point stencil (``_fd``).
 
-    Only the stencil's ratios are formed: no force or decomposition term.
+    Only the stencil's ratios, and the force differences among them, are
+    formed: no decomposition term.
     """
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
-    return _fd(_stencil_sums(eng, h, report=False), h)[0]
+    return _fd(_stencil_sums(eng, _stencil(h), report=False)[:12], h)[0]
 
 
 def _sign_classes(config):
@@ -461,57 +454,57 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _stencil_rows(eng, c, moved, h, report=True):
-    """One row per kappa of chunk c: 12 ratios, then 3 forces, weightless -b1, -b2, -b3.
+def _stencil_rows(eng, c, steps, moved, report=True):
+    """One row per kappa of chunk c: the ratios, 3 forces, weightless -b1, -b2, -b3.
 
-    ``moved`` holds the :meth:`~_CommonGridEngine.moved` of ``_stencil(h)``.
-    The ratios are ln det[M(u)/M(0)] at its 12 points after 0, the forces'
-    columns ln det[M(+h)/M(-h)] of each axis, as :func:`_axial_force` takes
-    them; without ``report`` the rows hold the ratios alone.  The axes are
-    taken one at a time: the blocks of an axis's four points, and the dU and
-    dP of their ratios, are dropped before the next.  The decomposition
-    reads the same dU and dP: since the Richardson weights sum to 0, the
-    refined central differences dU/da_i and M_RR^-1 dV/da_i are their
-    weighted sums.
+    ``steps`` is ``_stencil(h)``, or its first 7 points, and ``moved`` their
+    :meth:`~_CommonGridEngine.moved`.  The ratios are ln det[M(u)/M(0)] at
+    the points after 0, and each axis's force column is ln det[M(+h)/M(-h)]
+    = ratio(+h) - ratio(-h).  Only ``report`` adds the decomposition's
+    columns.  The axes are taken one at a time: the blocks of an axis's
+    points, and the dU and dP of their ratios, are dropped before the next.
+    The decomposition reads the same dU and dP: since the Richardson
+    weights sum to 0, the refined central differences dU/da_i and
+    M_RR^-1 dV/da_i are their weighted sums.
     """
-    kappas, steps = eng.kappas[eng.chunks[c]], _stencil(h)
+    kappas, h = eng.kappas[eng.chunks[c]], steps[1][0]  # steps[1] = +h e_x
     ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
     u_ref, _, p_ref, s_inv = ref
-    ratios, forces, b2, b3 = [], [], 0.0, 0.0
+    ratios, forces, b2, b3 = [None] * (len(steps) - 1), [], 0.0, 0.0
     for axis in range(3):
-        at = range(1 + 4 * axis, 5 + 4 * axis)  # +h, -h, +h/2, -h/2
-        points = [eng._row_col(c, moved[s]) for s in at]
+        # +h, -h, +h/2, -h/2 of this axis (see _stencil)
+        at = [s + sign for s in range(1 + 2 * axis, len(steps), 6) for sign in (0, 1)]
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         du = dp = 0.0
-        for s, point, w in zip(at, points, (-0.5, 0.5, 4.0, -4.0)):
-            ratio, d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
-            ratios.append(ratio)
+        for s, w in zip(at, (-0.5, 0.5, 4.0, -4.0)):
+            point = eng._row_col(c, moved[s])
+            ratios[s - 1], d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
             du, dp = du + w * d_u, dp + w * d_p
+        forces.append(ratios[at[0] - 1] - ratios[at[1] - 1])
         if not report:
             continue
-        forces.append(eng._central(c, points[1], points[0], steps[at[1]], steps[at[0]]))
         du, dp = du / (3.0 * h), dp / (3.0 * h)
         b2 += 2.0 * _trace_product(s_inv, du @ dp)
         rdn = s_inv @ (du @ p_ref + u_ref @ dp)
         b3 += _trace_product(rdn, rdn)
     if not report:
-        return np.column_stack(ratios)
+        return np.column_stack(ratios + forces)
     n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
     b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
     return np.column_stack(ratios + forces + [-b1, -b2, -b3])
 
 
-def _stencil_sums(eng, h, report=True):
-    """The grid sums of :func:`_stencil_rows`' columns."""
-    moved = [eng.moved(u) for u in _stencil(h)]
-    return eng._sum([_stencil_rows(eng, c, moved, h, report) for c in range(len(eng.chunks))])
+def _stencil_sums(eng, steps, report=True):
+    """The grid sums of :func:`_stencil_rows`' columns at ``steps``."""
+    moved = [eng.moved(u) for u in steps]
+    return eng._sum([_stencil_rows(eng, c, steps, moved, report) for c in range(len(eng.chunks))])
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
     """Force, FD Laplacian, decomposition and sign prediction in one grid pass."""
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    sums = _stencil_sums(eng, h)
+    sums = _stencil_sums(eng, _stencil(h))
     lap, err = _fd(sums[:12], h)
     f = -sums[12:15] / (2.0 * h)
     return StabilityReport(label, f, lap, *sums[15:], _sign_product(config, label), h, err)
@@ -524,10 +517,11 @@ def find_axial_equilibrium(
 
     ``bracket`` is a pair of displacements of the labeled object along
     ``axis`` (0, 1 or 2) relative to its configured position.  The force is
-    the central difference of one frozen grid (that of ``config``, with its
-    step h), and Brent's method locates its zero to ``tol``.  Returns an
-    EquilibriumResult whose report is :func:`stability_report` at the root;
-    absence of a sign change is a result, not an error.
+    ln det[M(s + h)/M(s - h)] on one frozen grid (that of ``config``, with
+    its step h; see :func:`_axial_force`), and Brent's method locates its
+    zero to ``tol``.  Returns an EquilibriumResult whose report is
+    :func:`stability_report` at the root; absence of a sign change is a
+    result, not an error.
     """
     _finite(tol, "tol")
     if axis not in (0, 1, 2):

@@ -212,6 +212,20 @@ def test_engine_positivity_errors_name_the_node_and_displacement(monkeypatch):
             call(cfg, "a", l_max=3, n_nodes=4)
 
 
+def test_axial_force_errors_name_the_node_and_the_minus_end(monkeypatch):
+    # the sweep's force is one ratio from a reference at its -h end, which
+    # is guarded first
+    from casimir_stability import UnphysicalTruncationError, casimir
+    from casimir_stability.stability import _axial_force, _CommonGridEngine
+    from test_casimir import _nan_translation
+
+    _nan_translation(monkeypatch, casimir)
+    eng = _CommonGridEngine(pec_pair(4.0), "a", l_max=3, n_nodes=4)
+    at = re.escape(f"kappa = {eng.kappas[0]:.6g} (node 0), 'a' moved by (0, 0, 0.25)")
+    with pytest.raises(UnphysicalTruncationError, match=f"matrix at {at} has non-fin"):
+        _axial_force(eng, 0.25, 2, s=0.5)
+
+
 @pytest.mark.parametrize(
     "call, error, match",
     [

@@ -161,6 +161,43 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
         assert len(translations) == 156
 
 
+@pytest.mark.parametrize("case", ["pec_pair", "triple_b"])
+def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
+    # every force is a difference of the stencil's ratios from u = 0: the
+    # report builds one reference and 12 ratios per chunk and solves nothing
+    # for its force, and force() reads the same columns from the 7 points
+    # 0 and +-h e_i, one kappa row per node per moving pair at each
+    cfg, label, l_max, n_nodes = CASES[case]
+    n = len(cfg.objects)
+    moving, static = n - 1, (n - 1) * (n - 2) // 2
+    chunks = len(_CommonGridEngine(cfg, label, l_max, n_nodes).chunks)
+    references = _count_calls(monkeypatch, _CommonGridEngine, "_reference")
+    ratios = _count_calls(monkeypatch, _CommonGridEngine, "_ratio")
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    assert (len(references), len(ratios), len(solves)) == (chunks, 12 * chunks, 0)
+    del references[:], ratios[:]
+    translations = _count_calls(monkeypatch, casimir, "translation_matrix")
+    force(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    assert (len(references), len(ratios), len(solves)) == (chunks, 6 * chunks, 0)
+    kappa_rows = sum(np.size(kappa) for _, kappa, *_ in translations)
+    assert kappa_rows == n_nodes * (7 * moving + static)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_axial_force_agrees_with_force(case):
+    # the sweep and the equilibrium search take one ratio of the +h end from
+    # the -h end, force() two ratios from 0: the same difference, rounded
+    # apart (the transverse forces of a pair on the z axis included)
+    cfg, label, l_max, n_nodes = CASES[case]
+    h = _step(cfg, label, None)
+    eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
+    f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    for axis in range(3):
+        got = stability._axial_force(eng, h, axis)
+        assert abs(got - f[axis]) <= 1e-12 * np.linalg.norm(f), (axis, got, f[axis])
+
+
 def test_report_rotates_once_per_direction(monkeypatch):
     # the rotation D^l depends on d/|d| alone: the engine prepares it once
     # for each stencil displacement of each moving pair and once for the
@@ -220,9 +257,12 @@ def _exact_log_det(m):
 def test_stencil_differences_are_the_exact_ln_det_differences(case):
     # every stencil ratio ln det[M(u)/M(0)] and axial ln det[M(+h)/M(-h)] of
     # the engine against the 40-digit ln det difference of the very float
-    # matrices I - N it stands for, placed whole from the same blocks.  An
-    # axial difference whose first order nearly vanishes at a node is held
-    # to the size of its two ends' ratios, which it cannot resolve below
+    # matrices I - N it stands for, placed whole from the same blocks.  The
+    # axial one is taken both ways a force takes it: the report's
+    # ratio(+h) - ratio(-h), and the sweep's one ratio of the +h end from
+    # the -h end (_axial_force).  An axial difference whose first order
+    # nearly vanishes at a node is held to the size of its two ends'
+    # ratios, which it cannot resolve below
     cfg, label = (pec_pair(4.0), "a") if case == "pec_pair" else (_triple(), "b")
     eng = _CommonGridEngine(cfg, label, l_max=2, n_nodes=3)
     h = _step(cfg, label, None)
@@ -242,9 +282,13 @@ def test_stencil_differences_are_the_exact_ln_det_differences(case):
         got = eng._ratio(c, ref, points[s], steps[s], steps[0])[0]
         for g, w in zip(got, ratios[s]):
             assert abs(g - w) <= 1e-14 * abs(w), (s, g, w)
-    for plus in (1, 5, 9):
-        got = eng._central(c, points[plus + 1], points[plus], steps[plus + 1], steps[plus])
-        for g, r_plus, r_minus in zip(got, ratios[plus], ratios[plus + 1]):
-            w = r_plus - r_minus
-            scale = max(abs(w), abs(r_plus), abs(r_minus))
-            assert abs(g - w) <= 1e-14 * scale, (plus, g, w)
+    report = stability._stencil_rows(eng, c, steps, moved)
+    for axis, plus in enumerate((1, 3, 5)):  # +h e_i, then -h e_i (see _stencil)
+        minus = plus + 1
+        ref_minus = eng._reference(c, points[minus], steps[minus])
+        axial = eng._ratio(c, ref_minus, points[plus], steps[plus], steps[minus])[0]
+        for route, got in (("report", report[:, 12 + axis]), ("axial", axial)):
+            for g, r_plus, r_minus in zip(got, ratios[plus], ratios[minus]):
+                w = r_plus - r_minus
+                scale = max(abs(w), abs(r_plus), abs(r_minus))
+                assert abs(g - w) <= 1e-14 * scale, (route, axis, g, w)
