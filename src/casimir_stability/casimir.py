@@ -47,9 +47,10 @@ sum runs that double in length up to one chunk; the plates take chunks of
 T-matrices, rotations and Bessel rows made once for the grid.  A chunk
 holds as many kappas as fit one fixed budget of array entries,
 ``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (dense for the
-engine, its q-nodes for the plates); the budget is a constant, not an
-option.  A single kappa is the one-row view of the same code, and each
-batched row equals it bit for bit.
+engine, its q-nodes for the plates), and a dense chunk holds at least two
+kappas (``_chunk``); the budget is a constant, not an option.  A single
+kappa is the one-row view of the same code, and each batched row equals
+it bit for bit.
 """
 
 import collections
@@ -98,7 +99,8 @@ MAX_NODES = 1536
 MAX_ORDER_DOUBLINGS = 3
 
 # array entries one chunk of kappas may fill: the I - N stacks of an
-# integrand chunk, the (kappa, q) pairs of a plate chunk
+# integrand chunk or a Matsubara run, the (kappa, q) pairs of a plate
+# chunk; a dense chunk holds at least two kappas (see _chunk)
 _CHUNK_ENTRIES = 1 << 16
 
 # centres this close to one line, relative to their largest distance from
@@ -423,12 +425,14 @@ def log_det_integrand(config, kappa, l_max):
     truncation.  Collinear centres take the axial layout: the value is the
     sum of the ln dets of the m-blocks, from one ``slogdet`` call on their
     stack, and each block must be positive on its own.  ``kappa`` may be a
-    1-D array, giving one value per kappa; a single kappa is its one-row
-    view.  The T-matrices of every kappa and the rotation of every pair are
-    made once per call; I - N is placed and factored in chunks of kappas
-    (:func:`_chunk`).
+    1-D array, giving one value per kappa (none for an empty array); a
+    single kappa is its one-row view.  The T-matrices of every kappa and
+    the rotation of every pair are made once per call; I - N is placed and
+    factored in chunks of kappas (:func:`_chunk`).
     """
     kappas = np.array(kappa, float, ndmin=1)
+    if not kappas.size:
+        return np.zeros(0)
     axial = config._axis_positions is not None
     t_logs = _t_logs(config, kappas, l_max)
     geometry = _geometry(config, config._pairs, l_max, axial, kappas)
@@ -440,11 +444,22 @@ def log_det_integrand(config, kappa, l_max):
     return float(values[0]) if np.ndim(kappa) == 0 else values
 
 
-def _chunk(config, l_max, axial):
-    """Kappas per chunk: _CHUNK_ENTRIES over one kappa's stack of ``_layout(l_max, axial)``."""
+def _chunk(config, l_max, axial, run=False):
+    """Kappas per chunk: the I - N stacks of ``_layout(l_max, axial)`` in _CHUNK_ENTRIES.
+
+    That is 28 kappas for an axial pair at l_max 4, and on either layout
+    it caps a Matsubara sum's run (``run``), whose last run computes terms
+    past the stop.  A dense chunk holds at least 2 kappas: one stack at
+    order 210 (three spheres at l_max 5) passes the budget alone, and a
+    chunk of one kappa frees all it placed before the next, so glibc's
+    malloc hands those pages back and faults them in again on every kappa:
+    about 14,000 minor faults per three-sphere energy at l_max 5, about 500
+    with 2 kappas.
+    """
     depth, width = _widths(l_max, axial)
     size = width * len(config.objects)
-    return max(1, _CHUNK_ENTRIES // (depth * size * size))
+    least = 1 if axial or run else 2
+    return max(least, _CHUNK_ENTRIES // (depth * size * size))
 
 
 def _in_chunks(f, n, chunk):
@@ -523,7 +538,8 @@ def _evaluate(config, tol, l_max, n_nodes):
     """The energy at one order on one grid (est: Matsubara tail, inf at tau = 0).
 
     At tau = 0 the integrand takes the whole grid in one call; the
-    Matsubara sum hands it runs of at most one chunk (:func:`_chunk`).
+    Matsubara sum hands it runs of at most one chunk without the dense floor
+    (:func:`_chunk`).
     """
     def integrand(kappas):
         return log_det_integrand(config, kappas, l_max)
@@ -537,7 +553,7 @@ def _evaluate(config, tol, l_max, n_nodes):
             [kappas[order], vals[order], np.cumsum(contrib[order])]
         )
         return EnergyResult(float(contrib.sum()), l_max, n_nodes, math.inf, samples)
-    chunk = _chunk(config, l_max, config._axis_positions is not None)
+    chunk = _chunk(config, l_max, config._axis_positions is not None, run=True)
     kappas, _, terms, est = _matsubara_sum(integrand, config.tau, tol, MAX_SUM_TERMS, chunk)
     cumulative = config.tau / (2.0 * math.pi) * np.cumsum(terms)
     samples = np.column_stack([[0.0] + kappas[1:], terms, cumulative])

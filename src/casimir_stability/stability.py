@@ -128,9 +128,10 @@ class _CommonGridEngine:
 
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
-    sum at tau > 0, taken in chunks of as many kappas as the dense I - N
-    fits in ``_CHUNK_ENTRIES``.  The T-matrices (``casimir._t_logs``) are
-    built for the whole grid at once, and so are the rotation and the
+    sum at tau > 0, taken in chunks of ``casimir._chunk`` on the dense
+    layout: as many kappas as the dense I - N fits in ``_CHUNK_ENTRIES``,
+    and at least 2 (at order 210).  The T-matrices (``casimir._t_logs``)
+    are built for the whole grid at once, and so are the rotation and the
     Bessel rows of each pair of a displacement (``casimir._geometry``), made
     once for every chunk and sliced per chunk (``casimir._rows``).
 
@@ -321,7 +322,7 @@ def _matsubara_grid(config, l_max):
         runs.append(_t_logs(config, kappas, low))
         return _log_dets(config, kappas, low, runs[-1], geometry)
 
-    chunk = _chunk(config, low, axial)
+    chunk = _chunk(config, low, axial, run=True)
     kappas, weights, _, _ = _matsubara_sum(term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, chunk)
     kappas, weights = np.array(kappas), np.array(weights)
     if low != l_max:

@@ -26,6 +26,7 @@ from casimir_stability import (
     free_energy_T,
     laplacian_fd,
     log_det_integrand,
+    stability,
     stability_report,
 )
 from casimir_stability.casimir import KAPPA_FLOOR, _matsubara_sum, _plate_kernel, _quad_nodes
@@ -36,6 +37,12 @@ from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere
 
 DRUDE = DispersionModel.drude(4.0, 0.2)
 KAPPAS = np.array([KAPPA_FLOOR, 1e-3, 0.05, 0.4, 0.7, 1.3, 4.0, 25.0])
+
+
+def _one_kappa_per_chunk(monkeypatch):
+    # every chunk and Matsubara run of the integrand and the engine
+    for module in (casimir, stability):
+        monkeypatch.setattr(module, "_chunk", lambda *args, **kwargs: 1)
 
 
 def _three_body(medium=Medium()):
@@ -90,7 +97,7 @@ def test_batched_integrand_equals_each_kappa_bitwise(case):
 @pytest.mark.parametrize("case", ["dense 3-body", "axial pair"])
 def test_quadrature_samples_are_the_per_kappa_integrand(case, monkeypatch):
     cfg, l_max = CONFIGS[case]
-    monkeypatch.setattr(casimir, "_CHUNK_ENTRIES", 1)  # one kappa per chunk
+    _one_kappa_per_chunk(monkeypatch)
     single = energy_T0(cfg, l_max=l_max, tol=1e-3)
     monkeypatch.undo()
     batched = energy_T0(cfg, l_max=l_max, tol=1e-3)
@@ -100,11 +107,33 @@ def test_quadrature_samples_are_the_per_kappa_integrand(case, monkeypatch):
     assert np.array_equal(values, [log_det_integrand(cfg, k, l_max) for k in kappas])
 
 
-# (config, l_max) of the stability engine, labeled object "a"
+def test_empty_kappa_array_gives_no_values():
+    for cfg, l_max in (CONFIGS["dense 3-body"], CONFIGS["axial pair"]):
+        for empty in (np.array([]), []):
+            got = log_det_integrand(cfg, empty, l_max)
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def test_dense_integrand_factors_several_kappas_per_call_at_order_210(monkeypatch):
+    # three spheres at l_max 5: I - N has order 210, and one kappa's stack
+    # alone passes the entry budget; a chunk still holds several kappas
+    # (the engine's chunks at this order: "3-body, l_max 5" below)
+    cfg = _three_body()
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m.shape) or slogdet(m))
+    log_det_integrand(cfg, _quad_nodes(48, 1.0 / cfg.min_gap())[0], 5)
+    assert all(shape[-1] == 210 for shape in calls)
+    assert len(calls) < 48
+
+
+# (config, l_max, n_nodes) of the stability engine, labeled object "a"
 STABILITY_CASES = {
-    "pec pair": (pec_pair(4.0), 3),
-    "pec pair, tau 0.5": (pec_pair(4.0, tau=0.5), 3),
-    "3-body": (_three_body(), 2),
+    "pec pair": (pec_pair(4.0), 3, 24),
+    "pec pair, tau 0.5": (pec_pair(4.0, tau=0.5), 3, 24),
+    "3-body": (_three_body(), 2, 24),
+    # order 210, where a one-kappa stack passes the entry budget
+    "3-body, l_max 5": (_three_body(), 5, 8),
 }
 
 
@@ -112,8 +141,8 @@ STABILITY_CASES = {
 def test_stability_routes_do_not_depend_on_the_chunk(case, monkeypatch):
     # the engine sums its nodes one after another in grid order, so a chunk
     # of many kappas and chunks of one kappa give the same bits in every field
-    cfg, l_max = STABILITY_CASES[case]
-    grid = dict(l_max=l_max, n_nodes=24)
+    cfg, l_max, n_nodes = STABILITY_CASES[case]
+    grid = dict(l_max=l_max, n_nodes=n_nodes)
 
     def routes():
         eng = _CommonGridEngine(cfg, "a", **grid)
@@ -123,12 +152,14 @@ def test_stability_routes_do_not_depend_on_the_chunk(case, monkeypatch):
 
     chunks, nodes, batched = routes()
     assert chunks < nodes
-    monkeypatch.setattr(casimir, "_CHUNK_ENTRIES", 1)  # one kappa per chunk
+    rows = log_det_integrand(cfg, KAPPAS, l_max)
+    _one_kappa_per_chunk(monkeypatch)
     chunks, nodes, single = routes()
     assert chunks == nodes
     assert len(single) == len(batched)
     for got, want in zip(single, batched):
         assert np.array_equal(got, want), (got, want)
+    assert np.array_equal(log_det_integrand(cfg, KAPPAS, l_max), rows)
 
 
 def test_matsubara_terms_with_the_drude_floor_are_the_per_kappa_integrand():

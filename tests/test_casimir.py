@@ -489,8 +489,8 @@ def test_spheres_that_differ_get_their_own_tmatrix(first, second):
 
 def test_energy_builds_each_tmatrix_once_per_grid(monkeypatch):
     # the integrand takes a whole quadrature grid: one T-matrix call per
-    # distinct sphere and grid, on the grid's nodes, though the dense
-    # three-sphere stack fits one kappa per chunk
+    # distinct sphere and grid, on the grid's nodes, though the grid of 24
+    # nodes takes more than one dense three-sphere chunk
     from casimir_stability import casimir
     from test_stability import _count_calls
 

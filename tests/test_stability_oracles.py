@@ -145,6 +145,8 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
     cfg, label, l_max, n_nodes = CASES[case]
     n = len(cfg.objects)
     moving, static = n - 1, (n - 1) * (n - 2) // 2
+    chunks = len(_CommonGridEngine(cfg, label, l_max, n_nodes).chunks)
+    assert chunks < n_nodes
     translations = _count_calls(monkeypatch, casimir, "translation_matrix")
     matrices = _count_calls(monkeypatch, stability, "_place_blocks")
     gradients = [
@@ -153,12 +155,15 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
     ]
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
     # I - N is never placed whole: only the remainder's M_RR, once per
-    # chunk (one kappa each here), and nothing for a pair, whose M_RR = I
-    assert len(matrices) == (n_nodes if static else 0)
-    assert len(translations) == n_nodes * (13 * moving + static)
+    # chunk, and nothing for a pair, whose M_RR = I; each stencil point's
+    # pairs are translated once per chunk, one kappa row per node
+    assert len(matrices) == (chunks if static else 0)
+    assert len(translations) == chunks * (13 * moving + static)
+    kappa_rows = sum(np.size(kappa) for _, kappa, *_ in translations)
+    assert kappa_rows == n_nodes * (13 * moving + static)
     assert gradients == [[], []]
     if case == "pec_pair":
-        assert len(translations) == 156
+        assert kappa_rows == 156
 
 
 @pytest.mark.parametrize("case", ["pec_pair", "triple_b"])
