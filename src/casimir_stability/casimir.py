@@ -33,6 +33,10 @@ along z, which conserves m, so M is block-diagonal in m and
 ln det M = sum_m ln det M_m: ``log_det_integrand`` then takes the axial
 layout (coaxial translations, only the m-diagonal entries built and
 balanced) and one ``slogdet`` call on the stack of the 2 l_max + 1 blocks.
+Every matrix of the stack has identity diagonal blocks, so what is factored
+is its Schur complement of object 0's block, M_RR - M_R0 M_0R, of the same
+determinant (``_complement``): for a pair, I - B_10 B_01, as Rahi et al.,
+PRD 80, 085021 (2009), write the two-body ln det.
 
 Frequency is a batch axis: T-matrices, translations, balanced blocks and
 the stack of I - N carry a leading kappa axis, and one ``slogdet`` call
@@ -46,9 +50,9 @@ sum runs that double in length up to one chunk; the plates take chunks of
 (kappa, q) arrays, and the stability engine chunks of its frozen grid, its
 T-matrices, rotations and Bessel rows made once for the grid.  A chunk
 holds as many kappas as fit one fixed budget of array entries,
-``_CHUNK_ENTRIES``, counted over one kappa's I - N stack (dense for the
-engine, its q-nodes for the plates), and a dense chunk holds at least two
-kappas (``_chunk``); the budget is a constant, not an option.  A single
+``_CHUNK_ENTRIES``, counted over one kappa's whole I - N stack (dense for
+the engine, its q-nodes for the plates), and a dense chunk holds at least
+two kappas (``_chunk``); the budget is a constant, not an option.  A single
 kappa is the one-row view of the same code, and each batched row equals
 it bit for bit.
 """
@@ -98,9 +102,10 @@ MAX_NODES = 1536
 # doublings of the default l_max an energy may make before it gives up
 MAX_ORDER_DOUBLINGS = 3
 
-# array entries one chunk of kappas may fill: the I - N stacks of an
-# integrand chunk or a Matsubara run, the (kappa, q) pairs of a plate
-# chunk; a dense chunk holds at least two kappas (see _chunk)
+# array entries one chunk of kappas may fill: the whole I - N stacks of an
+# integrand chunk or a Matsubara run (their complements, one more array of
+# ((n - 1)/n)^2 that size for n objects, are not counted), the (kappa, q)
+# pairs of a plate chunk; a dense chunk holds at least two kappas (see _chunk)
 _CHUNK_ENTRIES = 1 << 16
 
 # centres this close to one line, relative to their largest distance from
@@ -409,22 +414,44 @@ def assemble_block_matrix(config, kappa, l_max):
     return _assemble(config, kappa, l_max, False, t_logs, geometry)[0]
 
 
+def _complement(m, width):
+    """M_RR - M_R0 M_0R of each matrix of the stack ``m``: the Schur complement
+    of its first ``width`` rows and columns, an identity block, so that
+    det m = det of the complement, matrix by matrix.
+
+    Formed in one buffer: the product, then M_RR minus it in place.
+    """
+    out = np.matmul(m[..., width:, :width], m[..., :width, width:])
+    return np.subtract(m[..., width:, width:], out, out=out)
+
+
 def _log_dets(config, kappas, l_max, t_logs, geometry):
     """ln det(I - N) at each of ``kappas`` (a 1-D array), from one stack;
     ``t_logs`` are the T-matrix rows of these kappas, ``geometry`` is
-    :func:`_geometry` of every pair on the configuration's layout."""
+    :func:`_geometry` of every pair on the configuration's layout.
+
+    Object 0's diagonal block is the identity, so each matrix's ln det is
+    that of its :func:`_complement`, which is what is factored and guarded:
+    for a pair, I - B_10 B_01, at half the order of I - N.
+    """
     axial = config._axis_positions is not None
+    layout = _layout(l_max, axial)
     stack = _assemble(config, kappas, l_max, axial, t_logs, geometry)
-    return _positive_logdet(stack, _layout(l_max, axial).names, kappas)
+    complement = _complement(stack, layout.width)
+    # dropped before the factorization (see _chunk)
+    del stack
+    return _positive_logdet(complement, layout.names, kappas)
 
 
 def log_det_integrand(config, kappa, l_max):
     """ln det of the block matrix; <= 0 for same-class objects.
 
     A non-positive or non-finite determinant signals an unphysical
-    truncation.  Collinear centres take the axial layout: the value is the
-    sum of the ln dets of the m-blocks, from one ``slogdet`` call on their
-    stack, and each block must be positive on its own.  ``kappa`` may be a
+    truncation.  What is factored and guarded is the complement of object
+    0's identity block (:func:`_log_dets`), of the same determinant.
+    Collinear centres take the axial layout: the value is the sum of the ln
+    dets of the m-blocks, from one ``slogdet`` call on the stack of their
+    complements, and each must be positive on its own.  ``kappa`` may be a
     1-D array, giving one value per kappa (none for an empty array); a
     single kappa is its one-row view.  The T-matrices of every kappa and
     the rotation of every pair are made once per call; I - N is placed and
@@ -445,7 +472,7 @@ def log_det_integrand(config, kappa, l_max):
 
 
 def _chunk(config, l_max, axial, run=False):
-    """Kappas per chunk: the I - N stacks of ``_layout(l_max, axial)`` in _CHUNK_ENTRIES.
+    """Kappas per chunk: the whole I - N stacks of ``_layout(l_max, axial)`` in _CHUNK_ENTRIES.
 
     That is 28 kappas for an axial pair at l_max 4, and on either layout
     it caps a Matsubara sum's run (``run``), whose last run computes terms
@@ -454,7 +481,12 @@ def _chunk(config, l_max, axial, run=False):
     chunk of one kappa frees all it placed before the next, so glibc's
     malloc hands those pages back and faults them in again on every kappa:
     about 14,000 minor faults per three-sphere energy at l_max 5, about 500
-    with 2 kappas.
+    with 2 kappas.  The complement that :func:`_log_dets` factors adds one
+    array of ((n - 1)/n)^2 the stack's size for n objects, uncounted: the
+    chunks are those of the whole stack.  The stack is dropped before the
+    complement is factored: kept through ``slogdet``, it tipped the same
+    three-sphere energy, run after a stability report, back to about 7,300
+    faults per energy.
     """
     depth, width = _widths(l_max, axial)
     size = width * len(config.objects)

@@ -124,7 +124,7 @@ def log_bessel_i_array(l_max, x):
     groups = {}
     for r, v in enumerate(xs.tolist()):
         groups.setdefault(max(30, int(1.5 * v) + 40), []).append(r)
-    top = max(groups)
+    top = max(groups, default=0)
     # log (2m+1)!! = log (2m+1)! - m log 2 - log m!, taken at m = l+k
     m = np.arange(l_max + top)
     log_fact = _log_factorials(2 * len(m))
@@ -176,7 +176,7 @@ def log_bessel_k_array(l_max, x):
     n = l_max + 1
     log_2x = np.array([math.log(2.0 * v) for v in xs.tolist()])[:, None, None]
     log_terms = _binomial_logs(n) - np.arange(n) * log_2x
-    sums = _logsumexp_rows(log_terms.reshape(-1, n)).reshape(xs.size, -1)
+    sums = _logsumexp_rows(log_terms.reshape(-1, n)).reshape(xs.size, n)
     log_x = np.array([math.log(v) for v in xs.tolist()])
     out = (-xs - log_x)[:, None] + sums
     return out if np.ndim(x) else out[0]

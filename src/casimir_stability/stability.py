@@ -49,6 +49,7 @@ from .casimir import (
     Configuration,
     _blocks,
     _chunk,
+    _complement,
     _gap,
     _geometry,
     _layout,
@@ -139,7 +140,8 @@ class _CommonGridEngine:
     [[I, -U], [-V, M_RR]]: U (the A row) and V (the A column) hold the
     balanced blocks between A and the remainder R, and M_RR, those between
     unmoved objects, does not depend on the displacement.  Per chunk the
-    engine places M_RR once, guards its ln det and keeps its inverse; when R
+    engine places M_RR once, guards its ln det and keeps its inverse, both
+    by eliminating its first identity block (:meth:`_remainder`); when R
     is one object there are no static pairs, M_RR = I, and nothing is
     placed or solved.  A displacement (:func:`_displaced`) builds only U
     and V, and ln det(I - N) = ln det M_RR + ln det S, where S = I - U P,
@@ -191,13 +193,30 @@ class _CommonGridEngine:
         return _blocks(self.config.medium, self.kappas[rows], self.l_max, t_logs, geometry, self.layout)
 
     def _remainder(self, c, static):
-        """(ln det M_RR, M_RR^-1) at the kappas of chunk c; (0, None) when M_RR = I."""
+        """(ln det M_RR, M_RR^-1) at the kappas of chunk c; (0, None) when M_RR = I.
+
+        Both come from the complement of M_RR's first identity block
+        (``casimir._complement``), which is guarded and inverted at (n - 2)
+        nb rows for n objects: no factorization of M_RR whole.
+        """
         if not static:
             return 0.0, None
         at = {j: k for k, j in enumerate(self.rest)}
         blocks = self._chunk_blocks(c, static)
         m_rr = _place_blocks({(at[i], at[j]): b for (i, j), b in blocks.items()}, self.layout)[:, 0]
-        return _positive_logdet(m_rr, "remainder matrix", *self.at(c)), np.linalg.inv(m_rr)
+        # M_RR = [[I, A], [C, D]]: Z = D - C A, det M_RR = det Z, and
+        # M_RR^-1 = [[I + A Z^-1 C, -A Z^-1], [-Z^-1 C, Z^-1]], written over M_RR
+        w = self.nb
+        z = _complement(m_rr, w)
+        logdet = _positive_logdet(z, "remainder matrix", *self.at(c))
+        z_inv = np.linalg.inv(z)
+        a, z_inv_c = m_rr[:, :w, w:], z_inv @ m_rr[:, w:, :w]
+        a_z_inv = a @ z_inv
+        m_rr[:, :w, :w] += a @ z_inv_c
+        np.negative(a_z_inv, out=a)
+        np.negative(z_inv_c, out=m_rr[:, w:, :w])
+        m_rr[:, w:, w:] = z_inv
+        return logdet, m_rr
 
     def at(self, c, u=None, u0=None):
         """The kappas of chunk c, and the error text after the kappa of its row i.

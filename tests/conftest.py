@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +35,23 @@ def dielectric_sphere(center, radius, eps_value, label, mu_value=1.0):
         DispersionModel.constant(mu_value),
         label,
     )
+
+
+def exact_log_det(m):
+    """ln |det| of a float matrix: LU with partial pivoting in 40-digit arithmetic.
+
+    The rows are numpy arrays of mpmath numbers, so that each elimination
+    step is one array update.
+    """
+    with mpmath.workdps(40):
+        a = np.array([[mpmath.mpf(x) for x in row] for row in m.tolist()], dtype=object)
+        total = mpmath.mpf(0)
+        for k in range(len(a)):
+            p = k + int(np.argmax([abs(x) for x in a[k:, k]]))
+            a[[k, p]] = a[[p, k]]
+            total += mpmath.log(abs(a[k, k]))
+            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
+        return total
 
 
 def pec_pair(separation, radius=1.0, tau=0.0):

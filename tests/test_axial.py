@@ -118,8 +118,9 @@ def test_m_block_route_makes_one_slogdet_call_on_a_stack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "slogdet", spy)
     log_det_integrand(pec_pair(3.0), 0.7, 3)
-    # one block per m, identity-padded to 2 l_max rows per object
-    assert calls == [(7, 12, 12)]
+    # one block per m, identity-padded to 2 l_max rows per object, and
+    # factored as the complement of the first object's block: 2 l_max rows
+    assert calls == [(7, 6, 6)]
 
 
 def test_guard_checks_every_block_and_names_it():

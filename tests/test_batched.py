@@ -31,6 +31,7 @@ from casimir_stability import (
 )
 from casimir_stability.casimir import KAPPA_FLOOR, _matsubara_sum, _plate_kernel, _quad_nodes
 from casimir_stability.scattering import fresnel_reflection, mie_tmatrix
+from casimir_stability.specfun import log_bessel_i_array, log_bessel_k_array
 from casimir_stability.stability import _CommonGridEngine
 from casimir_stability.translation import reverse_translation, translation_matrix
 from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere
@@ -114,16 +115,24 @@ def test_empty_kappa_array_gives_no_values():
             assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
+def test_log_bessel_arrays_of_no_arguments_give_no_rows():
+    # one row per argument, as for any other array
+    for l_max in (0, 3):
+        for f in (log_bessel_i_array, log_bessel_k_array):
+            assert f(l_max, np.array([])).shape == (0, l_max + 1)
+
+
 def test_dense_integrand_factors_several_kappas_per_call_at_order_210(monkeypatch):
     # three spheres at l_max 5: I - N has order 210, and one kappa's stack
     # alone passes the entry budget; a chunk still holds several kappas
-    # (the engine's chunks at this order: "3-body, l_max 5" below)
+    # (the engine's chunks at this order: "3-body, l_max 5" below).  What
+    # is factored is the complement of the first object's block: order 140
     cfg = _three_body()
     calls = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m.shape) or slogdet(m))
     log_det_integrand(cfg, _quad_nodes(48, 1.0 / cfg.min_gap())[0], 5)
-    assert all(shape[-1] == 210 for shape in calls)
+    assert all(shape[-1] == 140 for shape in calls)
     assert len(calls) < 48
 
 

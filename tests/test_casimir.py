@@ -558,6 +558,8 @@ def _per_object_stack(cfg, kappa, l_max, axial):
 
 @pytest.mark.parametrize("collinear", [False, True])
 def test_shared_tmatrix_leaves_the_matrix_unchanged(monkeypatch, collinear):
+    from casimir_stability.casimir import _layout
+
     centers = (
         [(0, 0, 0), (0, 0, 2.8), (0, 0, 5.6)] if collinear
         else [(0, 0, 0), (0.4, 0.3, 2.6), (2.9, 0, 1.8)]
@@ -579,4 +581,7 @@ def test_shared_tmatrix_leaves_the_matrix_unchanged(monkeypatch, collinear):
     monkeypatch.setattr(np.linalg, "slogdet", lambda m: seen.append(m) or slogdet(m))
     log_det_integrand(cfg, kappa, l_max)
     assert len(seen) == 1
-    assert np.array_equal(seen[0], _per_object_stack(cfg, kappa, l_max, collinear))
+    # what is factored: the complement of the first object's identity block
+    stack = _per_object_stack(cfg, kappa, l_max, collinear)
+    w = _layout(l_max, collinear).width
+    assert np.array_equal(seen[0], stack[..., w:, w:] - stack[..., w:, :w] @ stack[..., :w, w:])

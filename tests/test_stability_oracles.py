@@ -11,7 +11,6 @@ rules of the reversed blocks) and balanced each gradient block with the
 T-matrices, on a matrix placed with the labeled object first.
 """
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -34,7 +33,7 @@ from casimir_stability.casimir import (
     _t_logs,
 )
 from casimir_stability.stability import _CommonGridEngine, _fd, _stencil, _step
-from conftest import dielectric_sphere, pec_pair
+from conftest import dielectric_sphere, exact_log_det, pec_pair
 from test_stability import _count_calls
 
 
@@ -241,23 +240,6 @@ def test_fd_laplacian_matches_its_decomposition(case):
     assert abs(rep.laplacian - terms) <= 1e-8 * abs(rep.laplacian)
 
 
-def _exact_log_det(m):
-    """ln |det| of a float matrix: LU with partial pivoting in 40-digit arithmetic.
-
-    The rows are numpy arrays of mpmath numbers, so that each elimination
-    step is one array update.
-    """
-    with mpmath.workdps(40):
-        a = np.array([[mpmath.mpf(x) for x in row] for row in m.tolist()], dtype=object)
-        total = mpmath.mpf(0)
-        for k in range(len(a)):
-            p = k + int(np.argmax([abs(x) for x in a[k:, k]]))
-            a[[k, p]] = a[[p, k]]
-            total += mpmath.log(abs(a[k, k]))
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
-        return total
-
-
 @pytest.mark.parametrize("case", ["pec_pair", "triple"])
 def test_stencil_differences_are_the_exact_ln_det_differences(case):
     # every stencil ratio ln det[M(u)/M(0)] and axial ln det[M(+h)/M(-h)] of
@@ -279,7 +261,7 @@ def test_stencil_differences_are_the_exact_ln_det_differences(case):
     exact = []
     for geometry in moved:
         blocks = {**fixed, **eng._chunk_blocks(c, geometry)}
-        exact.append([_exact_log_det(m) for m in _place_blocks(blocks, eng.layout)[:, 0]])
+        exact.append([exact_log_det(m) for m in _place_blocks(blocks, eng.layout)[:, 0]])
     points = [eng._row_col(c, geometry) for geometry in moved]
     ref = eng._reference(c, points[0], steps[0])
     ratios = [[x - x0 for x, x0 in zip(exact[s], exact[0])] for s in range(13)]
