@@ -46,10 +46,15 @@ decodes the same values from the Generator's raw PCG64 words, fetched in
 blocks (``_Draws``), and an oracle test pins that decoding to numpy's.  The
 chain starts each mobile at its tether anchor (its container's center when
 untethered), which must lie inside its wall and on no charge it couples to.
+It keeps each mobile's current site energy until that mobile or one it
+couples to moves, so a step mostly runs the kernel once, at the proposal.
+It logs only the accepted moves and rebuilds the kept positions from that
+log after the last step.
 """
 
 import itertools
 import math
+import struct
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -199,7 +204,8 @@ class McEstimate:
 class SampleStream:
     """Mobile-position samples from one Metropolis chain."""
 
-    positions: np.ndarray  # (n_kept, n_mobiles, 3), absolute coordinates
+    # (n_kept, n_mobiles, 3), absolute coordinates, stored mobile by mobile
+    positions: np.ndarray
     acceptance_rate: float
     seed: int
     step_size: float
@@ -330,18 +336,24 @@ def _coulomb_energy(table, pos):
     return float(np.sum(_COULOMB * table.q[a] * table.q[b] / (table.eps_M * dist)))
 
 
-def _grad_d(table, pos, ci):
-    """grad_d H for each sample of ``pos`` (samples, charges, 3).
+def _grad_d(table, mobiles, ci):
+    """grad_d H for each sample of the mobiles' positions (samples, mobiles, 3).
 
     Only the Coulomb pairs with a in container ``ci`` and b outside it
     depend on the displacement:
     grad = -sum q_a q_b (x_a - x_b) / (4 pi eps_M |x_a - x_b|^3).
+    Each charge is read as one (samples, 3) column, a fixed charge's
+    position broadcast over the samples and a mobile's ``mobiles[:, k]``,
+    so no (samples, charges, 3) array of every charge is built.
     """
+    n = len(mobiles)
+    columns = [np.broadcast_to(p, (n, 3)) for p in table.fixed]
+    columns += [mobiles[:, k] for k in range(mobiles.shape[1])]
     inside = table.owner == ci
-    grads = np.zeros((len(pos), 3))
+    grads = np.zeros((n, 3))
     for a in np.flatnonzero(inside):
         for b in np.flatnonzero(~inside):
-            r = pos[:, a] - pos[:, b]
+            r = columns[a] - columns[b]
             dist = np.linalg.norm(r, axis=1)
             grads -= (
                 _COULOMB * table.q[a] * table.q[b] / table.eps_M / dist**3
@@ -384,7 +396,8 @@ def grad_d_hamiltonian(config, positions, label):
     """
     table = config._table
     ci = config.containers.index(config.container(label))
-    return _grad_d(table, table.all_positions(positions)[None], ci)[0]
+    mobiles = table.all_positions(positions)[table.n_fixed :]
+    return _grad_d(table, mobiles[None], ci)[0]
 
 
 def _shifted(config, label, d):
@@ -625,6 +638,16 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
     ``steps`` must exceed ``burn_in``.  A mobile whose start (its tether
     anchor) lies outside its wall or on a charge it couples to raises
     ValidationError.
+
+    Each mobile's current site energy is kept between its picks.  It is
+    computed only when the mobile is picked and the value is unknown; an
+    accepted move of mobile k sets it to the new energy just computed (the
+    same float: a mobile never couples to itself) and forgets it for every
+    mobile coupled to k.  The loop stores no sample: it logs each mobile's
+    accepted moves (their steps and new positions), and the kept positions
+    are rebuilt from that log afterwards, each mobile at its last accepted
+    position, or its start, at every kept step.  ``positions`` is stored
+    mobile by mobile, so ``positions[:, k]`` is contiguous.
     """
     step_size = _finite(step_size, "step_size")
     table = config._table
@@ -637,27 +660,47 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
         raise ValidationError("steps must exceed the burn-in")
     pos = _chain_start(config)
     walls = [wall for *_, wall in table.sites]
+    # the mobiles whose site energy reads mobile k's position
+    coupled = [
+        [b - first for b, _ in partners if b >= first] for _, _, partners, _ in table.sites
+    ]
+    # allocated before the chain runs: a steps too large for memory fails here
+    kept = np.empty((n_mobile, steps - burn_in, 3))
+    # per mobile, one (step, x, y, z) record of doubles per accepted move,
+    # after its start at step -1 (a step below 2**53 is exact in a double)
+    record = struct.Struct("4d").pack
+    log = [bytearray(record(-1, *pos[a])) for a in range(first, first + n_mobile)]
+    current = [None] * n_mobile
     draws = _Draws(seed)
     integers, uniform3, random = draws.integers, draws.uniform3, draws.random
-    kept = np.empty((steps - burn_in, n_mobile, 3))
-    accepted = 0
     beta = config.beta
     for step in range(steps):
         k = integers(n_mobile)
         a = first + k
         x, y, z = pos[a]
         ux, uy, uz = uniform3()
-        new = (x + step_size * ux, y + step_size * uy, z + step_size * uz)
-        if _inside(walls[k], *new):
-            delta = _site_energy(table, a, *new, pos) - _site_energy(
-                table, a, x, y, z, pos
-            )
+        nx, ny, nz = x + step_size * ux, y + step_size * uy, z + step_size * uz
+        if _inside(walls[k], nx, ny, nz):
+            e_old = current[k]
+            if e_old is None:
+                e_old = current[k] = _site_energy(table, a, x, y, z, pos)
+            e_new = _site_energy(table, a, nx, ny, nz, pos)
+            delta = e_new - e_old
             if delta <= 0.0 or random() < math.exp(-beta * delta):
-                pos[a] = new
-                accepted += 1
-        if step >= burn_in:
-            kept[step - burn_in] = pos[first:]
-    rate = accepted / steps
+                pos[a] = (nx, ny, nz)
+                for b in coupled[k]:
+                    current[b] = None
+                current[k] = e_new
+                log[k] += record(step, nx, ny, nz)
+    records = [np.frombuffer(r).reshape(-1, 4) for r in log]
+    kept_steps = np.arange(burn_in, steps, dtype=float)
+    for plane, rec in zip(kept, records):
+        # each kept step reads the last record at or before it
+        rows = np.searchsorted(rec[:, 0], kept_steps, side="right")
+        rows -= 1
+        # rows are in range; mode "raise" would buffer the output
+        np.take(rec[:, 1:], rows, axis=0, out=plane, mode="clip")
+    rate = (sum(map(len, records)) - n_mobile) / steps
     if not 0.1 <= rate <= 0.9:
         warnings.warn(
             f"Metropolis acceptance rate {rate:.3f} outside [0.1, 0.9]; "
@@ -665,7 +708,7 @@ def metropolis_run(config, steps, step_size, seed, burn_in=None):
             stacklevel=2,
         )
     return SampleStream(
-        positions=kept,
+        positions=kept.transpose(1, 0, 2),
         acceptance_rate=rate,
         seed=seed,
         step_size=step_size,
@@ -716,10 +759,8 @@ def laplacian_F_estimator(config, label, samples):
     harmonic.  The estimate is <= 0 by construction; the error bar comes
     from a blocking analysis of the per-sample variance contributions.
     """
-    table = config._table
-    fixed = np.broadcast_to(table.fixed, (len(samples.positions), table.n_fixed, 3))
     ci = config.containers.index(config.container(label))
-    grads = _grad_d(table, np.concatenate([fixed, samples.positions], axis=1), ci)
+    grads = _grad_d(config._table, samples.positions, ci)
     contrib = _square_norms(grads - grads.mean(axis=0))
     if float(contrib.max(initial=0.0)) == 0.0:
         return McEstimate(0.0, 0.0, len(grads), 0.5)

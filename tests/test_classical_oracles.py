@@ -26,6 +26,7 @@ from casimir_stability import (
     laplacian_F_estimator,
     metropolis_run,
 )
+from casimir_stability import classical
 from casimir_stability.classical import (
     _Draws,
     _blocking_stderr,
@@ -33,6 +34,7 @@ from casimir_stability.classical import (
     _shifted,
     _site_energy,
 )
+from test_classical import tethered_toy
 
 _COULOMB = 1.0 / (4.0 * math.pi)
 
@@ -419,3 +421,93 @@ def test_metropolis_chain_and_estimator_match_reference(seed):
     assert (est.mean, est.stderr, est.autocorrelation_time) == ref_estimator(
         cfg, "a", positions
     )
+
+
+def _one_mobile():
+    cfg = mixed_config()
+    a, b, c = cfg.containers
+    return replace(
+        cfg,
+        containers=(
+            replace(a, mobile_charges=a.mobile_charges[:1]),
+            replace(b, mobile_charges=()),
+            c,
+        ),
+    )
+
+
+def _first_accepted_step(cfg, steps, step_size, seed):
+    """The first step >= 2 whose move the reference chain accepts."""
+    kept, _ = ref_metropolis(cfg, steps, step_size, seed, 1)  # row i is step i + 1
+    moved = np.flatnonzero(np.any(kept[1:] != kept[:-1], axis=(1, 2)))
+    return int(moved[0]) + 2
+
+
+def _assert_chain_is_the_reference(cfg, steps, step_size, seed, burn_in):
+    stream = metropolis_run(cfg, steps, step_size, seed, burn_in=burn_in)
+    positions, rate = ref_metropolis(cfg, steps, step_size, seed, burn_in)
+    assert stream.positions.shape == (steps - burn_in, len(cfg._table.anchor), 3)
+    assert np.array_equal(stream.positions, positions)
+    assert stream.acceptance_rate == rate
+    return stream
+
+
+@pytest.mark.parametrize("edge", ["at burn_in - 1", "at burn_in"])
+def test_chain_rebuilt_around_a_move_accepted_at_the_burn_in(edge):
+    # the kept rows are rebuilt from the log of accepted moves: a move just
+    # before the first kept step, or on it, must land in the first kept row
+    cfg = mixed_config()
+    step = _first_accepted_step(cfg, 600, 0.15, 4)
+    burn_in = step + 1 if edge == "at burn_in - 1" else step
+    _assert_chain_is_the_reference(cfg, 600, 0.15, 4, burn_in)
+
+
+def test_chain_rebuilt_with_one_kept_step():
+    _assert_chain_is_the_reference(mixed_config(), 301, 0.15, 2, 300)
+
+
+def test_chain_rebuilt_for_a_single_mobile():
+    # integers(1) draws nothing, so each step draws only the move and the test
+    _assert_chain_is_the_reference(_one_mobile(), 3000, 0.15, 5, 300)
+
+
+def test_chain_rebuilt_when_no_move_is_accepted():
+    # k = 1e9: every move inside the wall raises the energy by about 1e6
+    cfg = tethered_toy(k=1e9)
+    with pytest.warns(UserWarning, match="acceptance rate 0.000"):
+        stream = _assert_chain_is_the_reference(cfg, 500, 0.05, 1, 50)
+    assert np.array_equal(stream.positions, np.broadcast_to(cfg._table.anchor, (450, 2, 3)))
+
+
+def test_toy_chain_keeps_each_mobiles_energy(monkeypatch):
+    # the classical-mc toy: two tethered mobiles coupled to each other, so an
+    # accepted move of one forgets the other's energy.  A stale kept energy
+    # changes an acceptance and the chain leaves the reference.  A mobile's
+    # current energy is computed again only on its first pick and after a
+    # mobile it couples to moved, so the kernel runs once per in-wall
+    # proposal plus at most once per accepted move and per mobile
+    counts = {"site": 0, "in_wall": 0}
+    wall_test = classical._inside
+
+    def site_energy(*args):
+        counts["site"] += 1
+        return _site_energy(*args)
+
+    def inside(*args):
+        ok = wall_test(*args)
+        counts["in_wall"] += ok is True
+        return ok
+
+    monkeypatch.setattr(classical, "_site_energy", site_energy)
+    monkeypatch.setattr(classical, "_inside", inside)
+    toy, steps = tethered_toy(), 4000
+    stream = metropolis_run(toy, steps, 0.25, 3, burn_in=400)
+    monkeypatch.undo()
+    positions, rate = ref_metropolis(toy, steps, 0.25, 3, 400)
+    assert np.array_equal(stream.positions, positions)
+    assert stream.acceptance_rate == rate
+    accepted = round(rate * steps)
+    # the chain's start tests each mobile's anchor once
+    proposals = counts["in_wall"] - 2
+    assert proposals < counts["site"] < 2 * proposals
+    assert counts["site"] <= proposals + accepted + 2
