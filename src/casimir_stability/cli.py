@@ -23,13 +23,16 @@ import argparse
 import csv
 import io
 import json
+# argparse's parse_args loads locale (through gettext); loaded here, it is
+# paid for by the import and not by the first command
+import locale  # noqa: F401
 import math
+import operator
 import re
 import sys
 
 import numpy as np
 import yaml
-from jsonschema import Draft202012Validator
 
 from . import classical as cl
 from .casimir import Configuration, energy_T0, free_energy_T, lifshitz_plates
@@ -496,6 +499,99 @@ _COMMANDS = {
 }
 
 
+def _is_number(node):
+    return isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
+# JSON Schema's types: a bool is no number, and a float without a fraction
+# is an integer
+_TYPES = {
+    "object": lambda node: isinstance(node, dict),
+    "array": lambda node: isinstance(node, list),
+    "string": lambda node: isinstance(node, str),
+    "boolean": lambda node: isinstance(node, bool),
+    "number": _is_number,
+    "integer": lambda node: _is_number(node)
+    and (isinstance(node, int) or node.is_integer()),
+}
+
+# each bound on a number: the test that breaks it, and its message
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+}
+
+
+def _schema_errors(schema, node, path=()):
+    """(path, message) of each way ``node`` breaks the JSON Schema ``schema``.
+
+    Implements the keywords CONFIG_SCHEMA uses, with Draft 2020-12's rules
+    and jsonschema's messages, so that the schema cannot outgrow it quietly:
+    any other keyword raises ValueError, and any other type KeyError.
+    """
+    errors = []
+    for key, want in schema.items():
+        if key == "type":
+            if not _TYPES[want](node):
+                errors.append((path, f"{node!r} is not of type {want!r}"))
+        elif key == "enum":
+            if node not in want:
+                errors.append((path, f"{node!r} is not one of {want!r}"))
+        elif key == "const":
+            if node != want:
+                errors.append((path, f"{want!r} was expected"))
+        elif key in _BOUNDS:
+            broken, words = _BOUNDS[key]
+            if _is_number(node) and broken(node, want):
+                errors.append((path, f"{node!r} is {words} {want!r}"))
+        elif key in ("minLength", "minItems"):
+            if isinstance(node, str if key == "minLength" else list) and len(node) < want:
+                words = "should be non-empty" if want == 1 else "is too short"
+                errors.append((path, f"{node!r} {words}"))
+        elif key == "maxItems":
+            if isinstance(node, list) and len(node) > want:
+                words = "is expected to be empty" if want == 0 else "is too long"
+                errors.append((path, f"{node!r} {words}"))
+        elif key == "items":  # the items after those of prefixItems
+            if isinstance(node, list):
+                for i in range(len(schema.get("prefixItems", ())), len(node)):
+                    errors += _schema_errors(want, node[i], (*path, i))
+        elif key == "prefixItems":
+            if isinstance(node, list):
+                for i, (sub, item) in enumerate(zip(want, node)):
+                    errors += _schema_errors(sub, item, (*path, i))
+        elif key == "required":
+            if isinstance(node, dict):
+                errors += [(path, f"{k!r} is a required property") for k in want if k not in node]
+        elif key == "properties":
+            if isinstance(node, dict):
+                for k, sub in want.items():
+                    if k in node:
+                        errors += _schema_errors(sub, node[k], (*path, k))
+        elif key == "additionalProperties" and want is False:
+            known = schema.get("properties", {})
+            extras = [k for k in node if k not in known] if isinstance(node, dict) else []
+            if extras:
+                names = ", ".join(repr(k) for k in sorted(extras, key=str))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                errors.append((path, message))
+        elif key == "anyOf":
+            if all(_schema_errors(sub, node, path) for sub in want):
+                message = f"{node!r} is not valid under any of the given schemas"
+                errors.append((path, message))
+        elif key == "allOf":
+            for sub in want:
+                errors += _schema_errors(sub, node, path)
+        elif key == "if":
+            if not _schema_errors(want, node, path):
+                errors += _schema_errors(schema.get("then", {}), node, path)
+        elif key != "then":  # "then" is read with its "if"
+            raise ValueError(f"the config checker does not implement {key!r}: {want!r}")
+    return errors
+
+
 def _non_finite_path(node, path=()):
     """Path to the first NaN or infinity in ``node``, or None.
 
@@ -519,13 +615,11 @@ def _non_finite_path(node, path=()):
 
 def _validate(data, what):
     """Check ``data`` against CONFIG_SCHEMA and for non-finite numbers."""
-    errors = sorted(
-        Draft202012Validator(CONFIG_SCHEMA).iter_errors(data), key=str
-    )
+    errors = sorted(_schema_errors(CONFIG_SCHEMA, data))
     if errors:
         details = "; ".join(
-            f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-            for e in errors[:5]
+            f"{'/'.join(str(p) for p in path) or '<root>'}: {message}"
+            for path, message in errors[:5]
         )
         raise ValidationError(f"{what} failed schema validation: {details}")
     bad = _non_finite_path(data)
@@ -534,9 +628,10 @@ def _validate(data, what):
         raise ValidationError(f"{what} has a non-finite number at {where}")
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """yaml.SafeLoader that also reads a plain exponent without a dot, such
-    as ``1e-6``, as a float, as YAML 1.2 does; a quoted one stays a string."""
+class _ConfigLoader(yaml.CSafeLoader):
+    """yaml.CSafeLoader (libyaml's parser) that also reads a plain exponent
+    without a dot, such as ``1e-6``, as a float, as YAML 1.2 does; a quoted
+    one stays a string.  The resolver is Python's in either loader."""
 
 
 _ConfigLoader.add_implicit_resolver(

@@ -428,16 +428,15 @@ def test_force_sweep_differences_only_the_swept_axis(tmp_path, capsys, monkeypat
     assert kappa_rows == len(values) * 2 * PAIR_CFG["n_nodes"] * moving_pairs
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # the equilibrium search imports scipy.optimize on use and the test
-    # oracles scipy.special; loading either with the CLI would lengthen
-    # every command's start-up
+def _modules_loaded_by_cli_import(prefixes):
+    """Names of the modules, starting with one of ``prefixes``, that a fresh
+    interpreter has loaded after ``import casimir_stability.cli``."""
     import casimir_stability
 
     src = str(Path(casimir_stability.__file__).resolve().parents[1])
     code = (
         "import sys, casimir_stability.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -446,7 +445,32 @@ def test_cli_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the equilibrium search imports scipy.optimize on use and the test
+    # oracles scipy.special; loading either with the CLI would lengthen
+    # every command's start-up
+    assert _modules_loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # the config checker is the CLI's own; jsonschema and what it imports
+    # took a quarter of the CLI import, and are a test-only oracle now
+    prefixes = ["jsonschema", "referencing", "rpds", "attr"]
+    assert _modules_loaded_by_cli_import(prefixes) == "[]"
+
+
+def test_invalid_yaml_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("objects: [{label: a, center: [0, 0, 0]\n", encoding="utf-8")
+    code, out, err = run_cli(["energy", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert diagnostic["message"].startswith("config file is not valid YAML: ")
 
 
 def test_console_script_installed():
