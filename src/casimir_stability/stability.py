@@ -27,11 +27,20 @@ remainder group R (every object but the labeled one) enters through the
 Schur complement of the labeled object's rows and columns, never as a
 compound scatterer, and a difference of two ln dets is the ln det of a
 small nb x nb matrix I + K summed as a trace series (see
-:class:`_CommonGridEngine`).  No displaced I - N is placed or factored
-whole, and no difference carries the rounding of two large ln dets.
+:class:`_CommonGridEngine`).  No displaced I - N is factored whole, none
+is placed whole but a pair's small m-block stack, and no difference carries
+the rounding of two large ln dets.
 Every force is a difference of the same ln det ratios: -dE/da_i is minus
 the grid sum of ln det[M(+h e_i)/M(-h e_i)] over 2h, as Rahi et al., PRD
 80, 085021 (2009), write the force as a difference of TGTG ln dets.
+
+A pair is radial: two spheres are isotropic, so E depends on r = |d| alone,
+F = -E'(r) r^ and the Laplacian is E''(r) + 2 E'(r)/r.  Its force and
+finite-difference Laplacian come from the ratios at r +- h and r +- h/2
+from r, on the axis of the pair's own frame, where M is block-diagonal in
+m (:meth:`_CommonGridEngine.radial`), through the same ratio and the same
+finite-difference formula (:func:`_fd`).  Only its decomposition reads the
+13 dense points, and from them only dU and dP (:func:`_read_stencil`).
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
@@ -39,6 +48,7 @@ loop, from each displacement's pair rotations and Bessel rows made once
 (:meth:`_CommonGridEngine.moved`).
 """
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -136,7 +146,8 @@ class _CommonGridEngine:
     Bessel rows of each pair of a displacement (``casimir._geometry``), made
     once for every chunk and sliced per chunk (``casimir._rows``).
 
-    I - N is never placed whole.  With the labeled object A first it is
+    I - N is never placed whole on the dense layout.  With the labeled
+    object A first it is
     [[I, -U], [-V, M_RR]]: U (the A row) and V (the A column) hold the
     balanced blocks between A and the remainder R, and M_RR, those between
     unmoved objects, does not depend on the displacement.  Per chunk the
@@ -159,6 +170,11 @@ class _CommonGridEngine:
     end from its -h end.  Every displaced S is guarded, as a reference by
     :meth:`_schur` or through |K| < 1/2, which keeps det(I + K) > 0.
     ``energy(u)`` is the weighted sum of ln det M_RR + ln det S(u).
+
+    The same formulas hold on the m-block layout, where U, V, S and K are
+    stacks of 2 l_max + 1 m-blocks per kappa and K's series runs on their
+    block diagonal: :meth:`radial` gives a pair's engine there, which its
+    force and finite-difference Laplacian read.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
@@ -166,8 +182,6 @@ class _CommonGridEngine:
         self.idx = _index(config, label)
         _order(n_nodes, "n_nodes")
         self.l_max = default_l_max(config) if l_max is None else _order(l_max, "l_max")
-        self.layout = _layout(self.l_max, False)
-        self.nb = self.layout.width
         self.moving = [p for p in config._pairs if self.idx in p]
         self.rest = [i for i in range(len(config.objects)) if i != self.idx]
         if config.tau == 0.0:
@@ -176,15 +190,50 @@ class _CommonGridEngine:
             self.t_logs = _t_logs(config, self.kappas, self.l_max)
         else:
             self.kappas, self.weights, self.t_logs = _matsubara_grid(config, self.l_max)
-        step = _chunk(config, self.l_max, False)
-        self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
+        self._set_layout(False)
+        # r^ of a radial engine, whose displacement (0, 0, s) stands for s r^
+        self.frame = None
         static = _geometry(config, [p for p in config._pairs if self.idx not in p], self.l_max, False, self.kappas)
         self.remainder = [self._remainder(c, static) for c in range(len(self.chunks))]
+
+    def _set_layout(self, axial):
+        """Take ``_layout(l_max, axial)`` and its chunks of the grid (``casimir._chunk``)."""
+        self.layout = _layout(self.l_max, axial)
+        self.nb = self.layout.width
+        step = _chunk(self.config, self.l_max, axial)
+        self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
+
+    def radial(self):
+        """(engine, r, r^) of a pair, None for three or more objects.
+
+        A pair's energy depends on r = |d| alone, d the labeled object's
+        centre less the other's, and r^ = d / r.  The engine is this grid
+        and T-matrices on the m-block layout, in the pair's own frame: the
+        other object at 0, the labeled one at (0, 0, r), so that a
+        displacement (0, 0, s) puts the centres r + s apart, the same bits
+        in every orientation.  It translates along z alone, builds U and V
+        as m-blocks, and has no static pair (M_RR = I); an error names its
+        displacement as s r^.
+        """
+        if len(self.rest) != 1:
+            return None
+        objs, (other,) = list(self.config.objects), self.rest
+        d = np.asarray(objs[self.idx].center, float) - np.asarray(objs[other].center, float)
+        r = float(np.linalg.norm(d))
+        objs[self.idx] = replace(objs[self.idx], center=(0.0, 0.0, r))
+        objs[other] = replace(objs[other], center=(0.0, 0.0, 0.0))
+        eng = copy.copy(self)
+        eng.config = Configuration(tuple(objs), self.config.medium, self.config.tau)
+        eng._set_layout(True)
+        eng.frame = d / r
+        eng.remainder = [(0.0, None)] * len(eng.chunks)
+        return eng, r, eng.frame
 
     def moved(self, u):
         """The moving pairs' :func:`~casimir_stability.casimir._geometry` on the
         grid, the labeled object displaced by u: what :meth:`_row_col` builds on."""
-        return _geometry(_displaced(self.config, self.label, u), self.moving, self.l_max, False, self.kappas)
+        axial = self.layout.entries is not None
+        return _geometry(_displaced(self.config, self.label, u), self.moving, self.l_max, axial, self.kappas)
 
     def _chunk_blocks(self, c, geometry):
         """Balanced blocks of the pairs of ``geometry`` at the kappas of chunk c."""
@@ -230,14 +279,23 @@ class _CommonGridEngine:
             text = f" (node {rows.start + i})"
             for name, v in ((f", {self.label!r} moved by", u), (" from", u0)):
                 if v is not None:
+                    v = v if self.frame is None else v[2] * self.frame
                     text += f"{name} ({', '.join(f'{x:.6g}' for x in v)})"
             return text
 
         return self.kappas[rows], where
 
     def _row_col(self, c, moved):
-        """(U, V) at the kappas of chunk c, ``moved`` a displacement's :meth:`moved`."""
+        """(U, V) at the kappas of chunk c, ``moved`` a displacement's :meth:`moved`.
+
+        On the m-block layout (a pair, :meth:`radial`) they are the two
+        off-diagonal blocks of its placed I - N, one stack of m-blocks each.
+        """
         blocks = self._chunk_blocks(c, moved)
+        if self.layout.entries is not None:
+            m = _place_blocks(blocks, self.layout)
+            a, b = (slice(i * self.nb, (i + 1) * self.nb) for i in (self.idx, *self.rest))
+            return -m[..., a, b], -m[..., b, a]
         u_row = np.concatenate([blocks[self.idx, j] for j in self.rest], axis=-1)
         v_col = np.concatenate([blocks[j, self.idx] for j in self.rest], axis=-2)
         return u_row, v_col
@@ -248,7 +306,8 @@ class _CommonGridEngine:
         inverse = self.remainder[c][1]
         p = v_col if inverse is None else inverse @ v_col
         s = np.eye(self.nb) - u_row @ p
-        return _positive_logdet(s, "merged-remainder matrix", *self.at(c, u)), p, s
+        names = [f"merged-remainder {name}" for name in self.layout.names]
+        return _positive_logdet(s, names, *self.at(c, u)), p, s
 
     def _reference(self, c, point, u):
         """(U, V, P, S^-1) of ``point`` = (U, V) at u: the u0 of :meth:`_ratio`."""
@@ -260,12 +319,16 @@ class _CommonGridEngine:
 
         ``ref`` is :meth:`_reference` at u0, ``point`` the (U, V) of u.
         """
-        u_ref, v_ref, p_ref, s_inv = ref
-        du, dv = point[0] - u_ref, point[1] - v_ref
-        inverse = self.remainder[c][1]
-        dp = dv if inverse is None else inverse @ dv
+        u_ref, _, p_ref, s_inv = ref
+        du, dp = self._delta(c, ref, point)
         k = s_inv @ -(du @ (p_ref + dp) + u_ref @ dp)
         return _log_det_1p(k, *self.at(c, u, u0)), du, dp
+
+    def _delta(self, c, ref, point):
+        """dU and dP = M_RR^-1 dV of ``point`` = (U, V) from ``ref`` (:meth:`_reference`)."""
+        du, dv = point[0] - ref[0], point[1] - ref[1]
+        inverse = self.remainder[c][1]
+        return du, (dv if inverse is None else inverse @ dv)
 
     def _sum(self, rows):
         """Weighted grid sum of the per-chunk ``rows``, one per node (or a column each)."""
@@ -292,7 +355,10 @@ def _trace_product(a, b):
 
 
 def _log_det_1p(k, kappas, where):
-    """ln det(I + K) per matrix of the stack k: sum (-1)^(n+1) tr(K^n) / n.
+    """ln det(I + K) per kappa row of the stack k: sum (-1)^(n+1) tr(K^n) / n.
+
+    A row is one matrix, or a stack of m-blocks: K is then their block
+    diagonal, its traces and its norm taken over every block of the row.
 
     tr(K^n) is the sum of K^a * (K^b)^T with a + b = n, so each power K^b
     serves two terms.  With |K|, the Frobenius norm, the rest of the series
@@ -311,7 +377,8 @@ def _log_det_1p(k, kappas, where):
             f"ln det(I + K) at kappa = {kappas[i]:.6g}{where(i)}: |K| = {norm[i]:.3g} "
             "is not below 1/2 (a non-finite T-matrix or translation, or too large a step h)"
         )
-    total, powers, n = np.trace(k, axis1=-2, axis2=-1), [k], 1
+    total = np.trace(k, axis1=-2, axis2=-1).reshape(len(k), -1).sum(axis=-1)
+    powers, n = [k], 1
     while True:
         live = norm ** (n + 1) / ((n + 1) * (1.0 - norm)) > 2.0**-60 * np.abs(total)
         if not live.any():
@@ -370,30 +437,36 @@ def _step(config, label, h):
     return h
 
 
-def _stencil(h):
-    """The 13 displacements: 0, then +h e_i, -h e_i per axis, then the same at h/2.
+def _stencil(h, axes=np.eye(3)):
+    """0, then +h e, -h e per unit vector e of ``axes``, then the same at h/2.
 
-    The first 7 are the force's stencil (:func:`force`).
+    The 13 points of the three axes; their first 7 are the force's
+    stencil.  A pair's radial engine takes the one axis e_z of its frame
+    (:meth:`_CommonGridEngine.radial`): 5 points, the first 3 its force's.
     """
     out = [np.zeros(3)]
     for step in (h, 0.5 * h):
-        for e in np.eye(3):
+        for e in axes:
             out += [step * e, -(step * e)]
     return out
 
 
-def _fd(ratios, h):
-    """(Laplacian, est_error) from ln det[M(u)/M(0)] at ``_stencil(h)[1:]``.
+def _fd(ratios, h, r=None):
+    """(Laplacian, est_error) from ln det[M(u)/M(0)] at ``_stencil(h, axes)[1:]``.
 
     Second central differences (the ratio at 0 is 0) summed over the axes
     at h and h/2, with one Richardson halving; est_error is the refined
-    value's distance to h/2's.
+    value's distance to h/2's.  With ``r``, the one axis is radial and the
+    Laplacian E'' + 2 E'/r: the central first difference over r is added at
+    each step, and its error, like the second difference's, is O(h^2).
     """
-    e = np.reshape(ratios, (2, 3, 2))  # step, axis, sign
-    raw, half = (
-        sum((e[s, i, 0] + e[s, i, 1]) / step**2 for i in range(3))
-        for s, step in enumerate((h, 0.5 * h))
-    )
+    e = np.reshape(ratios, (2, -1, 2))  # step, axis, sign
+
+    def laplacian(s, step):
+        value = sum((e[s, i, 0] + e[s, i, 1]) / step**2 for i in range(e.shape[1]))
+        return value if r is None else value + (e[s, 0, 0] - e[s, 0, 1]) / (step * r)
+
+    raw, half = (laplacian(s, step) for s, step in enumerate((h, 0.5 * h)))
     refined = (4.0 * half - raw) / 3.0
     return refined, abs(refined - half)
 
@@ -414,23 +487,25 @@ def _axial_force(eng, h, axis, s=0.0):
 def force(config, label, h=None, l_max=None, n_nodes=32):
     """Force on the labeled object, -grad E by common-grid differences.
 
-    The force columns of :func:`stability_report`, from the 7 points 0 and
-    +-h e_i of its stencil, so the two forces are the same bits.
+    The force of :func:`stability_report`, from the force points of its
+    stencil (:func:`_read_stencil`), so the two forces are the same bits:
+    0 and +-h e_i, or for a pair -E'(r) r^ from r and r +- h on m-blocks.
     """
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    return -_stencil_sums(eng, _stencil(h)[:7], report=False)[6:] / (2.0 * h)
+    return _read_stencil(eng, h, laplacian=False)[0]
 
 
 def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
-    """Displacement Laplacian of the energy from the 13-point stencil (``_fd``).
+    """Displacement Laplacian of the energy from the stencil's ratios (``_fd``).
 
-    Only the stencil's ratios, and the force differences among them, are
-    formed: no decomposition term.
+    The 13-point stencil, or for a pair E'' + 2 E'/r from the 5 radial
+    points on m-blocks (:func:`_read_stencil`): no decomposition term, and
+    for a pair no dense block.
     """
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
-    return _fd(_stencil_sums(eng, _stencil(h), report=False)[:12], h)[0]
+    return _read_stencil(eng, h)[1][0]
 
 
 def _sign_classes(config):
@@ -474,60 +549,104 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _stencil_rows(eng, c, steps, moved, report=True):
-    """One row per kappa of chunk c: the ratios, 3 forces, weightless -b1, -b2, -b3.
+def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
+    """One row per kappa of chunk c: the ratios and a force per axis, then
+    the weightless -b1, -b2, -b3.
 
-    ``steps`` is ``_stencil(h)``, or its first 7 points, and ``moved`` their
+    ``steps`` is ``_stencil(h)``, or for a radial engine (a pair's,
+    :meth:`~_CommonGridEngine.radial`) the stencil of its one axis, or
+    either's force points (0 and +-h e); ``moved`` are their
     :meth:`~_CommonGridEngine.moved`.  The ratios are ln det[M(u)/M(0)] at
     the points after 0, and each axis's force column is ln det[M(+h)/M(-h)]
-    = ratio(+h) - ratio(-h).  Only ``report`` adds the decomposition's
-    columns.  The axes are taken one at a time: the blocks of an axis's
-    points, and the dU and dP of their ratios, are dropped before the next.
-    The decomposition reads the same dU and dP: since the Richardson
-    weights sum to 0, the refined central differences dU/da_i and
-    M_RR^-1 dV/da_i are their weighted sums.
+    = ratio(+h) - ratio(-h); ``ratios`` and ``terms`` (the decomposition's
+    columns, of the 13 dense points) say which columns are made.  Without
+    ``ratios`` no K is formed and no series run: each point gives only its
+    dU and dP.  The axes are taken one at a time: the blocks of an axis's
+    points, and their dU and dP, are dropped before the next.  The
+    decomposition reads the same dU and dP: since the Richardson weights
+    sum to 0, the refined central differences dU/da_i and M_RR^-1 dV/da_i
+    are their weighted sums.
     """
-    kappas, h = eng.kappas[eng.chunks[c]], steps[1][0]  # steps[1] = +h e_x
+    kappas, h = eng.kappas[eng.chunks[c]], steps[1].max()  # steps[1] = +h e
+    axes = 3 if eng.frame is None else 1
     ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
     u_ref, _, p_ref, s_inv = ref
-    ratios, forces, b2, b3 = [None] * (len(steps) - 1), [], 0.0, 0.0
-    for axis in range(3):
+    cols, forces, b2, b3 = [None] * (len(steps) - 1), [], 0.0, 0.0
+    for axis in range(axes):
         # +h, -h, +h/2, -h/2 of this axis (see _stencil)
-        at = [s + sign for s in range(1 + 2 * axis, len(steps), 6) for sign in (0, 1)]
+        at = [s + sign for s in range(1 + 2 * axis, len(steps), 2 * axes) for sign in (0, 1)]
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         du = dp = 0.0
         for s, w in zip(at, (-0.5, 0.5, 4.0, -4.0)):
             point = eng._row_col(c, moved[s])
-            ratios[s - 1], d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
-            du, dp = du + w * d_u, dp + w * d_p
-        forces.append(ratios[at[0] - 1] - ratios[at[1] - 1])
-        if not report:
+            if ratios:
+                cols[s - 1], d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
+            else:
+                d_u, d_p = eng._delta(c, ref, point)
+            if terms:
+                du, dp = du + w * d_u, dp + w * d_p
+        if ratios:
+            forces.append(cols[at[0] - 1] - cols[at[1] - 1])
+        if not terms:
             continue
         du, dp = du / (3.0 * h), dp / (3.0 * h)
         b2 += 2.0 * _trace_product(s_inv, du @ dp)
         rdn = s_inv @ (du @ p_ref + u_ref @ dp)
         b3 += _trace_product(rdn, rdn)
-    if not report:
-        return np.column_stack(ratios + forces)
+    cols = cols + forces if ratios else []
+    if not terms:
+        return np.column_stack(cols)
     n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
     b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
-    return np.column_stack(ratios + forces + [-b1, -b2, -b3])
+    return np.column_stack(cols + [-b1, -b2, -b3])
 
 
-def _stencil_sums(eng, steps, report=True):
+def _stencil_sums(eng, steps, ratios=True, terms=True):
     """The grid sums of :func:`_stencil_rows`' columns at ``steps``."""
     moved = [eng.moved(u) for u in steps]
-    return eng._sum([_stencil_rows(eng, c, steps, moved, report) for c in range(len(eng.chunks))])
+    return eng._sum(
+        [_stencil_rows(eng, c, steps, moved, ratios, terms) for c in range(len(eng.chunks))]
+    )
+
+
+def _read_stencil(eng, h, laplacian=True, terms=False):
+    """(force, (Laplacian, est_error) or None, (term1, term2, term3) or None).
+
+    Three or more objects take one pass of the 13-point dense stencil, or
+    of its first 7 points for the force alone.  A pair's energy is E(r):
+    its force is -E'(r) r^ and its Laplacian E'' + 2 E'/r (:func:`_fd`),
+    both from the ratios of its radial engine
+    (:meth:`_CommonGridEngine.radial`) at r +- h and r +- h/2 from r.  Its
+    decomposition is a second pass, of the 13 dense points' dU and dP
+    alone.
+    """
+    pair = eng.radial()
+    dense = _stencil(h)[: None if laplacian or terms else 7]
+    if pair is None:
+        n = len(dense) - 1
+        sums = _stencil_sums(eng, dense, terms=terms)
+        f, lap = -sums[n : n + 3] / (2.0 * h), _fd(sums[:n], h) if laplacian else None
+        return f, lap, tuple(sums[n + 3 :]) if terms else None
+    radial, r, unit = pair
+    steps = _stencil(h, np.eye(3)[2:])[: None if laplacian else 3]
+    n = len(steps) - 1
+    sums = _stencil_sums(radial, steps, terms=False)
+    # + 0.0: a component of r^ that is 0 gives 0, never -0
+    f = -(sums[n] / (2.0 * h)) * unit + 0.0
+    lap = _fd(sums[:n], h, r) if laplacian else None
+    return f, lap, tuple(_stencil_sums(eng, dense, ratios=False)) if terms else None
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
-    """Force, FD Laplacian, decomposition and sign prediction in one grid pass."""
+    """Force, FD Laplacian, decomposition and sign prediction on one frozen grid.
+
+    One pass of the stencil, or for a pair its radial ratios and then the
+    decomposition's dense points (:func:`_read_stencil`).
+    """
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)
-    sums = _stencil_sums(eng, _stencil(h))
-    lap, err = _fd(sums[:12], h)
-    f = -sums[12:15] / (2.0 * h)
-    return StabilityReport(label, f, lap, *sums[15:], _sign_product(config, label), h, err)
+    f, (lap, err), terms = _read_stencil(eng, h, terms=True)
+    return StabilityReport(label, f, lap, *terms, _sign_product(config, label), h, err)
 
 
 def find_axial_equilibrium(
