@@ -30,17 +30,23 @@ small nb x nb matrix I + K summed as a trace series (see
 :class:`_CommonGridEngine`).  No displaced I - N is factored whole, none
 is placed whole but a pair's small m-block stack, and no difference carries
 the rounding of two large ln dets.
-Every force is a difference of the same ln det ratios: -dE/da_i is minus
-the grid sum of ln det[M(+h e_i)/M(-h e_i)] over 2h, as Rahi et al., PRD
-80, 085021 (2009), write the force as a difference of TGTG ln dets.
+Every force comes from one loop of ratios, :func:`_stencil_rows`, which
+reads ln det[M(u)/M(u0)] for any steps u from the first, u0, as Rahi et
+al., PRD 80, 085021 (2009), write the force as a difference of TGTG ln
+dets.  -dE/da_i is minus the grid sum of the per-node difference
+ln det[M(+h e_i)/M(0)] - ln det[M(-h e_i)/M(0)] over 2h
+(:func:`_read_stencil`), and an axial force, the sweep's and the
+equilibrium search's, one ratio of its +h end from its -h end
+(:func:`_axial_force`).
 
 A pair is radial: two spheres are isotropic, so E depends on r = |d| alone,
-F = -E'(r) r^ and the Laplacian is E''(r) + 2 E'(r)/r.  Its force and
-finite-difference Laplacian come from the ratios at r +- h and r +- h/2
-from r, on the axis of the pair's own frame, where M is block-diagonal in
-m (:meth:`_CommonGridEngine.radial`), through the same ratio and the same
-finite-difference formula (:func:`_fd`).  Only its decomposition reads the
-13 dense points, and from them only dU and dP (:func:`_read_stencil`).
+F = -E'(r) r^ and the Laplacian is E''(r) + 2 E'(r)/r.  Its force, axial
+force and finite-difference Laplacian come from the ratios at r +- h and
+r +- h/2, on the axis of the pair's own frame, where M is block-diagonal
+in m (:meth:`_CommonGridEngine.radial`), through the same ratio loop and
+the same finite-difference formula (:func:`_fd`).  Only its decomposition
+reads the 13 dense points, and from them only dU and dP
+(:func:`_read_stencil`).
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
@@ -166,15 +172,15 @@ class _CommonGridEngine:
     trace series of :func:`_log_det_1p`: no pivot near 1 is rounded, so a
     difference keeps the relative precision of dU and dV.  :meth:`_ratio`
     is the one difference: the stencil takes its ratios from u0 = 0, and a
-    force is ratio(+h) - ratio(-h) of two of them, or one ratio of its +h
-    end from its -h end.  Every displaced S is guarded, as a reference by
+    force is the per-node ratio(+h) - ratio(-h) of two of them, or an axial
+    force one ratio of its +h end from its -h end (:func:`_stencil_rows`).  Every displaced S is guarded, as a reference by
     :meth:`_schur` or through |K| < 1/2, which keeps det(I + K) > 0.
     ``energy(u)`` is the weighted sum of ln det M_RR + ln det S(u).
 
     The same formulas hold on the m-block layout, where U, V, S and K are
     stacks of 2 l_max + 1 m-blocks per kappa and K's series runs on their
     block diagonal: :meth:`radial` gives a pair's engine there, which its
-    force and finite-difference Laplacian read.
+    force, axial force and finite-difference Laplacian read.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
@@ -279,7 +285,8 @@ class _CommonGridEngine:
             text = f" (node {rows.start + i})"
             for name, v in ((f", {self.label!r} moved by", u), (" from", u0)):
                 if v is not None:
-                    v = v if self.frame is None else v[2] * self.frame
+                    # + 0.0: a zero prints as 0, never -0
+                    v = (v if self.frame is None else v[2] * self.frame) + 0.0
                     text += f"{name} ({', '.join(f'{x:.6g}' for x in v)})"
             return text
 
@@ -472,16 +479,28 @@ def _fd(ratios, h, r=None):
 
 
 def _axial_force(eng, h, axis, s=0.0):
-    """-dE/ds along ``axis`` at displacement s e_axis, from ln det[M(+h)/M(-h)]
-    of the ends s -+ h: one ``_CommonGridEngine._ratio`` from the -h end."""
-    e = np.eye(3)[axis]
-    ends = [(s - h) * e, (s + h) * e]
-    moved = [eng.moved(u) for u in ends]
-    rows = []
-    for c in range(len(eng.chunks)):
-        ref = eng._reference(c, eng._row_col(c, moved[0]), ends[0])
-        rows.append(eng._ratio(c, ref, eng._row_col(c, moved[1]), ends[1], ends[0])[0])
-    return -float(eng._sum(rows)) / (2.0 * h)
+    """-dE/ds along ``axis`` at displacement s e_axis: one ratio
+    ln det[M(+h)/M(-h)] of two ends, a two-point read of :func:`_stencil_rows`.
+
+    The ends are s -+ h along the axis.  A pair reads its radial engine
+    (:meth:`_CommonGridEngine.radial`): with d_s the displaced separation,
+    the force is -E'(r_s) times the axis component of d_s / r_s, from the
+    ends r_s -+ h.  These are taken in the axis's order, so the first, the
+    reference an error names, is the user's -h end.
+    """
+    e, pair = np.eye(3)[axis], eng.radial()
+    if pair is None:
+        ends, scale = [(s - h) * e, (s + h) * e], 1.0
+    else:
+        objs = eng.config.objects
+        d = np.subtract(objs[eng.idx].center, objs[eng.rest[0]].center) + s * e
+        r_s = float(np.linalg.norm(d))
+        # r_s + h first where moving along +e brings the centres closer
+        step, scale = math.copysign(h, d[axis]), abs(d[axis]) / r_s
+        eng, r, _ = pair
+        ends = [np.array([0.0, 0.0, r_s - r + t]) for t in (-step, step)]
+    ratio = float(eng._sum(_stencil_chunks(eng, ends, terms=False))[0])
+    return -ratio * scale / (2.0 * h) + 0.0
 
 
 def force(config, label, h=None, l_max=None, n_nodes=32):
@@ -550,28 +569,28 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
 
 
 def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
-    """One row per kappa of chunk c: the ratios and a force per axis, then
-    the weightless -b1, -b2, -b3.
+    """One row per kappa of chunk c: the ratios, then the weightless -b1,
+    -b2, -b3.
 
-    ``steps`` is ``_stencil(h)``, or for a radial engine (a pair's,
-    :meth:`~_CommonGridEngine.radial`) the stencil of its one axis, or
-    either's force points (0 and +-h e); ``moved`` are their
-    :meth:`~_CommonGridEngine.moved`.  The ratios are ln det[M(u)/M(0)] at
-    the points after 0, and each axis's force column is ln det[M(+h)/M(-h)]
-    = ratio(+h) - ratio(-h); ``ratios`` and ``terms`` (the decomposition's
-    columns, of the 13 dense points) say which columns are made.  Without
-    ``ratios`` no K is formed and no series run: each point gives only its
-    dU and dP.  The axes are taken one at a time: the blocks of an axis's
-    points, and their dU and dP, are dropped before the next.  The
-    decomposition reads the same dU and dP: since the Richardson weights
-    sum to 0, the refined central differences dU/da_i and M_RR^-1 dV/da_i
-    are their weighted sums.
+    ``moved`` are the :meth:`~_CommonGridEngine.moved` of ``steps``.  The
+    ratios are ln det[M(u)/M(u0)] of the steps u after the first, u0: any
+    steps, when ``terms`` is false.  The decomposition's columns (``terms``)
+    read ``_stencil(h, axes)`` of any axes; the axes are taken one at a
+    time, and the blocks of an axis's points, and their dU and dP, are
+    dropped before the next.  It reads the ratios' dU and dP: since the
+    Richardson weights sum to 0, the refined central differences dU/da_i
+    and M_RR^-1 dV/da_i are their weighted sums.  Without ``ratios`` no K
+    is formed and no series run: each point gives only its dU and dP.
     """
-    kappas, h = eng.kappas[eng.chunks[c]], steps[1].max()  # steps[1] = +h e
-    axes = 3 if eng.frame is None else 1
     ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
+    if not terms:
+        return np.column_stack(
+            [eng._ratio(c, ref, eng._row_col(c, m), u, steps[0])[0] for m, u in zip(moved[1:], steps[1:])]
+        )
+    kappas, h = eng.kappas[eng.chunks[c]], steps[1].max()  # steps[1] = +h e
+    axes = (len(steps) - 1) // 4
     u_ref, _, p_ref, s_inv = ref
-    cols, forces, b2, b3 = [None] * (len(steps) - 1), [], 0.0, 0.0
+    cols, b2, b3 = [None] * (len(steps) - 1), 0.0, 0.0
     for axis in range(axes):
         # +h, -h, +h/2, -h/2 of this axis (see _stencil)
         at = [s + sign for s in range(1 + 2 * axis, len(steps), 2 * axes) for sign in (0, 1)]
@@ -583,30 +602,20 @@ def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
                 cols[s - 1], d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
             else:
                 d_u, d_p = eng._delta(c, ref, point)
-            if terms:
-                du, dp = du + w * d_u, dp + w * d_p
-        if ratios:
-            forces.append(cols[at[0] - 1] - cols[at[1] - 1])
-        if not terms:
-            continue
+            du, dp = du + w * d_u, dp + w * d_p
         du, dp = du / (3.0 * h), dp / (3.0 * h)
         b2 += 2.0 * _trace_product(s_inv, du @ dp)
         rdn = s_inv @ (du @ p_ref + u_ref @ dp)
         b3 += _trace_product(rdn, rdn)
-    cols = cols + forces if ratios else []
-    if not terms:
-        return np.column_stack(cols)
     n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
     b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
-    return np.column_stack(cols + [-b1, -b2, -b3])
+    return np.column_stack((cols if ratios else []) + [-b1, -b2, -b3])
 
 
-def _stencil_sums(eng, steps, ratios=True, terms=True):
-    """The grid sums of :func:`_stencil_rows`' columns at ``steps``."""
+def _stencil_chunks(eng, steps, ratios=True, terms=True):
+    """:func:`_stencil_rows` at ``steps`` for every chunk, in grid order."""
     moved = [eng.moved(u) for u in steps]
-    return eng._sum(
-        [_stencil_rows(eng, c, steps, moved, ratios, terms) for c in range(len(eng.chunks))]
-    )
+    return [_stencil_rows(eng, c, steps, moved, ratios, terms) for c in range(len(eng.chunks))]
 
 
 def _read_stencil(eng, h, laplacian=True, terms=False):
@@ -618,23 +627,24 @@ def _read_stencil(eng, h, laplacian=True, terms=False):
     both from the ratios of its radial engine
     (:meth:`_CommonGridEngine.radial`) at r +- h and r +- h/2 from r.  Its
     decomposition is a second pass, of the 13 dense points' dU and dP
-    alone.
+    alone.  Every force is the grid sum of the per-node differences
+    ratio(+h e) - ratio(-h e), over 2h.
     """
     pair = eng.radial()
     dense = _stencil(h)[: None if laplacian or terms else 7]
-    if pair is None:
-        n = len(dense) - 1
-        sums = _stencil_sums(eng, dense, terms=terms)
-        f, lap = -sums[n : n + 3] / (2.0 * h), _fd(sums[:n], h) if laplacian else None
-        return f, lap, tuple(sums[n + 3 :]) if terms else None
-    radial, r, unit = pair
-    steps = _stencil(h, np.eye(3)[2:])[: None if laplacian else 3]
-    n = len(steps) - 1
-    sums = _stencil_sums(radial, steps, terms=False)
+    radial, r, unit = pair or (eng, None, None)
+    steps = dense if pair is None else _stencil(h, np.eye(3)[2:])[: None if laplacian else 3]
+    rows = _stencil_chunks(radial, steps, terms=terms and pair is None)
+    n, axes = len(steps) - 1, 3 if pair is None else 1
+    # the radial engine is this grid: eng._sum weighs its rows too
+    f = -eng._sum([row[:, : 2 * axes : 2] - row[:, 1 : 2 * axes : 2] for row in rows]) / (2.0 * h)
     # + 0.0: a component of r^ that is 0 gives 0, never -0
-    f = -(sums[n] / (2.0 * h)) * unit + 0.0
+    f = f if pair is None else f * unit + 0.0
+    sums = eng._sum(rows)
     lap = _fd(sums[:n], h, r) if laplacian else None
-    return f, lap, tuple(_stencil_sums(eng, dense, ratios=False)) if terms else None
+    if not terms:
+        return f, lap, None
+    return f, lap, tuple(sums[n:] if pair is None else eng._sum(_stencil_chunks(eng, dense, ratios=False)))
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
@@ -657,8 +667,8 @@ def find_axial_equilibrium(
     ``bracket`` is a pair of displacements of the labeled object along
     ``axis`` (0, 1 or 2) relative to its configured position.  The force is
     ln det[M(s + h)/M(s - h)] on one frozen grid (that of ``config``, with
-    its step h; see :func:`_axial_force`), and Brent's method locates its
-    zero to ``tol``.  Returns an EquilibriumResult whose report is
+    its step h; see :func:`_axial_force`, which reads a pair's radial
+    engine), and Brent's method locates its zero to ``tol``.  Returns an EquilibriumResult whose report is
     :func:`stability_report` at the root; absence of a sign change is a
     result, not an error.
     """

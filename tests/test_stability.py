@@ -226,6 +226,18 @@ def test_axial_force_errors_name_the_node_and_the_minus_end(monkeypatch):
         _axial_force(eng, 0.25, 2, s=0.5)
 
 
+def test_radial_error_text_names_zeros_as_0():
+    # a radial engine names its displacement (0, 0, s) as s r^, here with
+    # r^ = -e_z: its zero components read 0, never -0, for s < 0 and for the
+    # reference at 0
+    from casimir_stability.stability import _CommonGridEngine
+
+    eng, _, unit = _CommonGridEngine(pec_pair(4.0), "a", l_max=3, n_nodes=4).radial()
+    assert np.array_equal(unit, [0.0, 0.0, -1.0])
+    _, where = eng.at(0, np.array([0.0, 0.0, -0.25]), np.zeros(3))
+    assert where(0) == " (node 0), 'a' moved by (0, 0, 0.25) from (0, 0, 0)"
+
+
 @pytest.mark.parametrize(
     "call, error, match",
     [

@@ -14,11 +14,13 @@ T-matrices, on a matrix placed with the labeled object first.
 import mpmath
 import numpy as np
 import pytest
+import yaml
 
 from casimir_stability import (
     Configuration,
     Medium,
     casimir,
+    find_axial_equilibrium,
     force,
     laplacian_fd,
     stability,
@@ -33,6 +35,7 @@ from casimir_stability.casimir import (
     _positive_logdet,
     _t_logs,
 )
+from casimir_stability.cli import run
 from casimir_stability.stability import _CommonGridEngine, _fd, _stencil, _step
 from conftest import dielectric_sphere, exact_log_det, pec_pair
 from test_stability import _count_calls
@@ -224,20 +227,6 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
         assert kappa_rows == n_nodes * (7 * moving + static)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_axial_force_agrees_with_force(case):
-    # the sweep and the equilibrium search take one ratio of the +h end from
-    # the -h end, force() two ratios from 0: the same difference, rounded
-    # apart (the transverse forces of a pair on the z axis included)
-    cfg, label, l_max, n_nodes = CASES[case]
-    h = _step(cfg, label, None)
-    eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
-    f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    for axis in range(3):
-        got = stability._axial_force(eng, h, axis)
-        assert abs(got - f[axis]) <= 1e-12 * np.linalg.norm(f), (axis, got, f[axis])
-
-
 def test_report_rotates_once_per_direction(monkeypatch):
     # the rotation D^l depends on d/|d| alone: the engine prepares it once
     # for each stencil displacement of each moving pair and once for the
@@ -281,11 +270,11 @@ def test_stencil_differences_are_the_exact_ln_det_differences(case):
     # every stencil ratio ln det[M(u)/M(0)] and axial ln det[M(+h)/M(-h)] of
     # the engine against the 40-digit ln det difference of the very float
     # matrices I - N it stands for, placed whole from the same blocks.  The
-    # axial one is taken both ways a force takes it: the report's
-    # ratio(+h) - ratio(-h), and the sweep's one ratio of the +h end from
-    # the -h end (_axial_force).  An axial difference whose first order
-    # nearly vanishes at a node is held to the size of its two ends'
-    # ratios, which it cannot resolve below
+    # axial one is taken both ways a force takes it: the per-node difference
+    # ratio(+h) - ratio(-h) of the report's ratio columns, and one ratio of
+    # the +h end from the -h end, as _axial_force takes it.  An axial
+    # difference whose first order nearly vanishes at a node is held to the
+    # size of its two ends' ratios, which it cannot resolve below
     cfg, label = (pec_pair(4.0), "a") if case == "pec_pair" else (_triple(), "b")
     eng = _CommonGridEngine(cfg, label, l_max=2, n_nodes=3)
     h = _step(cfg, label, None)
@@ -310,7 +299,8 @@ def test_stencil_differences_are_the_exact_ln_det_differences(case):
         minus = plus + 1
         ref_minus = eng._reference(c, points[minus], steps[minus])
         axial = eng._ratio(c, ref_minus, points[plus], steps[plus], steps[minus])[0]
-        for route, got in (("report", report[:, 12 + axis]), ("axial", axial)):
+        difference = report[:, plus - 1] - report[:, minus - 1]
+        for route, got in (("report", difference), ("axial", axial)):
             for g, r_plus, r_minus in zip(got, ratios[plus], ratios[minus]):
                 w = r_plus - r_minus
                 scale = max(abs(w), abs(r_plus), abs(r_minus))
@@ -357,9 +347,52 @@ def test_radial_laplacian_agrees_with_the_dense_stencil(case):
     assert np.allclose(f, dense_force, rtol=0.0, atol=1e-4 * scale), (f, dense_force)
 
 
+# the pairs, and the off-axis dielectric pair moved by either label
+AXIAL = {
+    **CASES,
+    "dielectric_pair_a": PAIRS["dielectric_pair"],
+    "dielectric_pair_b": (_dielectric_pair(), "b", 5, 12),
+}
+
+
+@pytest.mark.parametrize("case", AXIAL)
+def test_axial_force_agrees_with_force(case):
+    # the sweep and the equilibrium search take one ratio of the +h end from
+    # the -h end, force() two ratios from 0: the same difference, rounded
+    # apart (the transverse forces of a pair on the z axis included).  A
+    # pair takes both on its radial engine, -E'(r) times a component of r^,
+    # so an off-axis pair's agree too
+    cfg, label, l_max, n_nodes = AXIAL[case]
+    h = _step(cfg, label, None)
+    eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
+    f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    for axis in range(3):
+        got = stability._axial_force(eng, h, axis)
+        assert abs(got - f[axis]) <= 1e-12 * np.linalg.norm(f), (axis, got, f[axis])
+
+
+def test_one_axis_read_is_the_three_axis_reads_share():
+    # the decomposition's axis count is the stencil's: a read of the 5
+    # points of one axis gives that axis's 4 ratio columns and -b1 as the
+    # same bits as the 13-point read, and its -b2 and -b3, summed over the
+    # axes, are the 13-point read's
+    cfg, label, l_max, n_nodes = CASES["triple_a"]
+    eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
+    h = _step(cfg, label, None)
+    stencils = [_stencil(h)] + [_stencil(h, np.eye(3)[i : i + 1]) for i in range(3)]
+    moved = [[eng.moved(u) for u in steps] for steps in stencils]
+    for c in range(len(eng.chunks)):
+        full, *ones = (stability._stencil_rows(eng, c, *read) for read in zip(stencils, moved))
+        for i, one in enumerate(ones):
+            # +h e_i, -h e_i, then the same at h/2 (see _stencil)
+            assert np.array_equal(one[:, :4], full[:, [2 * i, 2 * i + 1, 6 + 2 * i, 7 + 2 * i]])
+            assert np.array_equal(one[:, 4], full[:, 12])
+        assert np.allclose(sum(one[:, 5:] for one in ones), full[:, 13:], rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("case", ["pec_pair", "dielectric_pair"])
 def test_radial_ratios_are_the_exact_ln_det_differences(case):
-    # every ratio of the radial engine, and its force column, against the
+    # every ratio of the radial engine, and its force difference, against the
     # 40-digit ln det difference of the very float m-blocks of I - N it
     # stands for, placed whole from the same blocks at r +- h and r +- h/2
     cfg, label = PAIRS[case][:2]
@@ -383,7 +416,7 @@ def test_radial_ratios_are_the_exact_ln_det_differences(case):
         for g, w in zip(got, ratios[s]):
             assert abs(g - w) <= 1e-14 * abs(w), (s, g, w)
     rows = stability._stencil_rows(eng, c, steps, moved, terms=False)
-    for g, r_plus, r_minus in zip(rows[:, 4], ratios[1], ratios[2]):
+    for g, r_plus, r_minus in zip(rows[:, 0] - rows[:, 1], ratios[1], ratios[2]):
         w = r_plus - r_minus
         assert abs(g - w) <= 1e-14 * max(abs(w), abs(r_plus), abs(r_minus)), (g, w)
     # the pair's frame: the labeled object at (0, 0, r) from the other
@@ -430,3 +463,28 @@ def test_pair_force_and_laplacian_fd_place_no_dense_block(monkeypatch):
     assert any(layout.entries is None for *_, layout in blocks)  # the decomposition
     depth, width = 2 * l_max + 1, 2 * l_max
     assert series and all(k.shape[1:] == (depth, width, width) for k, *_ in series)
+
+
+def test_pair_axial_forces_place_no_dense_block(monkeypatch, tmp_path):
+    # a pair's axial force, and so the CLI force sweep and the equilibrium
+    # search, reads its radial engine alone; the report at the root, whose
+    # decomposition is dense, is left out.  Along x the off-axis pair's
+    # force vanishes where the centres' x agree, at x = 2.3
+    cfg, label = PAIRS["dielectric_pair"][:2]
+    blocks = _count_calls(monkeypatch, stability, "_blocks")
+    eng = _CommonGridEngine(cfg, label, l_max=3, n_nodes=8)
+    for axis in range(3):
+        stability._axial_force(eng, _step(cfg, label, None), axis)
+    objects = [
+        {"label": o.label, "center": list(o.center), "radius": o.radius,
+         "eps": {"type": "constant", "value": o.eps.value}}
+        for o in cfg.objects
+    ]
+    sweep = {"object": label, "axis": 0, "values": [0.0, 0.5], "quantity": "force"}
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump({"objects": objects, "l_max": 3, "n_nodes": 8, "sweep": sweep}))
+    assert run(["sweep", str(path), "--output", str(tmp_path / "sweep.csv")]) == 0
+    monkeypatch.setattr(stability, "stability_report", lambda *args, **kwargs: None)
+    res = find_axial_equilibrium(cfg, label, 0, (1.5, 2.5), tol=1e-6, l_max=3, n_nodes=8)
+    assert res.found and abs(res.position - 2.3) <= 1e-5, res
+    assert blocks and all(layout.entries is not None for *_, layout in blocks)
