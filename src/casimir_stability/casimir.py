@@ -38,9 +38,10 @@ is its Schur complement of object 0's block, M_RR - M_R0 M_0R, of the same
 determinant (``_complement``): for a pair, I - B_10 B_01, as Rahi et al.,
 PRD 80, 085021 (2009), write the two-body ln det.
 
-Frequency is a batch axis: T-matrices, translations, balanced blocks and
-the stack of I - N carry a leading kappa axis, and one ``slogdet`` call
-takes a whole chunk.  Geometry is kept apart from frequency: the
+Frequency is a batch axis: the response models (eps, mu, n_M), the
+plates' Fresnel coefficients, T-matrices, translations, balanced blocks
+and the stack of I - N take or carry a kappa axis, and one ``slogdet``
+call takes a whole chunk.  Geometry is kept apart from frequency: the
 ``log_det_integrand`` of any number of kappas builds their T-matrices, and
 each pair's displacement, rotation and Bessel rows log k_lambda(n_M kappa
 |d|) for every kappa (``_geometry``), once, then places and factors I - N
@@ -73,10 +74,8 @@ from .errors import (
     _finite,
     _order,
 )
-from .materials import Medium, _per_kappa
-from .scattering import _fresnel, mie_tmatrix
-# not called here: the benchmark tracer (perfbench/spans.py) wraps this name
-from .scattering import fresnel_reflection  # noqa: F401
+from .materials import Medium
+from .scattering import fresnel_reflection, mie_tmatrix
 from .translation import _band_of, _bessel_rows, _displacement, sector_size, translation_matrix
 
 __all__ = [
@@ -678,16 +677,15 @@ def _plate_kernel(mat1, mat2, medium, gap, kappas, q_nodes):
     """(1/2pi) * integral over the in-plane decay constant q, at each of ``kappas``.
 
     One (kappa, q-node) array carries the whole chunk: each material's
-    Fresnel coefficients are one call on it.  The medium's eps and mu are
-    evaluated once per kappa, for n_M and both materials' coefficients.
+    Fresnel coefficients are one :func:`fresnel_reflection` call on it, and
+    n_M one call on the kappas.
     """
-    eps_m, mu_m = (_per_kappa(f, kappas)[:, None] for f in (medium.eps, medium.mu))
-    nk = np.sqrt(eps_m * mu_m) * kappas[:, None]
+    nk = (medium.refractive_index(kappas) * kappas)[:, None]
     offsets, weights = q_nodes
     qq = nk + offsets
     k_t = np.sqrt(np.maximum(qq * qq - nk * nk, 0.0))
-    r1_te, r1_tm = _fresnel(mat1, eps_m, mu_m, kappas[:, None], k_t)
-    r2_te, r2_tm = _fresnel(mat2, eps_m, mu_m, kappas[:, None], k_t)
+    r1_te, r1_tm = fresnel_reflection(mat1, medium, kappas[:, None], k_t)
+    r2_te, r2_tm = fresnel_reflection(mat2, medium, kappas[:, None], k_t)
     e = np.exp(-2.0 * qq * gap)
     val = np.log1p(-r1_te * r2_te * e) + np.log1p(-r1_tm * r2_tm * e)
     return (weights * qq * val).sum(axis=-1) / (2.0 * math.pi)
@@ -706,8 +704,6 @@ def lifshitz_plates(mat1, mat2, medium, gap, tau=0.0, tol=1e-8):
     _finite(gap, "gap")
     _finite(tau, "temperature parameter", "nonnegative")
     _finite(tol, "tol")
-    if mat1[1].is_pec or mat2[1].is_pec:
-        raise ValidationError("a half-space permeability cannot be a perfect conductor")
 
     def value(n):
         # n nodes in kappa (at tau = 0) and in q - n_m kappa (scale 1/(2 gap)),

@@ -10,6 +10,11 @@ class I (eps above the medium, mu at or below it, sign +1) and class II
 (the opposite inequalities, sign -1).  When neither set of inequalities
 holds at every sampled wavenumber the class is indeterminate and no sign is
 assigned.
+
+Frequency is a batch axis here too: the models, a medium's eps, mu and
+refractive index, and ``classify`` take a number or an array of kappa.  A
+number gives a Python float; an array gives a float array of its shape,
+each entry the number's call bit for bit.
 """
 
 import math
@@ -86,32 +91,34 @@ def eval_epsilon(model, kappa):
 
     Finite and positive for every kappa > 0; a perfect conductor evaluates
     to +inf.  Plasma and Drude models diverge at kappa = 0 and raise
-    ZeroFrequencyError there.
+    ZeroFrequencyError there.  ``kappa`` is a number, giving a float, or an
+    array, giving a float array of its shape whose every entry is the
+    number's call; any negative entry is a ValueError, raised first.
     """
-    if kappa < 0.0:
+    k = np.asarray(kappa, float)
+    if (k < 0.0).any():
         raise ValueError("kappa must be nonnegative")
     kind = model.kind
-    if kind == "constant":
-        return model.value
-    if kind == "pec":
-        return math.inf
-    if kind == "plasma":
-        if kappa == 0.0:
-            raise ZeroFrequencyError(
-                "plasma model diverges at kappa=0; apply the kappa-floor policy"
-            )
-        return 1.0 + (model.omega_p / kappa) ** 2
-    if kind == "drude":
-        if kappa == 0.0:
-            raise ZeroFrequencyError(
-                "drude model diverges at kappa=0; apply the kappa-floor policy"
-            )
-        return 1.0 + model.omega_p**2 / (kappa * (kappa + model.gamma))
-    if kind == "lorentz":
-        return 1.0 + sum(
-            f * w**2 / (w**2 + kappa**2 + g * kappa) for (f, w, g) in model.oscillators
+    if kind in ("plasma", "drude") and (k == 0.0).any():
+        raise ZeroFrequencyError(
+            f"{kind} model diverges at kappa=0; apply the kappa-floor policy"
         )
-    raise ValueError(f"unknown dispersion model kind {kind!r}")
+    if kind == "constant":
+        v = model.value
+    elif kind == "pec":
+        v = math.inf
+    elif kind == "plasma":
+        r = model.omega_p / k
+        v = 1.0 + r * r
+    elif kind == "drude":
+        v = 1.0 + model.omega_p**2 / (k * (k + model.gamma))
+    elif kind == "lorentz":
+        v = 1.0 + sum(
+            f * w**2 / (w**2 + k * k + g * k) for (f, w, g) in model.oscillators
+        )
+    else:
+        raise ValueError(f"unknown dispersion model kind {kind!r}")
+    return _float_or_array(np.full(k.shape, v))
 
 
 def eval_mu(model, kappa):
@@ -119,20 +126,18 @@ def eval_mu(model, kappa):
     return eval_epsilon(model, kappa)
 
 
-def _per_kappa(f, kappas):
-    """f(kappa) for each of the array ``kappas``, as a float array of its shape.
-
-    The response functions above are scalar functions of one kappa; every
-    caller that works on an array of kappas evaluates them through this.
-    """
-    return np.reshape([f(k) for k in kappas.ravel().tolist()], kappas.shape)
+def _float_or_array(v):
+    """A 0-d result as a Python float, any other as its float array."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 @dataclass(frozen=True)
 class Medium:
     """Spatially uniform background with its own eps and mu models.
 
-    Neither model may be a perfect conductor (ValidationError).
+    Neither model may be a perfect conductor (ValidationError).  ``eps``,
+    ``mu`` and ``refractive_index`` take a number or an array of kappa, as
+    :func:`eval_epsilon` does.
     """
 
     eps_model: DispersionModel = field(default_factory=lambda: VACUUM)
@@ -144,18 +149,18 @@ class Medium:
 
     def eps(self, kappa):
         v = eval_epsilon(self.eps_model, kappa)
-        if not math.isfinite(v):
+        if not np.isfinite(v).all():
             raise ValueError("medium permittivity must be finite")
         return v
 
     def mu(self, kappa):
         v = eval_mu(self.mu_model, kappa)
-        if not math.isfinite(v):
+        if not np.isfinite(v).all():
             raise ValueError("medium permeability must be finite")
         return v
 
     def refractive_index(self, kappa):
-        return math.sqrt(self.eps(kappa) * self.mu(kappa))
+        return _float_or_array(np.sqrt(self.eps(kappa) * self.mu(kappa)))
 
 
 @dataclass(frozen=True)
@@ -180,11 +185,13 @@ def classify(object_eps, object_mu, medium, kappa_samples):
     responses.  Anything else is indeterminate: the relevant statements
     hold only when one set of inequalities holds over all the dominant
     wavenumbers, and no weighting between them is defined otherwise.
+    ``kappa_samples`` is an array of kappa (a number is one sample), and
+    every response is evaluated once on the whole array.
     """
-    samples = list(kappa_samples)
-    if not samples:
+    samples = np.asarray(kappa_samples, float)
+    if not samples.size:
         raise ValueError("kappa_samples must be non-empty")
-    if any(k <= 0.0 for k in samples):
+    if (samples <= 0.0).any():
         raise ValueError("kappa_samples must be positive")
 
     # a perfect conductor has eps -> inf and effective mu -> 0, the extreme
@@ -192,21 +199,12 @@ def classify(object_eps, object_mu, medium, kappa_samples):
     if object_eps.kind == "pec":
         return MaterialClass(MaterialClass.CLASS_I, +1)
 
-    neutral = True
-    class_i = True
-    class_ii = True
-    for kappa in samples:
-        e = eval_epsilon(object_eps, kappa)
-        m = eval_mu(object_mu, kappa)
-        e_m = medium.eps(kappa)
-        m_m = medium.mu(kappa)
-        neutral = neutral and (e == e_m and m == m_m)
-        class_i = class_i and (e > e_m and m <= m_m)
-        class_ii = class_ii and (e < e_m and m >= m_m)
-    if neutral:
+    e, m = eval_epsilon(object_eps, samples), eval_mu(object_mu, samples)
+    e_m, m_m = medium.eps(samples), medium.mu(samples)
+    if np.all((e == e_m) & (m == m_m)):
         return MaterialClass(MaterialClass.NEUTRAL, 0)
-    if class_i:
+    if np.all((e > e_m) & (m <= m_m)):
         return MaterialClass(MaterialClass.CLASS_I, +1)
-    if class_ii:
+    if np.all((e < e_m) & (m >= m_m)):
         return MaterialClass(MaterialClass.CLASS_II, -1)
     return MaterialClass(MaterialClass.INDETERMINATE, None)

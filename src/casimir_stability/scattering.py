@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapabilityError, GeometryError, ValidationError
 from .errors import _finite, _finite_array, _order, _vector
-from .materials import _per_kappa, eval_epsilon, eval_mu
+from .materials import eval_epsilon, eval_mu
 from .specfun import log_bessel_i_array, log_bessel_k_array
 from .translation import _band_of
 
@@ -149,14 +149,15 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
 
     A perfect conductor uses the limits TM: -Di(x)/Dk(x), TE: -i_l/k_l.
     ``kappa`` may be a 1-D array: the amplitudes then carry a leading kappa
-    axis, and each row equals the scalar call's.
+    axis, and each row equals the scalar call's.  Every response model is
+    evaluated once on the kappa array.
     """
     kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
     if _order(l_max, "l_max") > MAX_MULTIPOLE_ORDER:
         raise CapabilityError(
             f"multipole order {l_max} exceeds supported {MAX_MULTIPOLE_ORDER}"
         )
-    x = _per_kappa(medium.refractive_index, kappas) * kappas * sphere.radius
+    x = medium.refractive_index(kappas) * kappas * sphere.radius
     pec = sphere.eps.is_pec
 
     dix, ex = _riccati("i", l_max, x)
@@ -166,20 +167,14 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
         raw_tm = -dix / dkx
         raw_te = np.full(dix.shape, -1.0)  # -i_l/k_l, both mantissas being 1
     else:
-        # the medium's and the sphere's eps and mu, as columns over kappa
-        eps_m, mu_m, eps_j, mu_j = (
-            _per_kappa(f, kappas)[:, None]
-            for f in (
-                medium.eps,
-                medium.mu,
-                lambda k: eval_epsilon(sphere.eps, k),
-                lambda k: eval_mu(sphere.mu, k),
-            )
-        )
-        y = np.sqrt(eps_j[:, 0] * mu_j[:, 0]) * kappas * sphere.radius
+        eps_m, mu_m = medium.eps(kappas), medium.mu(kappas)
+        eps_j, mu_j = eval_epsilon(sphere.eps, kappas), eval_mu(sphere.mu, kappas)
+        y = np.sqrt(eps_j * mu_j) * kappas * sphere.radius
         diy, _ = _riccati("i", l_max, y)
 
         def amp(a_j, a_m):
+            # the sphere's and the medium's response, as columns over kappa
+            a_j, a_m = a_j[:, None], a_m[:, None]
             num = a_j * dix - a_m * diy
             den = a_j * dkx - a_m * diy
             return -num / den
@@ -209,35 +204,30 @@ def mie_tmatrix(sphere, medium, kappa, l_max):
 def fresnel_reflection(mat1, medium, kappa, k_transverse):
     """Imaginary-frequency Fresnel coefficients (r_TE, r_TM) of a half-space.
 
-    ``mat1`` is an (eps_model, mu_model) pair.  kappa_i = sqrt(k_t^2 +
+    ``mat1`` is an (eps_model, mu_model) pair; a perfect conductor is an eps
+    model only (ValidationError for a pec mu).  kappa_i = sqrt(k_t^2 +
     eps_i mu_i kappa^2) is the normal decay constant on each side.
     ``kappa`` and ``k_transverse`` may be arrays that broadcast together:
-    the coefficients are then arrays of that shape, the models being
-    evaluated once per kappa.
+    the coefficients are then arrays of that shape, every response model
+    being evaluated once on the kappa array.
     """
+    eps_model, mu_model = mat1
+    if mu_model.is_pec:
+        raise ValidationError("a half-space permeability cannot be a perfect conductor")
     kappas = _finite_array(kappa, "kappa")
     k_t = _finite_array(k_transverse, "k_transverse", "nonnegative")
-    eps_m = _per_kappa(medium.eps, kappas)
-    mu_m = _per_kappa(medium.mu, kappas)
-    r_te, r_tm = _fresnel(mat1, eps_m, mu_m, kappas, k_t)
-    if r_te.ndim == 0:
-        return float(r_te), float(r_tm)
-    return r_te, r_tm
-
-
-def _fresnel(mat1, eps_m, mu_m, kappas, k_t):
-    """(r_TE, r_TM) of :func:`fresnel_reflection`, the medium's eps_m and mu_m
-    given at ``kappas``: a caller that has them evaluates them once."""
-    eps_model, mu_model = mat1
+    eps_m, mu_m = medium.eps(kappas), medium.mu(kappas)
     k_t2, kappa2 = k_t * k_t, kappas * kappas
     kap_m = np.sqrt(k_t2 + eps_m * mu_m * kappa2)
     if eps_model.is_pec:
-        return np.full(kap_m.shape, -1.0), np.full(kap_m.shape, 1.0)
-    eps_1 = _per_kappa(lambda k: eval_epsilon(eps_model, k), kappas)
-    mu_1 = _per_kappa(lambda k: eval_mu(mu_model, k), kappas)
-    kap_1 = np.sqrt(k_t2 + eps_1 * mu_1 * kappa2)
-    r_te = (mu_1 * kap_m - mu_m * kap_1) / (mu_1 * kap_m + mu_m * kap_1)
-    r_tm = (eps_1 * kap_m - eps_m * kap_1) / (eps_1 * kap_m + eps_m * kap_1)
+        r_te, r_tm = np.full(kap_m.shape, -1.0), np.full(kap_m.shape, 1.0)
+    else:
+        eps_1, mu_1 = eval_epsilon(eps_model, kappas), eval_mu(mu_model, kappas)
+        kap_1 = np.sqrt(k_t2 + eps_1 * mu_1 * kappa2)
+        r_te = (mu_1 * kap_m - mu_m * kap_1) / (mu_1 * kap_m + mu_m * kap_1)
+        r_tm = (eps_1 * kap_m - eps_m * kap_1) / (eps_1 * kap_m + eps_m * kap_1)
+    if r_te.ndim == 0:
+        return float(r_te), float(r_tm)
     return r_te, r_tm
 
 

@@ -79,7 +79,7 @@ from .casimir import (
     default_l_max,
 )
 from .errors import ToleranceError, UnphysicalTruncationError, ValidationError, _finite, _order
-from .materials import _per_kappa, classify
+from .materials import classify
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
 from .scattering import mie_tmatrix  # noqa: F401
 from .translation import translation_gradient, translation_matrix  # noqa: F401
@@ -402,29 +402,28 @@ def _matsubara_grid(config, l_max):
     """(kappas, weights, T-matrix rows) of the frozen finite-temperature grid.
 
     The grid is truncated where the tail of a low-order (l_max <= 4) sum is
-    below 1e-12 of it.  When that order is the grid's, the sum's T-matrix
-    rows, one run of kappas at a time, are the grid's; else the grid's are
-    built once for all its kappas.
+    below 1e-12 of it.  The sum's T-matrix rows, one run of kappas at a
+    time, are built at the grid's order and kept as the grid's: the sum
+    reads the first ``low`` bands of each sector.
     """
     low = min(l_max, 4)
+    bands = np.r_[:low, l_max:l_max + low]
     axial = config._axis_positions is not None
     geometry = _geometry(config, config._pairs, low, axial)
     runs = []
 
     def term(kappas):
-        runs.append(_t_logs(config, kappas, low))
-        return _log_dets(config, kappas, low, runs[-1], geometry)
+        runs.append(_t_logs(config, kappas, l_max))
+        t_logs = [(s[:, bands], g[:, bands]) for s, g in runs[-1]]
+        return _log_dets(config, kappas, low, t_logs, geometry)
 
     chunk = _chunk(config, low, axial, run=True)
     kappas, weights, _, _ = _matsubara_sum(term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, chunk)
-    kappas, weights = np.array(kappas), np.array(weights)
-    if low != l_max:
-        return kappas, weights, _t_logs(config, kappas, l_max)
     rows = [
         tuple(np.concatenate([run[i][part] for run in runs])[: len(kappas)] for part in (0, 1))
         for i in range(len(config.objects))
     ]
-    return kappas, weights, rows
+    return np.array(kappas), np.array(weights), rows
 
 
 def _default_h(config, label):
@@ -607,7 +606,7 @@ def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
         b2 += 2.0 * _trace_product(s_inv, du @ dp)
         rdn = s_inv @ (du @ p_ref + u_ref @ dp)
         b3 += _trace_product(rdn, rdn)
-    n_m = _per_kappa(eng.config.medium.refractive_index, kappas)
+    n_m = eng.config.medium.refractive_index(kappas)
     b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
     return np.column_stack((cols if ratios else []) + [-b1, -b2, -b3])
 

@@ -79,7 +79,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GeometryError, ToleranceError, _finite, _finite_array, _order
-from .materials import _per_kappa
 from .specfun import log_bessel_k_array, wigner3j_rows
 # not called here: the benchmark tracer (perfbench/spans.py) wraps this name
 from .specfun import wigner3j  # noqa: F401
@@ -498,7 +497,7 @@ def _bessel_rows(medium, kappa, d):
     bit, so a slice of a grid's rows serves a build of that slice.
     """
     kappas = np.array(_finite_array(kappa, "kappa"), ndmin=1)
-    x = _per_kappa(medium.refractive_index, kappas) * kappas * d.length
+    x = medium.refractive_index(kappas) * kappas * d.length
     return log_bessel_k_array(2 * d.l_max + (1 if d.spin == "vector" else 0), x)
 
 

@@ -1,7 +1,7 @@
 """Frequency as a batch axis: every chunk of kappas equals the per-kappa values.
 
-The integrand, the Matsubara sum and the plate kernel evaluate arrays of
-kappa.  A single kappa is the one-row view of the same code, so each batched
+The response models, the integrand, the Matsubara sum and the plate kernel
+evaluate arrays of kappa.  A single kappa is the one-row view of the same code, so each batched
 row must equal it bit for bit; the Matsubara sum must keep the kappas,
 terms and estimate of a sum that streams one term at a time, and the
 stability engine every field for any chunk size.  The plate kernel sums its
@@ -17,11 +17,16 @@ from casimir_stability import (
     ConvergenceBudgetError,
     Configuration,
     DispersionModel,
+    MaterialClass,
     Medium,
     SphereObject,
     UnphysicalTruncationError,
+    ZeroFrequencyError,
     casimir,
+    classify,
     energy_T0,
+    eval_epsilon,
+    eval_mu,
     force,
     free_energy_T,
     laplacian_fd,
@@ -315,6 +320,88 @@ def test_batched_and_entries_only_matrices_refuse_single_matrix_reads():
     for read in (lambda x: x.dense(), lambda x: x.dim, reverse_translation):
         with pytest.raises(ValueError, match="chosen entries"):
             read(x)
+
+
+# --- Response models on kappa arrays ----------------------------------------
+
+MODELS = {
+    "constant": DispersionModel.constant(2.5),
+    "plasma": DispersionModel.plasma(9.0),
+    "drude": DRUDE,
+    "lorentz": DispersionModel.lorentz([(1.5, 2.0, 0.1), (0.4, 7.0, 0.5)]),
+    "pec": PEC,
+}
+MODEL_KAPPAS = np.geomspace(1e-4, 1e3, 60)
+KAPPA_ARRAYS = {"()": np.array(0.37), "(n,)": MODEL_KAPPAS, "(n, m)": MODEL_KAPPAS.reshape(6, 10)}
+
+
+def _responses(model):
+    """The model's eval_epsilon and eval_mu, and a medium's eps, mu and n
+    built from it (a medium cannot be a perfect conductor)."""
+    calls = [lambda k: eval_epsilon(model, k), lambda k: eval_mu(model, k)]
+    if not model.is_pec:
+        medium = Medium(model, model)
+        calls += [medium.eps, medium.mu, medium.refractive_index]
+    return calls
+
+
+@pytest.mark.parametrize("shape", KAPPA_ARRAYS)
+@pytest.mark.parametrize("model", MODELS)
+def test_response_models_on_a_kappa_array_equal_the_scalar_calls(model, shape):
+    kappas = KAPPA_ARRAYS[shape]
+    for f in _responses(MODELS[model]):
+        want = [f(k) for k in kappas.ravel().tolist()]
+        assert all(type(v) is float for v in want)
+        got = f(kappas)
+        if shape == "()":
+            assert type(got) is float and got == want[0]
+        else:
+            assert got.dtype == float and got.shape == kappas.shape
+            assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_negative_kappa_entry_raises_before_a_zero_one(model):
+    for f in _responses(MODELS[model]):
+        with pytest.raises(ValueError, match="nonnegative") as info:
+            f(np.array([[0.5, 0.0], [2.0, -1e-9]]))
+        assert not isinstance(info.value, ZeroFrequencyError)
+
+
+@pytest.mark.parametrize("model", ["plasma", "drude"])
+def test_a_zero_kappa_entry_of_a_diverging_model_raises(model):
+    for f in _responses(MODELS[model]):
+        with pytest.raises(ZeroFrequencyError, match=f"^{model} model diverges at kappa=0; apply"):
+            f(np.array([[0.5, 3.0], [0.0, 2.0]]))
+
+
+def _classify_per_sample(eps, mu, medium, samples):
+    """The class rule sample by sample, on scalar calls."""
+    if eps.is_pec:
+        return MaterialClass.CLASS_I
+    rows = [(eval_epsilon(eps, k), eval_mu(mu, k), medium.eps(k), medium.mu(k)) for k in samples]
+    if all(e == e_m and m == m_m for e, m, e_m, m_m in rows):
+        return MaterialClass.NEUTRAL
+    if all(e > e_m and m <= m_m for e, m, e_m, m_m in rows):
+        return MaterialClass.CLASS_I
+    if all(e < e_m and m >= m_m for e, m, e_m, m_m in rows):
+        return MaterialClass.CLASS_II
+    return MaterialClass.INDETERMINATE
+
+
+def test_classify_on_a_sample_array_is_the_per_sample_rule():
+    # the four samples of stability._sign_classes, at min gap 1.3
+    samples = np.array([0.5, 1.0, 2.0, 8.0]) / 1.3
+    const = MODELS["constant"]
+    media = [Medium(), Medium(const, const), Medium(DRUDE, DispersionModel.constant(0.8))]
+    seen = set()
+    for medium in media:
+        for eps in MODELS.values():
+            for mu in MODELS.values():
+                want = _classify_per_sample(eps, mu, medium, samples.tolist())
+                assert classify(eps, mu, medium, samples).variant == want
+                seen.add(want)
+    assert len(seen) == 4
 
 
 # --- Fresnel coefficients and the plate kernel on (kappa, q) arrays ----------

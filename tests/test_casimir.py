@@ -405,6 +405,26 @@ def test_plates_reject_pec_mu(plate):
         lifshitz_plates(*mats, Medium(), 1.0)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_plates_take_their_coefficients_from_fresnel_reflection(monkeypatch, tau):
+    # the plate kernel's one Fresnel call site is the module attribute that
+    # the benchmark tracer wraps (scattering.fresnel_calls): both materials
+    # pass through it at every temperature
+    from casimir_stability import casimir
+
+    calls = []
+    original = casimir.fresnel_reflection
+
+    def spy(mat, *args):
+        calls.append(mat)
+        return original(mat, *args)
+
+    monkeypatch.setattr(casimir, "fresnel_reflection", spy)
+    drude = (DispersionModel.drude(4.0, 0.2), DispersionModel.constant(1.0))
+    lifshitz_plates(drude, PEC_PAIR, Medium(), 1.0, tau)
+    assert calls and calls.count(drude) == calls.count(PEC_PAIR) == len(calls) // 2
+
+
 def test_plates_dense_medium_scaling():
     # PEC plates across an eps = 4 medium: energy scales by 1/n
     medium = Medium(eps_model=DispersionModel.constant(4.0))

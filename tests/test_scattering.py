@@ -150,6 +150,16 @@ def test_fresnel_pec_and_limits(vacuum):
     assert r_te == 0.0 and r_tm == 0.0
 
 
+@pytest.mark.parametrize(
+    "eps", [DispersionModel.constant(2.5), DispersionModel.perfect_conductor()], ids=["dielectric", "pec"]
+)
+def test_fresnel_rejects_a_pec_mu(vacuum, eps):
+    # a pec mu is rejected, as a sphere's and a medium's is: with a
+    # dielectric eps its coefficients are nan, and a pec eps ignores it
+    with pytest.raises(ValidationError, match="perfect conductor"):
+        fresnel_reflection((eps, DispersionModel.perfect_conductor()), vacuum, 0.7, 0.3)
+
+
 def test_fresnel_sign_pattern(vacuum):
     # eps > medium: r_TM > 0 > r_TE; eps < medium: reversed
     dense = (DispersionModel.constant(3.0), DispersionModel.constant(1.0))

@@ -290,10 +290,10 @@ def _count_calls(monkeypatch, module, name):
 def test_report_builds_one_engine(monkeypatch, three_body):
     # one frozen grid serves force, FD Laplacian and decomposition: every
     # T-matrix row is built once per (node, distinct sphere).  At tau > 0
-    # the grid's truncation sum builds them at l_max 3, the grid's own
-    # order, and the grid keeps them: no row is built twice, so the 15
-    # nodes take 15 rows, not 30.  The sum evaluates runs of kappas, and
-    # only its last run may reach past the stop
+    # the grid's truncation sum builds them at the grid's own order, l_max
+    # 3 or 6, reads its order-3 or order-4 bands, and the grid keeps them:
+    # no row is built twice, so the 15 nodes take 15 rows, not 30.  The sum
+    # evaluates runs of kappas, and only its last run may reach past the stop
     from casimir_stability import casimir, stability
 
     if three_body:
@@ -302,9 +302,9 @@ def test_report_builds_one_engine(monkeypatch, three_body):
             dielectric_sphere((3.0, 0, 0.5), 0.8, 3.0, "b"),
             dielectric_sphere((0.6, 3.1, 1.0), 0.6, 5.0, "c"),
         )
-        cfg, l_max, n_nodes = Configuration(objs, Medium(), 0.0), 5, 12
+        cases = [(Configuration(objs, Medium(), 0.0), 5, 12, 12)]
     else:
-        cfg, l_max, n_nodes = pec_pair(4.0, tau=0.5), 3, 32
+        cases = [(pec_pair(4.0, tau=0.5), 3, 32, 15), (pec_pair(4.0, tau=0.5), 6, 32, 16)]
     engines = []
 
     class Recorded(stability._CommonGridEngine):
@@ -314,20 +314,23 @@ def test_report_builds_one_engine(monkeypatch, three_body):
 
     monkeypatch.setattr(stability, "_CommonGridEngine", Recorded)
     calls = _count_calls(monkeypatch, casimir, "mie_tmatrix")
-    stability_report(cfg, "a", l_max=l_max, n_nodes=n_nodes)
-    assert len(engines) == 1
-    grid = engines[0].kappas
-    assert len(grid) == (12 if three_body else 15)
-    runs = {}
-    for sphere, _, kappas, order in calls:
-        assert order == l_max
-        runs.setdefault((sphere.radius, sphere.eps, sphere.mu), []).append(np.atleast_1d(kappas))
-    assert len(runs) == (3 if three_body else 1)
-    for sphere_runs in runs.values():
-        built = np.concatenate(sphere_runs)
-        assert np.unique(built).size == built.size
-        assert np.array_equal(built[: len(grid)], grid)
-        assert built.size - sphere_runs[-1].size < len(grid)
+    for cfg, l_max, n_nodes, nodes in cases:
+        engines.clear()
+        calls.clear()
+        stability_report(cfg, "a", l_max=l_max, n_nodes=n_nodes)
+        assert len(engines) == 1
+        grid = engines[0].kappas
+        assert len(grid) == nodes
+        runs = {}
+        for sphere, _, kappas, order in calls:
+            assert order == l_max
+            runs.setdefault((sphere.radius, sphere.eps, sphere.mu), []).append(np.atleast_1d(kappas))
+        assert len(runs) == (3 if three_body else 1)
+        for sphere_runs in runs.values():
+            built = np.concatenate(sphere_runs)
+            assert np.unique(built).size == built.size
+            assert np.array_equal(built[: len(grid)], grid)
+            assert built.size - sphere_runs[-1].size < len(grid)
 
 
 def test_equilibrium_search_builds_one_engine_for_its_search(monkeypatch):
