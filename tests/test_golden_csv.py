@@ -98,6 +98,7 @@ CASES = {
     "energy_tau": ("energy", dict(PAIR, tau=0.5), ()),
     "force": ("force", PAIR, ()),
     "stability": ("stability", MIXED, ()),
+    "stability_pair": ("stability", PAIR, ()),
     "sweep": (
         "sweep",
         dict(PAIR, l_max=2, sweep={"object": "b", "axis": 2, "values": [0.0, 0.5],
