@@ -20,7 +20,9 @@ the labeled object at 0, +-h e_i and +-(h/2) e_i:
   therefore nonnegative; with the negative prefactor the stored term3 is
   always <= 0.  For two same-sign-class groups bracket_1 and bracket_2 are
   also nonnegative, which forces laplacian <= 0 (no stable levitation).
-  d_i N is the Richardson-refined central difference of the stencil.
+  d_i N is the Richardson-refined central difference of the stencil, or
+  for a pair across its axis the exact commutator with a rotation
+  generator.
 
 Both routes, and every force, go through one Schur reduction per node: the
 remainder group R (every object but the labeled one) enters through the
@@ -40,13 +42,16 @@ equilibrium search's, one ratio of its +h end from its -h end
 (:func:`_axial_force`).
 
 A pair is radial: two spheres are isotropic, so E depends on r = |d| alone,
-F = -E'(r) r^ and the Laplacian is E''(r) + 2 E'(r)/r.  Its force, axial
-force and finite-difference Laplacian come from the ratios at r +- h and
-r +- h/2, on the axis of the pair's own frame, where M is block-diagonal
-in m (:meth:`_CommonGridEngine.radial`), through the same ratio loop and
-the same finite-difference formula (:func:`_fd`).  Only its decomposition
-reads the 13 dense points, and from them only dU and dP
-(:func:`_read_stencil`).
+F = -E'(r) r^ and the Laplacian is E''(r) + 2 E'(r)/r.  Its whole report
+comes from the ratios at r +- h and r +- h/2, on the axis of the pair's
+own frame, where M is block-diagonal in m
+(:meth:`_CommonGridEngine.radial`), through the same ratio loop and the
+same finite-difference formula (:func:`_fd`): force, axial force,
+finite-difference Laplacian, term1 and the radial parts of term2 and
+term3.  Their parts across r^ are the same on both transverse axes and
+exact at r: a transverse step turns d about an axis across it, so dU and
+dP are commutators with the rotation generator, which couples m to m +- 1
+alone (:func:`_transverse`).  A pair places no dense block.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
@@ -80,6 +85,7 @@ from .casimir import (
 )
 from .errors import ToleranceError, UnphysicalTruncationError, ValidationError, _finite, _order
 from .materials import classify
+from .translation import _generator
 # not called here: the benchmark tracer (perfbench/spans.py) wraps these names
 from .scattering import mie_tmatrix  # noqa: F401
 from .translation import translation_gradient, translation_matrix  # noqa: F401
@@ -180,7 +186,7 @@ class _CommonGridEngine:
     The same formulas hold on the m-block layout, where U, V, S and K are
     stacks of 2 l_max + 1 m-blocks per kappa and K's series runs on their
     block diagonal: :meth:`radial` gives a pair's engine there, which its
-    force, axial force and finite-difference Laplacian read.
+    whole report, its axial force included, reads.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
@@ -324,18 +330,14 @@ class _CommonGridEngine:
     def _ratio(self, c, ref, point, u, u0):
         """ln det M(u) - ln det M(u0) per kappa of chunk c, and the dU and dP it used.
 
-        ``ref`` is :meth:`_reference` at u0, ``point`` the (U, V) of u.
+        ``ref`` is :meth:`_reference` at u0, ``point`` the (U, V) of u, and
+        dP = M_RR^-1 dV.
         """
-        u_ref, _, p_ref, s_inv = ref
-        du, dp = self._delta(c, ref, point)
+        u_ref, v_ref, p_ref, s_inv = ref
+        du, dv, inverse = point[0] - u_ref, point[1] - v_ref, self.remainder[c][1]
+        dp = dv if inverse is None else inverse @ dv
         k = s_inv @ -(du @ (p_ref + dp) + u_ref @ dp)
         return _log_det_1p(k, *self.at(c, u, u0)), du, dp
-
-    def _delta(self, c, ref, point):
-        """dU and dP = M_RR^-1 dV of ``point`` = (U, V) from ``ref`` (:meth:`_reference`)."""
-        du, dv = point[0] - ref[0], point[1] - ref[1]
-        inverse = self.remainder[c][1]
-        return du, (dv if inverse is None else inverse @ dv)
 
     def _sum(self, rows):
         """Weighted grid sum of the per-chunk ``rows``, one per node (or a column each)."""
@@ -518,8 +520,7 @@ def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
     """Displacement Laplacian of the energy from the stencil's ratios (``_fd``).
 
     The 13-point stencil, or for a pair E'' + 2 E'/r from the 5 radial
-    points on m-blocks (:func:`_read_stencil`): no decomposition term, and
-    for a pair no dense block.
+    points on m-blocks (:func:`_read_stencil`): no decomposition term.
     """
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
@@ -567,7 +568,7 @@ def laplacian_decomposition(config, label, h=None, l_max=None, n_nodes=32):
     return rep.term1, rep.term2, rep.term3
 
 
-def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
+def _stencil_rows(eng, c, steps, moved, terms=True):
     """One row per kappa of chunk c: the ratios, then the weightless -b1,
     -b2, -b3.
 
@@ -578,8 +579,9 @@ def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
     time, and the blocks of an axis's points, and their dU and dP, are
     dropped before the next.  It reads the ratios' dU and dP: since the
     Richardson weights sum to 0, the refined central differences dU/da_i
-    and M_RR^-1 dV/da_i are their weighted sums.  Without ``ratios`` no K
-    is formed and no series run: each point gives only its dU and dP.
+    and M_RR^-1 dV/da_i are their weighted sums.  On a pair's radial engine
+    the one axis is r^, and the two across it add their equal terms from
+    the reference alone (:func:`_transverse`).
     """
     ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
     if not terms:
@@ -596,25 +598,73 @@ def _stencil_rows(eng, c, steps, moved, ratios=True, terms=True):
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         du = dp = 0.0
         for s, w in zip(at, (-0.5, 0.5, 4.0, -4.0)):
-            point = eng._row_col(c, moved[s])
-            if ratios:
-                cols[s - 1], d_u, d_p = eng._ratio(c, ref, point, steps[s], steps[0])
-            else:
-                d_u, d_p = eng._delta(c, ref, point)
+            cols[s - 1], d_u, d_p = eng._ratio(c, ref, eng._row_col(c, moved[s]), steps[s], steps[0])
             du, dp = du + w * d_u, dp + w * d_p
         du, dp = du / (3.0 * h), dp / (3.0 * h)
         b2 += 2.0 * _trace_product(s_inv, du @ dp)
         rdn = s_inv @ (du @ p_ref + u_ref @ dp)
         b3 += _trace_product(rdn, rdn)
+    if eng.frame is not None:
+        across = _transverse(ref, eng.config.objects[eng.idx].center[2], eng.l_max)
+        b2, b3 = b2 + 2.0 * across[0], b3 + 2.0 * across[1]
     n_m = eng.config.medium.refractive_index(kappas)
     b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
-    return np.column_stack((cols if ratios else []) + [-b1, -b2, -b3])
+    return np.column_stack(cols + [-b1, -b2, -b3])
 
 
-def _stencil_chunks(eng, steps, ratios=True, terms=True):
+@functools.lru_cache(maxsize=8)
+def _generator_blocks(l_max):
+    """G's blocks (k + 1, k) and (k, k + 1), k = 0 .. 2 l_max - 1, on the m-blocks.
+
+    G generates rotations about y: G^l (``translation._generator``) on the
+    electric sector and its m-reversed copy on the magnetic one, as the
+    rotation Q of ``translation._displacement`` stacks D^l, placed in the
+    local rows of ``_layout(l_max, True)``.  It couples m to m +- 1 alone,
+    and does not depend on kappa.
+    """
+    layout = _layout(l_max, True)
+    diag = layout.entries.rows == layout.entries.cols  # every label once, in order
+    block, local = layout.block[diag], layout.row[diag]
+    g, half = np.zeros((block.size, block.size)), block.size // 2
+    for l in range(1, l_max + 1):
+        gl, at = _generator(l), slice(l * l - 1, (l + 1) ** 2 - 1)
+        g[at, at], g[half:, half:][at, at] = gl, gl[::-1, ::-1]
+    a, b = np.nonzero(g)
+    out = np.zeros((2, 2 * l_max, layout.width, layout.width))
+    out[(block[a] < block[b]).astype(int), np.minimum(block[a], block[b]), local[a], local[b]] = g[a, b]
+    out.setflags(write=False)  # cached: every caller shares it
+    return out[0], out[1]
+
+
+def _transverse(ref, r, l_max):
+    """(b2, b3) per kappa of one axis across r^, from a pair's radial reference
+    ``ref`` (:meth:`_CommonGridEngine._reference` at r, where P = V).
+
+    Moving the labeled object by x e_x turns d = r e_z about y by x / r, and
+    every block as Q (see ``translation``): dU = [G, U] / r and dP = [G, P]
+    / r exactly, G of :func:`_generator_blocks`.  U and P are block-diagonal
+    in m and G couples m to m +- 1, so dU and dP hold the blocks (k + 1, k)
+    and (k, k + 1) alone: tr(S^-1 dU dP) reads the diagonal blocks of dU dP,
+    and R = S^-1 (dU P + U dP) has the same two bands, so tr(R^2) is 2 sum_k
+    tr(R[k+1, k] R[k, k+1]).  No dense block is placed.
+    """
+    u, _, p, s_inv = ref
+    up, down = _generator_blocks(l_max)
+
+    def bands(x):
+        return (up @ x[:, :-1] - x[:, 1:] @ up) / r, (down @ x[:, 1:] - x[:, :-1] @ down) / r
+
+    (du_up, du_down), (dp_up, dp_down) = bands(u), bands(p)
+    b2 = 2.0 * (_trace_product(s_inv[:, :-1], du_down @ dp_up) + _trace_product(s_inv[:, 1:], du_up @ dp_down))
+    r_up = s_inv[:, 1:] @ (du_up @ p[:, :-1] + u[:, 1:] @ dp_up)
+    r_down = s_inv[:, :-1] @ (du_down @ p[:, 1:] + u[:, :-1] @ dp_down)
+    return b2, 2.0 * _trace_product(r_up, r_down)
+
+
+def _stencil_chunks(eng, steps, terms=True):
     """:func:`_stencil_rows` at ``steps`` for every chunk, in grid order."""
     moved = [eng.moved(u) for u in steps]
-    return [_stencil_rows(eng, c, steps, moved, ratios, terms) for c in range(len(eng.chunks))]
+    return [_stencil_rows(eng, c, steps, moved, terms) for c in range(len(eng.chunks))]
 
 
 def _read_stencil(eng, h, laplacian=True, terms=False):
@@ -623,34 +673,31 @@ def _read_stencil(eng, h, laplacian=True, terms=False):
     Three or more objects take one pass of the 13-point dense stencil, or
     of its first 7 points for the force alone.  A pair's energy is E(r):
     its force is -E'(r) r^ and its Laplacian E'' + 2 E'/r (:func:`_fd`),
-    both from the ratios of its radial engine
-    (:meth:`_CommonGridEngine.radial`) at r +- h and r +- h/2 from r.  Its
-    decomposition is a second pass, of the 13 dense points' dU and dP
-    alone.  Every force is the grid sum of the per-node differences
+    and its decomposition the radial axis's terms and twice one transverse
+    axis's, all from one pass of its radial engine
+    (:meth:`_CommonGridEngine.radial`) at r +- h and r +- h/2 from r.
+    Every force is the grid sum of the per-node differences
     ratio(+h e) - ratio(-h e), over 2h.
     """
     pair = eng.radial()
-    dense = _stencil(h)[: None if laplacian or terms else 7]
     radial, r, unit = pair or (eng, None, None)
-    steps = dense if pair is None else _stencil(h, np.eye(3)[2:])[: None if laplacian else 3]
-    rows = _stencil_chunks(radial, steps, terms=terms and pair is None)
-    n, axes = len(steps) - 1, 3 if pair is None else 1
+    axes = np.eye(3) if pair is None else np.eye(3)[2:]
+    steps = _stencil(h, axes)[: None if laplacian or terms else 1 + 2 * len(axes)]
+    rows = _stencil_chunks(radial, steps, terms)
+    n = len(steps) - 1
     # the radial engine is this grid: eng._sum weighs its rows too
-    f = -eng._sum([row[:, : 2 * axes : 2] - row[:, 1 : 2 * axes : 2] for row in rows]) / (2.0 * h)
+    f = -eng._sum([row[:, : 2 * len(axes) : 2] - row[:, 1 : 2 * len(axes) : 2] for row in rows]) / (2.0 * h)
     # + 0.0: a component of r^ that is 0 gives 0, never -0
     f = f if pair is None else f * unit + 0.0
     sums = eng._sum(rows)
-    lap = _fd(sums[:n], h, r) if laplacian else None
-    if not terms:
-        return f, lap, None
-    return f, lap, tuple(sums[n:] if pair is None else eng._sum(_stencil_chunks(eng, dense, ratios=False)))
+    return f, _fd(sums[:n], h, r) if laplacian else None, tuple(sums[n:]) if terms else None
 
 
 def stability_report(config, label, h=None, l_max=None, n_nodes=32):
     """Force, FD Laplacian, decomposition and sign prediction on one frozen grid.
 
-    One pass of the stencil, or for a pair its radial ratios and then the
-    decomposition's dense points (:func:`_read_stencil`).
+    One pass of the stencil, or for a pair of its 5 radial points on
+    m-blocks, its transverse terms from their reference (:func:`_read_stencil`).
     """
     h = _step(config, label, h)
     eng = _CommonGridEngine(config, label, l_max, n_nodes)

@@ -442,6 +442,24 @@ def _rotations(frame, tab):
     return out
 
 
+def _generator(l):
+    """G^l = dD^l/dtheta at 0, D^l of the rotation by theta about y (the
+    frame of (sin theta, 0, cos theta) in :func:`_rotations`).
+
+    It is the matrix of z d/dx - x d/dz on the real harmonics R_l, closed
+    form from L_+- in the complex basis: with c(m) = sqrt((l - m)(l + m + 1))
+    / 2, G[m, m + 1] = G[-m, -m - 1] = -c(m) for m >= 1, G[0, 1] = -sqrt(2)
+    c(0), and G is antisymmetric.  It couples m to m +- 1 of one sign alone.
+    """
+    m = np.arange(l)
+    c = 0.5 * np.sqrt((l - m) * (l + m + 1.0))
+    c[0] *= math.sqrt(2.0)
+    g = np.zeros((2 * l + 1, 2 * l + 1))
+    g[l + m, l + m + 1] = -c
+    g[l - m[1:], l - m[1:] - 1] = -c[1:]
+    return g - g.T
+
+
 @dataclass(frozen=True)
 class _Displacement:
     """A displacement prepared for builds at one (l_max, spin).

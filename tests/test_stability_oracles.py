@@ -38,6 +38,7 @@ from casimir_stability.casimir import (
 from casimir_stability.cli import run
 from casimir_stability.stability import _CommonGridEngine, _fd, _stencil, _step
 from conftest import dielectric_sphere, exact_log_det, pec_pair
+from test_kernel_oracles import _whole_generator
 from test_stability import _count_calls
 
 
@@ -116,9 +117,9 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", [*CASES, "dielectric_pair"])
 def test_report_matches_reference_and_fd_routes(case):
-    cfg, label, l_max, n_nodes = CASES[case]
+    cfg, label, l_max, n_nodes = {**CASES, **PAIRS}[case]
     rep = stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
     h = _step(cfg, label, None)
     ref = ref_decomposition(_CommonGridEngine(cfg, label, l_max, n_nodes), h)
@@ -168,24 +169,25 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
     ]
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
     # I - N is never placed whole on the dense layout: only the remainder's
-    # M_RR, once per chunk, and nothing for a pair, whose M_RR = I.  Each
-    # dense stencil point's pairs are translated once per chunk, one kappa
-    # row per node.  A pair's ratios take its 5 radial points on m-blocks,
-    # each translated and placed once per chunk of its radial engine
+    # M_RR, once per chunk.  Each dense stencil point's pairs are translated
+    # once per chunk, one kappa row per node.  A pair's whole report takes
+    # its 5 radial points on m-blocks, each translated and placed once per
+    # chunk of its radial engine, and no dense point
     dense = [x for x in translations if x[4] is None]
     axial = [x for x in translations if x[4] is not None]
     dense_rows = sum(np.size(kappa) for _, kappa, *_ in dense)
     axial_rows = sum(np.size(kappa) for _, kappa, *_ in axial)
-    assert len(dense) == chunks * (13 * moving + static)
-    assert dense_rows == n_nodes * (13 * moving + static)
     assert gradients == [[], []]
     if case == "pec_pair":
         m_chunks = len(eng.radial()[0].chunks)
         assert m_chunks < chunks
+        assert dense == []
         assert len(matrices) == len(axial) == 5 * m_chunks
         assert all(layout.entries is not None for _, layout in matrices)
-        assert (dense_rows, axial_rows) == (156, 60)
+        assert axial_rows == 5 * n_nodes == 60
     else:
+        assert len(dense) == chunks * (13 * moving + static)
+        assert dense_rows == n_nodes * (13 * moving + static)
         assert len(matrices) == chunks
         assert axial == []
 
@@ -197,9 +199,8 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
     # for its force, and force() reads the same columns from the 7 points
     # 0 and +-h e_i, one kappa row per node per moving pair at each.  A
     # pair's ratios are those of its radial engine, 4 per chunk of it from
-    # one reference at r, and its force the 2 at r +- h; its report adds
-    # one dense reference per chunk for the decomposition, which forms no
-    # ratio
+    # one reference at r, and its force the 2 at r +- h; its decomposition
+    # takes no reference of its own
     cfg, label, l_max, n_nodes = CASES[case]
     n = len(cfg.objects)
     moving, static = n - 1, (n - 1) * (n - 2) // 2
@@ -211,7 +212,7 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
     if case == "pec_pair":
         m_chunks = len(eng.radial()[0].chunks)
-        assert (len(references), len(ratios), len(solves)) == (chunks + m_chunks, 4 * m_chunks, 0)
+        assert (len(references), len(ratios), len(solves)) == (m_chunks, 4 * m_chunks, 0)
     else:
         assert (len(references), len(ratios), len(solves)) == (chunks, 12 * chunks, 0)
     del references[:], ratios[:]
@@ -426,9 +427,10 @@ def test_radial_ratios_are_the_exact_ln_det_differences(case):
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 def test_pair_report_is_the_same_bits_in_every_orientation(tau):
     # the radial engine works in the pair's own frame, so the Laplacian,
-    # its est_error and the force's size -E'(r) depend on r alone: the
-    # same bits along z and along two random axes.  The axes are signed
-    # permutations of (2, 3, 6) / 7, so that every |d| is 7 exactly
+    # its est_error, the decomposition and the force's size -E'(r) depend
+    # on r alone: the same bits along z and along two random axes.  The
+    # axes are signed permutations of (2, 3, 6) / 7, so that every |d| is 7
+    # exactly
     rng = np.random.default_rng(30)
     axes = [np.array([0.0, 0.0, 7.0])]
     for _ in range(2):
@@ -445,31 +447,72 @@ def test_pair_report_is_the_same_bits_in_every_orientation(tau):
         # -E'(r), read off the z axis, where r^ = -e_z
         size = -rep.force[2] if size is None else size
         assert np.array_equal(rep.force, size * unit + 0.0), (rep.force, size, unit)
-        reports.append((rep.laplacian, rep.est_error))
+        reports.append((rep.laplacian, rep.est_error, rep.term1, rep.term2, rep.term3))
     assert reports[1] == reports[0] and reports[2] == reports[0], reports
 
 
+def _labels_dense(stack, layout):
+    """An m-block stack (kappa, 2 l_max + 1, w, w) as dense matrices over the basis labels."""
+    diag = layout.entries.rows == layout.entries.cols  # every label once, in order
+    block, local = layout.block[diag], layout.row[diag]
+    a, b = np.nonzero(block[:, None] == block[None, :])
+    out = np.zeros((len(stack), block.size, block.size))
+    out[:, a, b] = stack[:, block[a], local[a], local[b]]
+    return out
+
+
+@pytest.mark.parametrize("case", PAIRS)
+def test_transverse_terms_are_the_same_about_either_axis_across_the_pair(case):
+    # the pair is symmetric about r^, so b2 and b3 of the axis x, from the
+    # generator G_y, equal those of y, from G_x, its turn about z: the
+    # report's doubling.  Both are taken on dense matrices over the labels,
+    # and the m-block bands of _transverse are the x ones: its cached
+    # neighbour blocks are the whole G_y's, the magnetic copy m-reversed
+    cfg, label, l_max, n_nodes = PAIRS[case]
+    eng, r, _ = _CommonGridEngine(cfg, label, l_max, n_nodes).radial()
+    y_to_x = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    gens = [_whole_generator(l_max), _whole_generator(l_max, y_to_x)]
+    diag = eng.layout.entries.rows == eng.layout.entries.cols
+    block, local = eng.layout.block[diag], eng.layout.row[diag]
+    placed = np.zeros_like(gens[0])
+    for side, stack in zip((1, -1), stability._generator_blocks(l_max)):
+        a, b = np.nonzero(block[:, None] == block[None, :] + side)
+        placed[a, b] = stack[np.minimum(block[a], block[b]), local[a], local[b]]
+    assert np.allclose(placed, gens[0], rtol=0.0, atol=1e-15)
+    for c in range(len(eng.chunks)):
+        ref = eng._reference(c, eng._row_col(c, eng.moved(np.zeros(3))), np.zeros(3))
+        u, _, p, s_inv = (_labels_dense(x, eng.layout) for x in ref)
+        dense = []
+        for g in gens:
+            du, dp = (g @ u - u @ g) / r, (g @ p - p @ g) / r
+            rdn = s_inv @ (du @ p + u @ dp)
+            b2 = 2.0 * np.trace(s_inv @ du @ dp, axis1=1, axis2=2)
+            dense.append((b2, np.trace(rdn @ rdn, axis1=1, axis2=2)))
+        for got, x_axis, y_axis in zip(stability._transverse(ref, r, l_max), *dense):
+            assert np.allclose(y_axis, x_axis, rtol=1e-13, atol=0.0), (y_axis, x_axis)
+            assert np.allclose(got, x_axis, rtol=1e-13, atol=0.0), (got, x_axis)
+
+
 def test_pair_force_and_laplacian_fd_place_no_dense_block(monkeypatch):
-    # a pair's force and FD Laplacian are its radial engine's ratios alone,
-    # and its report runs every ln det(I + K) series on m-block stacks
+    # a pair's force, FD Laplacian and whole report, its decomposition
+    # included, are its radial engine's alone, and every ln det(I + K)
+    # series runs on m-block stacks
     cfg, label, l_max, n_nodes = CASES["pec_pair"]
     blocks = _count_calls(monkeypatch, stability, "_blocks")
-    for route in (force, laplacian_fd):
+    series = _count_calls(monkeypatch, stability, "_log_det_1p")
+    for route in (force, laplacian_fd, stability_report):
         route(cfg, label, l_max=l_max, n_nodes=n_nodes)
         assert blocks and all(layout.entries is not None for *_, layout in blocks)
         del blocks[:]
-    series = _count_calls(monkeypatch, stability, "_log_det_1p")
-    stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    assert any(layout.entries is None for *_, layout in blocks)  # the decomposition
     depth, width = 2 * l_max + 1, 2 * l_max
     assert series and all(k.shape[1:] == (depth, width, width) for k, *_ in series)
 
 
 def test_pair_axial_forces_place_no_dense_block(monkeypatch, tmp_path):
     # a pair's axial force, and so the CLI force sweep and the equilibrium
-    # search, reads its radial engine alone; the report at the root, whose
-    # decomposition is dense, is left out.  Along x the off-axis pair's
-    # force vanishes where the centres' x agree, at x = 2.3
+    # search with its report at the root, reads its radial engine alone.
+    # Along x the off-axis pair's force vanishes where the centres' x
+    # agree, at x = 2.3
     cfg, label = PAIRS["dielectric_pair"][:2]
     blocks = _count_calls(monkeypatch, stability, "_blocks")
     eng = _CommonGridEngine(cfg, label, l_max=3, n_nodes=8)
@@ -484,7 +527,7 @@ def test_pair_axial_forces_place_no_dense_block(monkeypatch, tmp_path):
     path = tmp_path / "sweep.yaml"
     path.write_text(yaml.safe_dump({"objects": objects, "l_max": 3, "n_nodes": 8, "sweep": sweep}))
     assert run(["sweep", str(path), "--output", str(tmp_path / "sweep.csv")]) == 0
-    monkeypatch.setattr(stability, "stability_report", lambda *args, **kwargs: None)
     res = find_axial_equilibrium(cfg, label, 0, (1.5, 2.5), tol=1e-6, l_max=3, n_nodes=8)
     assert res.found and abs(res.position - 2.3) <= 1e-5, res
+    assert res.report.laplacian < 0.0
     assert blocks and all(layout.entries is not None for *_, layout in blocks)
