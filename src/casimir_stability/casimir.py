@@ -27,12 +27,20 @@ class W is one sign and I - N itself is symmetric.
 
 One placement: a layout (``_layout``) says which entries of a pair block
 are balanced and where each lands in a stack of identity-padded matrices.
-The dense layout's one matrix is ``assemble_block_matrix``, the oracle.
-Collinear centres, turned so that their line is the z axis, are translated
-along z, which conserves m, so M is block-diagonal in m and
-ln det M = sum_m ln det M_m: ``log_det_integrand`` then takes the axial
-layout (coaxial translations, only the m-diagonal entries built and
-balanced) and one ``slogdet`` call on the stack of the 2 l_max + 1 blocks.
+The dense layout's one matrix is ``assemble_block_matrix``, the oracle, in
+the configuration's own frame.  One frame rule (``Configuration._frame``)
+picks the layout of the energy and of the stability engine:
+* collinear centres, turned so that their line is the z axis, are
+  translated along z, which conserves m, so M is block-diagonal in m and
+  ln det M = sum_m ln det M_m: the axial layout (coaxial translations, only
+  the m-diagonal entries built and balanced), one ``slogdet`` call on the
+  stack of the 2 l_max + 1 blocks;
+* other centres in one plane, as any three are, are turned into it at
+  z = 0.  The mirror z -> -z, the sign s_P (-1)^(l + m) with s_E = -s_M on
+  every label, then commutes with M, which splits into two blocks of half
+  the order: the parity layout, whose entries between the two parities are
+  never balanced or placed;
+* anything else keeps its frame and the dense layout.
 Every matrix of the stack has identity diagonal blocks, so what is factored
 is its Schur complement of object 0's block, M_RR - M_R0 M_0R, of the same
 determinant (``_complement``): for a pair, I - B_10 B_01, as Rahi et al.,
@@ -51,8 +59,8 @@ sum runs that double in length up to one chunk; the plates take chunks of
 (kappa, q) arrays, and the stability engine chunks of its frozen grid, its
 T-matrices, rotations and Bessel rows made once for the grid.  A chunk
 holds as many kappas as fit one fixed budget of array entries,
-``_CHUNK_ENTRIES``, counted over one kappa's whole I - N stack (dense for
-the engine, its q-nodes for the plates), and a dense chunk holds at least
+``_CHUNK_ENTRIES``, counted over one kappa's whole I - N stack on its layout
+(the q-nodes for the plates), and a dense or parity chunk holds at least
 two kappas (``_chunk``); the budget is a constant, not an option.  A single
 kappa is the one-row view of the same code, and each batched row equals
 it bit for bit.
@@ -62,7 +70,7 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,9 +117,13 @@ MAX_ORDER_DOUBLINGS = 3
 # pairs of a plate chunk; a dense chunk holds at least two kappas (see _chunk)
 _CHUNK_ENTRIES = 1 << 16
 
-# centres this close to one line, relative to their largest distance from
-# the first centre, take the m-block ln det
+# centres this close to one line (or one plane), relative to their largest
+# distance from the first centre, take the m-block (or parity-block) ln det
 _AXIS_RTOL = 1e-10
+
+# the layout of I - N (see _layout), the configuration it is built on, and
+# the rows x, y, normal of that configuration's frame in the given one
+_Frame = collections.namedtuple("_Frame", "layout config plane")
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,47 @@ class Configuration:
         t[far] = reach
         return t
 
+    @functools.cached_property
+    def _frame(self):
+        """The frame rule: a :data:`_Frame` (layout, configuration, plane).
+
+        Collinear centres take the axial layout on their line
+        (``_axis_positions``).  Other centres within _AXIS_RTOL of one plane,
+        as every three are, take the parity layout in that plane: the first
+        centre at the origin, the one farthest from it on +x at exactly that
+        distance, the one farthest from that line at y > 0, every normal
+        coordinate exactly 0.0.  Their dot products sum sorted terms, so a
+        signed permutation of the axes gives the same frame bit for bit, and
+        a configuration already in its frame keeps it.  Anything else keeps
+        its frame and the dense layout.  ``plane`` is None but on the parity
+        layout.
+        """
+        if self._axis_positions is not None:
+            return _Frame("axial", self, None)
+        c = np.array([o.center for o in self.objects], float)
+        d = c - c[0]
+        far = int(np.argmax(_dot(d, d)))
+        reach = math.sqrt(_dot(d[far], d[far]))
+        x = d[far] / reach
+        along = _dot(d, x)
+        across = d - along[:, None] * x
+        k = int(np.argmax(_dot(across, across)))
+        y = across[k] / math.sqrt(_dot(across[k], across[k]))
+        side = _dot(across, y)
+        off = across - side[:, None] * y
+        if math.sqrt(_dot(off, off).max()) > _AXIS_RTOL * reach:
+            return _Frame("dense", self, None)
+        along[far], side[far] = reach, 0.0
+        objs = [replace(o, center=(float(a), float(b), 0.0)) for o, a, b in zip(self.objects, along, side)]
+        return _Frame("parity", Configuration(objs, self.medium, self.tau), np.array([x, y, np.cross(x, y)]))
+
     def min_gap(self):
         return min(_gap(self.objects[i], self.objects[j]) for i, j in self._pairs)
+
+
+def _dot(a, b):
+    """Dot products over the last axis, their terms summed in sorted order."""
+    return np.sort(a * b, axis=-1).sum(axis=-1)
 
 
 def _gap(a, b):
@@ -205,12 +256,12 @@ def _pair_blocks(x, t_i, t_j, layout):
     X_JI = D X_IJ^T D, makes it W_J B_IJ^T W_I with W = s D per band, the
     raw T-matrix sign times the sector parity: the band-pair signs
     W_J W_I, gathered as the scale is, times the transpose of B_IJ (on the
-    axial layout its read at ``entries.swap``).  Every factor
+    axial and parity layouts its read at ``entries.swap``).  Every factor
     of W is +-1 or 0 and the exponent's sum is symmetric, so B_JI is, bit
     for bit, the balancing of X_JI entry by entry.  A zero amplitude
     (sign 0, log -inf) makes its entries 0; a NaN from any source is kept
-    for the determinant guard.  On the axial layout ``x`` and the blocks
-    hold only its entries, as flat arrays.  ``x`` and the T-matrices may
+    for the determinant guard.  On the axial and parity layouts ``x`` and
+    the blocks hold only their entries, as flat arrays.  ``x`` and the T-matrices may
     carry a leading kappa axis.
     """
     (s_i, g_i), (s_j, g_j) = t_i, t_j
@@ -223,11 +274,11 @@ def _pair_blocks(x, t_i, t_j, layout):
     signs = w_j[..., :, None] * w_i[..., None, :]
     reverse = signs.reshape(*signs.shape[:-2], -1).take(layout.scale_at, axis=-1)
     entries = layout.entries
-    reverse *= np.swapaxes(forward, -1, -2) if entries is None else forward[..., entries.swap]
+    reverse *= np.swapaxes(forward, -1, -2) if entries is None else forward.take(entries.swap, axis=-1)
     return forward, reverse
 
 
-def _geometry(config, pairs, l_max, axial, kappas=None):
+def _geometry(config, pairs, l_max, kind, kappas=None):
     """(i, j, d, log_k) of each of ``pairs`` (i < j): what its translation
     takes from the geometry, made once for every chunk it is built at.
 
@@ -236,12 +287,14 @@ def _geometry(config, pairs, l_max, axial, kappas=None):
     :func:`~casimir_stability.translation._bessel_rows` at the 1-D array
     ``kappas``, one row per kappa, which :func:`_rows` slices per chunk;
     without ``kappas`` it is None and each build makes its own.  On the
-    axial layout the configuration is collinear: each pair is translated
-    along +z, from whichever of its centres lies lower on the line, and
-    takes no rotation.
+    axial layout (``kind``) the configuration is collinear: each pair is
+    translated along +z, from whichever of its centres lies lower on the
+    line, and takes no rotation.  On the others d is the difference of the
+    centres as given: the caller hands the parity layout a configuration
+    in its plane (``Configuration._frame``).
     """
     objs = config.objects
-    line = config._axis_positions if axial else None
+    line = config._axis_positions if kind == "axial" else None
     out = []
     for i, j in pairs:
         if line is None:
@@ -264,8 +317,8 @@ def _blocks(medium, kappa, l_max, t_logs, geometry, layout):
     """Balanced blocks {(I, J): block} of the pairs of ``geometry`` (:func:`_geometry`)
     and their reverses.
 
-    On the axial ``layout`` (see :func:`_layout`) only the layout's entries
-    are built and balanced.  ``kappa`` is one wavenumber or a 1-D array of
+    On the axial and parity ``layout`` (see :func:`_layout`) only the
+    layout's entries are built and balanced.  ``kappa`` is one wavenumber or a 1-D array of
     them, the kappas of ``geometry``'s Bessel rows when it has them.
     """
     entries = layout.entries
@@ -277,67 +330,90 @@ def _blocks(medium, kappa, l_max, t_logs, geometry, layout):
     return blocks
 
 
-_Layout = collections.namedtuple("_Layout", "entries scale_at parity block row col width names")
+_Layout = collections.namedtuple("_Layout", "kind entries scale_at parity block row col width names")
 _Entries = collections.namedtuple("_Entries", "rows cols swap")
 
 
-def _widths(l_max, axial):
-    """(matrices in the stack, rows per object) of ``_layout(l_max, axial)``."""
-    return (2 * l_max + 1, 2 * l_max) if axial else (1, 2 * sector_size(l_max))
+def _widths(l_max, kind):
+    """(matrices in the stack, rows per object) of ``_layout(l_max, kind)``."""
+    if kind == "axial":
+        return 2 * l_max + 1, 2 * l_max
+    return (2, sector_size(l_max)) if kind == "parity" else (1, 2 * sector_size(l_max))
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(l_max, axial):
+def _layout(l_max, kind):
     """Which entries of a pair block are balanced, and where each one lands.
 
     I - N is a stack of matrices, one per name, with ``width`` rows and
     columns per object; ``scale_at`` is the position of each balanced
     entry's (P, l) x (P', l') band pair in a raveled band-by-band matrix
     (a matrix of them, when dense).  ``parity`` is the sector parity D per
-    band: +1 electric, -1 magnetic.  Dense: every entry, in the one matrix.
-    Axial: the entries a displacement along z can fill, rows and columns of
-    the basis (P, l, m), electric first, with m = m' (the magnetic label m
-    refers to R_{l,-m}, which keeps the sectors in step); each lands in the
-    block m + l_max, at row and column P * (l_max + 1 - l_min) + l - l_min
-    with l_min = max(|m|, 1).  The axial entries come with the position of their
-    transpose (``swap``), so that a reverse block is read from its forward
-    one without a dense matrix.
+    band: +1 electric, -1 magnetic.  ``kind`` is the frame's layout
+    (``Configuration._frame``).  Dense: every entry, in the one matrix.
+    The others keep the entries whose row and column labels (P, l, m),
+    electric first, lie in one block, and place each label at its rank
+    within the block:
+    * axial: the entries a displacement along z can fill, m = m' (the
+      magnetic label m refers to R_{l,-m}, which keeps the sectors in
+      step), in the block m + l_max, at row and column
+      P * (l_max + 1 - l_min) + l - l_min with l_min = max(|m|, 1);
+    * parity: the entries a displacement in the plane z = 0 can fill.  The
+      mirror z -> -z is the sign Pi = s_P (-1)^(l + m), s_E = -s_M = 1, on
+      every label, and commutes with I - N: the block of Pi = +1, then of
+      Pi = -1, each of half the order.
+    Their entries come with the position of their transpose (``swap``), so
+    that a reverse block is read from its forward one without a dense matrix.
     """
     band = _band_of(l_max)
     parity = np.repeat([1.0, -1.0], l_max)
-    if not axial:
-        every = slice(None)
+    width = _widths(l_max, kind)[1]
+    if kind == "dense":
         scale_at = 2 * l_max * band[:, None] + band
-        return _Layout(None, scale_at, parity, 0, every, every, _widths(l_max, False)[1], ("matrix",))
+        return _Layout(kind, None, scale_at, parity, None, None, None, width, ("matrix",))
     sector, l = np.divmod(band, l_max)
     l += 1
     m = np.arange(band.size) % sector_size(l_max) - l * l + 1 - l
-    l_min = np.maximum(np.abs(m), 1)
-    local = sector * (l_max + 1 - l_min) + l - l_min
-    rows, cols = np.nonzero(m[:, None] == m[None, :])
+    if kind == "axial":
+        l_min = np.maximum(np.abs(m), 1)
+        block, local = m + l_max, sector * (l_max + 1 - l_min) + l - l_min
+        names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
+    else:
+        block = (l + m + sector) % 2
+        local = np.where(block, np.cumsum(block), np.cumsum(1 - block)) - 1
+        names = ("parity +1 block of the matrix", "parity -1 block of the matrix")
+    rows, cols = np.nonzero(block[:, None] == block[None, :])
     at = np.zeros((m.size, m.size), int)
     at[rows, cols] = np.arange(rows.size)
     entries = _Entries(rows, cols, at[cols, rows])
-    names = tuple(f"m = {k} block of the matrix" for k in range(-l_max, l_max + 1))
-    block = m[rows] + l_max
     scale_at = 2 * l_max * band[rows] + band[cols]
-    return _Layout(entries, scale_at, parity, block, local[rows], local[cols], 2 * l_max, names)
+    return _Layout(kind, entries, scale_at, parity, block[rows], local[rows], local[cols], width, names)
 
 
 def _place_blocks(blocks, layout):
     """I - N as the stack of ``layout``, from the balanced {(I, J): values}.
 
-    Values with a leading kappa axis give a stack with that axis first.
+    Values with a leading kappa axis give a stack with that axis first.  A
+    layout's entries land at one index each of the raveled stack: their
+    place in block (0, 0) of each matrix, offset by the block (I, J).
     """
     n = 1 + max(i for i, _ in blocks)
     some = next(iter(blocks.values()))
     lead = some.shape[: some.ndim - (2 if layout.entries is None else 1)]
-    depth, size = len(layout.names), layout.width * n
+    depth, width = len(layout.names), layout.width
+    size = width * n
     stack = np.zeros(lead + (depth, size, size))
     stack.reshape(-1, size * size)[:, :: size + 1] = 1.0
-    slots = stack.reshape(lead + (depth, n, layout.width, n, layout.width))
+    if layout.entries is None:
+        slots = stack.reshape(lead + (n, width, n, width))
+        for (i, j), values in blocks.items():
+            slots[..., i, :, j, :] = -values
+        return stack
+    rows = np.arange(math.prod(lead)).reshape(lead + (1,)) * (depth * size * size)
+    at = rows + (layout.block * size + layout.row) * size + layout.col
+    flat = stack.reshape(-1)
     for (i, j), values in blocks.items():
-        slots[..., layout.block, i, layout.row, j, layout.col] = -values
+        flat[at + (i * size + j) * width] = -values
     return stack
 
 
@@ -390,14 +466,14 @@ def _t_logs(config, kappa, l_max):
     return [built[o.radius, o.eps, o.mu] for o in config.objects]
 
 
-def _assemble(config, kappa, l_max, axial, t_logs, geometry):
-    """I - N as the stack of ``_layout(l_max, axial)``, after any kappa axis.
+def _assemble(config, kappa, l_max, kind, t_logs, geometry):
+    """I - N as the stack of ``_layout(l_max, kind)``, after any kappa axis.
 
     ``t_logs`` are the objects' T-matrices at ``kappa`` (:func:`_t_logs`):
     built first, an order beyond the special functions raises before its
     layout is made.  ``geometry`` is :func:`_geometry` of every pair.
     """
-    layout = _layout(l_max, axial)
+    layout = _layout(l_max, kind)
     return _place_blocks(_blocks(config.medium, kappa, l_max, t_logs, geometry, layout), layout)
 
 
@@ -408,11 +484,12 @@ def assemble_block_matrix(config, kappa, l_max):
     -F_I X_IJ after the determinant-preserving balancing described in the
     module docstring.  For two objects its determinant equals
     det(I - F_A X_AB F_B X_BA).  Each pair is translated once; X_JI is its
-    reciprocal image.  This is the dense layout's one matrix.
+    reciprocal image.  This is the dense layout's one matrix, in the
+    configuration's own frame.
     """
     t_logs = _t_logs(config, kappa, l_max)
-    geometry = _geometry(config, config._pairs, l_max, False)
-    return _assemble(config, kappa, l_max, False, t_logs, geometry)[0]
+    geometry = _geometry(config, config._pairs, l_max, "dense")
+    return _assemble(config, kappa, l_max, "dense", t_logs, geometry)[0]
 
 
 def _complement(m, width):
@@ -426,18 +503,18 @@ def _complement(m, width):
     return np.subtract(m[..., width:, width:], out, out=out)
 
 
-def _log_dets(config, kappas, l_max, t_logs, geometry):
-    """ln det(I - N) at each of ``kappas`` (a 1-D array), from one stack;
-    ``t_logs`` are the T-matrix rows of these kappas, ``geometry`` is
-    :func:`_geometry` of every pair on the configuration's layout.
+def _log_dets(config, kappas, l_max, kind, t_logs, geometry):
+    """ln det(I - N) at each of ``kappas`` (a 1-D array), from one stack of
+    ``_layout(l_max, kind)``; ``t_logs`` are the T-matrix rows of these
+    kappas, ``geometry`` is :func:`_geometry` of every pair in that layout's
+    frame.
 
     Object 0's diagonal block is the identity, so each matrix's ln det is
     that of its :func:`_complement`, which is what is factored and guarded:
     for a pair, I - B_10 B_01, at half the order of I - N.
     """
-    axial = config._axis_positions is not None
-    layout = _layout(l_max, axial)
-    stack = _assemble(config, kappas, l_max, axial, t_logs, geometry)
+    layout = _layout(l_max, kind)
+    stack = _assemble(config, kappas, l_max, kind, t_logs, geometry)
     complement = _complement(stack, layout.width)
     # dropped before the factorization (see _chunk)
     del stack
@@ -449,9 +526,11 @@ def log_det_integrand(config, kappa, l_max):
 
     A non-positive or non-finite determinant signals an unphysical
     truncation.  What is factored and guarded is the complement of object
-    0's identity block (:func:`_log_dets`), of the same determinant.
-    Collinear centres take the axial layout: the value is the sum of the ln
-    dets of the m-blocks, from one ``slogdet`` call on the stack of their
+    0's identity block (:func:`_log_dets`), of the same determinant.  The
+    layout is the frame rule's (``Configuration._frame``): collinear
+    centres take the m-blocks and other coplanar ones, every three among
+    them, the two parity blocks in their plane; the value is then the sum
+    of the blocks' ln dets, from one ``slogdet`` call on the stack of their
     complements, and each must be positive on its own.  ``kappa`` may be a
     1-D array, giving one value per kappa (none for an empty array); a
     single kappa is its one-row view.  The T-matrices of every kappa and
@@ -461,37 +540,38 @@ def log_det_integrand(config, kappa, l_max):
     kappas = np.array(kappa, float, ndmin=1)
     if not kappas.size:
         return np.zeros(0)
-    axial = config._axis_positions is not None
+    kind, framed, _ = config._frame
     t_logs = _t_logs(config, kappas, l_max)
-    geometry = _geometry(config, config._pairs, l_max, axial, kappas)
+    geometry = _geometry(framed, config._pairs, l_max, kind, kappas)
 
     def part(rows):
-        return _log_dets(config, kappas[rows], l_max, *_rows(t_logs, geometry, rows))
+        return _log_dets(framed, kappas[rows], l_max, kind, *_rows(t_logs, geometry, rows))
 
-    values = _in_chunks(part, kappas.size, _chunk(config, l_max, axial))
+    values = _in_chunks(part, kappas.size, _chunk(config, l_max, kind))
     return float(values[0]) if np.ndim(kappa) == 0 else values
 
 
-def _chunk(config, l_max, axial, run=False):
-    """Kappas per chunk: the whole I - N stacks of ``_layout(l_max, axial)`` in _CHUNK_ENTRIES.
+def _chunk(config, l_max, kind, run=False):
+    """Kappas per chunk: the whole I - N stacks of ``_layout(l_max, kind)`` in _CHUNK_ENTRIES.
 
-    That is 28 kappas for an axial pair at l_max 4, and on either layout
-    it caps a Matsubara sum's run (``run``), whose last run computes terms
-    past the stop.  A dense chunk holds at least 2 kappas: one stack at
-    order 210 (three spheres at l_max 5) passes the budget alone, and a
-    chunk of one kappa frees all it placed before the next, so glibc's
-    malloc hands those pages back and faults them in again on every kappa:
-    about 14,000 minor faults per three-sphere energy at l_max 5, about 500
-    with 2 kappas.  The complement that :func:`_log_dets` factors adds one
+    That is 28 kappas for an axial pair at l_max 4 and 2 for the parity
+    blocks of three spheres at l_max 5 (2 x 105^2 entries a kappa), and on
+    every layout it caps a Matsubara sum's run (``run``), whose last run
+    computes terms past the stop.  A dense or parity chunk holds at least 2
+    kappas: one dense stack at order 210 (three spheres at l_max 5) passes
+    the budget alone, and a chunk of one kappa frees all it placed before
+    the next, so glibc's malloc hands those pages back and faults them in
+    again on every kappa: about 14,000 minor faults per three-sphere energy
+    at l_max 5, about 500 with 2 kappas.  The complement that :func:`_log_dets` factors adds one
     array of ((n - 1)/n)^2 the stack's size for n objects, uncounted: the
     chunks are those of the whole stack.  The stack is dropped before the
     complement is factored: kept through ``slogdet``, it tipped the same
     three-sphere energy, run after a stability report, back to about 7,300
     faults per energy.
     """
-    depth, width = _widths(l_max, axial)
+    depth, width = _widths(l_max, kind)
     size = width * len(config.objects)
-    least = 1 if axial or run else 2
+    least = 1 if kind == "axial" or run else 2
     return max(least, _CHUNK_ENTRIES // (depth * size * size))
 
 
@@ -586,7 +666,7 @@ def _evaluate(config, tol, l_max, n_nodes):
             [kappas[order], vals[order], np.cumsum(contrib[order])]
         )
         return EnergyResult(float(contrib.sum()), l_max, n_nodes, math.inf, samples)
-    chunk = _chunk(config, l_max, config._axis_positions is not None, run=True)
+    chunk = _chunk(config, l_max, config._frame.layout, run=True)
     kappas, _, terms, est = _matsubara_sum(integrand, config.tau, tol, MAX_SUM_TERMS, chunk)
     cumulative = config.tau / (2.0 * math.pi) * np.cumsum(terms)
     samples = np.column_stack([[0.0] + kappas[1:], terms, cumulative])

@@ -30,7 +30,7 @@ Schur complement of the labeled object's rows and columns, never as a
 compound scatterer, and a difference of two ln dets is the ln det of a
 small nb x nb matrix I + K summed as a trace series (see
 :class:`_CommonGridEngine`).  No displaced I - N is factored whole, none
-is placed whole but a pair's small m-block stack, and no difference carries
+is placed whole but on m-blocks or parity blocks, and no difference carries
 the rounding of two large ln dets.
 Every force comes from one loop of ratios, :func:`_stencil_rows`, which
 reads ln det[M(u)/M(u0)] for any steps u from the first, u0, as Rahi et
@@ -52,6 +52,17 @@ term3.  Their parts across r^ are the same on both transverse axes and
 exact at r: a transverse step turns d about an axis across it, so dU and
 dP are commutators with the rotation generator, which couples m to m +- 1
 alone (:func:`_transverse`).  A pair places no dense block.
+
+Three or more coplanar centres, as any three are, are taken in their
+plane's frame (``Configuration._frame``), where the mirror z -> -z splits
+I - N into two parity blocks of half the order (``casimir._layout``).  The
+stencil's axes are that frame's: its reference and its 8 points in the
+plane keep the parity, and the mirror maps each point below the plane onto
+one above it of the same determinant, so only +h n and +h/2 n are built,
+off the plane and whole, and the normal force is exactly 0
+(:func:`_images`).  The Laplacian and the decomposition are traces, the
+same in any frame; the force is turned back into the given frame.  Other
+configurations keep their frame and the dense layout.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
@@ -151,9 +162,14 @@ class _CommonGridEngine:
 
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
-    sum at tau > 0, taken in chunks of ``casimir._chunk`` on the dense
-    layout: as many kappas as the dense I - N fits in ``_CHUNK_ENTRIES``,
-    and at least 2 (at order 210).  The T-matrices (``casimir._t_logs``)
+    sum at tau > 0, taken in chunks of ``casimir._chunk`` on the engine's
+    layout: as many kappas as its I - N fits in ``_CHUNK_ENTRIES``, and at
+    least 2 (2 for three spheres at l_max 5 on either the dense layout, at
+    order 210, or the parity blocks, of order 105).  The layout is the
+    frame rule's (``Configuration._frame``): a configuration of coplanar
+    centres, not collinear, is taken in its plane on the parity blocks, and
+    ``plane`` holds that frame's axes, as rows, in the given one; any other
+    keeps its frame and the dense layout.  The T-matrices (``casimir._t_logs``)
     are built for the whole grid at once, and so are the rotation and the
     Bessel rows of each pair of a displacement (``casimir._geometry``), made
     once for every chunk and sliced per chunk (``casimir._rows``).
@@ -179,18 +195,27 @@ class _CommonGridEngine:
     difference keeps the relative precision of dU and dV.  :meth:`_ratio`
     is the one difference: the stencil takes its ratios from u0 = 0, and a
     force is the per-node ratio(+h) - ratio(-h) of two of them, or an axial
-    force one ratio of its +h end from its -h end (:func:`_stencil_rows`).  Every displaced S is guarded, as a reference by
-    :meth:`_schur` or through |K| < 1/2, which keeps det(I + K) > 0.
-    ``energy(u)`` is the weighted sum of ln det M_RR + ln det S(u).
+    force one ratio of its +h end from its -h end (:func:`_stencil_rows`).
+    Every displaced S is guarded, as a reference by :meth:`_schur` or
+    through |K| < 1/2, which keeps det(I + K) > 0.  ``energy(u)`` is the
+    weighted sum of ln det M_RR + ln det S(u).
 
-    The same formulas hold on the m-block layout, where U, V, S and K are
-    stacks of 2 l_max + 1 m-blocks per kappa and K's series runs on their
-    block diagonal: :meth:`radial` gives a pair's engine there, which its
-    whole report, its axial force included, reads.
+    The same formulas hold on the m-block and parity layouts, where U, V,
+    S and K are stacks of blocks per kappa and K's series runs on their
+    block diagonal: :meth:`radial` gives a pair's engine on m-blocks, which
+    its whole report, its axial force included, reads.  On the parity
+    blocks M_RR^-1, the reference's S^-1 and every point in the plane are
+    two-block stacks; a point off it has no parity, and its U and V are
+    whole, labels sorted by block (:func:`_whole`), with the stacks acting
+    block by block (:func:`_times`).  Errors name displacements in the
+    given frame.
     """
 
     def __init__(self, config, label, l_max=None, n_nodes=32):
-        self.config, self.label = config, label
+        # a coplanar configuration's engine works in its plane, the rows of
+        # ``plane`` its axes in the given frame; any other keeps the given frame
+        _, self.config, self.plane = config._frame
+        self.label = label
         self.idx = _index(config, label)
         _order(n_nodes, "n_nodes")
         self.l_max = default_l_max(config) if l_max is None else _order(l_max, "l_max")
@@ -202,18 +227,26 @@ class _CommonGridEngine:
             self.t_logs = _t_logs(config, self.kappas, self.l_max)
         else:
             self.kappas, self.weights, self.t_logs = _matsubara_grid(config, self.l_max)
-        self._set_layout(False)
+        self._set_layout("dense" if self.plane is None else "parity")
         # r^ of a radial engine, whose displacement (0, 0, s) stands for s r^
         self.frame = None
-        static = _geometry(config, [p for p in config._pairs if self.idx not in p], self.l_max, False, self.kappas)
+        static = [p for p in config._pairs if self.idx not in p]
+        static = _geometry(self.config, static, self.l_max, self.layout.kind, self.kappas)
         self.remainder = [self._remainder(c, static) for c in range(len(self.chunks))]
 
-    def _set_layout(self, axial):
-        """Take ``_layout(l_max, axial)`` and its chunks of the grid (``casimir._chunk``)."""
-        self.layout = _layout(self.l_max, axial)
-        self.nb = self.layout.width
-        step = _chunk(self.config, self.l_max, axial)
+    def _set_layout(self, kind):
+        """Take ``_layout(l_max, kind)`` and its chunks of the grid (``casimir._chunk``)."""
+        self.layout = _layout(self.l_max, kind)
+        self.nb = nb = self.layout.width
+        step = _chunk(self.config, self.l_max, kind)
         self.chunks = [slice(i, i + step) for i in range(0, len(self.kappas), step)]
+        if kind == "parity":
+            # the labels sorted by parity block, then the remainder's columns
+            # of a whole U as (block, object, label): the blocks' own order
+            diag = self.layout.entries.rows == self.layout.entries.cols
+            labels = np.argsort(self.layout.block[diag], kind="stable")
+            rest = 2 * nb * np.arange(len(self.rest))[:, None] + labels.reshape(2, 1, nb)
+            self.sort = labels, rest.ravel()
 
     def radial(self):
         """(engine, r, r^) of a pair, None for three or more objects.
@@ -236,22 +269,24 @@ class _CommonGridEngine:
         objs[other] = replace(objs[other], center=(0.0, 0.0, 0.0))
         eng = copy.copy(self)
         eng.config = Configuration(tuple(objs), self.config.medium, self.config.tau)
-        eng._set_layout(True)
+        eng._set_layout("axial")
         eng.frame = d / r
         eng.remainder = [(0.0, None)] * len(eng.chunks)
         return eng, r, eng.frame
 
     def moved(self, u):
         """The moving pairs' :func:`~casimir_stability.casimir._geometry` on the
-        grid, the labeled object displaced by u: what :meth:`_row_col` builds on."""
-        axial = self.layout.entries is not None
-        return _geometry(_displaced(self.config, self.label, u), self.moving, self.l_max, axial, self.kappas)
+        grid, the labeled object displaced by u (in the engine's frame): what
+        :meth:`_row_col` builds on."""
+        moved = _displaced(self.config, self.label, u)
+        return _geometry(moved, self.moving, self.l_max, self.layout.kind, self.kappas)
 
-    def _chunk_blocks(self, c, geometry):
-        """Balanced blocks of the pairs of ``geometry`` at the kappas of chunk c."""
+    def _chunk_blocks(self, c, geometry, layout=None):
+        """Balanced blocks of the pairs of ``geometry`` at the kappas of chunk c,
+        on ``layout`` or the engine's."""
         rows = self.chunks[c]
         t_logs, geometry = _rows(self.t_logs, geometry, rows)
-        return _blocks(self.config.medium, self.kappas[rows], self.l_max, t_logs, geometry, self.layout)
+        return _blocks(self.config.medium, self.kappas[rows], self.l_max, t_logs, geometry, layout or self.layout)
 
     def _remainder(self, c, static):
         """(ln det M_RR, M_RR^-1) at the kappas of chunk c; (0, None) when M_RR = I.
@@ -264,19 +299,21 @@ class _CommonGridEngine:
             return 0.0, None
         at = {j: k for k, j in enumerate(self.rest)}
         blocks = self._chunk_blocks(c, static)
-        m_rr = _place_blocks({(at[i], at[j]): b for (i, j), b in blocks.items()}, self.layout)[:, 0]
+        m_rr = _place_blocks({(at[i], at[j]): b for (i, j), b in blocks.items()}, self.layout)
+        # the dense layout's one matrix; the parity blocks stay a stack
+        m_rr = m_rr[:, 0] if self.plane is None else m_rr
         # M_RR = [[I, A], [C, D]]: Z = D - C A, det M_RR = det Z, and
         # M_RR^-1 = [[I + A Z^-1 C, -A Z^-1], [-Z^-1 C, Z^-1]], written over M_RR
         w = self.nb
         z = _complement(m_rr, w)
-        logdet = _positive_logdet(z, "remainder matrix", *self.at(c))
+        logdet = _positive_logdet(z, [f"remainder {name}" for name in self.layout.names], *self.at(c))
         z_inv = np.linalg.inv(z)
-        a, z_inv_c = m_rr[:, :w, w:], z_inv @ m_rr[:, w:, :w]
+        a, z_inv_c = m_rr[..., :w, w:], z_inv @ m_rr[..., w:, :w]
         a_z_inv = a @ z_inv
-        m_rr[:, :w, :w] += a @ z_inv_c
+        m_rr[..., :w, :w] += a @ z_inv_c
         np.negative(a_z_inv, out=a)
-        np.negative(z_inv_c, out=m_rr[:, w:, :w])
-        m_rr[:, w:, w:] = z_inv
+        np.negative(z_inv_c, out=m_rr[..., w:, :w])
+        m_rr[..., w:, w:] = z_inv
         return logdet, m_rr
 
     def at(self, c, u=None, u0=None):
@@ -292,34 +329,48 @@ class _CommonGridEngine:
             for name, v in ((f", {self.label!r} moved by", u), (" from", u0)):
                 if v is not None:
                     # + 0.0: a zero prints as 0, never -0
-                    v = (v if self.frame is None else v[2] * self.frame) + 0.0
+                    v = self._given(v) + 0.0
                     text += f"{name} ({', '.join(f'{x:.6g}' for x in v)})"
             return text
 
         return self.kappas[rows], where
 
+    def _given(self, v):
+        """The engine's displacement or force v in the given configuration's frame."""
+        if self.frame is not None:
+            return v[-1] * self.frame
+        return v if self.plane is None else v @ self.plane
+
     def _row_col(self, c, moved):
         """(U, V) at the kappas of chunk c, ``moved`` a displacement's :meth:`moved`.
 
-        On the m-block layout (a pair, :meth:`radial`) they are the two
-        off-diagonal blocks of its placed I - N, one stack of m-blocks each.
+        On the m-block and parity layouts they are the two off-diagonal
+        blocks of its placed I - N, one stack of blocks each.  A parity
+        engine's point off the plane has no parity: its U and V are whole,
+        dense blocks with their labels sorted as the stack's
+        (:func:`_whole`).
         """
-        blocks = self._chunk_blocks(c, moved)
-        if self.layout.entries is not None:
-            m = _place_blocks(blocks, self.layout)
-            a, b = (slice(i * self.nb, (i + 1) * self.nb) for i in (self.idx, *self.rest))
-            return -m[..., a, b], -m[..., b, a]
+        whole = self.plane is not None and any(d.d[2] != 0.0 for _, _, d, _ in moved)
+        layout = _layout(self.l_max, "dense") if whole else self.layout
+        blocks = self._chunk_blocks(c, moved, layout)
+        if layout.entries is not None:
+            # placed with the labeled object first
+            at = {j: k for k, j in enumerate((self.idx, *self.rest))}
+            m = _place_blocks({(at[i], at[j]): b for (i, j), b in blocks.items()}, layout)
+            return -m[..., : self.nb, self.nb :], -m[..., self.nb :, : self.nb]
         u_row = np.concatenate([blocks[self.idx, j] for j in self.rest], axis=-1)
         v_col = np.concatenate([blocks[j, self.idx] for j in self.rest], axis=-2)
+        if whole:
+            labels, rest = self.sort
+            return u_row.take(labels, axis=-2).take(rest, axis=-1), v_col.take(rest, axis=-2).take(labels, axis=-1)
         return u_row, v_col
 
     def _schur(self, c, point, u):
         """(ln det S, P, S) of ``point`` = (U, V) at displacement u, S guarded."""
         u_row, v_col = point
-        inverse = self.remainder[c][1]
-        p = v_col if inverse is None else inverse @ v_col
-        s = np.eye(self.nb) - u_row @ p
-        names = [f"merged-remainder {name}" for name in self.layout.names]
+        p = _times(self.remainder[c][1], v_col)
+        s = np.eye(u_row.shape[-2]) - u_row @ p
+        names = [f"merged-remainder {name}" for name in (self.layout.names if u_row.ndim > 3 else ["matrix"])]
         return _positive_logdet(s, names, *self.at(c, u)), p, s
 
     def _reference(self, c, point, u):
@@ -331,12 +382,15 @@ class _CommonGridEngine:
         """ln det M(u) - ln det M(u0) per kappa of chunk c, and the dU and dP it used.
 
         ``ref`` is :meth:`_reference` at u0, ``point`` the (U, V) of u, and
-        dP = M_RR^-1 dV.
+        dP = M_RR^-1 dV.  When either is whole (off a parity engine's plane),
+        so are dU, dP and K; the parity blocks of the other act block by
+        block (:func:`_times`).
         """
+        ndim = min(point[0].ndim, ref[0].ndim)
         u_ref, v_ref, p_ref, s_inv = ref
-        du, dv, inverse = point[0] - u_ref, point[1] - v_ref, self.remainder[c][1]
-        dp = dv if inverse is None else inverse @ dv
-        k = s_inv @ -(du @ (p_ref + dp) + u_ref @ dp)
+        du = _whole(point[0], ndim) - _whole(u_ref, ndim)
+        dp = _times(self.remainder[c][1], _whole(point[1], ndim) - _whole(v_ref, ndim))
+        k = _times(s_inv, -(du @ (_whole(p_ref, ndim) + dp) + _times(u_ref, dp)))
         return _log_det_1p(k, *self.at(c, u, u0)), du, dp
 
     def _sum(self, rows):
@@ -347,7 +401,8 @@ class _CommonGridEngine:
         return np.cumsum(weights * rows, axis=0)[-1]
 
     def energy(self, u):
-        """Interaction energy with the labeled object displaced by u."""
+        """Interaction energy with the labeled object displaced by u (in the given frame)."""
+        u = np.asarray(u, float) if self.plane is None else self.plane @ u
         moved = self.moved(u)
         return float(self._sum(
             [
@@ -355,6 +410,36 @@ class _CommonGridEngine:
                 for c, (logdet, _) in enumerate(self.remainder)
             ]
         ))
+
+
+def _whole(x, ndim):
+    """``x``; or, for a stack of the two parity blocks (an axis more than
+    ``ndim``), the block-diagonal matrix they make, its labels sorted by block.
+
+    None stays None.
+    """
+    if x is None or x.ndim == ndim:
+        return x
+    *lead, _, p, q = x.shape
+    out = np.zeros((*lead, 2, p, 2, q))
+    out[..., 0, :, 0, :], out[..., 1, :, 1, :] = x[..., 0, :, :], x[..., 1, :, :]
+    return out.reshape(*lead, 2 * p, 2 * q)
+
+
+def _times(a, x):
+    """a @ x, with a None read as I; a stack of the two parity blocks (an axis
+    more than x) times a whole x is the product of its block-diagonal
+    matrix, taken block by block."""
+    if a is None or a.ndim == x.ndim:
+        return x if a is None else a @ x
+    *lead, rows, cols = x.shape
+    return (a @ x.reshape(*lead, 2, rows // 2, cols)).reshape(*lead, 2 * a.shape[-2], cols)
+
+
+def _cross(x):
+    """The two cross-parity blocks (+-, -+) of a whole matrix, as a stack."""
+    p, q = x.shape[-2] // 2, x.shape[-1] // 2
+    return np.stack([x[..., :p, q:], x[..., p:, :q]], axis=-3)
 
 
 def _trace_product(a, b):
@@ -410,16 +495,16 @@ def _matsubara_grid(config, l_max):
     """
     low = min(l_max, 4)
     bands = np.r_[:low, l_max:l_max + low]
-    axial = config._axis_positions is not None
-    geometry = _geometry(config, config._pairs, low, axial)
+    kind, framed, _ = config._frame
+    geometry = _geometry(framed, config._pairs, low, kind)
     runs = []
 
     def term(kappas):
         runs.append(_t_logs(config, kappas, l_max))
         t_logs = [(s[:, bands], g[:, bands]) for s, g in runs[-1]]
-        return _log_dets(config, kappas, low, t_logs, geometry)
+        return _log_dets(framed, kappas, low, kind, t_logs, geometry)
 
-    chunk = _chunk(config, low, axial, run=True)
+    chunk = _chunk(config, low, kind, run=True)
     kappas, weights, _, _ = _matsubara_sum(term, config.tau, 1e-12, MAX_MATSUBARA_TERMS, chunk)
     rows = [
         tuple(np.concatenate([run[i][part] for run in runs])[: len(kappas)] for part in (0, 1))
@@ -449,7 +534,10 @@ def _stencil(h, axes=np.eye(3)):
     """0, then +h e, -h e per unit vector e of ``axes``, then the same at h/2.
 
     The 13 points of the three axes; their first 7 are the force's
-    stencil.  A pair's radial engine takes the one axis e_z of its frame
+    stencil.  The axes are the engine's: on a coplanar configuration's
+    parity blocks e_z is the plane's normal, and the points -h e_z and
+    -h/2 e_z take the ratios of their mirror images (:func:`_images`).  A
+    pair's radial engine takes the one axis e_z of its frame
     (:meth:`_CommonGridEngine.radial`): 5 points, the first 3 its force's.
     """
     out = [np.zeros(3)]
@@ -487,10 +575,14 @@ def _axial_force(eng, h, axis, s=0.0):
     (:meth:`_CommonGridEngine.radial`): with d_s the displaced separation,
     the force is -E'(r_s) times the axis component of d_s / r_s, from the
     ends r_s -+ h.  These are taken in the axis's order, so the first, the
-    reference an error names, is the user's -h end.
+    reference an error names, is the user's -h end.  On a coplanar
+    configuration's parity blocks the axis is turned into the plane's
+    frame, and the ends off the plane are whole.
     """
     e, pair = np.eye(3)[axis], eng.radial()
     if pair is None:
+        # the axis in the engine's frame
+        e = e if eng.plane is None else eng.plane[:, axis]
         ends, scale = [(s - h) * e, (s + h) * e], 1.0
     else:
         objs = eng.config.objects
@@ -519,8 +611,9 @@ def force(config, label, h=None, l_max=None, n_nodes=32):
 def laplacian_fd(config, label, h=None, l_max=None, n_nodes=32, engine=None):
     """Displacement Laplacian of the energy from the stencil's ratios (``_fd``).
 
-    The 13-point stencil, or for a pair E'' + 2 E'/r from the 5 radial
-    points on m-blocks (:func:`_read_stencil`): no decomposition term.
+    The 13-point stencil (11 points built in a plane's frame), or for a
+    pair E'' + 2 E'/r from the 5 radial points on m-blocks
+    (:func:`_read_stencil`): no decomposition term.
     """
     h = _step(config, label, h)
     eng = engine or _CommonGridEngine(config, label, l_max, n_nodes)
@@ -572,44 +665,83 @@ def _stencil_rows(eng, c, steps, moved, terms=True):
     """One row per kappa of chunk c: the ratios, then the weightless -b1,
     -b2, -b3.
 
-    ``moved`` are the :meth:`~_CommonGridEngine.moved` of ``steps``.  The
+    ``moved`` are the :meth:`~_CommonGridEngine.moved` of ``steps``, None
+    for a step that takes its mirror image's ratio (:func:`_images`).  The
     ratios are ln det[M(u)/M(u0)] of the steps u after the first, u0: any
     steps, when ``terms`` is false.  The decomposition's columns (``terms``)
-    read ``_stencil(h, axes)`` of any axes; the axes are taken one at a
-    time, and the blocks of an axis's points, and their dU and dP, are
-    dropped before the next.  It reads the ratios' dU and dP: since the
-    Richardson weights sum to 0, the refined central differences dU/da_i
-    and M_RR^-1 dV/da_i are their weighted sums.  On a pair's radial engine
-    the one axis is r^, and the two across it add their equal terms from
-    the reference alone (:func:`_transverse`).
+    read ``_stencil(h, axes)`` of any axes, h the length of its first step;
+    the axes are taken one at a time, and the blocks of an axis's points,
+    and their dU and dP, are dropped before the next.  It reads the ratios'
+    dU and dP: since the Richardson weights sum to 0, the refined central
+    differences dU/da_i and M_RR^-1 dV/da_i are their weighted sums.  On a
+    pair's radial engine the one axis is r^, and the two across it add
+    their equal terms from the reference alone (:func:`_transverse`).
     """
+    image = _images(eng, steps)
     ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
+    cols = [None] * len(steps)
+
+    def ratio(s):
+        cols[s], d_u, d_p = eng._ratio(c, ref, eng._row_col(c, moved[s]), steps[s], steps[0])
+        return d_u, d_p
+
     if not terms:
-        return np.column_stack(
-            [eng._ratio(c, ref, eng._row_col(c, m), u, steps[0])[0] for m, u in zip(moved[1:], steps[1:])]
-        )
-    kappas, h = eng.kappas[eng.chunks[c]], steps[1].max()  # steps[1] = +h e
+        for s in range(1, len(steps)):
+            if image[s] == s:
+                ratio(s)
+        return np.column_stack([cols[s] for s in image[1:]])
+    kappas, h = eng.kappas[eng.chunks[c]], np.linalg.norm(steps[1])  # steps[1] = +h e
     axes = (len(steps) - 1) // 4
     u_ref, _, p_ref, s_inv = ref
-    cols, b2, b3 = [None] * (len(steps) - 1), 0.0, 0.0
+    b2 = b3 = 0.0
     for axis in range(axes):
         # +h, -h, +h/2, -h/2 of this axis (see _stencil)
         at = [s + sign for s in range(1 + 2 * axis, len(steps), 2 * axes) for sign in (0, 1)]
+        # a normal axis: dU and dP of its -h points are those of their
+        # images with the cross-parity blocks negated and the rest equal, so
+        # its central differences are twice the cross-parity blocks of the +h
+        # points' (:func:`_cross`), and a trace of their products pairs each
+        # block with the other parity's (``flip`` reverses the block axis;
+        # on any other axis it is a step of 1, no change)
+        normal = image[at[0]] != at[0] or image[at[1]] != at[1]
         # Richardson (4 D(h/2) - D(h)) / 3 of the central differences D
         du = dp = 0.0
         for s, w in zip(at, (-0.5, 0.5, 4.0, -4.0)):
-            cols[s - 1], d_u, d_p = eng._ratio(c, ref, eng._row_col(c, moved[s]), steps[s], steps[0])
-            du, dp = du + w * d_u, dp + w * d_p
+            if image[s] == s:
+                d_u, d_p = ratio(s)
+                if normal:
+                    d_u, d_p, w = _cross(d_u), _cross(d_p), 2.0 * w
+                du, dp = du + w * d_u, dp + w * d_p
         du, dp = du / (3.0 * h), dp / (3.0 * h)
-        b2 += 2.0 * _trace_product(s_inv, du @ dp)
-        rdn = s_inv @ (du @ p_ref + u_ref @ dp)
-        b3 += _trace_product(rdn, rdn)
+        flip = slice(None, None, -1 if normal else 1)
+        b2 += 2.0 * _trace_product(s_inv, du @ dp[..., flip, :, :])
+        rdn = s_inv @ (du @ p_ref[..., flip, :, :] + u_ref @ dp)
+        b3 += _trace_product(rdn, rdn[..., flip, :, :])
     if eng.frame is not None:
         across = _transverse(ref, eng.config.objects[eng.idx].center[2], eng.l_max)
         b2, b3 = b2 + 2.0 * across[0], b3 + 2.0 * across[1]
     n_m = eng.config.medium.refractive_index(kappas)
     b1 = 2.0 * (n_m * kappas) ** 2 * _trace_product(s_inv, u_ref @ p_ref)
-    return np.column_stack(cols + [-b1, -b2, -b3])
+    return np.column_stack([cols[s] for s in image[1:]] + [-b1, -b2, -b3])
+
+
+def _images(eng, steps):
+    """The index of the step whose ratio each of ``steps`` takes: its own, or
+    on a parity engine, from a reference u0 = steps[0] in the plane, that of
+    its mirror image when it lies below the plane and its image is a step.
+
+    The mirror z -> -z commutes with I - N (``casimir._layout``) and fixes
+    u0, so M(u) and M of u's image have one determinant: their ratios are
+    equal, and their differences of a normal axis exactly 0.
+    """
+    out = list(range(len(steps)))
+    if eng.plane is None or steps[0][2] != 0.0:
+        return out
+    keys = [tuple(u) for u in steps]
+    for s, u in enumerate(steps):
+        if u[2] < 0.0 and (u[0], u[1], -u[2]) in keys:
+            out[s] = keys.index((u[0], u[1], -u[2]))
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -619,10 +751,10 @@ def _generator_blocks(l_max):
     G generates rotations about y: G^l (``translation._generator``) on the
     electric sector and its m-reversed copy on the magnetic one, as the
     rotation Q of ``translation._displacement`` stacks D^l, placed in the
-    local rows of ``_layout(l_max, True)``.  It couples m to m +- 1 alone,
+    local rows of ``_layout(l_max, "axial")``.  It couples m to m +- 1 alone,
     and does not depend on kappa.
     """
-    layout = _layout(l_max, True)
+    layout = _layout(l_max, "axial")
     diag = layout.entries.rows == layout.entries.cols  # every label once, in order
     block, local = layout.block[diag], layout.row[diag]
     g, half = np.zeros((block.size, block.size)), block.size // 2
@@ -662,16 +794,20 @@ def _transverse(ref, r, l_max):
 
 
 def _stencil_chunks(eng, steps, terms=True):
-    """:func:`_stencil_rows` at ``steps`` for every chunk, in grid order."""
-    moved = [eng.moved(u) for u in steps]
+    """:func:`_stencil_rows` at ``steps`` for every chunk, in grid order; a
+    step that takes its image's ratio (:func:`_images`) is not built."""
+    image = _images(eng, steps)
+    moved = [eng.moved(u) if image[s] == s else None for s, u in enumerate(steps)]
     return [_stencil_rows(eng, c, steps, moved, terms) for c in range(len(eng.chunks))]
 
 
 def _read_stencil(eng, h, laplacian=True, terms=False):
     """(force, (Laplacian, est_error) or None, (term1, term2, term3) or None).
 
-    Three or more objects take one pass of the 13-point dense stencil, or
-    of its first 7 points for the force alone.  A pair's energy is E(r):
+    Three or more objects take one pass of the 13-point stencil, or of its
+    first 7 points for the force alone, on the engine's axes: in a coplanar
+    configuration's plane, 11 and 6 of them are built, and the force is
+    turned back into the given frame.  A pair's energy is E(r):
     its force is -E'(r) r^ and its Laplacian E'' + 2 E'/r (:func:`_fd`),
     and its decomposition the radial axis's terms and twice one transverse
     axis's, all from one pass of its radial engine
@@ -687,8 +823,8 @@ def _read_stencil(eng, h, laplacian=True, terms=False):
     n = len(steps) - 1
     # the radial engine is this grid: eng._sum weighs its rows too
     f = -eng._sum([row[:, : 2 * len(axes) : 2] - row[:, 1 : 2 * len(axes) : 2] for row in rows]) / (2.0 * h)
-    # + 0.0: a component of r^ that is 0 gives 0, never -0
-    f = f if pair is None else f * unit + 0.0
+    # in the given frame; + 0.0: a component that is 0 gives 0, never -0
+    f = radial._given(f) + 0.0
     sums = eng._sum(rows)
     return f, _fd(sums[:n], h, r) if laplacian else None, tuple(sums[n:]) if terms else None
 

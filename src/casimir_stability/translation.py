@@ -68,8 +68,7 @@ Reciprocity
 -----------
 X(-d) = D X(d)^T D (D = +1 on the electric and -1 on the magnetic sector),
 so a pair of objects needs only one build per wavenumber.  The energy
-assembly applies that image to its balanced blocks as signs;
-:func:`reverse_translation` applies it to a whole matrix, for the oracles.
+assembly applies that image to its balanced blocks as signs.
 """
 
 import math
@@ -87,7 +86,6 @@ __all__ = [
     "TranslationMatrix",
     "translation_matrix",
     "translation_gradient",
-    "reverse_translation",
     "scalar_translation_matrix",
     "momentum_space_G",
     "real_sph_harm",
@@ -549,38 +547,18 @@ def _build(medium, kappa, d, l_max, spin, entries=None, log_k=None):
     bins = tab.term_entry if n == 1 else (tab.term_entry + width * np.arange(n)[:, None]).ravel()
     a = np.bincount(bins, weights=terms.ravel(), minlength=n * width).reshape(n, width)
     src = np.concatenate([a, -a[:, tab.n_entries :], np.zeros((n, 1))], axis=-1)
+    # chosen entries as flat positions: one take, no two-array index
+    at = None if entries is None else entries[0] * tab.source.shape[1] + entries[1]
     if d.turn is None:
-        scaled = src.take(tab.source if entries is None else tab.source[entries], axis=-1)
+        scaled = src.take(tab.source if entries is None else tab.source.take(at), axis=-1)
     else:
         scaled = _rotate(src, d.turn, tab, spin)
         if entries is not None:
-            scaled = scaled[:, entries[0], entries[1]]
+            scaled = scaled.reshape(n, -1).take(at, axis=-1)
     exponent = log_k.take(tab.band_top, axis=-1)
     if np.ndim(kappa) == 0:
         kappas, scaled, exponent = float(kappa), scaled[0], exponent[0]
     return TranslationMatrix(kappas, d.d, l_max, scaled, exponent, spin, entries)
-
-
-def reverse_translation(x):
-    """Translation matrix for -d from the one for +d (exact reciprocity).
-
-    X(-d) = D X(d)^T D, with D = +1 on the electric sector and -1 on the
-    magnetic sector for vector waves, and D = 1 for scalar waves.  Applied
-    to a displacement gradient dX/dd_i at d it gives minus that gradient
-    at -d.  A leading kappa axis is kept, and the symmetric band exponent
-    is shared with ``x``.
-    """
-    d_sign = np.ones(x.dim)
-    if x.spin == "vector":
-        d_sign[x.dim // 2 :] = -1.0
-    return TranslationMatrix(
-        kappa=x.kappa,
-        displacement=-x.displacement,
-        l_max=x.l_max,
-        scaled=d_sign[:, None] * np.swapaxes(x.scaled, -1, -2) * d_sign[None, :],
-        exponent=x.exponent,
-        spin=x.spin,
-    )
 
 
 def translation_matrix(medium, kappa, d, l_max, entries=None, log_k=None):

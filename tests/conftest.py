@@ -13,6 +13,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 from casimir_stability import Configuration, DispersionModel, Medium, SphereObject
+from casimir_stability.translation import TranslationMatrix
 
 PEC = DispersionModel.perfect_conductor()
 ONE = DispersionModel.constant(1.0)
@@ -52,6 +53,29 @@ def exact_log_det(m):
             total += mpmath.log(abs(a[k, k]))
             a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
         return total
+
+
+def reverse_translation(x):
+    """Translation matrix for -d from the one for +d (exact reciprocity), an oracle.
+
+    X(-d) = D X(d)^T D, with D = +1 on the electric sector and -1 on the
+    magnetic sector for vector waves, and D = 1 for scalar waves.  Applied
+    to a displacement gradient dX/dd_i at d it gives minus that gradient
+    at -d.  A leading kappa axis is kept, and the symmetric band exponent
+    is shared with ``x``.  The package applies reciprocity to its balanced
+    blocks as signs (``casimir._pair_blocks``) and has no whole-matrix form.
+    """
+    d_sign = np.ones(x.dim)
+    if x.spin == "vector":
+        d_sign[x.dim // 2 :] = -1.0
+    return TranslationMatrix(
+        kappa=x.kappa,
+        displacement=-x.displacement,
+        l_max=x.l_max,
+        scaled=d_sign[:, None] * np.swapaxes(x.scaled, -1, -2) * d_sign[None, :],
+        exponent=x.exponent,
+        spin=x.spin,
+    )
 
 
 def pec_pair(separation, radius=1.0, tau=0.0):

@@ -38,8 +38,8 @@ from casimir_stability.casimir import KAPPA_FLOOR, _matsubara_sum, _plate_kernel
 from casimir_stability.scattering import fresnel_reflection, mie_tmatrix
 from casimir_stability.specfun import log_bessel_i_array, log_bessel_k_array
 from casimir_stability.stability import _CommonGridEngine
-from casimir_stability.translation import reverse_translation, translation_matrix
-from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere
+from casimir_stability.translation import translation_matrix
+from conftest import ONE, PEC, dielectric_sphere, pec_pair, pec_sphere, reverse_translation
 
 DRUDE = DispersionModel.drude(4.0, 0.2)
 KAPPAS = np.array([KAPPA_FLOOR, 1e-3, 0.05, 0.4, 0.7, 1.3, 4.0, 25.0])
@@ -128,16 +128,19 @@ def test_log_bessel_arrays_of_no_arguments_give_no_rows():
 
 
 def test_dense_integrand_factors_several_kappas_per_call_at_order_210(monkeypatch):
-    # three spheres at l_max 5: I - N has order 210, and one kappa's stack
-    # alone passes the entry budget; a chunk still holds several kappas
-    # (the engine's chunks at this order: "3-body, l_max 5" below).  What
-    # is factored is the complement of the first object's block: order 140
-    cfg = _three_body()
+    # four spheres off one plane at l_max 5: I - N is dense, of order 280,
+    # and one kappa's stack alone passes the entry budget; a chunk still
+    # holds several kappas.  What is factored is the complement of the
+    # first object's block: order 210
+    cfg = Configuration(
+        (*_three_body().objects, dielectric_sphere((2.2, 2.4, -1.9), 0.7, 3.0, "d")), Medium()
+    )
+    assert cfg._frame.layout == "dense"
     calls = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda m: calls.append(m.shape) or slogdet(m))
     log_det_integrand(cfg, _quad_nodes(48, 1.0 / cfg.min_gap())[0], 5)
-    assert all(shape[-1] == 140 for shape in calls)
+    assert all(shape[-1] == 210 for shape in calls)
     assert len(calls) < 48
 
 
@@ -297,7 +300,8 @@ def test_non_finite_entry_inside_a_chunk_names_its_kappa(monkeypatch):
 
     def poisoned(*args, **kwargs):
         x = original(*args, **kwargs)
-        x.scaled[2, 0, 0] = np.nan
+        # the first entry, whole or of the parity blocks
+        x.scaled[2, ..., 0] = np.nan
         return x
 
     monkeypatch.setattr(casimir, "translation_matrix", poisoned)

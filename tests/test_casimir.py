@@ -510,7 +510,7 @@ def test_spheres_that_differ_get_their_own_tmatrix(first, second):
 def test_energy_builds_each_tmatrix_once_per_grid(monkeypatch):
     # the integrand takes a whole quadrature grid: one T-matrix call per
     # distinct sphere and grid, on the grid's nodes, though the grid of 24
-    # nodes takes more than one dense three-sphere chunk
+    # nodes takes more than one three-sphere chunk of the parity blocks
     from casimir_stability import casimir
     from test_stability import _count_calls
 
@@ -523,7 +523,7 @@ def test_energy_builds_each_tmatrix_once_per_grid(monkeypatch):
         Medium(),
         0.0,
     )
-    assert casimir._chunk(cfg, 3, False) < 24
+    assert casimir._chunk(cfg, 3, cfg._frame.layout) < 24
     calls = _count_calls(monkeypatch, casimir, "mie_tmatrix")
     res = energy_T0(cfg, tol=1e-4, l_max=3)
     grids = [24 * 2**k for k in range(round(math.log2(res.node_count // 24)) + 1)]
@@ -551,7 +551,7 @@ def test_energy_makes_each_pairs_bessel_rows_once_per_grid(monkeypatch):
         Medium(),
         0.0,
     )
-    assert casimir._chunk(cfg, 3, False) < 24
+    assert casimir._chunk(cfg, 3, cfg._frame.layout) < 24
     rows = _count_calls(monkeypatch, translation, "log_bessel_k_array")
     res = energy_T0(cfg, tol=1e-4, l_max=3)
     grids = [24 * 2**k for k in range(round(math.log2(res.node_count // 24)) + 1)]
@@ -564,14 +564,16 @@ def test_energy_makes_each_pairs_bessel_rows_once_per_grid(monkeypatch):
             assert x.shape == nodes.shape
 
 
-def _per_object_stack(cfg, kappa, l_max, axial):
-    """I - N with one T-matrix built for every object."""
+def _per_object_stack(cfg, kappa, l_max, kind):
+    """I - N with one T-matrix built for every object, on ``kind``'s layout
+    in the frame rule's frame (the given one when dense)."""
     from casimir_stability import casimir
     from casimir_stability.scattering import mie_tmatrix
 
     t = [mie_tmatrix(o, cfg.medium, kappa, l_max).raw_signed_log() for o in cfg.objects]
-    layout = casimir._layout(l_max, axial)
-    geometry = casimir._geometry(cfg, cfg._pairs, l_max, axial)
+    layout = casimir._layout(l_max, kind)
+    framed = cfg if kind == "dense" else cfg._frame.config
+    geometry = casimir._geometry(framed, cfg._pairs, l_max, kind)
     blocks = casimir._blocks(cfg.medium, kappa, l_max, t, geometry, layout)
     return casimir._place_blocks(blocks, layout)
 
@@ -594,14 +596,17 @@ def test_shared_tmatrix_leaves_the_matrix_unchanged(monkeypatch, collinear):
         0.0,
     )
     kappa, l_max = 0.7, 3
-    dense = _per_object_stack(cfg, kappa, l_max, False)[0]
+    dense = _per_object_stack(cfg, kappa, l_max, "dense")[0]
     assert np.array_equal(assemble_block_matrix(cfg, kappa, l_max), dense)
     seen = []
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda m: seen.append(m) or slogdet(m))
     log_det_integrand(cfg, kappa, l_max)
     assert len(seen) == 1
-    # what is factored: the complement of the first object's identity block
-    stack = _per_object_stack(cfg, kappa, l_max, collinear)
-    w = _layout(l_max, collinear).width
+    # what is factored: the complement of the first object's identity block,
+    # on the m-blocks or, in the centres' plane, the parity blocks
+    kind = cfg._frame.layout
+    assert kind == ("axial" if collinear else "parity")
+    stack = _per_object_stack(cfg, kappa, l_max, kind)
+    w = _layout(l_max, kind).width
     assert np.array_equal(seen[0], stack[..., w:, w:] - stack[..., w:, :w] @ stack[..., :w, w:])

@@ -30,7 +30,7 @@ from casimir_stability import (
     stability_report,
 )
 from casimir_stability.casimir import _layout, assemble_block_matrix
-from casimir_stability.stability import _CommonGridEngine
+from casimir_stability.stability import _CommonGridEngine, _whole
 from conftest import dielectric_sphere, exact_log_det, pec_pair, pec_sphere
 from test_batched import _three_body
 from test_stability_oracles import _triple
@@ -121,15 +121,19 @@ REMAINDER_CASES = {
 @pytest.mark.parametrize("case", REMAINDER_CASES)
 def test_remainder_is_the_inverse_and_log_det_of_m_rr(case, label):
     # M_RR read off the whole matrix at each node, the labeled object's
-    # rows and columns dropped
+    # rows and columns dropped.  A coplanar configuration's engine keeps the
+    # parity blocks of M_RR in the centres' plane: the whole matrix is read
+    # there, its labels sorted as the blocks', against the blocks' inverse
     cfg, l_max = REMAINDER_CASES[case], 2
     eng = _CommonGridEngine(cfg, label, l_max, 6)
-    width = _layout(l_max, False).width
+    width = _layout(l_max, "dense").width
     keep = np.concatenate([np.arange(j * width, (j + 1) * width) for j in eng.rest])
+    keep = keep if eng.plane is None else keep[eng.sort[1]]
     for c, rows in enumerate(eng.chunks):
         log_det, inverse = eng.remainder[c]
+        inverse = _whole(inverse, 3)
         for r, kappa in enumerate(eng.kappas[rows]):
-            m_rr = assemble_block_matrix(cfg, kappa, l_max)[np.ix_(keep, keep)]
+            m_rr = assemble_block_matrix(eng.config, kappa, l_max)[np.ix_(keep, keep)]
             want = np.linalg.inv(m_rr)
             bound = C * len(m_rr) * 2.0**-53
             assert np.abs(inverse[r] - want).max() <= bound * np.abs(want).max()

@@ -32,10 +32,10 @@ from casimir_stability.translation import (
     _real_basis,
     _rotations,
     real_sph_harm,
-    reverse_translation,
     sector_size,
     translation_gradient,
 )
+from conftest import reverse_translation
 
 MED = Medium()
 KAPPAS = (1e-6, 1e-2, 1.0, 50.0)
@@ -418,7 +418,7 @@ def test_pair_blocks_balance_each_band_as_each_entry(axial):
     d = np.array([0.0, 0.0, 0.4]) if axial else np.array([0.1, -0.2, 0.3])
     full = _build(MED, BAND_KAPPAS, d, l_max, "vector")
     assert full.exponent[0].max() > math.log(np.finfo(float).max)
-    layout = _layout(l_max, axial)
+    layout = _layout(l_max, "axial" if axial else "dense")
     x = full
     if axial:
         x = _build(MED, BAND_KAPPAS, d, l_max, "vector", (layout.entries.rows, layout.entries.cols))

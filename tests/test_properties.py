@@ -272,7 +272,7 @@ def test_reverse_block_is_the_balanced_translation_at_minus_d(kind, axial):
     d = np.array([0.0, 0.0, 2.6]) if axial else np.array([0.4, 0.3, 2.6])
     config = _reciprocity_config(kind, [(0.0, 0.0, 0.0), tuple(d), (2.9, 0.0, 1.8)])
     l_max = 4
-    layout = _layout(l_max, axial)
+    layout = _layout(l_max, "axial" if axial else "dense")
     t_i, t_j = _t_logs(config, RECIPROCITY_KAPPAS, l_max)[:2]
     wanted = None if layout.entries is None else (layout.entries.rows, layout.entries.cols)
     x = translation_matrix(config.medium, RECIPROCITY_KAPPAS, d, l_max, wanted)

@@ -30,6 +30,7 @@ from casimir_stability import (
 from casimir_stability.casimir import (
     _blocks,
     _geometry,
+    _layout,
     _pair_blocks,
     _place_blocks,
     _positive_logdet,
@@ -45,11 +46,13 @@ from test_stability import _count_calls
 def ref_decomposition(eng, h):
     """(term1, term2, term3) from translation gradients, labeled object first.
 
-    Only the grid (nodes, weights, order) is read from ``eng``: the blocks
-    are built here, one kappa at a time.
+    Only the grid (nodes, weights, order) and the configuration, in the
+    engine's frame, are read from ``eng``: the blocks are built here, dense,
+    one kappa at a time.
     """
     medium = eng.config.medium
-    a_idx, nb = eng.idx, eng.nb
+    layout = _layout(eng.l_max, "dense")
+    a_idx, nb = eng.idx, layout.width
     centers = [np.asarray(o.center, float) for o in eng.config.objects]
     rest = [i for i in range(len(centers)) if i != a_idx]
     order = [a_idx] + rest
@@ -58,8 +61,8 @@ def ref_decomposition(eng, h):
     for kappa, weight in zip(eng.kappas, eng.weights):
         n_m = medium.refractive_index(kappa)
         sl = _t_logs(eng.config, kappa, eng.l_max)
-        geometry = _geometry(eng.config, eng.config._pairs, eng.l_max, False)
-        blocks = _blocks(medium, kappa, eng.l_max, sl, geometry, eng.layout)
+        geometry = _geometry(eng.config, eng.config._pairs, eng.l_max, "dense")
+        blocks = _blocks(medium, kappa, eng.l_max, sl, geometry, layout)
         m = np.eye(len(order) * nb)
         for a, i in enumerate(order):
             for b, j in enumerate(order):
@@ -78,7 +81,7 @@ def ref_decomposition(eng, h):
             # for the reversed block, X'(-d) = -D X'(d)^T D, so
             # d/d(a_i) X_JA = +dX/dd_i at -d = -D g^T D
             g = [
-                _pair_blocks(gj[axis], sl[a_idx], sl[j], eng.layout) for gj, j in zip(grads, rest)
+                _pair_blocks(gj[axis], sl[a_idx], sl[j], layout) for gj, j in zip(grads, rest)
             ]
             du.append(-np.hstack([g_aj for g_aj, _ in g]))
             dv.append(-np.vstack([g_ja for _, g_ja in g]))
@@ -141,15 +144,16 @@ def test_report_matches_reference_and_fd_routes(case):
 
 
 def _stencil_ratio_rows(eng, steps):
-    """Per chunk, the ratios ln det[M(u)/M(0)] of ``eng`` at ``steps[1:]``."""
+    """Per chunk, the ratios ln det[M(u)/M(0)] of ``eng`` at ``steps[1:]``, a
+    step below a coplanar engine's plane read at its mirror image
+    (``stability._images``)."""
+    image = stability._images(eng, steps)
     moved = [eng.moved(u) for u in steps]
     rows = []
     for c in range(len(eng.chunks)):
         ref = eng._reference(c, eng._row_col(c, moved[0]), steps[0])
-        points = [eng._row_col(c, m) for m in moved[1:]]
-        rows.append(np.column_stack(
-            [eng._ratio(c, ref, p, u, steps[0])[0] for p, u in zip(points, steps[1:])]
-        ))
+        ratios = [eng._ratio(c, ref, eng._row_col(c, moved[s]), steps[s], steps[0])[0] for s in image[1:]]
+        rows.append(np.column_stack(ratios))
     return rows
 
 
@@ -168,39 +172,45 @@ def test_report_builds_each_stencil_matrix_once(monkeypatch, case):
         for module in (translation, stability)
     ]
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    # I - N is never placed whole on the dense layout: only the remainder's
-    # M_RR, once per chunk.  Each dense stencil point's pairs are translated
-    # once per chunk, one kappa row per node.  A pair's whole report takes
-    # its 5 radial points on m-blocks, each translated and placed once per
-    # chunk of its radial engine, and no dense point
+    # Each stencil point's pairs are translated once per chunk, one kappa
+    # row per node.  A pair's whole report takes its 5 radial points on
+    # m-blocks, each translated and placed once per chunk of its radial
+    # engine, and no dense point.  Three coplanar spheres take the parity
+    # blocks in their plane: the remainder's M_RR and the reference and 8
+    # points in the plane are built and placed on them, once per chunk; the
+    # points +h n and +h/2 n off it are built whole and placed nowhere, and
+    # their mirror images -h n and -h/2 n not at all
     dense = [x for x in translations if x[4] is None]
-    axial = [x for x in translations if x[4] is not None]
+    entries = [x for x in translations if x[4] is not None]
     dense_rows = sum(np.size(kappa) for _, kappa, *_ in dense)
-    axial_rows = sum(np.size(kappa) for _, kappa, *_ in axial)
+    entries_rows = sum(np.size(kappa) for _, kappa, *_ in entries)
     assert gradients == [[], []]
     if case == "pec_pair":
         m_chunks = len(eng.radial()[0].chunks)
         assert m_chunks < chunks
         assert dense == []
-        assert len(matrices) == len(axial) == 5 * m_chunks
-        assert all(layout.entries is not None for _, layout in matrices)
-        assert axial_rows == 5 * n_nodes == 60
+        assert len(matrices) == len(entries) == 5 * m_chunks
+        assert all(layout.kind == "axial" for _, layout in matrices)
+        assert entries_rows == 5 * n_nodes == 60
     else:
-        assert len(dense) == chunks * (13 * moving + static)
-        assert dense_rows == n_nodes * (13 * moving + static)
-        assert len(matrices) == chunks
-        assert axial == []
+        assert len(dense) == chunks * 2 * moving
+        assert dense_rows == n_nodes * 2 * moving
+        assert len(entries) == chunks * (9 * moving + static)
+        assert entries_rows == n_nodes * (9 * moving + static)
+        assert len(matrices) == chunks * 10
+        assert all(layout.kind == "parity" for _, layout in matrices)
 
 
 @pytest.mark.parametrize("case", ["pec_pair", "triple_b"])
 def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
     # every force is a difference of the stencil's ratios from u = 0: the
-    # report builds one reference and 12 ratios per chunk and solves nothing
-    # for its force, and force() reads the same columns from the 7 points
-    # 0 and +-h e_i, one kappa row per node per moving pair at each.  A
-    # pair's ratios are those of its radial engine, 4 per chunk of it from
-    # one reference at r, and its force the 2 at r +- h; its decomposition
-    # takes no reference of its own
+    # report builds one reference and 10 ratios per chunk (12 points, less
+    # the mirror images -h n and -h/2 n of three coplanar spheres) and
+    # solves nothing for its force, and force() reads the same columns from
+    # the 7 points 0 and +-h e_i, 6 of them built, one kappa row per node
+    # per moving pair at each.  A pair's ratios are those of its radial
+    # engine, 4 per chunk of it from one reference at r, and its force the
+    # 2 at r +- h; its decomposition takes no reference of its own
     cfg, label, l_max, n_nodes = CASES[case]
     n = len(cfg.objects)
     moving, static = n - 1, (n - 1) * (n - 2) // 2
@@ -214,7 +224,7 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
         m_chunks = len(eng.radial()[0].chunks)
         assert (len(references), len(ratios), len(solves)) == (m_chunks, 4 * m_chunks, 0)
     else:
-        assert (len(references), len(ratios), len(solves)) == (chunks, 12 * chunks, 0)
+        assert (len(references), len(ratios), len(solves)) == (chunks, 10 * chunks, 0)
     del references[:], ratios[:]
     translations = _count_calls(monkeypatch, casimir, "translation_matrix")
     force(cfg, label, l_max=l_max, n_nodes=n_nodes)
@@ -224,33 +234,37 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
         assert kappa_rows == n_nodes * 3
         assert all(wanted is not None for *_, wanted, _ in translations)
     else:
-        assert (len(references), len(ratios), len(solves)) == (chunks, 6 * chunks, 0)
-        assert kappa_rows == n_nodes * (7 * moving + static)
+        assert (len(references), len(ratios), len(solves)) == (chunks, 5 * chunks, 0)
+        assert kappa_rows == n_nodes * (6 * moving + static)
 
 
 def test_report_rotates_once_per_direction(monkeypatch):
     # the rotation D^l depends on d/|d| alone: the engine prepares it once
-    # for each stencil displacement of each moving pair and once for the
-    # static pair, whatever the number of chunks (12 here, one kappa each)
+    # for each stencil displacement it builds (11: the mirror images -h n
+    # and -h/2 n are not built) of each moving pair and once for the static
+    # pair, whatever the number of chunks
     cfg, label, l_max, n_nodes = CASES["triple_a"]
     frames = _count_calls(monkeypatch, translation, "_rotations")
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    assert len(frames) == 13 * 2 + 1
-    assert len({frame.tobytes() for frame, _ in frames}) == len(frames)
+    assert len(frames) == 11 * 2 + 1
+    # "a" and the centre farthest from it lie on the x axis of the plane's
+    # frame, so that pair keeps its direction at 0, +-h e_x and +-h/2 e_x:
+    # 4 of the rotations repeat one, every other direction is new
+    assert len({frame.tobytes() for frame, _ in frames}) == len(frames) - 4
 
 
 def test_report_makes_each_pairs_bessel_rows_once_for_its_grid(monkeypatch):
-    # a reverse block is read from its forward one, never translated again,
-    # and the Bessel rows of a pair are made once for the 12 nodes of the
-    # grid, not per chunk: once for each stencil displacement of each moving
-    # pair and once for the static pair
+    # a reverse block is read from its forward one, never translated again
+    # (the package has no whole-matrix reverse), and the Bessel rows of a
+    # pair are made once for the 12 nodes of the grid, not per chunk: once
+    # for each stencil displacement built (11, the mirror images -h n and
+    # -h/2 n not) of each moving pair and once for the static pair
     cfg, label, l_max, n_nodes = CASES["triple_a"]
     assert not hasattr(casimir, "reverse_translation")
-    reverses = _count_calls(monkeypatch, translation, "reverse_translation")
+    assert not hasattr(translation, "reverse_translation")
     rows = _count_calls(monkeypatch, translation, "log_bessel_k_array")
     stability_report(cfg, label, l_max=l_max, n_nodes=n_nodes)
-    assert reverses == []
-    assert len(rows) == 13 * 2 + 1
+    assert len(rows) == 11 * 2 + 1
     assert all(order == 2 * l_max + 1 and x.shape == (n_nodes,) for order, x in rows)
 
 
@@ -283,11 +297,14 @@ def test_stencil_differences_are_the_exact_ln_det_differences(case):
     moved = [eng.moved(u) for u in steps]
     static = [p for p in cfg._pairs if eng.idx not in p]
     (c,) = range(len(eng.chunks))
-    fixed = eng._chunk_blocks(c, _geometry(cfg, static, eng.l_max, False))
+    # the whole matrices, dense in the engine's frame (a coplanar
+    # configuration's plane), whatever layout the engine takes
+    dense = _layout(eng.l_max, "dense")
+    fixed = eng._chunk_blocks(c, _geometry(eng.config, static, eng.l_max, "dense"), dense)
     exact = []
     for geometry in moved:
-        blocks = {**fixed, **eng._chunk_blocks(c, geometry)}
-        exact.append([exact_log_det(m) for m in _place_blocks(blocks, eng.layout)[:, 0]])
+        blocks = {**fixed, **eng._chunk_blocks(c, geometry, dense)}
+        exact.append([exact_log_det(m) for m in _place_blocks(blocks, dense)[:, 0]])
     points = [eng._row_col(c, geometry) for geometry in moved]
     ref = eng._reference(c, points[0], steps[0])
     ratios = [[x - x0 for x, x0 in zip(exact[s], exact[0])] for s in range(13)]
@@ -362,10 +379,14 @@ def test_axial_force_agrees_with_force(case):
     # the -h end, force() two ratios from 0: the same difference, rounded
     # apart (the transverse forces of a pair on the z axis included).  A
     # pair takes both on its radial engine, -E'(r) times a component of r^,
-    # so an off-axis pair's agree too
+    # so an off-axis pair's agree too.  Three coplanar spheres take their
+    # stencil on the axes of their plane's frame, so the configuration is
+    # given in that frame, where the two take the same differences
     cfg, label, l_max, n_nodes = AXIAL[case]
+    cfg = cfg._frame.config
     h = _step(cfg, label, None)
     eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
+    assert eng.plane is None or np.array_equal(eng.plane, np.eye(3))
     f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
     for axis in range(3):
         got = stability._axial_force(eng, h, axis)
