@@ -38,8 +38,8 @@ al., PRD 80, 085021 (2009), write the force as a difference of TGTG ln
 dets.  -dE/da_i is minus the grid sum of the per-node difference
 ln det[M(+h e_i)/M(0)] - ln det[M(-h e_i)/M(0)] over 2h
 (:func:`_read_stencil`), and an axial force, the sweep's and the
-equilibrium search's, one ratio of its +h end from its -h end
-(:func:`_axial_force`).
+equilibrium search's, its axis component, or one ratio of its +h end from
+its -h end (:func:`_axial_force`).
 
 A pair is radial: two spheres are isotropic, so E depends on r = |d| alone,
 F = -E'(r) r^ and the Laplacian is E''(r) + 2 E'(r)/r.  Its whole report
@@ -61,8 +61,9 @@ plane keep the parity, and the mirror maps each point below the plane onto
 one above it of the same determinant, so only +h n and +h/2 n are built,
 off the plane and whole, and the normal force is exactly 0
 (:func:`_images`).  The Laplacian and the decomposition are traces, the
-same in any frame; the force is turned back into the given frame.  Other
-configurations keep their frame and the dense layout.
+same in any frame; the force is turned back into the given frame, and an
+axial force is its component.  Other configurations keep their frame and
+the dense layout.
 
 Every displaced geometry is a new Configuration from :func:`_displaced`, and
 the engine builds its (kappa, ...) stacks per chunk with ``casimir``'s pair
@@ -162,17 +163,19 @@ class _CommonGridEngine:
 
     The grid is the quadrature of ``n_nodes`` nodes at tau = 0, or the
     Matsubara frequencies up to the truncation of a low-order (l_max <= 4)
-    sum at tau > 0, taken in chunks of ``casimir._chunk`` on the engine's
-    layout: as many kappas as its I - N fits in ``_CHUNK_ENTRIES``, and at
-    least 2 (2 for three spheres at l_max 5 on either the dense layout, at
-    order 210, or the parity blocks, of order 105).  The layout is the
-    frame rule's (``Configuration._frame``): a configuration of coplanar
-    centres, not collinear, is taken in its plane on the parity blocks, and
-    ``plane`` holds that frame's axes, as rows, in the given one; any other
-    keeps its frame and the dense layout.  The T-matrices (``casimir._t_logs``)
-    are built for the whole grid at once, and so are the rotation and the
-    Bessel rows of each pair of a displacement (``casimir._geometry``), made
-    once for every chunk and sliced per chunk (``casimir._rows``).
+    sum at tau > 0, or with its T-matrices another engine's (``grid``, of
+    the same objects moved), taken in chunks of ``casimir._chunk`` on the
+    engine's layout: as many kappas as its I - N fits in
+    ``_CHUNK_ENTRIES``, and at least 2 (2 for three spheres at l_max 5 on
+    either the dense layout, at order 210, or the parity blocks, of order
+    105).  The layout is the frame rule's (``Configuration._frame``): a
+    configuration of coplanar centres, not collinear, is taken in its plane
+    on the parity blocks, and ``plane`` holds that frame's axes, as rows, in
+    the given one; any other keeps its frame and the dense layout.  The
+    T-matrices (``casimir._t_logs``) are built for the whole grid at once,
+    and so are the rotation and the Bessel rows of each pair of a
+    displacement (``casimir._geometry``), made once for every chunk and
+    sliced per chunk (``casimir._rows``).
 
     I - N is never placed whole on the dense layout.  With the labeled
     object A first it is
@@ -211,9 +214,10 @@ class _CommonGridEngine:
     given frame.
     """
 
-    def __init__(self, config, label, l_max=None, n_nodes=32):
+    def __init__(self, config, label, l_max=None, n_nodes=32, grid=None):
         # a coplanar configuration's engine works in its plane, the rows of
         # ``plane`` its axes in the given frame; any other keeps the given frame
+        self.given = config
         _, self.config, self.plane = config._frame
         self.label = label
         self.idx = _index(config, label)
@@ -221,7 +225,10 @@ class _CommonGridEngine:
         self.l_max = default_l_max(config) if l_max is None else _order(l_max, "l_max")
         self.moving = [p for p in config._pairs if self.idx in p]
         self.rest = [i for i in range(len(config.objects)) if i != self.idx]
-        if config.tau == 0.0:
+        if grid is not None:
+            # another engine's (kappas, weights, T-matrix rows)
+            self.kappas, self.weights, self.t_logs = grid
+        elif config.tau == 0.0:
             self.kappas, weights = _quad_nodes(n_nodes, 1.0 / config.min_gap())
             self.weights = weights / (2.0 * math.pi)
             self.t_logs = _t_logs(config, self.kappas, self.l_max)
@@ -568,19 +575,30 @@ def _fd(ratios, h, r=None):
 
 
 def _axial_force(eng, h, axis, s=0.0):
-    """-dE/ds along ``axis`` at displacement s e_axis: one ratio
-    ln det[M(+h)/M(-h)] of two ends, a two-point read of :func:`_stencil_rows`.
+    """-dE/ds along ``axis`` at displacement s e_axis: the axis component of
+    :func:`force` of the displaced configuration, on the engine's grid.
 
-    The ends are s -+ h along the axis.  A pair reads its radial engine
+    Three or more centres that lie in one plane, not on one line, take
+    their force in that plane (:func:`_read_stencil`); off s = 0 from an
+    engine of the displaced configuration on this grid, whose errors name
+    displacements from its own position.  Any other reads one ratio
+    ln det[M(+h)/M(-h)] of two ends, a two-point read of
+    :func:`_stencil_rows`: s -+ h along the axis, force()'s central
+    difference on its ends.  A pair reads its radial engine
     (:meth:`_CommonGridEngine.radial`): with d_s the displaced separation,
     the force is -E'(r_s) times the axis component of d_s / r_s, from the
     ends r_s -+ h.  These are taken in the axis's order, so the first, the
-    reference an error names, is the user's -h end.  On a coplanar
-    configuration's parity blocks the axis is turned into the plane's
-    frame, and the ends off the plane are whole.
+    reference an error names, is the user's -h end.
     """
     e, pair = np.eye(3)[axis], eng.radial()
     if pair is None:
+        if s != 0.0:
+            moved = _displaced(eng.given, eng.label, s * e)
+            if moved._frame.layout == "parity":
+                grid = eng.kappas, eng.weights, eng.t_logs
+                eng, s = _CommonGridEngine(moved, eng.label, eng.l_max, grid=grid), 0.0
+        if eng.plane is not None and s == 0.0:
+            return float(_read_stencil(eng, h, laplacian=False)[0][axis])
         # the axis in the engine's frame
         e = e if eng.plane is None else eng.plane[:, axis]
         ends, scale = [(s - h) * e, (s + h) * e], 1.0
@@ -806,8 +824,9 @@ def _read_stencil(eng, h, laplacian=True, terms=False):
 
     Three or more objects take one pass of the 13-point stencil, or of its
     first 7 points for the force alone, on the engine's axes: in a coplanar
-    configuration's plane, 11 and 6 of them are built, and the force is
-    turned back into the given frame.  A pair's energy is E(r):
+    configuration's plane, 11 of the 13 are built, and the force alone
+    reads the 5 points 0 and +-h e_i in the plane, its normal component 0;
+    the force is turned back into the given frame.  A pair's energy is E(r):
     its force is -E'(r) r^ and its Laplacian E'' + 2 E'/r (:func:`_fd`),
     and its decomposition the radial axis's terms and twice one transverse
     axis's, all from one pass of its radial engine
@@ -818,11 +837,15 @@ def _read_stencil(eng, h, laplacian=True, terms=False):
     pair = eng.radial()
     radial, r, unit = pair or (eng, None, None)
     axes = np.eye(3) if pair is None else np.eye(3)[2:]
+    if not (laplacian or terms or eng.plane is None):
+        # the force alone in a plane: its normal component is 0 (_images)
+        axes = axes[:2]
     steps = _stencil(h, axes)[: None if laplacian or terms else 1 + 2 * len(axes)]
     rows = _stencil_chunks(radial, steps, terms)
     n = len(steps) - 1
     # the radial engine is this grid: eng._sum weighs its rows too
     f = -eng._sum([row[:, : 2 * len(axes) : 2] - row[:, 1 : 2 * len(axes) : 2] for row in rows]) / (2.0 * h)
+    f = f if len(f) != 2 else np.append(f, 0.0)
     # in the given frame; + 0.0: a component that is 0 gives 0, never -0
     f = radial._given(f) + 0.0
     sums = eng._sum(rows)
@@ -848,10 +871,12 @@ def find_axial_equilibrium(
 
     ``bracket`` is a pair of displacements of the labeled object along
     ``axis`` (0, 1 or 2) relative to its configured position.  The force is
-    ln det[M(s + h)/M(s - h)] on one frozen grid (that of ``config``, with
-    its step h; see :func:`_axial_force`, which reads a pair's radial
-    engine), and Brent's method locates its zero to ``tol``.  Returns an EquilibriumResult whose report is
-    :func:`stability_report` at the root; absence of a sign change is a
+    the axial component of :func:`force` of the displaced configuration on
+    one frozen grid (that of ``config``, with its step h; see
+    :func:`_axial_force`: ln det[M(s + h)/M(s - h)], a pair's on its radial
+    engine, or a coplanar configuration's in its plane), and Brent's method
+    locates its zero to ``tol``.  Returns an EquilibriumResult whose report
+    is :func:`stability_report` at the root; absence of a sign change is a
     result, not an error.
     """
     _finite(tol, "tol")

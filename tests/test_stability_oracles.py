@@ -207,8 +207,8 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
     # report builds one reference and 10 ratios per chunk (12 points, less
     # the mirror images -h n and -h/2 n of three coplanar spheres) and
     # solves nothing for its force, and force() reads the same columns from
-    # the 7 points 0 and +-h e_i, 6 of them built, one kappa row per node
-    # per moving pair at each.  A pair's ratios are those of its radial
+    # the 5 points 0 and +-h e_i in the plane (the normal force is 0), one
+    # kappa row per node per moving pair at each.  A pair's ratios are those of its radial
     # engine, 4 per chunk of it from one reference at r, and its force the
     # 2 at r +- h; its decomposition takes no reference of its own
     cfg, label, l_max, n_nodes = CASES[case]
@@ -234,8 +234,8 @@ def test_forces_take_one_reference_and_no_solve_per_chunk(monkeypatch, case):
         assert kappa_rows == n_nodes * 3
         assert all(wanted is not None for *_, wanted, _ in translations)
     else:
-        assert (len(references), len(ratios), len(solves)) == (chunks, 5 * chunks, 0)
-        assert kappa_rows == n_nodes * (6 * moving + static)
+        assert (len(references), len(ratios), len(solves)) == (chunks, 4 * chunks, 0)
+        assert kappa_rows == n_nodes * (5 * moving + static)
 
 
 def test_report_rotates_once_per_direction(monkeypatch):
@@ -379,18 +379,34 @@ def test_axial_force_agrees_with_force(case):
     # the -h end, force() two ratios from 0: the same difference, rounded
     # apart (the transverse forces of a pair on the z axis included).  A
     # pair takes both on its radial engine, -E'(r) times a component of r^,
-    # so an off-axis pair's agree too.  Three coplanar spheres take their
-    # stencil on the axes of their plane's frame, so the configuration is
-    # given in that frame, where the two take the same differences
+    # so an off-axis pair's agree too.  Three coplanar spheres take both
+    # from the differences along the axes of their plane's frame
     cfg, label, l_max, n_nodes = AXIAL[case]
-    cfg = cfg._frame.config
     h = _step(cfg, label, None)
     eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
-    assert eng.plane is None or np.array_equal(eng.plane, np.eye(3))
     f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
     for axis in range(3):
         got = stability._axial_force(eng, h, axis)
         assert abs(got - f[axis]) <= 1e-12 * np.linalg.norm(f), (axis, got, f[axis])
+
+
+@pytest.mark.parametrize("case", ["triple_a", "triple_b"])
+def test_coplanar_axial_force_runs_on_from_its_force(monkeypatch, case):
+    # off s = 0 a coplanar triple's axial force is force() of the displaced
+    # configuration on the same grid, in that configuration's plane: next
+    # to s = 0 it is the force at 0, with no jump of the O(h^2) truncation
+    # (1e-7 relative) between the differences along the plane's axes and
+    # along the given axis.  The search's grid and T-matrices are reused
+    cfg, label, l_max, n_nodes = CASES[case]
+    h = _step(cfg, label, None)
+    eng = _CommonGridEngine(cfg, label, l_max, n_nodes)
+    f = force(cfg, label, l_max=l_max, n_nodes=n_nodes)
+    calls = _count_calls(monkeypatch, casimir, "mie_tmatrix")
+    for axis in range(3):
+        for s in (-1e-10, 1e-10):
+            got = stability._axial_force(eng, h, axis, s)
+            assert abs(got - f[axis]) <= 1e-9 * np.linalg.norm(f), (axis, s, got, f[axis])
+    assert calls == []
 
 
 def test_one_axis_read_is_the_three_axis_reads_share():
